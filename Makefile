@@ -12,7 +12,7 @@ FUZZ_TARGETS := \
 	./internal/mrt/rislive:FuzzRISLiveJSON
 FUZZTIME ?= 10s
 
-.PHONY: build test vet vet-test vet-json vet-annotations race e2e bench bench-ingest bench-rov bench-simscale bench-obs bench-smoke fuzz-smoke check
+.PHONY: build test vet vet-test vet-json vet-annotations race e2e bench bench-ingest bench-rov bench-simscale bench-obs bench-smoke bench-test fuzz-smoke check
 
 build:
 	$(GO) build ./...
@@ -134,6 +134,12 @@ bench-smoke:
 	$(GO) test -run='^$$' -benchtime=1x -benchmem \
 		-bench='^BenchmarkSimScaleConverge1k(Baseline)?$$' ./internal/simbgp/
 
+## bench-test: the benchmark's own tests at toy size. benchmark/ is a
+## nested module, so the root `go build ./... && go test ./...` never
+## builds it.
+bench-test:
+	$(GO) test -C benchmark .
+
 ## fuzz-smoke: run each fuzz target briefly against its seed corpus.
 fuzz-smoke:
 	@set -e; for entry in $(FUZZ_TARGETS); do \
@@ -143,4 +149,4 @@ fuzz-smoke:
 	done
 
 ## check: the full verification gate CI runs on every PR.
-check: build vet vet-test test race e2e bench-smoke fuzz-smoke
+check: build vet vet-test test race e2e bench-smoke bench-test fuzz-smoke

@@ -1,7 +1,7 @@
 // Command moas-collector runs a Route-Views-style passive route
 // collector: it accepts BGP peerings on a listen address, archives
-// periodic table snapshots to a directory in the dump exchange format,
-// and (with -moasrr) checks every snapshot through the off-line MOAS
+// periodic table snapshots to a directory as MRT table dumps, and
+// (with -moasrr) checks every snapshot through the off-line MOAS
 // monitor, printing alarms as they appear — the §4.2 off-line
 // deployment, live.
 //

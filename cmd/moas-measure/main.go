@@ -1,8 +1,9 @@
 // Command moas-measure runs the paper's §3 measurement pipeline over
 // the synthetic RouteViews dump series: the daily MOAS case counts of
 // Figure 4, the case-duration histogram of Figure 5, and the §3 summary
-// statistics. With -emit-dumps it also writes daily table dumps in the
-// text format cmd/moas-monitor consumes.
+// statistics. With -emit-dumps it instead writes daily MRT table dumps
+// (dump-YYYY-MM-DD.mrt), which -mrt measures and cmd/moas-monitor
+// checks like any RouteViews archive.
 package main
 
 import (
@@ -23,11 +24,10 @@ func main() {
 		days      = flag.Int("days", routegen.StudyDays, "study window length in days")
 		fig4      = flag.Bool("fig4", false, "print the full Figure 4 daily series")
 		fig5      = flag.Bool("fig5", false, "print the Figure 5 duration histogram")
-		emitDumps = flag.String("emit-dumps", "", "directory to write daily dump files into")
+		emitDumps = flag.String("emit-dumps", "", "directory to write daily MRT dump files into")
 		emitCount = flag.Int("emit-count", 5, "number of days to emit with -emit-dumps")
 		emitFrom  = flag.Int("emit-from", 0, "first day to emit with -emit-dumps")
 		csvDir    = flag.String("csv", "", "directory to write fig4.csv and fig5.csv into")
-		binary    = flag.Bool("binary", false, "emit dumps in the binary archive format")
 		par       = flag.Int("parallelism", 0, "dump-generation workers (0 = GOMAXPROCS)")
 		mrtDir    = flag.String("mrt", "", "directory of MRT archives to measure instead of the synthetic series (one file per study day)")
 	)
@@ -36,7 +36,7 @@ func main() {
 	if *mrtDir != "" {
 		err = runMRT(*mrtDir, *fig4, *fig5, *csvDir)
 	} else {
-		err = run(*seed, *days, *fig4, *fig5, *emitDumps, *emitFrom, *emitCount, *csvDir, *binary, *par)
+		err = run(*seed, *days, *fig4, *fig5, *emitDumps, *emitFrom, *emitCount, *csvDir, *par)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "moas-measure:", err)
@@ -70,7 +70,7 @@ func runMRT(dir string, fig4, fig5 bool, csvDir string) error {
 	return nil
 }
 
-func run(seed int64, days int, fig4, fig5 bool, emitDir string, emitFrom, emitCount int, csvDir string, binary bool, parallelism int) error {
+func run(seed int64, days int, fig4, fig5 bool, emitDir string, emitFrom, emitCount int, csvDir string, parallelism int) error {
 	if parallelism < 0 {
 		return fmt.Errorf("parallelism %d must be >= 0 (0 = GOMAXPROCS)", parallelism)
 	}
@@ -86,7 +86,7 @@ func run(seed int64, days int, fig4, fig5 bool, emitDir string, emitFrom, emitCo
 	}
 
 	if emitDir != "" {
-		return emitDumps(gen, emitDir, emitFrom, emitCount, binary)
+		return emitDumps(gen, emitDir, emitFrom, emitCount)
 	}
 
 	analysis, err := measure.RunParallel(gen, parallelism)
@@ -151,25 +151,21 @@ func writeCSVs(analysis *measure.Analysis, dir string) error {
 	return nil
 }
 
-func emitDumps(gen *routegen.Generator, dir string, from, count int, binary bool) error {
+func emitDumps(gen *routegen.Generator, dir string, from, count int) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
-	}
-	ext, write := ".txt", routegen.WriteDump
-	if binary {
-		ext, write = ".bin", routegen.WriteBinaryDump
 	}
 	for day := from; day < from+count && day < gen.Days(); day++ {
 		d, err := gen.DumpForDay(day)
 		if err != nil {
 			return err
 		}
-		name := filepath.Join(dir, fmt.Sprintf("dump-%s%s", d.Date.Format("2006-01-02"), ext))
+		name := filepath.Join(dir, fmt.Sprintf("dump-%s.mrt", d.Date.Format("2006-01-02")))
 		f, err := os.Create(name)
 		if err != nil {
 			return err
 		}
-		if err := write(f, d); err != nil {
+		if err := routegen.WriteMRT(f, d); err != nil {
 			f.Close()
 			return err
 		}

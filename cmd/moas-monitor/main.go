@@ -1,8 +1,9 @@
 // Command moas-monitor is the off-line MOAS checking process of §4.2:
-// it reads routing-table dump files (text format, one per vantage
-// point), checks MOAS-list consistency across them, and reports the
-// multi-origin cases and alarms. With -moasrr it classifies each case
-// as valid or invalid against a MOASRR database file of lines
+// it replays MRT table dumps (RouteViews/RIS archives, plain, gzip or
+// bzip2; one file per vantage point), checks MOAS-list consistency
+// across them, and reports the multi-origin cases and alarms. With
+// -moasrr it classifies each case as valid or invalid against a MOASRR
+// database file of lines
 //
 //	<prefix>=<asn>[,<asn>...]
 package main
@@ -38,7 +39,7 @@ func main() {
 	)
 	flag.Parse()
 	if flag.NArg() == 0 {
-		fmt.Fprintln(os.Stderr, "usage: moas-monitor [-moasrr file] [-roa-file file | -rtr-addr host:port] dump.txt [dump.txt ...]")
+		fmt.Fprintln(os.Stderr, "usage: moas-monitor [-moasrr file] [-roa-file file | -rtr-addr host:port] dump.mrt [dump.mrt ...]")
 		os.Exit(2)
 	}
 	if err := run(*moasrr, *metricsAddr, *roaFile, *rtrAddr, *verbose, flag.Args()); err != nil {
@@ -66,16 +67,8 @@ func run(moasrrPath, metricsAddr, roaFile, rtrAddr string, verbose bool, dumps [
 		opts = append(opts, monitor.WithRPKI(roaStore))
 	}
 	m := monitor.New(opts...)
-	for _, path := range dumps {
-		f, err := os.Open(path)
-		if err != nil {
-			return err
-		}
-		err = m.ReadDumpStream(filepath.Base(path), f)
-		f.Close()
-		if err != nil {
-			return err
-		}
+	if err := replayDumps(m, dumps); err != nil {
+		return err
 	}
 
 	cases := m.MOASCases()
@@ -136,6 +129,27 @@ func run(moasrrPath, metricsAddr, roaFile, rtrAddr string, verbose bool, dumps [
 		stop := make(chan os.Signal, 1)
 		signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
 		<-stop
+	}
+	return nil
+}
+
+// replayDumps replays each MRT file through m, naming the vantage after
+// the file. Records whose bodies fail to decode are skipped and
+// reported; a broken record framing aborts.
+func replayDumps(m *monitor.Monitor, dumps []string) error {
+	for _, path := range dumps {
+		f, err := os.Open(path)
+		if err != nil {
+			return err
+		}
+		res, err := m.ReplayMRT(filepath.Base(path), f)
+		f.Close()
+		if err != nil {
+			return fmt.Errorf("%s: %w", path, err)
+		}
+		if res.Malformed > 0 {
+			log.Printf("moas-monitor: %s: skipped %d malformed record(s)", path, res.Malformed)
+		}
 	}
 	return nil
 }

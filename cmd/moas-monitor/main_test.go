@@ -1,11 +1,18 @@
 package main
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
+	"time"
 
 	"repro/internal/astypes"
+	"repro/internal/core"
+	"repro/internal/monitor"
+	"repro/internal/routegen"
+	"repro/internal/rpki"
 )
 
 func writeFile(t *testing.T, name, content string) string {
@@ -56,11 +63,40 @@ func TestLoadMOASRRErrors(t *testing.T) {
 	}
 }
 
+var victim = astypes.MustPrefix(0x83b30000, 16)
+
+// fixtureDump is one vantage's table: 131.179.0.0/16 announced by its
+// listed origins 4 and 226, and by AS 52 with no MOAS list.
+func fixtureDump() *routegen.Dump {
+	list := core.NewList(4, 226).Communities()
+	return &routegen.Dump{
+		Day:  1,
+		Date: time.Date(2001, 4, 6, 0, 0, 0, 0, time.UTC),
+		Entries: []routegen.Entry{
+			{Prefix: victim, Path: astypes.NewSeqPath(701, 4), Communities: list},
+			{Prefix: victim, Path: astypes.NewSeqPath(3561, 226), Communities: list},
+			{Prefix: victim, Path: astypes.NewSeqPath(1239, 52)},
+			{Prefix: astypes.MustPrefix(0x0a000000, 8), Path: astypes.NewSeqPath(701, 7)},
+		},
+	}
+}
+
+func writeMRT(t *testing.T, name string, d *routegen.Dump) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), name)
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if err := routegen.WriteMRT(f, d); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
 func TestRunEndToEnd(t *testing.T) {
-	dump := writeFile(t, "dump.txt",
-		"# dump day=1 date=2001-04-06 entries=2\n"+
-			"131.179.0.0/16|701 4\n"+
-			"131.179.0.0/16|1239 52\n")
+	dump := writeMRT(t, "dump.mrt", fixtureDump())
 	db := writeFile(t, "moasrr.txt", "131.179.0.0/16=4\n")
 	if err := run(db, "", "", "", true, []string{dump}); err != nil {
 		t.Fatalf("run: %v", err)
@@ -77,5 +113,35 @@ func TestRunEndToEnd(t *testing.T) {
 	}
 	if err := run("", "", "", "", false, []string{"/does/not/exist"}); err == nil {
 		t.Error("missing dump accepted")
+	}
+}
+
+// TestReplayMatchesInMemoryDump: replaying a dump's MRT file raises the
+// same alarms (prefix, origin, verdict, class) as observing the dump
+// itself.
+func TestReplayMatchesInMemoryDump(t *testing.T) {
+	d := fixtureDump()
+	path := writeMRT(t, "rv.mrt", d)
+	roas := rpki.NewStore()
+	roas.Add(rpki.ROA{Prefix: victim, MaxLen: 16, Origin: 4})
+
+	replayed := monitor.New(monitor.WithRPKI(roas))
+	if err := replayDumps(replayed, []string{path}); err != nil {
+		t.Fatal(err)
+	}
+	direct := monitor.New(monitor.WithRPKI(roas))
+	direct.ObserveDump("rv.mrt", d)
+
+	keys := func(alarms []monitor.Alarm) []string {
+		out := make([]string, len(alarms))
+		for i, a := range alarms {
+			out[i] = fmt.Sprintf("%s origin=%s verdict=%s class=%s",
+				a.Conflict.Prefix, a.Conflict.Origin, a.Conflict.Verdict, a.Class)
+		}
+		return out
+	}
+	got, want := keys(replayed.Alarms()), keys(direct.Alarms())
+	if len(want) == 0 || !slices.Equal(got, want) {
+		t.Errorf("replayed alarms %v, in-memory alarms %v", got, want)
 	}
 }

@@ -1,7 +1,6 @@
 package collector
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 	"os"
@@ -14,8 +13,8 @@ import (
 	"repro/internal/telemetry"
 )
 
-// Archiver periodically snapshots a Collector to dump files on disk —
-// the daily table-dump archive of the real Route Views server — and
+// Archiver periodically snapshots a Collector to MRT table-dump files on
+// disk — the daily archive of the real Route Views server — and
 // optionally runs each snapshot through the off-line monitor, logging
 // alarms as they appear.
 type Archiver struct {
@@ -111,7 +110,7 @@ func (a *Archiver) SnapshotNow() (string, error) {
 
 func (a *Archiver) snapshotNow() (string, error) {
 	d := a.collector.Snapshot(a.now())
-	name := filepath.Join(a.dir, fmt.Sprintf("dump-%05d-%s.txt",
+	name := filepath.Join(a.dir, fmt.Sprintf("dump-%05d-%s.mrt",
 		d.Day, d.Date.UTC().Format("20060102T150405Z")))
 	f, err := os.Create(name)
 	if err != nil {
@@ -119,13 +118,8 @@ func (a *Archiver) snapshotNow() (string, error) {
 	}
 	// Count archived bytes where they leave the process, so the metric
 	// covers exactly what landed in the dump file.
-	bw := bufio.NewWriter(f)
-	cw := &countingWriter{w: bw}
-	if err := routegen.WriteDump(cw, d); err != nil {
-		f.Close()
-		return "", err
-	}
-	if err := bw.Flush(); err != nil {
+	cw := &countingWriter{w: f}
+	if err := routegen.WriteMRT(cw, d); err != nil {
 		f.Close()
 		return "", err
 	}

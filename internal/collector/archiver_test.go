@@ -1,14 +1,17 @@
 package collector
 
 import (
+	"errors"
+	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/monitor"
-	"repro/internal/routegen"
+	"repro/internal/mrt"
 )
 
 func TestArchiverSnapshotNow(t *testing.T) {
@@ -35,16 +38,32 @@ func TestArchiverSnapshotNow(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	d, err := routegen.ReadDump(f)
+	rd, err := mrt.NewReader(f)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(d.Entries) != 1 || d.Entries[0].Origin() != 4 {
-		t.Errorf("snapshot entries = %+v", d.Entries)
+	var origins []uint32
+	for {
+		rec, err := rd.Next()
+		if errors.Is(err, io.EOF) {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !rec.Time.Equal(fixed) {
+			t.Errorf("record %d stamped %v, want %v", rec.Span, rec.Time, fixed)
+		}
+		if rec.Kind == mrt.KindRIB {
+			if rec.Prefix != prefix || len(rec.Entries) != 1 {
+				t.Fatalf("RIB record = %+v", rec)
+			}
+			origin, _ := rec.Entries[0].Path.Origin()
+			origins = append(origins, uint32(origin))
+		}
 	}
-	// The dump exchange format stores dates at day precision.
-	if got, want := d.Date.Format("2006-01-02"), fixed.Format("2006-01-02"); got != want {
-		t.Errorf("snapshot date = %s, want %s", got, want)
+	if !slices.Equal(origins, []uint32{4}) {
+		t.Errorf("snapshot origins = %v, want [4]", origins)
 	}
 	if got := arch.Written(); len(got) != 1 || got[0] != name {
 		t.Errorf("Written = %v", got)

@@ -1,7 +1,7 @@
 // Package collector implements a Route-Views-style route collector: a
 // passive BGP speaker that peers with operational speakers, never
 // advertises anything, and periodically snapshots its Adj-RIB-Ins as
-// table dumps in the routegen exchange format. It is the live-plane
+// routegen table dumps, archived as MRT. It is the live-plane
 // source for the measurement pipeline (internal/measure) and the
 // off-line monitor (internal/monitor) — the role the Oregon RouteViews
 // server plays for the paper (§3.1, §5.1).
@@ -258,9 +258,9 @@ func (c *Collector) Peers() []astypes.ASN {
 	return astypes.SortASNs(out)
 }
 
-// Snapshot assembles the current multi-peer view as one table dump, in
-// the same exchange format the synthetic archive uses: one entry per
-// (peer, prefix) announcement. Day numbers count snapshots taken.
+// Snapshot assembles the current multi-peer view as one table dump, the
+// same routegen.Dump the synthetic series uses: one entry per (peer,
+// prefix) announcement. Day numbers count snapshots taken.
 func (c *Collector) Snapshot(at time.Time) *routegen.Dump {
 	c.mu.Lock()
 	defer c.mu.Unlock()

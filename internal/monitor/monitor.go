@@ -12,8 +12,6 @@
 package monitor
 
 import (
-	"fmt"
-	"io"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -179,19 +177,14 @@ func (m *Monitor) ObserveEntry(vantage string, prefix astypes.Prefix, path astyp
 	// The monitor has no wire decoder to mint spans, so each ingested
 	// entry gets its own ordinal: bundle forensics can then say "the
 	// Nth entry of this run" rather than nothing.
-	m.ObserveEntrySpan(vantage, prefix, path, comms, m.seq.Add(1))
+	m.observe(vantage, prefix, path, comms, m.seq.Add(1), nil)
 }
 
-// ObserveEntrySpan is ObserveEntry with a caller-supplied span: replay
-// paths pass the source record's ordinal so an alarm bundle points back
-// at the exact archived record that raised it.
-func (m *Monitor) ObserveEntrySpan(vantage string, prefix astypes.Prefix, path astypes.ASPath, comms []astypes.Community, span uint64) {
-	m.observe(vantage, prefix, path, comms, span, nil)
-}
-
-// ObserveEntryStamp is ObserveEntrySpan carrying the full stage stamp:
-// the MOAS check lands a validate-stage crossing and a detected
-// conflict records the cumulative ingest → alarm latency.
+// ObserveEntryStamp is ObserveEntry with the caller's stage stamp:
+// replay paths pass the source record's span, so an alarm bundle points
+// back at the exact archived record that raised it; the MOAS check
+// lands a validate-stage crossing and a detected conflict records the
+// cumulative ingest → alarm latency.
 func (m *Monitor) ObserveEntryStamp(vantage string, prefix astypes.Prefix, path astypes.ASPath, comms []astypes.Community, st *obs.Stamp) {
 	m.observe(vantage, prefix, path, comms, st.Span, st)
 }
@@ -287,17 +280,9 @@ func (m *Monitor) ObserveUpdate(vantage string, u *wire.Update) {
 	m.forgetWithdrawn(u)
 }
 
-// ObserveUpdateSpan is ObserveUpdate with a caller-supplied span shared
-// by every NLRI prefix of the update: one replayed record, one span.
-func (m *Monitor) ObserveUpdateSpan(vantage string, u *wire.Update, span uint64) {
-	for _, prefix := range u.NLRI {
-		m.ObserveEntrySpan(vantage, prefix, u.Attrs.ASPath, u.Attrs.Communities, span)
-	}
-	m.forgetWithdrawn(u)
-}
-
-// ObserveUpdateStamp is ObserveUpdateSpan carrying the full stage stamp
-// (see ObserveEntryStamp).
+// ObserveUpdateStamp is ObserveUpdate with the caller's stage stamp,
+// shared by every NLRI prefix of the update: one replayed record, one
+// span (see ObserveEntryStamp).
 func (m *Monitor) ObserveUpdateStamp(vantage string, u *wire.Update, st *obs.Stamp) {
 	for _, prefix := range u.NLRI {
 		m.ObserveEntryStamp(vantage, prefix, u.Attrs.ASPath, u.Attrs.Communities, st)
@@ -319,17 +304,6 @@ func (m *Monitor) forgetWithdrawn(u *wire.Update) {
 		delete(m.origins, w)
 		m.checker.Forget(w)
 	}
-}
-
-// ReadDumpStream parses a dump from r (text or binary archive format,
-// sniffed automatically) and ingests it.
-func (m *Monitor) ReadDumpStream(vantage string, r io.Reader) error {
-	d, err := routegen.ReadDumpAuto(r)
-	if err != nil {
-		return fmt.Errorf("monitor: read dump from %s: %w", vantage, err)
-	}
-	m.ObserveDump(vantage, d)
-	return nil
 }
 
 // Alarms returns all alarms in detection order.

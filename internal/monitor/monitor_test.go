@@ -2,7 +2,6 @@ package monitor
 
 import (
 	"reflect"
-	"strings"
 	"testing"
 
 	"repro/internal/astypes"
@@ -135,22 +134,6 @@ func TestMonitorObserveDumpAndReset(t *testing.T) {
 	m.Reset()
 	if len(m.Alarms()) != 0 || len(m.MOASCases()) != 0 {
 		t.Error("Reset left state behind")
-	}
-}
-
-func TestReadDumpStream(t *testing.T) {
-	text := "# dump day=3 date=1998-01-01 entries=2\n" +
-		"131.179.0.0/16|701 4\n" +
-		"131.179.0.0/16|1239 52\n"
-	m := New()
-	if err := m.ReadDumpStream("rv", strings.NewReader(text)); err != nil {
-		t.Fatal(err)
-	}
-	if len(m.Alarms()) != 1 {
-		t.Errorf("alarms = %d", len(m.Alarms()))
-	}
-	if err := m.ReadDumpStream("rv", strings.NewReader("garbage")); err == nil {
-		t.Error("bad stream accepted")
 	}
 }
 

@@ -24,7 +24,7 @@ type ReplayResult struct {
 }
 
 // ReplayMRT streams the MRT archive in r through the monitor: RIB
-// entries and announced NLRI become ObserveEntrySpan calls, update
+// entries and announced NLRI become ObserveEntryStamp calls, update
 // withdrawals retract state, and every announcement carries the span
 // of the record it came from. Malformed records are skipped and
 // counted; a terminal framing error aborts with the partial result.

@@ -10,11 +10,11 @@ import (
 	"repro/internal/wire"
 )
 
-// Writer emits MRT records. It exists for the test battery — golden
-// fixtures, the Writer↔Reader round-trip property test, synthetic
-// 100k-prefix tables for the cold-load benchmark — and for generating
-// replayable traces in e2e tests; the production pipeline only reads.
-// Not safe for concurrent use.
+// Writer emits MRT records. It backs the repository's one table-dump
+// format (routegen.WriteMRT, which the collector archiver and
+// moas-measure -emit-dumps write), as well as the test battery's golden
+// fixtures, round-trip property test, synthetic tables and replayable
+// e2e traces. Not safe for concurrent use.
 type Writer struct {
 	w    io.Writer
 	rec  []byte // header + body assembly

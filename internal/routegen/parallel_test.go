@@ -7,12 +7,13 @@ import (
 	"testing"
 )
 
-// encodeDump renders a dump to its binary wire form — the strictest
-// equality available (prefixes, paths, communities, day, date).
+// encodeDump renders a dump to its MRT form — the strictest equality
+// available (prefixes, paths, communities, date; the date fixes the
+// day).
 func encodeDump(t *testing.T, d *Dump) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := WriteBinaryDump(&buf, d); err != nil {
+	if err := WriteMRT(&buf, d); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()

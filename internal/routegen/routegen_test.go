@@ -1,8 +1,6 @@
 package routegen
 
 import (
-	"bytes"
-	"strings"
 	"testing"
 
 	"repro/internal/astypes"
@@ -204,59 +202,5 @@ func TestHistoricalEventDates(t *testing.T) {
 	}
 	if EventAS7007Day >= 0 {
 		t.Error("the 1997-04-25 event must predate the study window")
-	}
-}
-
-func TestTextRoundTrip(t *testing.T) {
-	g, _ := New(smallConfig())
-	d, _ := g.DumpForDay(50)
-	var buf bytes.Buffer
-	if err := WriteDump(&buf, d); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadDump(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Day != d.Day || !back.Date.Equal(d.Date) {
-		t.Errorf("header mismatch: %d/%v", back.Day, back.Date)
-	}
-	if len(back.Entries) != len(d.Entries) {
-		t.Fatalf("entries = %d, want %d", len(back.Entries), len(d.Entries))
-	}
-	for i := range d.Entries {
-		if back.Entries[i].Prefix != d.Entries[i].Prefix ||
-			!back.Entries[i].Path.Equal(d.Entries[i].Path) {
-			t.Fatalf("entry %d mismatch", i)
-		}
-	}
-}
-
-func TestReadDumpErrors(t *testing.T) {
-	cases := []string{
-		"",                                          // empty
-		"garbage\n",                                 // bad header
-		"# dump day=x date=1998-01-01\n",            // bad day
-		"# dump day=1 date=bad\n",                   // bad date
-		"# dump day=1 date=1998-01-01\nnopipe",      // bad entry
-		"# dump day=1 date=1998-01-01\nbad|1 2",     // bad prefix
-		"# dump day=1 date=1998-01-01\n1.0.0.0/8|x", // bad path
-		"# dump day=1 date=1998-01-01 entries=5\n1.0.0.0/8|1 2\n", // count mismatch
-	}
-	for _, give := range cases {
-		if _, err := ReadDump(strings.NewReader(give)); err == nil {
-			t.Errorf("ReadDump(%q) should fail", give)
-		}
-	}
-}
-
-func TestReadDumpSkipsCommentsAndBlanks(t *testing.T) {
-	text := "# dump day=3 date=1998-01-01 entries=1\n\n# comment\n10.0.0.0/8|6447 701 42\n"
-	d, err := ReadDump(strings.NewReader(text))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(d.Entries) != 1 || d.Entries[0].Origin() != 42 {
-		t.Errorf("parsed = %+v", d.Entries)
 	}
 }

@@ -70,13 +70,15 @@ func TestReadPDUFraming(t *testing.T) {
 }
 
 // testClient wires a client against srv with a tight reconnect schedule
-// and a dialer that records live connections so tests can sever them.
+// and a dialer that records live connections so tests can sever them,
+// and can hold reconnects back until released.
 type testClient struct {
 	store *Store
 	reg   *telemetry.Registry
 
 	mu    sync.Mutex
 	conns []net.Conn
+	gate  chan struct{} // non-nil while dials are held; closed to release
 
 	cancel context.CancelFunc
 	done   chan struct{}
@@ -94,6 +96,16 @@ func startClient(t *testing.T, srv *Server) *testClient {
 		Seed:          1,
 		Registry:      tc.reg,
 		Dial: func(ctx context.Context, addr string) (net.Conn, error) {
+			tc.mu.Lock()
+			gate := tc.gate
+			tc.mu.Unlock()
+			if gate != nil {
+				select {
+				case <-gate:
+				case <-ctx.Done():
+					return nil, ctx.Err()
+				}
+			}
 			conn, err := d.DialContext(ctx, "tcp", addr)
 			if err == nil {
 				tc.mu.Lock()
@@ -128,6 +140,21 @@ func (tc *testClient) sever() {
 		c.Close()
 	}
 	tc.conns = tc.conns[:0]
+}
+
+// severAndHold is sever with the reconnect held back until release.
+func (tc *testClient) severAndHold() (release func()) {
+	gate := make(chan struct{})
+	tc.mu.Lock()
+	tc.gate = gate
+	tc.mu.Unlock()
+	tc.sever()
+	return func() {
+		tc.mu.Lock()
+		tc.gate = nil
+		tc.mu.Unlock()
+		close(gate)
+	}
 }
 
 func waitFor(t *testing.T, what string, cond func() bool) {
@@ -223,7 +250,9 @@ func TestClientCacheResetResync(t *testing.T) {
 	// Blow past the delta window while the client is down: each publish
 	// is its own serial, so maxLog+2 of them leave the log starting past
 	// the client's serial and the serial query must come back CacheReset.
-	tc.sever()
+	// The client stays down until the last one is out, or it would catch
+	// up by delta part-way through.
+	release := tc.severAndHold()
 	var batch []ROA
 	for i := 0; i < maxLog+2; i++ {
 		batch = append(batch, ROA{
@@ -235,14 +264,17 @@ func TestClientCacheResetResync(t *testing.T) {
 	for _, r := range batch {
 		srv.Announce(r)
 	}
-	want := srv.Len()
-	waitFor(t, "full resync after cache reset", func() bool { return tc.store.Len() == want })
+	release()
+	resets := tc.reg.Counter("rpki_rtr_resets_total", "")
+	waitFor(t, "full resync after cache reset", func() bool { return resets.Value() >= 2 })
+	if n := resets.Value(); n != 2 {
+		t.Errorf("full resets = %d, want 2", n)
+	}
+	if got, want := tc.store.Len(), srv.Len(); got != want {
+		t.Errorf("store holds %d ROAs after the resync, server %d", got, want)
+	}
 	if got := tc.store.Validate(p("10.0.0.0/8"), 1); got != Valid {
 		t.Errorf("pre-gap ROA lost in resync: %v", got)
-	}
-	text := scrapeMetrics(t, tc.reg)
-	if !strings.Contains(text, "test_rpki_rtr_resets_total 2") {
-		t.Errorf("expected a second full reset in metrics:\n%s", text)
 	}
 }
 

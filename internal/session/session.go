@@ -73,20 +73,13 @@ type RefreshHandler interface {
 	HandleRouteRefresh(peer astypes.ASN, r *wire.RouteRefresh)
 }
 
-// SpanHandler is optionally implemented by Handlers that thread trace
-// span IDs through the pipeline. When implemented, it is invoked for
-// every UPDATE instead of HandleUpdate, with the message's span (the
-// per-session ordinal minted by wire.Decoder). The Update lifetime
-// contract is the same as HandleUpdate's.
-type SpanHandler interface {
-	HandleUpdateSpan(peer astypes.ASN, u *wire.Update, span uint64)
-}
-
 // StampHandler is optionally implemented by Handlers that carry the
-// full stage-timing stamp (span plus ingest instant) through the
-// pipeline. When implemented, it takes precedence over SpanHandler.
-// The stamp pointer is owned by the session's reader and is valid only
-// for the duration of the call, like the Update itself.
+// message's stage-timing stamp through the pipeline. When implemented,
+// it is invoked for every UPDATE instead of HandleUpdate. The stamp
+// always carries the message's span (the per-session ordinal minted by
+// wire.Decoder), and its ingest instant when Config.Obs is set. The
+// stamp pointer is owned by the session's reader and is valid only for
+// the duration of the call, like the Update itself.
 type StampHandler interface {
 	HandleUpdateStamp(peer astypes.ASN, u *wire.Update, st *obs.Stamp)
 }
@@ -159,10 +152,8 @@ type Session struct {
 	// Used only by the handshake and then the reader goroutine, which
 	// are sequential, never concurrent.
 	rd *wire.Reader
-	// spanH and stampH are cfg.Handler's SpanHandler/StampHandler
-	// faces, resolved once at Establish so the read loop pays no
-	// per-message type assertion.
-	spanH  SpanHandler
+	// stampH is cfg.Handler's StampHandler face, resolved once at
+	// Establish so the read loop pays no per-message type assertion.
 	stampH StampHandler
 
 	mu    sync.Mutex
@@ -199,7 +190,6 @@ func Establish(conn net.Conn, cfg Config) (*Session, error) {
 		done:     make(chan struct{}),
 		kaDone:   make(chan struct{}),
 	}
-	s.spanH, _ = cfg.Handler.(SpanHandler)
 	s.stampH, _ = cfg.Handler.(StampHandler)
 	s.rd.SetObserver(cfg.Obs)
 	if err := s.handshake(); err != nil {
@@ -456,12 +446,9 @@ func (s *Session) readLoop() {
 			// dispatch (metrics/trace bookkeeping above included).
 			st := s.rd.Stamp()
 			s.cfg.Obs.Cross(st, obs.StageSession)
-			switch {
-			case s.stampH != nil:
+			if s.stampH != nil {
 				s.stampH.HandleUpdateStamp(s.peerAS, m, st)
-			case s.spanH != nil:
-				s.spanH.HandleUpdateSpan(s.peerAS, m, s.rd.Span())
-			default:
+			} else {
 				s.cfg.Handler.HandleUpdate(s.peerAS, m)
 			}
 		case *wire.RouteRefresh:

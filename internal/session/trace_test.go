@@ -6,20 +6,21 @@ import (
 	"testing"
 
 	"repro/internal/astypes"
+	"repro/internal/obs"
 	"repro/internal/trace"
 	"repro/internal/wire"
 )
 
-// spanCollector is a Handler that also implements SpanHandler, so
-// UPDATEs arrive through HandleUpdateSpan with their message ordinal.
+// spanCollector is a Handler that also implements StampHandler, so
+// UPDATEs arrive through HandleUpdateStamp with their message ordinal.
 type spanCollector struct {
 	collector
 	spans []uint64 // guarded by mu
 }
 
-func (c *spanCollector) HandleUpdateSpan(peer astypes.ASN, u *wire.Update, span uint64) {
+func (c *spanCollector) HandleUpdateStamp(peer astypes.ASN, u *wire.Update, st *obs.Stamp) {
 	c.mu.Lock()
-	c.spans = append(c.spans, span)
+	c.spans = append(c.spans, st.Span)
 	c.mu.Unlock()
 	c.HandleUpdate(peer, u)
 }
@@ -30,11 +31,12 @@ func (c *spanCollector) spanList() []uint64 {
 	return append([]uint64(nil), c.spans...)
 }
 
-// TestSpanHandlerAndTrace: a SpanHandler receives strictly increasing
+// TestStampHandlerAndTrace: a StampHandler receives strictly increasing
 // spans that count every received message (the handshake OPEN and
-// KEEPALIVE included), and the session's recorder captures one
-// KindRecv event per UPDATE with matching spans.
-func TestSpanHandlerAndTrace(t *testing.T) {
+// KEEPALIVE included) even with no obs recorder configured, and the
+// session's recorder captures one KindRecv event per UPDATE with
+// matching spans.
+func TestStampHandlerAndTrace(t *testing.T) {
 	ca, cb := net.Pipe()
 	rec := trace.NewRecorder(64)
 	sc := &spanCollector{collector: collector{downCh: make(chan struct{}, 1)}}
@@ -107,7 +109,7 @@ func TestSpanHandlerAndTrace(t *testing.T) {
 	}
 }
 
-// TestPlainHandlerUnaffectedByTrace: without a SpanHandler the classic
+// TestPlainHandlerUnaffectedByTrace: without a StampHandler the classic
 // HandleUpdate path still runs, traced or not.
 func TestPlainHandlerUnaffectedByTrace(t *testing.T) {
 	rec := trace.NewRecorder(16)

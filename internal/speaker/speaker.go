@@ -297,16 +297,10 @@ func (h handler) HandleUpdate(peerAS astypes.ASN, u *wire.Update) {
 	h.s.handleUpdate(peerAS, u, 0, nil)
 }
 
-// HandleUpdateSpan is the traced delivery path: the session hands over
-// the message's span so every downstream event correlates back to the
-// exact UPDATE.
-func (h handler) HandleUpdateSpan(peerAS astypes.ASN, u *wire.Update, span uint64) {
-	h.s.handleUpdate(peerAS, u, span, nil)
-}
-
-// HandleUpdateStamp is the stage-timed delivery path: the stamp carries
-// the span plus the ingest instant, so validate/RIB crossings and the
-// alarm latency land in the speaker's obs recorder.
+// HandleUpdateStamp is the delivery path the session takes: the stamp
+// carries the message's span, so every downstream event correlates back
+// to the exact UPDATE, plus the ingest instant, so validate/RIB
+// crossings and the alarm latency land in the speaker's obs recorder.
 func (h handler) HandleUpdateStamp(peerAS astypes.ASN, u *wire.Update, st *obs.Stamp) {
 	h.s.handleUpdate(peerAS, u, st.Span, st)
 }

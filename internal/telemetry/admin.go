@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net"
 	"net/http"
@@ -149,7 +150,9 @@ func serveProbe(w http.ResponseWriter, probe func() error) {
 
 // Close drains the server gracefully (bounded by ShutdownTimeout), then
 // cuts remaining connections, and waits for the serve goroutine to
-// exit. Safe to call multiple times.
+// exit. A drain that times out is not an error: the cut ends the
+// endpoint all the same, and telemetry_admin_forced_close_total counts
+// it. Safe to call multiple times.
 func (a *Admin) Close() error {
 	a.closeOnce.Do(func() {
 		timeout := a.cfg.ShutdownTimeout
@@ -158,10 +161,17 @@ func (a *Admin) Close() error {
 		}
 		ctx, cancel := context.WithTimeout(context.Background(), timeout)
 		defer cancel()
+		// Idle keep-alive connections would otherwise only be reaped by
+		// Shutdown's poll.
+		a.srv.SetKeepAlivesEnabled(false)
 		err := a.srv.Shutdown(ctx)
-		if err != nil {
-			// Drain timed out (a scrape is wedged); cut it.
+		if errors.Is(err, context.DeadlineExceeded) {
+			// A wedged scrape, or a client holding a connection that never
+			// sent a request; Close cuts every connection.
 			a.srv.Close()
+			a.cfg.Registry.Counter("telemetry_admin_forced_close_total",
+				"Admin endpoint closes whose graceful drain timed out and cut open connections.").Inc()
+			err = nil
 		}
 		<-a.served
 		a.closeErr = err

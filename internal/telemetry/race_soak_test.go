@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"sync"
 	"testing"
+	"time"
 )
 
 // These soaks extend the shutdown_race_test.go pattern from
@@ -33,7 +34,10 @@ func TestScrapeWhileInstrumenting(t *testing.T) {
 		g := r.Gauge("level", "")
 		h := r.Histogram("lat_seconds", "", []float64{0.001, 0.1})
 		vec := r.CounterVec("typed_total", "", "type")
-		a, err := ServeAdmin("127.0.0.1:0", AdminConfig{Registry: r})
+		// The HTTP client can leave a dialed connection unused, which
+		// stalls the graceful drain until Close cuts it; a short budget
+		// keeps those iterations cheap.
+		a, err := ServeAdmin("127.0.0.1:0", AdminConfig{Registry: r, ShutdownTimeout: 100 * time.Millisecond})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -3,6 +3,7 @@ package telemetry
 import (
 	"errors"
 	"io"
+	"net"
 	"net/http"
 	"runtime"
 	"strings"
@@ -136,8 +137,9 @@ func TestAdminShutdownDuringSlowScrape(t *testing.T) {
 		}
 	})
 
+	reg := NewRegistry("t")
 	a, err := ServeAdmin("127.0.0.1:0", AdminConfig{
-		Registry:        NewRegistry("t"),
+		Registry:        reg,
 		ShutdownTimeout: 50 * time.Millisecond,
 		Debug:           map[string]http.Handler{"/debug/status": slow},
 	})
@@ -158,9 +160,13 @@ func TestAdminShutdownDuringSlowScrape(t *testing.T) {
 	select {
 	case err := <-closeDone:
 		// The graceful drain must have timed out on the wedged scrape —
-		// that is the scenario — and Close still returns promptly.
-		if err == nil {
-			t.Error("Close returned nil, want the drain-timeout error")
+		// that is the scenario — and Close still returns promptly, with
+		// the cut counted rather than reported as a failure.
+		if err != nil {
+			t.Errorf("Close: %v, want nil after the forced close", err)
+		}
+		if n := reg.Counter("telemetry_admin_forced_close_total", "").Value(); n != 1 {
+			t.Errorf("forced closes = %d, want 1", n)
 		}
 		if elapsed := time.Since(start); elapsed > 5*time.Second {
 			t.Errorf("Close took %v, want bounded by the shutdown budget", elapsed)
@@ -188,4 +194,31 @@ func TestAdminShutdownDuringSlowScrape(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	t.Errorf("goroutines: before=%d after=%d — leak", before, runtime.NumGoroutine())
+}
+
+// TestAdminCloseWithIdleConnection: a client that opens a connection and
+// never sends a request stalls the graceful drain for its whole budget.
+// Close must still succeed, within the default 2 s budget plus the cut.
+func TestAdminCloseWithIdleConnection(t *testing.T) {
+	reg := NewRegistry("t")
+	a, err := ServeAdmin("127.0.0.1:0", AdminConfig{Registry: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn, err := net.Dial("tcp", a.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+
+	start := time.Now()
+	if err := a.Close(); err != nil {
+		t.Fatalf("Close with an idle connection: %v", err)
+	}
+	if elapsed := time.Since(start); elapsed >= 3*time.Second {
+		t.Errorf("Close took %v, want under 3s", elapsed)
+	}
+	if n := reg.Counter("telemetry_admin_forced_close_total", "").Value(); n != 1 {
+		t.Errorf("forced closes = %d, want 1", n)
+	}
 }

@@ -243,10 +243,8 @@ var (
 	NewAnalysis = measure.NewAnalysis
 	// MeasureMOAS runs the full pipeline over a generator's series.
 	MeasureMOAS = measure.Run
-	// WriteDump serializes a dump in the text exchange format.
-	WriteDump = routegen.WriteDump
-	// ReadDump parses a dump in the text exchange format.
-	ReadDump = routegen.ReadDump
+	// WriteDump serializes a dump as an MRT TABLE_DUMP_V2 archive.
+	WriteDump = routegen.WriteMRT
 )
 
 // Off-line monitor and MOASRR database (internal/monitor, internal/dnsval).
