@@ -121,8 +121,9 @@ bench-simscale:
 ## contract is ≤200ns and 0 allocs per stamp, also pinned by
 ## TestRecordPathAllocFree) — recorded as BENCH_obs.json.
 bench-obs:
-	$(GO) test -json -run='^$$' -bench='^BenchmarkObs' -benchmem 		./internal/obs/ > BENCH_obs.json
-	@grep -o '"Output":"Benchmark[^"]*' BENCH_obs.json | sed 's/"Output":"//;s/\t/	/g' || true
+	$(GO) test -json -run='^$$' -bench='^BenchmarkObs' -benchmem \
+		./internal/obs/ > BENCH_obs.json
+	@grep -o '"Output":"Benchmark[^"]*' BENCH_obs.json | sed 's/"Output":"//;s/\\t/\t/g' || true
 
 ## bench-smoke: one-iteration run of every hot-path and evaluation
 ## benchmark so they can't silently rot; part of check (and so CI).

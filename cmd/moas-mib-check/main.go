@@ -1,5 +1,6 @@
 // Command moas-mib-check is the §4.2 management application: it polls
-// the MIB HTTP endpoints of a fleet of moas-speaker instances, gathers
+// the MIB endpoints (/debug/mib on each admin endpoint) of a fleet of
+// moas-speaker instances, gathers
 // every router's per-prefix MOAS lists, and cross-checks them. A prefix
 // whose lists disagree across routers is a MOAS conflict somewhere in
 // the network — even when every individual router's local view is
@@ -7,7 +8,7 @@
 //
 // Usage:
 //
-//	moas-mib-check http://r1:8479/mib http://r2:8479/mib ...
+//	moas-mib-check http://r1:8479/debug/mib http://r2:8479/debug/mib ...
 package main
 
 import (
@@ -27,7 +28,7 @@ func main() {
 	)
 	flag.Parse()
 	if flag.NArg() == 0 {
-		fmt.Fprintln(os.Stderr, "usage: moas-mib-check [-watch 30s] http://router:port/mib ...")
+		fmt.Fprintln(os.Stderr, "usage: moas-mib-check [-watch 30s] http://<metricsAddr>/debug/mib ...")
 		os.Exit(2)
 	}
 	client := mibcheck.New(mibcheck.WithHTTPClient(&http.Client{Timeout: *timeout}))

@@ -1,8 +1,8 @@
 // Command moas-speaker runs a MOAS-validating BGP speaker from a JSON
 // configuration file: peering sessions, originated prefixes with their
 // MOAS lists, route aggregates, a local MOASRR origin database for
-// alarm resolution, and an optional HTTP endpoint serving the §4.2 MIB
-// view. It is the "router-side" deployment of the paper's mechanism.
+// alarm resolution, and an optional admin endpoint serving the §4.2 MIB
+// view at http://<metricsAddr>/debug/mib. It is the "router-side" deployment of the paper's mechanism.
 //
 // Example configuration:
 //
@@ -11,7 +11,7 @@
 //	  "routerID": 4,
 //	  "validation": "drop",
 //	  "listen": ["127.0.0.1:1790"],
-//	  "mibAddr": "127.0.0.1:8479",
+//	  "metricsAddr": "127.0.0.1:8479",
 //	  "peers": [{"addr": "127.0.0.1:1791", "as": 226}],
 //	  "originate": [{"prefix": "131.179.0.0/16", "moasList": [4, 226]}],
 //	  "moasrr": [{"prefix": "131.179.0.0/16", "origins": [4, 226]}]
@@ -63,9 +63,6 @@ func run(configPath, metricsAddr string, verbose bool) error {
 
 	log.Printf("moas-speaker: AS %d up, validation=%s, %d peer(s) configured",
 		cfg.AS, cfg.Validation, len(cfg.Peers))
-	if addr := d.MIBAddr(); addr != "" {
-		log.Printf("moas-speaker: MIB at http://%s/mib", addr)
-	}
 	if addr := d.MetricsAddr(); addr != "" {
 		log.Printf("moas-speaker: metrics at http://%s/metrics", addr)
 	}

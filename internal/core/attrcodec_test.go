@@ -91,8 +91,4 @@ func TestEmptyListAccessors(t *testing.T) {
 	if !l.Empty() || l.Len() != 0 {
 		t.Error("zero list should be empty")
 	}
-	c := NewChecker()
-	if got := c.Alarms(); got != nil {
-		t.Errorf("empty Alarms = %v", got)
-	}
 }

@@ -52,9 +52,10 @@ type Announcement struct {
 	Prefix      astypes.Prefix
 	Path        astypes.ASPath
 	Communities []astypes.Community
-	// AttrList, when non-nil, is a MOAS list carried in the dedicated
-	// path attribute (ListAttrCode), pre-decoded by the transport layer.
-	// It takes precedence over the community encoding.
+	// AttrList, when non-nil, is the route's explicit MOAS list as the
+	// transport layer already decoded it (from the dedicated path
+	// attribute, ListAttrCode, or the communities). It takes precedence
+	// over Communities.
 	AttrList *List
 	FromPeer astypes.ASN // ASNNone for locally originated routes
 	// Span is the trace span of the message that carried the
@@ -73,56 +74,33 @@ func (a Announcement) effectiveList() (List, error) {
 	return EffectiveList(a.Communities, a.Path)
 }
 
-// AlarmFunc receives every conflict the checker detects. The paper
-// prescribes generating "an alarm signal; further investigation should
-// be conducted" (§4.2); resolution (e.g. a DNS MOASRR lookup,
-// internal/dnsval) is deliberately out of the checker's scope.
-type AlarmFunc func(Conflict)
-
 // Checker implements the per-router MOAS-list consistency check. It
 // remembers, per prefix, the first MOAS list accepted and compares every
 // subsequent announcement against it ("single set comparison", §4.2).
+// It only judges: Check returns the conflict, and raising the alarm the
+// paper prescribes ("an alarm signal; further investigation should be
+// conducted", §4.2) — counting, classifying, forensics, resolution — is
+// the caller's job.
 //
 // Checker is safe for concurrent use; the live speaker consults it from
 // multiple session goroutines.
 type Checker struct {
-	mu     sync.Mutex
-	lists  map[astypes.Prefix]List
-	alarms []Conflict
-	onA    AlarmFunc
-}
-
-// CheckerOption configures a Checker.
-type CheckerOption interface {
-	apply(*Checker)
-}
-
-type alarmFuncOption AlarmFunc
-
-func (f alarmFuncOption) apply(c *Checker) { c.onA = AlarmFunc(f) }
-
-// WithAlarmFunc installs a callback invoked synchronously for every
-// detected conflict, in addition to the checker's internal alarm log.
-func WithAlarmFunc(f AlarmFunc) CheckerOption {
-	return alarmFuncOption(f)
+	mu    sync.Mutex
+	lists map[astypes.Prefix]List
 }
 
 // NewChecker returns an empty checker.
-func NewChecker(opts ...CheckerOption) *Checker {
-	c := &Checker{lists: make(map[astypes.Prefix]List)}
-	for _, o := range opts {
-		o.apply(c)
-	}
-	return c
+func NewChecker() *Checker {
+	return &Checker{lists: make(map[astypes.Prefix]List)}
 }
 
 // Check validates one announcement. The first announcement for a prefix
 // establishes its MOAS list ("is simply accepted if this is the first
 // and only announcement", §4.2); later announcements must carry an equal
-// set. On conflict the alarm is recorded, the callback (if any) runs,
-// and the previously established list is retained: the checker trusts
-// first-seen state and flags divergence, exactly as the simulation's
-// MOAS-capable nodes do.
+// set. It returns a non-nil Conflict exactly when the verdict is not
+// VerdictConsistent, and the previously established list is retained:
+// the checker trusts first-seen state and flags divergence, exactly as
+// the simulation's MOAS-capable nodes do.
 func (c *Checker) Check(a Announcement) (Verdict, *Conflict) {
 	eff, err := a.effectiveList()
 	if err != nil {
@@ -145,10 +123,6 @@ func (c *Checker) Check(a Announcement) (Verdict, *Conflict) {
 			Path:     a.Path.Clone(),
 			Verdict:  VerdictOriginNotListed,
 		}
-		c.alarms = append(c.alarms, conflict)
-		if c.onA != nil {
-			c.onA(conflict)
-		}
 		return VerdictOriginNotListed, &conflict
 	}
 	existing, seen := c.lists[a.Prefix]
@@ -169,10 +143,6 @@ func (c *Checker) Check(a Announcement) (Verdict, *Conflict) {
 		Path:     a.Path.Clone(),
 		Verdict:  VerdictConflict,
 	}
-	c.alarms = append(c.alarms, conflict)
-	if c.onA != nil {
-		c.onA(conflict)
-	}
 	return VerdictConflict, &conflict
 }
 
@@ -192,30 +162,9 @@ func (c *Checker) Forget(p astypes.Prefix) {
 	delete(c.lists, p)
 }
 
-// Alarms returns a copy of every conflict recorded so far, in detection
-// order.
-func (c *Checker) Alarms() []Conflict {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if len(c.alarms) == 0 {
-		return nil
-	}
-	out := make([]Conflict, len(c.alarms))
-	copy(out, c.alarms)
-	return out
-}
-
-// AlarmCount returns the number of conflicts recorded so far.
-func (c *Checker) AlarmCount() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.alarms)
-}
-
-// Reset clears all recorded lists and alarms.
+// Reset clears all recorded lists.
 func (c *Checker) Reset() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.lists = make(map[astypes.Prefix]List)
-	c.alarms = nil
 }

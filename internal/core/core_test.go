@@ -2,6 +2,7 @@ package core
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -181,19 +182,18 @@ func TestCheckerFirstAnnouncementAccepted(t *testing.T) {
 }
 
 func TestCheckerDetectsConflict(t *testing.T) {
-	var alarmed []Conflict
-	c := NewChecker(WithAlarmFunc(func(cf Conflict) { alarmed = append(alarmed, cf) }))
+	c := NewChecker()
 
 	// Valid MOAS: both origins announce the same list.
 	list := NewList(1, 2)
 	for _, origin := range []astypes.ASN{1, 2} {
-		v, _ := c.Check(Announcement{
+		v, conflict := c.Check(Announcement{
 			Prefix:      testPrefix,
 			Path:        astypes.NewSeqPath(9, origin),
 			Communities: list.Communities(),
 		})
-		if v != VerdictConsistent {
-			t.Fatalf("valid MOAS flagged: %v", v)
+		if v != VerdictConsistent || conflict != nil {
+			t.Fatalf("valid MOAS flagged: %v, %v", v, conflict)
 		}
 	}
 
@@ -206,14 +206,11 @@ func TestCheckerDetectsConflict(t *testing.T) {
 	if v != VerdictConflict || conflict == nil {
 		t.Fatalf("attack not detected: %v", v)
 	}
-	if conflict.Origin != 52 || conflict.FromPeer != 9 {
+	if conflict.Origin != 52 || conflict.FromPeer != 9 || conflict.Verdict != VerdictConflict {
 		t.Errorf("conflict details = %+v", conflict)
 	}
-	if len(alarmed) != 1 {
-		t.Errorf("alarm callback fired %d times", len(alarmed))
-	}
-	if c.AlarmCount() != 1 {
-		t.Errorf("AlarmCount = %d", c.AlarmCount())
+	if !conflict.Existing.Equal(list) || !conflict.Received.Equal(ImplicitList(52)) {
+		t.Errorf("conflict lists = %v vs %v", conflict.Existing, conflict.Received)
 	}
 }
 
@@ -257,57 +254,71 @@ func TestCheckerForgedSupersetDetected(t *testing.T) {
 
 func TestCheckerForgetAndReset(t *testing.T) {
 	c := NewChecker()
-	c.Check(Announcement{Prefix: testPrefix, Path: astypes.NewSeqPath(4)})
+	conflicts := 0
+	check := func(origin astypes.ASN) {
+		if _, conflict := c.Check(Announcement{Prefix: testPrefix, Path: astypes.NewSeqPath(origin)}); conflict != nil {
+			conflicts++
+		}
+	}
+	check(4)
 	c.Forget(testPrefix)
 	if _, ok := c.ListFor(testPrefix); ok {
 		t.Error("Forget did not clear state")
 	}
-	c.Check(Announcement{Prefix: testPrefix, Path: astypes.NewSeqPath(4)})
-	c.Check(Announcement{Prefix: testPrefix, Path: astypes.NewSeqPath(52)})
-	if c.AlarmCount() != 1 {
-		t.Fatalf("AlarmCount = %d", c.AlarmCount())
+	check(4)
+	check(52)
+	if conflicts != 1 {
+		t.Fatalf("conflicts = %d", conflicts)
 	}
 	c.Reset()
-	if c.AlarmCount() != 0 {
-		t.Error("Reset did not clear alarms")
-	}
 	if _, ok := c.ListFor(testPrefix); ok {
 		t.Error("Reset did not clear lists")
 	}
+	// After Reset the former hijacker is a first announcement again.
+	check(52)
+	if conflicts != 1 {
+		t.Error("Reset did not clear state")
+	}
 }
 
+// TestCheckerAlarmsAreCopies: a returned Conflict owns its path, so the
+// caller may keep or mutate it without touching the announcement or any
+// later conflict.
 func TestCheckerAlarmsAreCopies(t *testing.T) {
 	c := NewChecker()
 	c.Check(Announcement{Prefix: testPrefix, Path: astypes.NewSeqPath(4)})
-	c.Check(Announcement{Prefix: testPrefix, Path: astypes.NewSeqPath(52)})
-	a1 := c.Alarms()
-	a1[0].Origin = 9999
-	a2 := c.Alarms()
-	if a2[0].Origin == 9999 {
-		t.Error("Alarms() must return copies")
+	path := astypes.NewSeqPath(52)
+	_, a1 := c.Check(Announcement{Prefix: testPrefix, Path: path})
+	a1.Path.Segments[0].ASNs[0] = 9999
+	_, a2 := c.Check(Announcement{Prefix: testPrefix, Path: path})
+	if path.String() != "52" || a2.Path.String() != "52" {
+		t.Errorf("conflict path aliases its input: input %v, next conflict %v", path, a2.Path)
 	}
 }
 
 func TestCheckerConcurrentUse(t *testing.T) {
 	c := NewChecker()
 	var wg sync.WaitGroup
+	var conflicts atomic.Int64
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
 		go func(origin astypes.ASN) {
 			defer wg.Done()
 			for j := 0; j < 200; j++ {
-				c.Check(Announcement{
+				if _, conflict := c.Check(Announcement{
 					Prefix: testPrefix,
 					Path:   astypes.NewSeqPath(9, origin),
-				})
+				}); conflict != nil {
+					conflicts.Add(1)
+				}
 			}
 		}(astypes.ASN(i + 1))
 	}
 	wg.Wait()
 	// 8 distinct implicit lists: whichever got there first won; the
 	// other 7 origins conflict on every check.
-	if got := c.AlarmCount(); got != 7*200 {
-		t.Errorf("AlarmCount = %d, want %d", got, 7*200)
+	if got := conflicts.Load(); got != 7*200 {
+		t.Errorf("conflicts = %d, want %d", got, 7*200)
 	}
 }
 

@@ -1,8 +1,8 @@
 // Package daemon assembles a deployable MOAS-validating BGP speaker
 // from a declarative JSON configuration: peering sessions, originated
 // prefixes with their MOAS lists, route aggregates, a local MOASRR
-// database for alarm resolution, and an optional HTTP endpoint serving
-// the §4.2 MIB view. cmd/moas-speaker is a thin wrapper around this
+// database for alarm resolution, and an optional admin endpoint serving
+// the §4.2 MIB view at /debug/mib. cmd/moas-speaker is a thin wrapper around this
 // package.
 package daemon
 
@@ -39,10 +39,9 @@ type Config struct {
 	HoldTimeSeconds int `json:"holdTimeSeconds"`
 	// Listen addresses accept inbound peerings ("host:port").
 	Listen []string `json:"listen"`
-	// MIBAddr, if set, serves the MIB JSON over HTTP.
-	MIBAddr string `json:"mibAddr"`
 	// MetricsAddr, if set, serves the admin endpoint: /metrics
-	// (Prometheus text or JSON), /healthz, and /debug/mib.
+	// (Prometheus text or JSON), /healthz, and the MIB JSON at
+	// /debug/mib.
 	MetricsAddr string `json:"metricsAddr"`
 	// TraceEvents, when nonzero, enables the flight recorder with a ring
 	// of (about) that many events; /debug/trace and /debug/alarms appear
@@ -236,10 +235,6 @@ type Daemon struct {
 	// Synced state gates readiness.
 	rtr *rpki.Client
 
-	mibServer *http.Server
-	mibErr    chan error
-	mibAddr   string
-
 	listenAddrs []string
 
 	peerAddrs    map[astypes.ASN]string
@@ -263,7 +258,7 @@ type Daemon struct {
 
 // Build constructs and starts the daemon: the MOASRR store, the
 // speaker, listeners, outbound peerings, originations and aggregates,
-// and the MIB HTTP endpoint.
+// and the admin endpoint.
 func Build(cfg Config) (*Daemon, error) {
 	store := dnsval.NewStore()
 	for _, rec := range cfg.MOASRR {
@@ -284,7 +279,6 @@ func Build(cfg Config) (*Daemon, error) {
 		Store:        store,
 		reg:          reg,
 		trace:        rec,
-		mibErr:       make(chan error, 1),
 		peerAddrs:    make(map[astypes.ASN]string, len(cfg.Peers)),
 		reconnect:    time.Duration(cfg.ReconnectSeconds) * time.Second,
 		reconnectMax: time.Duration(cfg.ReconnectMaxSeconds) * time.Second,
@@ -364,9 +358,6 @@ func Build(cfg Config) (*Daemon, error) {
 		}
 		d.sampler.Close()
 		s.Close()
-		if d.mibServer != nil {
-			d.mibServer.Close()
-		}
 		if d.admin != nil {
 			d.admin.Close()
 		}
@@ -407,24 +398,6 @@ func Build(cfg Config) (*Daemon, error) {
 			return nil, err
 		}
 		d.peerUp.Inc()
-	}
-	if cfg.MIBAddr != "" {
-		ln, err := net.Listen("tcp", cfg.MIBAddr)
-		if err != nil {
-			cleanup()
-			return nil, fmt.Errorf("daemon: MIB listen %s: %w", cfg.MIBAddr, err)
-		}
-		d.mibAddr = ln.Addr().String()
-		mux := http.NewServeMux()
-		mux.Handle("/mib", s)
-		d.mibServer = &http.Server{Handler: mux}
-		go func() {
-			err := d.mibServer.Serve(ln)
-			if err != nil && err != http.ErrServerClosed {
-				d.mibErr <- err
-			}
-			close(d.mibErr)
-		}()
 	}
 	if cfg.RTRAddr != "" {
 		client, err := rpki.NewClient(rpki.ClientConfig{
@@ -481,9 +454,6 @@ func Build(cfg Config) (*Daemon, error) {
 	}
 	return d, nil
 }
-
-// MIBAddr returns the bound MIB HTTP address ("" when disabled).
-func (d *Daemon) MIBAddr() string { return d.mibAddr }
 
 // MetricsAddr returns the bound admin endpoint address ("" when
 // disabled).
@@ -574,12 +544,6 @@ func (d *Daemon) Close() error {
 	d.sampler.Close()
 	err := d.Speaker.Close()
 	d.wg.Wait()
-	if d.mibServer != nil {
-		if cerr := d.mibServer.Close(); err == nil {
-			err = cerr
-		}
-		<-d.mibErr
-	}
 	if d.admin != nil {
 		if cerr := d.admin.Close(); err == nil {
 			err = cerr

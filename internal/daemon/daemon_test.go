@@ -75,13 +75,13 @@ func TestTwoDaemonsDetectHijack(t *testing.T) {
 	defer origin.Close()
 
 	// Daemon 2: a validating transit peered with the origin, with the
-	// MOASRR record for the victim prefix and a MIB endpoint.
+	// MOASRR record for the victim prefix and an admin endpoint.
 	transit, err := Build(Config{
-		AS:         701,
-		RouterID:   701,
-		Validation: "drop",
-		MIBAddr:    "127.0.0.1:0",
-		Peers:      []PeerConfig{{Addr: victimAddr, AS: 4}},
+		AS:          701,
+		RouterID:    701,
+		Validation:  "drop",
+		MetricsAddr: "127.0.0.1:0",
+		Peers:       []PeerConfig{{Addr: victimAddr, AS: 4}},
 		MOASRR: []MOASRRConfig{
 			{Prefix: "131.179.0.0/16", Origins: []uint32{4}},
 		},
@@ -121,7 +121,7 @@ func TestTwoDaemonsDetectHijack(t *testing.T) {
 	}
 
 	// The MIB endpoint reports the alarm.
-	resp, err := http.Get(fmt.Sprintf("http://%s/mib", transit.MIBAddr()))
+	resp, err := http.Get(fmt.Sprintf("http://%s/debug/mib", transit.MetricsAddr()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,9 +165,9 @@ func TestLoadFileMissing(t *testing.T) {
 
 func TestBuildWithMIBAndAggregates(t *testing.T) {
 	d, err := Build(Config{
-		AS:       4,
-		RouterID: 4,
-		MIBAddr:  "127.0.0.1:0",
+		AS:          4,
+		RouterID:    4,
+		MetricsAddr: "127.0.0.1:0",
 		Originate: []OriginateConfig{
 			{Prefix: "10.1.0.0/16"},
 			{Prefix: "10.2.0.0/16"},
@@ -180,8 +180,8 @@ func TestBuildWithMIBAndAggregates(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d.Close()
-	if d.MIBAddr() == "" {
-		t.Fatal("MIB address missing")
+	if d.MetricsAddr() == "" {
+		t.Fatal("admin address missing")
 	}
 	aggs := d.Speaker.Aggregates()
 	if len(aggs) != 1 || !aggs[0].Active || !aggs[0].SummaryOnly {
@@ -200,8 +200,5 @@ func TestBuildWithMIBAndAggregates(t *testing.T) {
 func TestBuildRejectsBadListenAddr(t *testing.T) {
 	if _, err := Build(Config{AS: 4, Listen: []string{"300.1.1.1:bad"}}); err == nil {
 		t.Error("bad listen address accepted")
-	}
-	if _, err := Build(Config{AS: 4, MIBAddr: "300.1.1.1:bad"}); err == nil {
-		t.Error("bad MIB address accepted")
 	}
 }

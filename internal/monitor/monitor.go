@@ -198,7 +198,7 @@ func (m *Monitor) observe(vantage string, prefix astypes.Prefix, path astypes.AS
 	})
 	m.obs.Cross(st, obs.StageValidate)
 	var class rpki.Class
-	if verdict != core.VerdictConsistent && conflict != nil {
+	if conflict != nil {
 		class = rpki.Classify(m.rpki.Validate(prefix, conflict.Origin), verdict)
 		// Detection latency: ingest instant → alarm raise, cumulative.
 		m.obs.End(st, obs.StageAlarm)
@@ -207,21 +207,14 @@ func (m *Monitor) observe(vantage string, prefix astypes.Prefix, path astypes.AS
 		origin, _ := path.Origin()
 		m.rec.Record(trace.Event{
 			Kind:   trace.KindValidate,
-			Detail: verdictDetail(verdict),
+			Detail: trace.VerdictDetail(verdict),
 			Origin: origin,
 			Prefix: prefix,
 		})
-		if verdict != core.VerdictConsistent && conflict != nil {
-			m.rec.RecordAlarm(prefix, trace.AlarmBundle{
-				Span:     conflict.Span,
-				Origin:   uint32(conflict.Origin),
-				Verdict:  verdict.String(),
-				Class:    class.String(),
-				Note:     vantage,
-				Existing: trace.ASNs(conflict.Existing.Origins()),
-				Received: trace.ASNs(conflict.Received.Origins()),
-				Path:     trace.PathASNs(conflict.Path),
-			})
+		if conflict != nil {
+			b := trace.ConflictBundle(conflict, class.String())
+			b.Note = vantage
+			m.rec.RecordAlarm(prefix, b)
 		}
 	}
 	m.mu.Lock()
@@ -243,24 +236,12 @@ func (m *Monitor) observe(vantage string, prefix astypes.Prefix, path astypes.AS
 			m.met.cases.Inc()
 		}
 	}
-	if verdict != core.VerdictConsistent && conflict != nil {
+	if conflict != nil {
 		m.alarms = append(m.alarms, Alarm{Conflict: *conflict, Vantage: vantage, Class: class})
 		if m.met != nil {
 			m.met.alarms.With(prefix.String()).Inc()
 			m.met.classes.With(class.String()).Inc()
 		}
-	}
-}
-
-// verdictDetail maps a checker verdict to its trace detail.
-func verdictDetail(v core.Verdict) trace.Detail {
-	switch v {
-	case core.VerdictConflict:
-		return trace.DetailConflict
-	case core.VerdictOriginNotListed:
-		return trace.DetailOriginNotListed
-	default:
-		return trace.DetailConsistent
 	}
 }
 

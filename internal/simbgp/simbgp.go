@@ -742,34 +742,26 @@ func (nd *Node) raiseAndResolve(st *pfxState, existingID, receivedID uint32, ori
 	if receivedID != 0 {
 		received = n.lists.listOf(receivedID)
 	}
-	path := n.paths.materialize(pathID)
-	n.trace(EvAlarm, nd.asn, from, prefix, path)
-	class := rpki.Classify(n.rpki.Validate(prefix, origin), verdict)
-	n.alarmClasses[class]++
-	if rec := n.recorder; rec.Enabled() {
-		rec.RecordAlarm(prefix, trace.AlarmBundle{
-			Span:     span,
-			VNanos:   int64(n.engine.Now()),
-			Node:     uint32(nd.asn),
-			FromPeer: uint32(from),
-			Origin:   uint32(origin),
-			Verdict:  verdict.String(),
-			Class:    class.String(),
-			Existing: trace.ASNs(existing.Origins()),
-			Received: trace.ASNs(received.Origins()),
-			Path:     trace.PathASNs(path),
-		})
-	}
-	nd.alarms = append(nd.alarms, core.Conflict{
+	c := core.Conflict{
 		Prefix:   prefix,
 		Existing: existing,
 		Received: received,
 		Origin:   origin,
 		FromPeer: from,
-		Path:     path,
+		Path:     n.paths.materialize(pathID),
 		Span:     span,
 		Verdict:  verdict,
-	})
+	}
+	n.trace(EvAlarm, nd.asn, from, prefix, c.Path)
+	class := rpki.Classify(n.rpki.Validate(prefix, origin), verdict)
+	n.alarmClasses[class]++
+	if rec := n.recorder; rec.Enabled() {
+		b := trace.ConflictBundle(&c, class.String())
+		b.Node = uint32(nd.asn)
+		b.VNanos = int64(n.engine.Now())
+		rec.RecordAlarm(prefix, b)
+	}
+	nd.alarms = append(nd.alarms, c)
 	if n.resolver == nil {
 		return
 	}

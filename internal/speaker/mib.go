@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"repro/internal/astypes"
-	"repro/internal/core"
 )
 
 // This file provides the management-plane view the paper sketches in
@@ -72,13 +71,13 @@ type MIB struct {
 //     s.mu is released: propagateLocked runs under s.mu, so every route
 //     visible here was propagated by a peer the walk in (1) could see,
 //  3. the counter reads (telemetry atomics, each individually exact),
-//  4. the alarm log (core.Checker locks itself).
+//  4. the alarm log, under s.mu again — admitLocked counts an alarm and
+//     logs it in one s.mu section, so the log is never behind the
+//     counter read in (3).
 //
-// s.mu is deliberately NOT held across steps 2–4: BestRoutes and
-// Alarms take their own locks, and holding s.mu across them would
-// order s.mu before those locks here while the update path (handleUpdate
-// → admitLocked → checker.Check) already orders them the other way
-// around on the alarm-callback path.
+// s.mu is deliberately NOT held across steps 2–3: no lock needs it (the
+// RIB locks itself), and a full-table walk under s.mu would stall every
+// session's update path for its duration.
 func (s *Speaker) MIB() MIB {
 	m := MIB{
 		AS:   s.cfg.AS,
@@ -107,7 +106,7 @@ func (s *Speaker) MIB() MIB {
 			Path:     r.Path.String(),
 			OriginAS: r.OriginAS().String(),
 		}
-		if list, has := core.FromCommunities(r.Communities); has {
+		if list, has := carriedList(r.Communities, r.Unknown); has {
 			for _, o := range list.Origins() {
 				entry.MOASList = append(entry.MOASList, o.String())
 			}
@@ -122,9 +121,11 @@ func (s *Speaker) MIB() MIB {
 	// the snapshot has its accept/reject decision already counted, so
 	// the counter view is never behind the route view.
 	m.Counters = s.met.snapshot()
-	for _, a := range s.checker.Alarms() {
+	s.mu.Lock()
+	for _, a := range s.alarms { // alarms guarded by mu
 		m.Alarms = append(m.Alarms, a.Error())
 	}
+	s.mu.Unlock()
 	return m
 }
 

@@ -78,6 +78,30 @@ func TestMIBExplicitList(t *testing.T) {
 	}
 }
 
+// TestMIBAttributeList: a list carried in the dedicated attribute is
+// explicit in the MIB, exactly as the checker reads it — reporting it as
+// implicit would make cross-router MIB checks see disagreements that do
+// not exist.
+func TestMIBAttributeList(t *testing.T) {
+	prefix := astypes.MustPrefix(0x0a000000, 8)
+	s1, err := New(Config{AS: 1, RouterID: 1, ListEncoding: EncodeAttribute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s1.Close() })
+	s2 := newSpeaker(t, 2, ValidationOff, nil)
+	connectPair(t, s1, s2)
+	s1.Originate(prefix, core.NewList(1, 2))
+	waitFor(t, func() bool { return s2.Table().Best(prefix) != nil }, "route")
+	m := s2.MIB()
+	if len(m.Routes) != 1 || m.Routes[0].Implicit {
+		t.Fatalf("routes = %+v", m.Routes)
+	}
+	if got := m.Routes[0].MOASList; len(got) != 2 || got[0] != "1" || got[1] != "2" {
+		t.Errorf("MOAS list = %v", got)
+	}
+}
+
 func TestMIBServeHTTP(t *testing.T) {
 	prefix := astypes.MustPrefix(0x0a000000, 8)
 	s1 := newSpeaker(t, 1, ValidationAlarm, nil)

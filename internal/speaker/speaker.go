@@ -143,11 +143,9 @@ type Speaker struct {
 	table *rib.Table // set at construction; the Table locks itself
 	// peers holds established sessions by peer AS. Guarded by mu.
 	peers map[astypes.ASN]*peer
-	// curStamp is the stage stamp of the UPDATE currently being
-	// processed (nil outside handleUpdate). Guarded by mu; the alarm
-	// callback fires under mu from admitLocked, which is how the
-	// cumulative ingest → alarm latency finds its stamp.
-	curStamp *obs.Stamp
+	// alarms is the log of raised MOAS conflicts, in detection order.
+	// Guarded by mu.
+	alarms []core.Conflict
 
 	// resolved caches Resolver answers per prefix. Guarded by mu.
 	resolved map[astypes.Prefix]core.List
@@ -227,6 +225,7 @@ func New(cfg Config) (*Speaker, error) {
 	}
 	s := &Speaker{
 		cfg:      cfg,
+		checker:  core.NewChecker(),
 		reg:      reg,
 		met:      newMetrics(reg),
 		table:    rib.NewTable(),
@@ -239,39 +238,7 @@ func New(cfg Config) (*Speaker, error) {
 			s.denied.Insert(p, struct{}{})
 		}
 	}
-	s.checker = core.NewChecker(core.WithAlarmFunc(func(c core.Conflict) {
-		class := rpki.Classify(s.cfg.RPKI.Validate(c.Prefix, c.Origin), c.Verdict)
-		s.met.alarms.Inc()
-		s.met.alarmClasses.With(class.String()).Inc()
-		// Detection latency: ingest instant → alarm raise, cumulative.
-		//repro:vet ignore lockcheck -- alarm closures fire from admitLocked, under s.mu
-		s.cfg.Obs.End(s.curStamp, obs.StageAlarm)
-		s.recordAlarm(&c, class)
-		if cfg.OnAlarm != nil {
-			cfg.OnAlarm(c)
-		}
-	}))
 	return s, nil
-}
-
-// recordAlarm snapshots the forensic bundle for one detected conflict:
-// both competing MOAS lists, the offending path, the ROV-derived class,
-// and the prefix's event timeline from the flight recorder.
-func (s *Speaker) recordAlarm(c *core.Conflict, class rpki.Class) {
-	if !s.cfg.Trace.Enabled() {
-		return
-	}
-	s.cfg.Trace.RecordAlarm(c.Prefix, trace.AlarmBundle{
-		Span:     c.Span,
-		Node:     uint32(s.cfg.AS),
-		FromPeer: uint32(c.FromPeer),
-		Origin:   uint32(c.Origin),
-		Verdict:  c.Verdict.String(),
-		Class:    class.String(),
-		Existing: trace.ASNs(c.Existing.Origins()),
-		Received: trace.ASNs(c.Received.Origins()),
-		Path:     trace.PathASNs(c.Path),
-	})
 }
 
 // AS returns the speaker's AS number.
@@ -284,8 +251,12 @@ func (s *Speaker) Registry() *telemetry.Registry { return s.reg }
 // Table exposes the speaker's RIB.
 func (s *Speaker) Table() *rib.Table { return s.table }
 
-// Alarms returns all MOAS conflicts detected so far.
-func (s *Speaker) Alarms() []core.Conflict { return s.checker.Alarms() }
+// Alarms returns all MOAS conflicts detected so far, in detection order.
+func (s *Speaker) Alarms() []core.Conflict {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return append([]core.Conflict(nil), s.alarms...)
+}
 
 // handler adapts session callbacks to the speaker.
 type handler struct {
@@ -520,9 +491,6 @@ func (s *Speaker) handleUpdate(peerAS astypes.ASN, u *wire.Update, span uint64, 
 	origin, _ := u.Attrs.ASPath.Origin()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.curStamp = st
-	//repro:vet ignore lockcheck -- deferred before the Unlock defer, so it runs under s.mu
-	defer func() { s.curStamp = nil }()
 	for _, w := range u.Withdrawn {
 		ch := s.table.Withdraw(peerAS, w)
 		s.propagateLocked(ch, span)
@@ -557,7 +525,7 @@ func (s *Speaker) handleUpdate(peerAS astypes.ASN, u *wire.Update, span uint64, 
 			continue
 		}
 		if s.cfg.Validation != ValidationOff {
-			admitted := s.admitLocked(prefix, u.Attrs, peerAS, span)
+			admitted := s.admitLocked(prefix, u.Attrs, peerAS, span, st)
 			s.cfg.Obs.Cross(st, obs.StageValidate)
 			if !admitted {
 				s.met.routesRejected.Inc()
@@ -603,35 +571,57 @@ func (s *Speaker) recordValidate(prefix astypes.Prefix, peerAS, origin astypes.A
 	})
 }
 
-// admitLocked applies the MOAS check to one NLRI of an UPDATE.
-func (s *Speaker) admitLocked(prefix astypes.Prefix, attrs wire.PathAttrs, peerAS astypes.ASN, span uint64) bool {
+// carriedList returns the MOAS list a route carries, with the checker's
+// precedence: the dedicated attribute (core.ListAttrCode), then the
+// communities. ok is false when it carries neither (or only an
+// undecodable attribute), i.e. the implicit single-origin list applies.
+func carriedList(comms []astypes.Community, unknown []wire.UnknownAttr) (core.List, bool) {
+	if raw := wire.FindUnknownAttr(unknown, core.ListAttrCode); raw != nil {
+		if l, err := core.ListFromAttrBytes(raw); err == nil {
+			return l, true
+		}
+	}
+	return core.FromCommunities(comms)
+}
+
+// admitLocked applies the MOAS check to one NLRI of an UPDATE and raises
+// the alarm on a conflict: classify, count, record the ingest → alarm
+// latency against the message's stamp, capture the forensic bundle, log
+// the conflict, and notify OnAlarm — all before the validate event, so
+// the bundle's timeline ends with the alarm.
+func (s *Speaker) admitLocked(prefix astypes.Prefix, attrs wire.PathAttrs, peerAS astypes.ASN, span uint64, st *obs.Stamp) bool {
 	origin, _ := attrs.ASPath.Origin()
 	if truth, ok := s.resolved[prefix]; ok && s.cfg.Validation == ValidationDrop {
 		return truth.Contains(origin)
 	}
-	var attrList *core.List
-	if raw := wire.FindUnknownAttr(attrs.Unknown, core.ListAttrCode); raw != nil {
-		if l, err := core.ListFromAttrBytes(raw); err == nil {
-			attrList = &l
-		}
+	var explicit *core.List
+	if l, ok := carriedList(attrs.Communities, attrs.Unknown); ok {
+		explicit = &l
 	}
 	verdict, conflict := s.checker.Check(core.Announcement{
-		Prefix:      prefix,
-		Path:        attrs.ASPath,
-		Communities: attrs.Communities,
-		AttrList:    attrList,
-		FromPeer:    peerAS,
-		Span:        span,
+		Prefix:   prefix,
+		Path:     attrs.ASPath,
+		AttrList: explicit,
+		FromPeer: peerAS,
+		Span:     span,
 	})
-	switch verdict {
-	case core.VerdictConsistent:
-		s.recordValidate(prefix, peerAS, origin, trace.DetailConsistent, span)
-	case core.VerdictConflict:
-		s.recordValidate(prefix, peerAS, origin, trace.DetailConflict, span)
-	case core.VerdictOriginNotListed:
-		s.recordValidate(prefix, peerAS, origin, trace.DetailOriginNotListed, span)
+	if conflict != nil {
+		class := rpki.Classify(s.cfg.RPKI.Validate(prefix, conflict.Origin), verdict)
+		s.met.alarms.Inc()
+		s.met.alarmClasses.With(class.String()).Inc()
+		s.cfg.Obs.End(st, obs.StageAlarm)
+		if s.cfg.Trace.Enabled() {
+			b := trace.ConflictBundle(conflict, class.String())
+			b.Node = uint32(s.cfg.AS)
+			s.cfg.Trace.RecordAlarm(prefix, b)
+		}
+		s.alarms = append(s.alarms, *conflict)
+		if s.cfg.OnAlarm != nil {
+			s.cfg.OnAlarm(*conflict)
+		}
 	}
-	if verdict == core.VerdictConsistent {
+	s.recordValidate(prefix, peerAS, origin, trace.VerdictDetail(verdict), span)
+	if conflict == nil {
 		return true
 	}
 	if s.cfg.Validation == ValidationAlarm {
@@ -645,7 +635,6 @@ func (s *Speaker) admitLocked(prefix astypes.Prefix, attrs wire.PathAttrs, peerA
 			return truth.Contains(origin)
 		}
 	}
-	_ = conflict
 	return false
 }
 

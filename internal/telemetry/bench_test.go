@@ -33,8 +33,7 @@ func BenchmarkTelemetryCounterInc(b *testing.B) {
 	})
 }
 
-// BenchmarkTelemetryHistogramObserve isolates the lock-striped
-// histogram path.
+// BenchmarkTelemetryHistogramObserve isolates the histogram path.
 func BenchmarkTelemetryHistogramObserve(b *testing.B) {
 	h := NewRegistry("bench").Histogram("lat_seconds", "", nil)
 	b.ReportAllocs()

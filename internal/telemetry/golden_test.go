@@ -29,9 +29,8 @@ a newline.`, "path")
 	esc.With("C:\\dir \"quoted\"\nnext").Set(1)
 
 	// Observed values are binary-exact (powers of two and their sums) so
-	// the merged _sum is identical no matter which lock stripe each
-	// observation landed on — float addition order must not leak into
-	// golden output.
+	// the _sum is exact — float rounding must not leak into golden
+	// output.
 	h := r.Histogram("rtt_seconds", "Round-trip time.", []float64{0.25, 0.5, 1, 2})
 	h.Observe(0.25) // exactly the first bound: inclusive
 	h.Observe(0.125)

@@ -4,7 +4,6 @@ import (
 	"math"
 	"sort"
 	"sync"
-	"sync/atomic"
 )
 
 // DefBuckets are the default histogram bucket upper bounds, in seconds,
@@ -43,38 +42,21 @@ func LinearBuckets(start, width float64, n int) []float64 {
 	return out
 }
 
-// histStripes is the histogram's stripe count. Striping trades a little
-// snapshot cost for update-path scalability: concurrent observers on
-// different Ps land on different stripes (and so different cache lines)
-// instead of serializing on one mutex.
-const histStripes = 16
-
-// histStripe is one independently locked shard of a histogram. The
-// trailing pad keeps adjacent stripes off one cache line.
-type histStripe struct {
-	mu     sync.Mutex
-	counts []uint64 // per-bucket observation counts; guarded by mu
-	count  uint64   // total observations; guarded by mu
-	sum    float64  // sum of observed values; guarded by mu
-	_      [32]byte
-}
-
 // Histogram counts observations into cumulative-at-exposition buckets
-// with fixed upper bounds, like a Prometheus histogram. Observations
-// are spread across lock stripes; Snapshot merges them.
+// with fixed upper bounds, like a Prometheus histogram. One mutex guards
+// the buckets. Its production writers do not contend for it: sessions
+// observe keepalive RTT once per keepalive, and RIS-Live lag is observed
+// only by the single decode goroutine.
 //
 // Construct via Registry.Histogram / HistogramVec; the zero value is
 // not usable.
 type Histogram struct {
-	bounds  []float64 // sorted ascending; +Inf is implicit
-	stripes [histStripes]histStripe
-	// next hands out stripe indexes to the pool; see stripePool.
-	next atomic.Uint32
-	// stripePool caches a stripe index per P: a goroutine's Observe
-	// usually gets the index the last Observe on that P used, so
-	// same-CPU updates hit a warm, uncontended stripe without any
-	// goroutine-identity tricks.
-	stripePool sync.Pool
+	bounds []float64 // sorted ascending; +Inf is implicit
+
+	mu     sync.Mutex
+	counts []uint64 // per-bucket observation counts; guarded by mu
+	count  uint64   // total observations; guarded by mu
+	sum    float64  // sum of observed values; guarded by mu
 }
 
 func newHistogram(bounds []float64) *Histogram {
@@ -88,43 +70,26 @@ func newHistogram(bounds []float64) *Histogram {
 	if len(bs) > 0 && math.IsInf(bs[len(bs)-1], +1) {
 		bs = bs[:len(bs)-1] // +Inf is always implicit
 	}
-	h := &Histogram{bounds: bs}
-	for i := range h.stripes {
-		// The histogram is not published yet, but locking keeps the
-		// stripe's "guarded by mu" invariant checkable, and an
-		// uncontended Lock at construction costs nothing.
-		s := &h.stripes[i]
-		s.mu.Lock()
-		s.counts = make([]uint64, len(bs))
-		s.mu.Unlock()
-	}
-	h.stripePool.New = func() any {
-		idx := h.next.Add(1) % histStripes
-		return &idx
-	}
-	return h
+	return &Histogram{bounds: bs, counts: make([]uint64, len(bs))}
 }
 
 // Observe records one observation.
 func (h *Histogram) Observe(v float64) {
-	idx := h.stripePool.Get().(*uint32)
-	s := &h.stripes[*idx]
-	s.mu.Lock()
+	h.mu.Lock()
 	// Linear scan: bucket counts are small (≤ ~20) and the slice is a
 	// single cache line or two; binary search costs more in branches.
 	for i, ub := range h.bounds {
 		if v <= ub {
-			s.counts[i]++
+			h.counts[i]++
 			break
 		}
 	}
-	s.count++
-	s.sum += v
-	s.mu.Unlock()
-	h.stripePool.Put(idx)
+	h.count++
+	h.sum += v
+	h.mu.Unlock()
 }
 
-// HistogramSnapshot is a merged point-in-time histogram reading.
+// HistogramSnapshot is a point-in-time histogram reading.
 type HistogramSnapshot struct {
 	// Bounds are the bucket upper bounds (ascending, +Inf implicit).
 	Bounds []float64
@@ -137,22 +102,17 @@ type HistogramSnapshot struct {
 	Sum float64
 }
 
-// Snapshot merges all stripes under their locks.
+// Snapshot copies the buckets under the histogram's lock.
 func (h *Histogram) Snapshot() HistogramSnapshot {
 	snap := HistogramSnapshot{
 		Bounds: h.bounds,
 		Counts: make([]uint64, len(h.bounds)),
 	}
-	for i := range h.stripes {
-		s := &h.stripes[i]
-		s.mu.Lock()
-		for j, c := range s.counts {
-			snap.Counts[j] += c
-		}
-		snap.Count += s.count
-		snap.Sum += s.sum
-		s.mu.Unlock()
-	}
+	h.mu.Lock()
+	copy(snap.Counts, h.counts)
+	snap.Count = h.count
+	snap.Sum = h.sum
+	h.mu.Unlock()
 	return snap
 }
 

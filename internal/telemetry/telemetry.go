@@ -1,5 +1,5 @@
 // Package telemetry is the repo's stdlib-only metrics layer: atomic
-// counters and gauges, lock-striped latency histograms, and a named
+// counters and gauges, mutex-guarded latency histograms, and a named
 // Registry of labeled metric families with two exposition encodings
 // (Prometheus text format and JSON) served from an admin HTTP endpoint.
 //
@@ -11,7 +11,8 @@
 // -metrics-addr.
 //
 // Concurrency: instruments are safe for concurrent use and their update
-// paths are wait-free (counters, gauges) or lock-striped (histograms).
+// paths are wait-free (counters, gauges) or take one short lock
+// (histograms).
 // Registration is cheap but takes locks; hot paths should register once
 // and cache the returned instrument, as the instrumented packages do.
 package telemetry
@@ -299,8 +300,8 @@ type SeriesSnapshot struct {
 
 // Gather returns a consistent-enough snapshot of every family, sorted
 // by name with series sorted by label values — the stable order both
-// encoders rely on. Counters and gauges are read atomically; histogram
-// stripes are merged under their stripe locks.
+// encoders rely on. Counters and gauges are read atomically; histograms
+// are copied under their locks.
 func (r *Registry) Gather() []FamilySnapshot {
 	r.mu.Lock()
 	fams := make([]*family, 0, len(r.families))

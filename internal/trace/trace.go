@@ -20,6 +20,7 @@ import (
 	"time"
 
 	"repro/internal/astypes"
+	"repro/internal/core"
 )
 
 // Kind classifies a trace event.
@@ -375,6 +376,36 @@ type AlarmBundle struct {
 	Timeline []Event `json:"timeline"`
 }
 
+// ConflictBundle builds the forensic bundle for one detected conflict:
+// its span, provenance, verdict, both competing MOAS lists and the
+// offending path, plus the caller's class (rpki.Classify). Every
+// detector raises alarms through it; callers add only what is theirs
+// (Node, Note, VNanos) before RecordAlarm.
+func ConflictBundle(c *core.Conflict, class string) AlarmBundle {
+	return AlarmBundle{
+		Span:     c.Span,
+		FromPeer: uint32(c.FromPeer),
+		Origin:   uint32(c.Origin),
+		Verdict:  c.Verdict.String(),
+		Class:    class,
+		Existing: ASNs(c.Existing.Origins()),
+		Received: ASNs(c.Received.Origins()),
+		Path:     PathASNs(c.Path),
+	}
+}
+
+// VerdictDetail maps a checker verdict to its validate-event detail.
+func VerdictDetail(v core.Verdict) Detail {
+	switch v {
+	case core.VerdictConflict:
+		return DetailConflict
+	case core.VerdictOriginNotListed:
+		return DetailOriginNotListed
+	default:
+		return DetailConsistent
+	}
+}
+
 // Origins computes the sorted union of existing ∪ received ∪ {origin},
 // dropping zeros.
 func unionOrigins(existing, received []uint32, origin uint32) []uint32 {
@@ -426,7 +457,7 @@ func (r *Recorder) RecordAlarm(prefix astypes.Prefix, b AlarmBundle) int {
 		VNanos: b.VNanos,
 		Span:   b.Span,
 		Kind:   KindAlarm,
-		Detail: verdictDetail(b.Verdict),
+		Detail: alarmDetail(b.Verdict),
 		Node:   astypes.ASN(b.Node),
 		Peer:   astypes.ASN(b.FromPeer),
 		Origin: astypes.ASN(b.Origin),
@@ -448,7 +479,8 @@ func (r *Recorder) RecordAlarm(prefix astypes.Prefix, b AlarmBundle) int {
 	return b.ID
 }
 
-func verdictDetail(v string) Detail {
+// alarmDetail maps a bundle's verdict string to its alarm-event detail.
+func alarmDetail(v string) Detail {
 	switch v {
 	case "origin-not-listed":
 		return DetailOriginNotListed

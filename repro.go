@@ -96,8 +96,6 @@ var (
 	EffectiveList = core.EffectiveList
 	// NewChecker builds a Checker.
 	NewChecker = core.NewChecker
-	// WithAlarmFunc installs an alarm callback on a Checker.
-	WithAlarmFunc = core.WithAlarmFunc
 )
 
 // MLVal is the reserved community value marking a MOAS-list member.
