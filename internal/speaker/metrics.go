@@ -19,6 +19,7 @@ type metrics struct {
 	alarms         *telemetry.Counter
 	alarmClasses   *telemetry.CounterVec
 	suppressed     *telemetry.Counter
+	teardowns      *telemetry.Counter
 	peers          *telemetry.Gauge
 
 	// session is shared by every peer session of this speaker.
@@ -45,6 +46,8 @@ func newMetrics(r *telemetry.Registry) *metrics {
 			"MOAS alarms by RPKI/ROV cross-validated class.", "class"),
 		suppressed: r.Counter("speaker_routes_suppressed_total",
 			"Best-route changes not propagated because a summary-only aggregate suppresses the prefix."),
+		teardowns: r.Counter("speaker_peer_teardowns_total",
+			"Peer sessions closed because their send queue overflowed."),
 		peers: r.Gauge("speaker_peers",
 			"Established peer sessions."),
 		session: session.NewMetrics(r),

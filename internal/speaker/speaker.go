@@ -168,6 +168,10 @@ type peer struct {
 	sendQ chan *wire.Update
 	// qdone is closed when the writer goroutine exits.
 	qdone chan struct{}
+	// tornDown is set by the first teardownLocked, so a burst of
+	// overflowing updates closes the session once. Read and set under
+	// Speaker.mu.
+	tornDown bool
 }
 
 // sendQueueLen bounds per-peer outbound buffering; overflow tears the
@@ -639,14 +643,13 @@ func (s *Speaker) admitLocked(prefix astypes.Prefix, attrs wire.PathAttrs, peerA
 }
 
 // purgeInvalidLocked drops installed routes for prefix whose origin is
-// outside the resolved valid set.
+// outside the resolved valid set: one shard lookup per peer, whatever
+// the size of its Adj-RIB-In.
 func (s *Speaker) purgeInvalidLocked(prefix astypes.Prefix, truth core.List) {
 	for peerAS := range s.peers {
-		for _, r := range s.table.RoutesFrom(peerAS) {
-			if r.Prefix == prefix && !truth.Contains(r.OriginAS()) {
-				ch := s.table.Withdraw(peerAS, prefix)
-				s.propagateLocked(ch, 0)
-			}
+		if r := s.table.RouteFrom(peerAS, prefix); r != nil && !truth.Contains(r.OriginAS()) {
+			ch := s.table.Withdraw(peerAS, prefix)
+			s.propagateLocked(ch, 0)
 		}
 	}
 }
@@ -793,12 +796,15 @@ func (s *Speaker) enqueueUpdateLocked(p *peer, u *wire.Update, prefix astypes.Pr
 
 // teardownLocked closes a stuck peer's session on a tracked goroutine
 // (session.Close joins the reader we may be running on, so it cannot
-// run inline). After Close has set closed, the speaker is already
+// run inline). A peer is torn down at most once, however many of its
+// updates overflow. After Close has set closed, the speaker is already
 // closing every session, so the duplicate teardown is skipped.
 func (s *Speaker) teardownLocked(p *peer) {
-	if s.closed {
+	if s.closed || p.tornDown {
 		return
 	}
+	p.tornDown = true
+	s.met.teardowns.Inc()
 	s.wg.Add(1)
 	go func() {
 		defer s.wg.Done()

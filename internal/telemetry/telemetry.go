@@ -175,6 +175,10 @@ func (r *Registry) getFamily(name, help string, kind Kind, labelKeys []string, b
 	return f
 }
 
+// keyEscaper escapes the series-key separator in label values. A
+// Replacer is safe for concurrent use, so every With shares this one.
+var keyEscaper = strings.NewReplacer(`\`, `\\`, "\x1f", `\u`)
+
 // seriesKey joins label values into a map key. The separator cannot
 // occur unescaped ambiguity-free in values, so escape it.
 func seriesKey(values []string) string {
@@ -183,7 +187,7 @@ func seriesKey(values []string) string {
 	}
 	esc := make([]string, len(values))
 	for i, v := range values {
-		esc[i] = strings.NewReplacer(`\`, `\\`, "\x1f", `\u`).Replace(v)
+		esc[i] = keyEscaper.Replace(v)
 	}
 	return strings.Join(esc, "\x1f")
 }

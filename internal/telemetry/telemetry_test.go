@@ -62,6 +62,17 @@ func TestVecSeriesIdentity(t *testing.T) {
 	}
 }
 
+// TestVecWithAllocs: looking up an existing series allocates at most
+// the key's value slice; the speaker and the monitor do it once per
+// alarm to count the alarm's class.
+func TestVecWithAllocs(t *testing.T) {
+	v := NewRegistry("t").CounterVec("alarms_total", "", "class")
+	v.With("likely-hijack")
+	if allocs := testing.AllocsPerRun(1000, func() { v.With("likely-hijack").Inc() }); allocs > 1 {
+		t.Errorf("CounterVec.With on an existing series: %v allocs/op, want <= 1", allocs)
+	}
+}
+
 func TestRegistrationMismatchPanics(t *testing.T) {
 	r := NewRegistry("t")
 	r.Counter("x_total", "")

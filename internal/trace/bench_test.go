@@ -1,6 +1,11 @@
 package trace
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+
+	"repro/internal/astypes"
+)
 
 // BenchmarkTraceRecord measures the enabled record path — the cost
 // every traced message pays at each pipeline stage. The acceptance bar
@@ -37,6 +42,30 @@ func BenchmarkTraceRecordNil(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		r.Record(e)
+	}
+}
+
+// BenchmarkTraceRecordAlarm measures one alarm's forensic capture on a
+// full ring of other prefixes, as in a storm of forged origins for
+// distinct prefixes: the timeline walk reads every slot's prefix word
+// but copies only the matching slots, so bytes/op must not grow with
+// the ring.
+func BenchmarkTraceRecordAlarm(b *testing.B) {
+	for _, size := range []int{4096, 1 << 16} {
+		b.Run(fmt.Sprintf("ring=%d", size), func(b *testing.B) {
+			r := NewRecorder(size) // wall clock on: the live-path configuration
+			other := testEvent(0)
+			other.Prefix = astypes.MustPrefix(0x0a000000, 8)
+			for i := 0; i < r.Cap(); i++ {
+				r.Record(other)
+			}
+			bundle := AlarmBundle{Origin: 64999, Verdict: "conflict", Existing: []uint32{65001}, Received: []uint32{64999}}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				r.RecordAlarm(astypes.MustPrefix(0xc0000000|uint32(i)<<8&0x3fffff00, 24), bundle)
+			}
+		})
 	}
 }
 

@@ -152,8 +152,14 @@ func (s *slot) store(e *Event) {
 	s.w[2].Store(e.Span)
 	s.w[3].Store(uint64(e.Kind)<<56 | uint64(e.Detail)<<48 |
 		uint64(e.Node)<<32 | uint64(e.Peer)<<16 | uint64(e.Origin))
-	s.w[4].Store(uint64(e.Prefix.Addr)<<32 | uint64(e.Prefix.Len)<<24)
+	s.w[4].Store(packPrefix(e.Prefix))
 	s.w[5].Store(uint64(e.Aux))
+}
+
+// packPrefix is a prefix's slot word (w[4]), so a filtered scan can
+// compare one atomic word against it before loading the whole slot.
+func packPrefix(p astypes.Prefix) uint64 {
+	return uint64(p.Addr)<<32 | uint64(p.Len)<<24
 }
 
 //repro:allocfree
@@ -309,19 +315,32 @@ func (r *Recorder) Events() []Event {
 		return nil
 	}
 	head := r.seq.Load()
+	return r.appendRetained(make([]Event, 0, min(head, uint64(len(r.slots)))), head, nil)
+}
+
+// appendRetained appends the events retained below sequence head to
+// out, oldest first; with only set, just that prefix's events. A slot
+// must carry the mark i+1 both before and after it is copied, so one a
+// writer is mid-publish on (or has overwritten) is skipped, not returned
+// torn. The filter reads the slot's packed prefix word before copying,
+// so a slot of another prefix costs two atomic loads and copies nothing.
+func (r *Recorder) appendRetained(out []Event, head uint64, only *astypes.Prefix) []Event {
 	start := uint64(0)
 	if n := uint64(len(r.slots)); head > n {
 		start = head - n
 	}
-	out := make([]Event, 0, head-start)
+	var want uint64
+	if only != nil {
+		want = packPrefix(*only)
+	}
 	for i := start; i < head; i++ {
 		s := &r.slots[i&r.mask]
-		if s.mark.Load() != i+1 {
+		if s.mark.Load() != i+1 || only != nil && s.w[4].Load() != want {
 			continue
 		}
 		var e Event
 		s.load(&e)
-		if s.mark.Load() != i+1 {
+		if s.mark.Load() != i+1 || only != nil && e.Prefix != *only {
 			continue // overwritten while copying; drop the torn read
 		}
 		e.Seq = i
@@ -450,8 +469,8 @@ func (r *Recorder) RecordAlarm(prefix astypes.Prefix, b AlarmBundle) int {
 	b.ID = r.alarmSeq
 	r.alarmSeq++
 
-	// The alarm event goes into the ring first so the timeline snapshot
-	// below ends with it.
+	// The alarm event goes into the ring first so the timeline below
+	// ends with it.
 	r.Record(Event{
 		Nanos:  b.Nanos,
 		VNanos: b.VNanos,
@@ -464,11 +483,7 @@ func (r *Recorder) RecordAlarm(prefix astypes.Prefix, b AlarmBundle) int {
 		Prefix: prefix,
 		Aux:    uint32(b.ID),
 	})
-	for _, e := range r.Events() {
-		if e.Prefix == prefix {
-			b.Timeline = append(b.Timeline, e)
-		}
-	}
+	b.Timeline = r.appendRetained(nil, r.seq.Load(), &prefix)
 
 	r.alarms = append(r.alarms, b)
 	if len(r.alarms) > r.maxAlarms {

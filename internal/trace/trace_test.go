@@ -2,6 +2,7 @@ package trace
 
 import (
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -190,6 +191,120 @@ func TestRecordAlarmBundle(t *testing.T) {
 	events := r.Events()
 	if got := events[len(events)-1]; got.Kind != KindAlarm {
 		t.Errorf("ring does not end with the alarm event: %+v", got)
+	}
+}
+
+// TestAlarmTimelineMatchesEvents: on a wrapped ring with interleaved
+// prefixes, the in-place timeline is exactly Events() filtered to the
+// alarmed prefix, Seq included.
+func TestAlarmTimelineMatchesEvents(t *testing.T) {
+	r := NewRecorder(64, WithoutWallClock())
+	prefixes := []astypes.Prefix{testPrefix, astypes.MustPrefix(0x0a000000, 8), astypes.MustPrefix(0x83b30000, 24)}
+	for i := 0; i < 200; i++ {
+		e := testEvent(i)
+		e.Prefix = prefixes[(i*i+i/3)%len(prefixes)]
+		r.Record(e)
+	}
+	if r.Dropped() == 0 {
+		t.Fatal("ring did not wrap")
+	}
+	id := r.RecordAlarm(testPrefix, AlarmBundle{Origin: 64999, Verdict: "conflict"})
+	b, _ := r.Alarm(id)
+	var want []Event
+	for _, e := range r.Events() {
+		if e.Prefix == testPrefix {
+			want = append(want, e)
+		}
+	}
+	if len(want) < 2 {
+		t.Fatalf("fixture too thin: %d events for the prefix", len(want))
+	}
+	if !reflect.DeepEqual(b.Timeline, want) {
+		t.Errorf("timeline differs from the filtered ring:\n got %+v\nwant %+v", b.Timeline, want)
+	}
+}
+
+// TestAlarmTimelineUnderConcurrentRecord: while writers wrap the ring,
+// every timeline holds only the alarmed prefix, in strictly increasing
+// Seq order. Run under -race.
+func TestAlarmTimelineUnderConcurrentRecord(t *testing.T) {
+	r := NewRecorder(256, WithoutWallClock(), WithMaxAlarms(1))
+	other := astypes.MustPrefix(0x0a000000, 8)
+	const writers, perWriter = 4, 5000
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perWriter; i++ {
+				e := testEvent(i)
+				if (i+w)%3 != 0 {
+					e.Prefix = other
+				}
+				r.Record(e)
+			}
+		}(w)
+	}
+	done := make(chan struct{})
+	go func() {
+		wg.Wait()
+		close(done)
+	}()
+	for alarms := 0; ; alarms++ {
+		select {
+		case <-done:
+			if alarms == 0 {
+				t.Fatal("no alarm raced the writers")
+			}
+			return
+		default:
+		}
+		id := r.RecordAlarm(testPrefix, AlarmBundle{Verdict: "conflict"})
+		b, _ := r.Alarm(id)
+		for i, e := range b.Timeline {
+			if e.Prefix != testPrefix {
+				t.Fatalf("alarm %d: foreign event in timeline: %+v", id, e)
+			}
+			if i > 0 && e.Seq <= b.Timeline[i-1].Seq {
+				t.Fatalf("alarm %d: Seq %d after %d", id, e.Seq, b.Timeline[i-1].Seq)
+			}
+		}
+	}
+}
+
+// TestRecordAlarmAllocsIndependentOfRing: on a 65 536-slot ring full
+// of other prefixes, capturing a bundle copies only the matching slots,
+// not the ring (which would be ~4.7 MB per alarm).
+func TestRecordAlarmAllocsIndependentOfRing(t *testing.T) {
+	// One retained bundle, so the bundle log's own growth stays out of
+	// the per-call bytes.
+	r := NewRecorder(1<<16, WithoutWallClock(), WithMaxAlarms(1))
+	other := testEvent(0)
+	other.Prefix = astypes.MustPrefix(0x0a000000, 8)
+	for i := 0; i < r.Cap(); i++ {
+		r.Record(other)
+	}
+	// A fresh prefix per alarm, as in a storm, so each timeline is the
+	// alarm event alone.
+	next := uint32(0)
+	alarm := func() {
+		next++
+		r.RecordAlarm(astypes.MustPrefix(0xc0000000|next<<8, 24), AlarmBundle{
+			Origin: 64999, Verdict: "conflict", Existing: []uint32{65001}, Received: []uint32{64999},
+		})
+	}
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	allocs := testing.AllocsPerRun(runs, alarm)
+	runtime.ReadMemStats(&after)
+	perCall := (after.TotalAlloc - before.TotalAlloc) / (runs + 1) // AllocsPerRun adds one warm-up call
+	t.Logf("RecordAlarm on a full 64k ring: %d B/call, %v allocs/call", perCall, allocs)
+	if perCall >= 4096 {
+		t.Errorf("RecordAlarm on a full 64k ring: %d B/call (%v allocs), want < 4 KiB", perCall, allocs)
+	}
+	if allocs > 16 {
+		t.Errorf("RecordAlarm: %v allocs/call, want <= 16", allocs)
 	}
 }
 
