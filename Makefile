@@ -21,7 +21,7 @@ test:
 	$(GO) test ./...
 
 ## vet: stock go vet plus the repo's own analyzers (cmd/repro-vet).
-## The multichecker runs under a 60s budget: all ten analyzers over
+## The multichecker runs under a 60s budget: all three analyzers over
 ## the full tree take a few seconds, so hitting the budget means an
 ## analyzer regressed into pathological behavior.
 vet:
@@ -41,14 +41,10 @@ vet-json:
 		code=$$?; echo "repro-vet exit $$code, $$(wc -l < repro-vet.json) finding(s)"; \
 		test $$code -ne 2
 
-## vet-annotations: every //repro:allocfree contract site and every
-## //repro:vet ignore suppression in the real tree (fixtures excluded),
-## so annotation drift shows up in review.
+## vet-annotations: every //repro:vet ignore suppression in the real
+## tree (fixtures excluded), so suppression drift shows up in review.
 vet-annotations:
-	@echo "== //repro:allocfree sites =="
-	@grep -rn --include='*.go' '//repro:allocfree' internal cmd | grep -v testdata || true
-	@echo "== //repro:vet ignore sites =="
-	@grep -rn --include='*.go' '//repro:vet ignore' internal cmd | grep -v testdata || true
+	@grep -rnE --include='*.go' '^\s*//repro:vet ignore' internal cmd | grep -v testdata || true
 
 ## race: the full test suite under the race detector.
 race:

@@ -30,7 +30,7 @@ func TestFullTreeNeverCrashes(t *testing.T) {
 	}
 }
 
-// TestListShowsAllAnalyzers pins the registry size: ten analyzers,
+// TestListShowsAllAnalyzers pins the registry size: three analyzers,
 // each with a one-line doc.
 func TestListShowsAllAnalyzers(t *testing.T) {
 	var stdout, stderr bytes.Buffer
@@ -46,13 +46,13 @@ func TestListShowsAllAnalyzers(t *testing.T) {
 	if want := len(all.Analyzers()); lines != want {
 		t.Fatalf("-list printed %d analyzers, registry has %d", lines, want)
 	}
-	if want := 10; lines != want {
+	if want := 3; lines != want {
 		t.Fatalf("-list printed %d analyzers, want %d", lines, want)
 	}
 }
 
 // TestJSONOutput runs the driver over the testdata/badmod module,
-// which carries one guaranteed spanthread finding and one determinism
+// which carries one guaranteed lockcheck finding and one wireerr
 // finding, and checks every output line parses as a finding object
 // with the documented fields.
 func TestJSONOutput(t *testing.T) {
@@ -91,7 +91,7 @@ func TestJSONOutput(t *testing.T) {
 	if findings < 2 {
 		t.Fatalf("got %d findings from badmod, want >= 2", findings)
 	}
-	for _, want := range []string{"spanthread", "determinism"} {
+	for _, want := range []string{"lockcheck", "wireerr"} {
 		if !analyzers[want] {
 			t.Errorf("no %s finding in badmod output", want)
 		}

@@ -1,9 +1,22 @@
-// Package bad drops span provenance, giving the driver tests a
-// guaranteed spanthread finding.
+// Package bad reads a guarded field without its lock and drops a wire
+// codec error, giving the driver tests one guaranteed lockcheck finding
+// and one wireerr finding.
 package bad
 
-import "badmod/internal/core"
+import (
+	"io"
+	"sync"
 
-func Make(p core.Prefix) core.Conflict {
-	return core.Conflict{Prefix: p}
+	"badmod/internal/wire"
+)
+
+type Counter struct {
+	mu sync.Mutex
+	n  int // guarded by mu
+}
+
+func (c *Counter) Get() int { return c.n }
+
+func Send(w io.Writer, b []byte) {
+	wire.WriteMessage(w, b)
 }

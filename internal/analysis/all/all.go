@@ -4,30 +4,16 @@ package all
 
 import (
 	"repro/internal/analysis"
-	"repro/internal/analysis/allocfree"
-	"repro/internal/analysis/atomiccheck"
-	"repro/internal/analysis/attrbounds"
-	"repro/internal/analysis/determinism"
 	"repro/internal/analysis/goroutinectx"
 	"repro/internal/analysis/lockcheck"
-	"repro/internal/analysis/moascompare"
-	"repro/internal/analysis/spanthread"
-	"repro/internal/analysis/stagestamp"
 	"repro/internal/analysis/wireerr"
 )
 
 // Analyzers returns the full suite in stable order.
 func Analyzers() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
-		allocfree.Analyzer,
-		atomiccheck.Analyzer,
-		attrbounds.Analyzer,
-		determinism.Analyzer,
 		goroutinectx.Analyzer,
 		lockcheck.Analyzer,
-		moascompare.Analyzer,
-		spanthread.Analyzer,
-		stagestamp.Analyzer,
 		wireerr.Analyzer,
 	}
 }

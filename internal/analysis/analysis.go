@@ -195,7 +195,7 @@ func IsPkgType(t types.Type, pathSuffix, name string) bool {
 	if n == nil || n.Obj() == nil || n.Obj().Pkg() == nil {
 		return false
 	}
-	return n.Obj().Name() == name && hasPathSuffix(n.Obj().Pkg().Path(), pathSuffix)
+	return n.Obj().Name() == name && HasPathSuffix(n.Obj().Pkg().Path(), pathSuffix)
 }
 
 // CalleeFunc resolves the called function/method of a CallExpr, or nil
@@ -224,7 +224,7 @@ func IsPkgFunc(info *types.Info, call *ast.CallExpr, pathSuffix, name string) bo
 	if sig, ok := f.Type().(*types.Signature); ok && sig.Recv() != nil {
 		return false
 	}
-	return hasPathSuffix(f.Pkg().Path(), pathSuffix)
+	return HasPathSuffix(f.Pkg().Path(), pathSuffix)
 }
 
 // HasPathSuffix reports whether an import path is, or ends with a
@@ -232,9 +232,5 @@ func IsPkgFunc(info *types.Info, call *ast.CallExpr, pathSuffix, name string) bo
 // they apply equally to the real packages and to fixture stubs that
 // mirror the import paths under testdata/src.
 func HasPathSuffix(path, suffix string) bool {
-	return hasPathSuffix(path, suffix)
-}
-
-func hasPathSuffix(path, suffix string) bool {
 	return path == suffix || strings.HasSuffix(path, "/"+suffix)
 }

@@ -53,10 +53,7 @@ type Jitter struct {
 
 // NewJitter returns a jitter source. A non-zero seed fixes the sequence
 // (two Jitters with the same seed produce identical delays); seed 0
-// draws a distinct wall-clock-derived seed per instance. The wall-clock
-// read lives here, in backoff, so packages under the determinism
-// analyzer's scope can construct default-seeded Jitters without
-// touching time.Now themselves.
+// draws a distinct wall-clock-derived seed per instance.
 func NewJitter(seed int64) *Jitter {
 	if seed == 0 {
 		seed = time.Now().UnixNano() ^ seedCounter.Add(1)<<32

@@ -108,6 +108,11 @@ func TestDetectorsAgreeOnAlarm(t *testing.T) {
 						name, got.Verdict, got.Class, got.Origin, got.Existing, got.Received,
 						want.Verdict, want.Class, want.Origin, want.Existing, want.Received)
 				}
+				// Every detector numbers the messages it checks from 1, so
+				// a zero span means the bundle lost its provenance.
+				if got.Span == 0 {
+					t.Errorf("%s bundle carries no span: the alarm cannot point back at its message", name)
+				}
 			}
 		})
 	}

@@ -1,6 +1,8 @@
 package measure
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -96,6 +98,32 @@ func TestSummaryStatistics(t *testing.T) {
 	for _, want := range []string{"total MOAS cases: 3", "one-day cases: 2"} {
 		if !containsStr(str, want) {
 			t.Errorf("summary %q missing %q", str, want)
+		}
+	}
+}
+
+// TestSummaryListsYearsInOrder: the per-year medians print in ascending
+// year order on every call, whatever the map's iteration order.
+func TestSummaryListsYearsInOrder(t *testing.T) {
+	s := Summary{MedianDailyByYear: map[int]float64{}}
+	for year := 1990; year <= 2001; year++ {
+		s.MedianDailyByYear[year] = float64(year)
+	}
+	for i := 0; i < 20; i++ {
+		prev := 0
+		for _, line := range strings.Split(s.String(), "\n") {
+			var year int
+			var median float64
+			if _, err := fmt.Sscanf(line, "median daily cases %d: %f", &year, &median); err != nil {
+				continue
+			}
+			if year <= prev {
+				t.Fatalf("year %d listed after %d:\n%s", year, prev, s.String())
+			}
+			prev = year
+		}
+		if prev != 2001 {
+			t.Fatalf("last year listed is %d, want 2001", prev)
 		}
 	}
 }

@@ -157,8 +157,6 @@ func (rd *Reader) wrap(err error) error {
 // whose bytes were fully consumed, so Next may be called again to skip
 // past it. The returned Record aliases the Reader's scratch and is
 // valid only until the next call.
-//
-//repro:allocfree
 func (rd *Reader) Next() (*Record, error) {
 	if rd.sticky != nil {
 		return nil, rd.sticky
@@ -182,7 +180,7 @@ func (rd *Reader) Next() (*Record, error) {
 		return nil, rd.fail(typ, sub, ErrBadLength)
 	}
 	if cap(rd.buf) < int(length) {
-		//repro:vet ignore allocfree -- record buffer growth: amortized to zero once it reaches the archive's largest record
+		// Record buffer growth, amortized to zero once it reaches the archive's largest record.
 		rd.buf = make([]byte, length)
 	}
 	body := rd.buf[:length]
@@ -249,8 +247,6 @@ func (rd *Reader) wrapHeaderless(typ, sub uint16, err error) error {
 
 // mapASN narrows a wire AS number into the 16-bit space, substituting
 // ASTrans (and counting it) when the value does not fit.
-//
-//repro:allocfree
 func (rd *Reader) mapASN(v uint32) astypes.ASN {
 	if v > 0xffff {
 		rd.stats.AS4Substituted++
@@ -320,8 +316,6 @@ func (rd *Reader) decodePeerIndex(body []byte) error {
 
 // decodeRIB parses a RIB_IPV4_UNICAST record: one prefix and its
 // per-peer entries. AS_PATH values are always 4-byte (RFC 6396 §4.3.4).
-//
-//repro:allocfree
 func (rd *Reader) decodeRIB(body []byte) error {
 	if !rd.havePeers {
 		return ErrNoPeerIndex
@@ -390,7 +384,7 @@ func (rd *Reader) decodeRIB(body []byte) error {
 	// entry slices can be carved.
 	rd.materializeSegs()
 	if cap(rd.entries) < len(rd.entMeta) {
-		//repro:vet ignore allocfree -- entry arena growth: amortized to zero at the archive's widest RIB record
+		// Entry arena growth, amortized to zero at the archive's widest RIB record.
 		rd.entries = make([]RIBEntry, 0, 2*len(rd.entMeta))
 	}
 	rd.entries = rd.entries[:0]
@@ -419,11 +413,9 @@ func (rd *Reader) decodeRIB(body []byte) error {
 // materializeSegs builds the segment arena from the recorded index
 // ranges. Pre-sized before the loop so the appends never move the
 // backing array under the slices being carved from it.
-//
-//repro:allocfree
 func (rd *Reader) materializeSegs() {
 	if cap(rd.segs) < len(rd.segMeta) {
-		//repro:vet ignore allocfree -- segment arena growth: amortized to zero at the archive's deepest record
+		// Segment arena growth, amortized to zero at the archive's deepest record.
 		rd.segs = make([]astypes.Segment, 0, 2*len(rd.segMeta))
 	}
 	rd.segs = rd.segs[:0]
@@ -435,7 +427,6 @@ func (rd *Reader) materializeSegs() {
 	}
 }
 
-//repro:allocfree
 func (rd *Reader) pathFor(s attrScratch) astypes.ASPath {
 	if s.segLo == s.segHi {
 		return astypes.ASPath{}
@@ -443,7 +434,6 @@ func (rd *Reader) pathFor(s attrScratch) astypes.ASPath {
 	return astypes.ASPath{Segments: rd.segs[s.segLo:s.segHi:s.segHi]}
 }
 
-//repro:allocfree
 func (rd *Reader) commsFor(s attrScratch) []astypes.Community {
 	if s.commLo == s.commHi {
 		return nil
@@ -455,8 +445,6 @@ func (rd *Reader) commsFor(s attrScratch) []astypes.Community {
 // header followed by one raw BGP message. UPDATEs decode into the
 // Reader's scratch wire.Update; other message types are exposed by
 // their type code only.
-//
-//repro:allocfree
 func (rd *Reader) decodeMessage(body []byte, as4 bool) error {
 	peerAS, localAS, rest, err := rd.decodePeerHeader(body, as4)
 	if err != nil {
@@ -490,8 +478,6 @@ func (rd *Reader) decodeMessage(body []byte, as4 bool) error {
 }
 
 // decodeStateChange parses a BGP4MP STATE_CHANGE(_AS4) body.
-//
-//repro:allocfree
 func (rd *Reader) decodeStateChange(body []byte, as4 bool) error {
 	peerAS, localAS, rest, err := rd.decodePeerHeader(body, as4)
 	if err != nil {
@@ -513,8 +499,6 @@ func (rd *Reader) decodeStateChange(body []byte, as4 bool) error {
 // STATE_CHANGE: peer AS, local AS (2 or 4 bytes), interface index, AFI,
 // and the two addresses. Returns the narrowed AS numbers and the bytes
 // that follow.
-//
-//repro:allocfree
 func (rd *Reader) decodePeerHeader(body []byte, as4 bool) (peerAS, localAS astypes.ASN, rest []byte, err error) {
 	asLen := 2
 	if as4 {
@@ -552,8 +536,6 @@ func (rd *Reader) decodePeerHeader(body []byte, as4 bool) (peerAS, localAS astyp
 // Reader's scratch wire.Update. Identical framing to the wire codec,
 // with the AS_PATH width parameterized: MESSAGE_AS4 records carry
 // 4-byte AS numbers.
-//
-//repro:allocfree
 func (rd *Reader) decodeUpdateBody(body []byte, as4 bool) error {
 	rd.upd.Withdrawn = rd.upd.Withdrawn[:0]
 	rd.upd.NLRI = rd.upd.NLRI[:0]
@@ -639,8 +621,6 @@ const (
 // AS4_PATH (which adds nothing when ASNs narrow to 16 bits anyway), … —
 // are skipped and counted, never an error: archive attribute diversity
 // is far wider than a live paper-era session's.
-//
-//repro:allocfree
 func (rd *Reader) decodeAttrs(data []byte, as4 bool, s *attrScratch) error {
 	s.segLo = int32(len(rd.segMeta))
 	s.segHi = s.segLo
@@ -732,8 +712,6 @@ func (rd *Reader) decodeAttrs(data []byte, as4 bool, s *attrScratch) error {
 // decodeASPath appends the AS_PATH segments in val to the arenas, with
 // the AS width (2 or 4 bytes) set by the record subtype. TABLE_DUMP_V2
 // RIB entries are always 4-byte (RFC 6396 §4.3.4).
-//
-//repro:allocfree
 func (rd *Reader) decodeASPath(val []byte, as4 bool) error {
 	asLen := 2
 	if as4 {
@@ -774,8 +752,6 @@ func (rd *Reader) decodeASPath(val []byte, as4 bool) error {
 
 // appendPrefixes appends the prefixes encoded in data to out (the same
 // framing as BGP NLRI; the wire package keeps its decoder unexported).
-//
-//repro:allocfree
 func appendPrefixes(out []astypes.Prefix, data []byte) ([]astypes.Prefix, error) {
 	for len(data) > 0 {
 		length := data[0]

@@ -519,8 +519,8 @@ func TestSteadyStateAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation accounting differs under the race detector")
 	}
-	// One peer index, then an endless loop of RIB records and updates:
-	// the steady-state shape of a full-table load.
+	// One peer index, then an endless loop of a RIB record, an update
+	// and a state change: the steady-state shape of a full-table load.
 	t0 := time.Unix(1000000000, 0).UTC()
 	var head, loop bytes.Buffer
 	w := NewWriter(&head)
@@ -547,22 +547,36 @@ func TestSteadyStateAllocFree(t *testing.T) {
 	if err := w.WriteUpdate(t0, 65001, 6447, 0xC0000201, 0xC0000202, u); err != nil {
 		t.Fatal(err)
 	}
+	if err := w.WriteStateChange(t0, 65001, 6447, 0xC0000201, 0xC0000202, 6, 1); err != nil {
+		t.Fatal(err)
+	}
+	const cycle = 3 // records per loop
 
 	rd, err := NewReader(io.MultiReader(bytes.NewReader(head.Bytes()), &loopReader{data: loop.Bytes()}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 200; i++ { // warm arenas and record buffer
+	for i := 0; i < 200*cycle; i++ { // warm arenas and record buffer
 		if _, err := rd.Next(); err != nil {
 			t.Fatal(err)
 		}
 	}
+	// AllocsPerRun rounds down to whole allocations per run, so each run
+	// reads one full cycle: an allocation in any one record kind shows.
+	var seen [KindStateChange + 1]bool
 	avg := testing.AllocsPerRun(500, func() {
-		if _, err := rd.Next(); err != nil {
-			t.Fatal(err)
+		for i := 0; i < cycle; i++ {
+			rec, err := rd.Next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			seen[rec.Kind] = true
 		}
 	})
+	if !seen[KindRIB] || !seen[KindMessage] || !seen[KindStateChange] {
+		t.Fatalf("loop decoded record kinds %v, want RIB, message and state change", seen)
+	}
 	if avg != 0 {
-		t.Fatalf("steady-state Next allocates %.2f objects/record, want 0", avg)
+		t.Fatalf("steady-state Next allocates %.2f objects per %d-record cycle, want 0", avg, cycle)
 	}
 }

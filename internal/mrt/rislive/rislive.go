@@ -7,9 +7,8 @@
 // reconnects with the shared backoff schedule.
 //
 // Unlike the archive path this package is not allocation-free —
-// encoding/json dominates — and it deliberately sits outside the
-// determinism analyzer's scope: reconnect jitter and wall-clock
-// timestamps are part of its job.
+// encoding/json dominates — and it is not deterministic: reconnect
+// jitter and wall-clock timestamps are part of its job.
 package rislive
 
 import (

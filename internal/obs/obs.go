@@ -19,10 +19,8 @@
 // anonymous count. See docs/latency.md for the stage model.
 //
 // The record path (Record, Cross, End) is lock-free — atomic adds into
-// fixed arrays — holds the //repro:allocfree contract, and is nil-safe
-// throughout, so instrumented code needs no conditionals. The
-// stagestamp analyzer additionally requires every record call site to
-// name its stage with an explicit obs.Stage constant.
+// fixed arrays — allocates nothing, and is nil-safe throughout, so
+// instrumented code needs no conditionals.
 package obs
 
 import (
@@ -73,8 +71,6 @@ const (
 )
 
 // bucketOf maps a nanosecond duration to its bucket index.
-//
-//repro:allocfree
 func bucketOf(ns int64) int {
 	b := bits.Len64(uint64(ns))
 	if b <= bucketMinBits {
@@ -148,19 +144,13 @@ func (r *Recorder) SetEnabled(on bool) {
 }
 
 // Enabled reports whether the recorder is active.
-//
-//repro:allocfree
 func (r *Recorder) Enabled() bool { return r != nil && r.on.Load() }
 
 // now returns nanoseconds since the recorder's epoch, monotonic.
-//
-//repro:allocfree
 func (r *Recorder) now() int64 { return int64(time.Since(r.epoch)) }
 
 // Record adds one observation of d to stage, tagging the landing bucket
 // with span as its exemplar (span 0 leaves the exemplar untouched).
-//
-//repro:allocfree
 func (r *Recorder) Record(stage Stage, span uint64, d time.Duration) {
 	if r == nil || !r.on.Load() || stage >= NumStages {
 		return
@@ -200,14 +190,10 @@ type Stamp struct {
 }
 
 // Started reports whether the stamp carries a live ingest timestamp.
-//
-//repro:allocfree
 func (st *Stamp) Started() bool { return st != nil && st.t0 != 0 }
 
 // Start mints a stamp at the ingest instant for the message identified
 // by span (0 when the span is not known yet; fill Span in later).
-//
-//repro:allocfree
 func (r *Recorder) Start(span uint64) Stamp {
 	if r == nil || !r.on.Load() {
 		return Stamp{Span: span}
@@ -222,8 +208,6 @@ func (r *Recorder) Start(span uint64) Stamp {
 // Cross records the delta since the previous crossing (or Start) into
 // stage and advances the stamp. No-op on a nil/zero stamp or disabled
 // recorder.
-//
-//repro:allocfree
 func (r *Recorder) Cross(st *Stamp, stage Stage) {
 	if r == nil || st == nil || st.t0 == 0 || !r.on.Load() {
 		return
@@ -237,8 +221,6 @@ func (r *Recorder) Cross(st *Stamp, stage Stage) {
 // the wire-arrival → alarm detection latency when used with StageAlarm.
 // The stamp stays valid: End does not advance the crossing point, so a
 // pipeline can End into StageAlarm and still Cross into StageRIB after.
-//
-//repro:allocfree
 func (r *Recorder) End(st *Stamp, stage Stage) {
 	if r == nil || st == nil || st.t0 == 0 || !r.on.Load() {
 		return

@@ -198,8 +198,7 @@ func TestQuantileSingleObservation(t *testing.T) {
 	}
 }
 
-// The record path must stay allocation-free: these guards back the
-// //repro:allocfree annotations dynamically.
+// The record path must stay allocation-free.
 func TestRecordPathAllocFree(t *testing.T) {
 	r := NewRecorder()
 	if n := testing.AllocsPerRun(1000, func() {
@@ -209,6 +208,9 @@ func TestRecordPathAllocFree(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(1000, func() {
 		st := r.Start(2)
+		if !r.Enabled() || !st.Started() {
+			t.Fatal("enabled recorder did not start the stamp")
+		}
 		r.Cross(&st, StageDecode)
 		r.Cross(&st, StageSession)
 		r.End(&st, StageAlarm)

@@ -176,8 +176,6 @@ type CoverIter[V any] struct {
 
 // Next returns the next covering (prefix, value), or ok == false when
 // the walk is exhausted.
-//
-//repro:allocfree
 func (it *CoverIter[V]) Next() (prefix astypes.Prefix, value V, ok bool) {
 	for !it.done && it.n != nil {
 		n, depth := it.n, it.depth

@@ -122,3 +122,17 @@ func TestBestZeroAlloc(t *testing.T) {
 		t.Errorf("Best allocates %v per run, want 0", avg)
 	}
 }
+
+// TestRouteFromZeroAlloc: the per-peer lookup the purge and the export
+// paths use is as clone-free as Best.
+func TestRouteFromZeroAlloc(t *testing.T) {
+	tbl, prefixes := benchTable(8)
+	avg := testing.AllocsPerRun(200, func() {
+		if tbl.RouteFrom(3, prefixes[0]) == nil {
+			t.Fatal("missing route")
+		}
+	})
+	if avg != 0 {
+		t.Errorf("RouteFrom allocates %v per run, want 0", avg)
+	}
+}

@@ -413,8 +413,6 @@ func sameCommunities(a, b []astypes.Community) bool {
 // Best returns the selected route for prefix, or nil. The route is
 // shared, immutable table state: treat it as read-only and Clone before
 // mutating.
-//
-//repro:allocfree
 func (t *Table) Best(prefix astypes.Prefix) *Route {
 	s := t.shard(prefix)
 	s.mu.RLock()
@@ -466,8 +464,6 @@ func (t *Table) RoutesFrom(peer astypes.ASN) []*Route {
 // source (ASNNone selects the locally originated route), or nil. It
 // touches exactly one shard — callers that need one peer's route for
 // one prefix should prefer it over scanning RoutesFrom.
-//
-//repro:allocfree
 func (t *Table) RouteFrom(peer astypes.ASN, prefix astypes.Prefix) *Route {
 	s := t.shard(prefix)
 	s.mu.RLock()

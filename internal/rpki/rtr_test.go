@@ -316,8 +316,7 @@ func scrapeMetrics(t *testing.T, reg *telemetry.Registry) string {
 }
 
 // BenchmarkROVLookup measures the validate hot path; the emitted
-// allocs/op must stay 0 (asserted by TestValidateAllocFree and the
-// allocfree analyzer).
+// allocs/op must stay 0 (asserted by TestValidateAllocFree).
 func BenchmarkROVLookup(b *testing.B) {
 	s := NewStore()
 	for i := 0; i < 10000; i++ {

@@ -12,9 +12,8 @@
 // Conversely most long-lived MOAS conflicts are benign (multihoming,
 // anycast), so an uncovered conflict stays a benign-moas observation.
 //
-// Validate is allocation-free (//repro:allocfree, enforced by the
-// allocfree analyzer and an AllocsPerRun guard) so the live path can
-// cross-check every conflict at alarm rate.
+// Validate is allocation-free (an AllocsPerRun guard enforces it) so
+// the live path can cross-check every conflict at alarm rate.
 package rpki
 
 import (
@@ -225,8 +224,6 @@ func (s *Store) Snapshot() []ROA {
 // if the prefix is covered but no ROA matches, NotFound if no ROA
 // covers it at all. A nil store validates everything to NotFound, so
 // call sites need no RPKI-configured guard.
-//
-//repro:allocfree
 func (s *Store) Validate(prefix astypes.Prefix, origin astypes.ASN) Validity {
 	if s == nil {
 		return NotFound

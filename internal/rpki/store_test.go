@@ -146,8 +146,7 @@ func TestROANormalization(t *testing.T) {
 	}
 }
 
-// TestValidateAllocFree is the AllocsPerRun guard behind the
-// //repro:allocfree annotation on the lookup path.
+// TestValidateAllocFree pins the lookup path at zero allocations.
 func TestValidateAllocFree(t *testing.T) {
 	s := NewStore()
 	s.Add(ROA{Prefix: p("131.179.0.0/16"), MaxLen: 24, Origin: 65001})

@@ -43,8 +43,6 @@ func (st *pfxState) clrAdv(g int32)      { st.adv[g>>6] &^= 1 << (uint32(g) & 63
 
 // stateOf returns the prefix's state, if registered. The returned
 // pointer is invalidated by the next registerPrefix call.
-//
-//repro:allocfree
 func (n *Network) stateOf(p astypes.Prefix) (*pfxState, bool) {
 	if id, ok := n.pfxID[p]; ok {
 		return &n.pfx[id], true
@@ -83,8 +81,6 @@ func (n *Network) registerPrefix(p astypes.Prefix) *pfxState {
 }
 
 // localSlot returns the node's local-route slot.
-//
-//repro:allocfree
 func (n *Network) localSlot(nd *Node) int32 {
 	return n.slotBase[nd.idx] + int32(len(nd.neighbors))
 }
@@ -103,8 +99,6 @@ func (n *Network) slotPeer(nd *Node, g int32) astypes.ASN {
 // reporting whether the node's best route changed (by value, matching
 // rib's Change.Changed semantics: re-announcing an identical route is
 // not a change).
-//
-//repro:allocfree
 func (n *Network) updateSlot(nd *Node, st *pfxState, g int32, pathID, commID, effID uint32) bool {
 	prevPath, prevComm := st.adjPath[g], st.adjComm[g]
 	if prevPath == pathID && prevComm == commID {
@@ -117,8 +111,6 @@ func (n *Network) updateSlot(nd *Node, st *pfxState, g int32, pathID, commID, ef
 
 // clearSlot removes the route in slot g (withdraw / route flush) and
 // reselects. Clearing an empty slot is a no-op.
-//
-//repro:allocfree
 func (n *Network) clearSlot(nd *Node, st *pfxState, g int32) bool {
 	prevPath, prevComm := st.adjPath[g], st.adjComm[g]
 	if prevPath == 0 {
@@ -135,8 +127,6 @@ func (n *Network) clearSlot(nd *Node, st *pfxState, g int32) bool {
 // ASNNone sorting first), with rib's prefer-oldest stability rule — the
 // incumbent best is kept when its peer's current route ties the scan
 // winner on attributes.
-//
-//repro:allocfree
 func (n *Network) reselect(nd *Node, st *pfxState, g int32, prevPath, prevComm uint32) bool {
 	i := nd.idx
 	base := n.slotBase[i]
@@ -191,8 +181,6 @@ func (n *Network) reselect(nd *Node, st *pfxState, g int32, prevPath, prevComm u
 // heldEff returns the (lazily cached) effective MOAS-list id of the
 // route in slot g, or 0 when the slot is empty or the route's list is
 // unresolvable.
-//
-//repro:allocfree
 func (n *Network) heldEff(st *pfxState, g int32) uint32 {
 	if e := st.adjEff[g]; e != 0 {
 		return e

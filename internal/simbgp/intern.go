@@ -100,8 +100,6 @@ func (t *pathTab) intern(p astypes.ASPath) uint32 {
 func (t *pathTab) isLit(id uint32) bool { return id != 0 && t.head[id] == astypes.ASNNone }
 
 // contains is the interned ASPath.Contains, used for loop detection.
-//
-//repro:allocfree
 func (t *pathTab) contains(id uint32, asn astypes.ASN) bool {
 	for id != 0 {
 		if t.isLit(id) {
@@ -192,8 +190,6 @@ func (t *listTab) implicitOf(origin astypes.ASN) uint32 {
 func (t *listTab) listOf(id uint32) core.List { return t.lists[id-1] }
 
 // contains reports membership without materializing anything.
-//
-//repro:allocfree
 func (t *listTab) contains(id uint32, asn astypes.ASN) bool {
 	return t.lists[id-1].Contains(asn)
 }
@@ -251,8 +247,6 @@ func (t *commTab) setOf(id uint32) []astypes.Community {
 }
 
 // moasOf returns the explicit MOAS-list id of the attribute (0 = none).
-//
-//repro:allocfree
 func (t *commTab) moasOf(id uint32) uint32 {
 	if id == 0 {
 		return 0

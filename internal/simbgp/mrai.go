@@ -1,6 +1,7 @@
 package simbgp
 
 import (
+	"slices"
 	"time"
 
 	"repro/internal/astypes"
@@ -26,6 +27,9 @@ type mraiState struct {
 	pending map[astypes.ASN]map[astypes.Prefix]bool
 	// scheduled marks peers with a flush event outstanding.
 	scheduled map[astypes.ASN]bool
+	// batch is flushMRAI's scratch: one peer's deferred prefixes, sorted
+	// so a flush emits them in the same order on every run.
+	batch []astypes.Prefix
 }
 
 // clearAll rewinds the timer state in place for run reuse. Per-peer
@@ -93,9 +97,14 @@ func (nd *Node) flushMRAI(peer astypes.ASN) {
 		return // link failed while the batch was held
 	}
 	m.lastAdv[peer] = nd.net.engine.Now()
-	// emitTo stamps nothing into MRAI state (lastAdv was just advanced,
-	// so nothing re-defers): prefixes is not mutated while ranged.
+	// Map order would make the batch's send order, and so every later
+	// event and span ordinal, differ between identical runs.
+	m.batch = m.batch[:0]
 	for prefix := range prefixes {
+		m.batch = append(m.batch, prefix)
+	}
+	slices.SortFunc(m.batch, astypes.Prefix.Compare)
+	for _, prefix := range m.batch {
 		nd.emitTo(peer, prefix)
 	}
 }

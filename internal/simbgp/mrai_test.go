@@ -1,11 +1,14 @@
 package simbgp
 
 import (
+	"slices"
 	"testing"
 	"time"
 
+	"repro/internal/astypes"
 	"repro/internal/core"
 	"repro/internal/topology"
+	"repro/internal/trace"
 )
 
 func TestMRAIConvergesToSameRoutes(t *testing.T) {
@@ -129,5 +132,56 @@ func TestMRAIFlushAfterLinkFailure(t *testing.T) {
 	}
 	if n.Node(3).Best(victim) == nil {
 		t.Error("AS 3 lost the route despite the direct link to AS 1")
+	}
+}
+
+// TestMRAIFlushIsReproducible: a flush re-advertises its deferred batch
+// in a fixed order, so identical runs record identical event sequences
+// and span ordinals.
+func TestMRAIFlushIsReproducible(t *testing.T) {
+	type step struct {
+		kind   trace.Kind
+		node   astypes.ASN
+		span   uint64
+		prefix astypes.Prefix
+	}
+	run := func() []step {
+		n, err := NewNetwork(Config{Topology: lineTopology(1, 2, 3, 4), MRAI: time.Second})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := trace.NewRecorder(1<<14, trace.WithoutWallClock())
+		n.AttachRecorder(rec)
+		for round := 0; round < 3; round++ {
+			list := core.NewList(1)
+			if round%2 == 1 {
+				list = core.NewList(1, 7)
+			}
+			for i := 0; i < 16; i++ {
+				if err := n.Originate(1, astypes.MustPrefix(0x0a000000|uint32(i)<<8, 24), list); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := n.Engine().RunUntil(n.Engine().Now() + 5*time.Millisecond); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := n.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if rec.Dropped() != 0 {
+			t.Fatalf("ring too small: %d events dropped", rec.Dropped())
+		}
+		var out []step
+		for _, e := range rec.Events() {
+			out = append(out, step{e.Kind, e.Node, e.Span, e.Prefix})
+		}
+		return out
+	}
+	want := run()
+	for i := 1; i <= 10; i++ {
+		if got := run(); !slices.Equal(got, want) {
+			t.Fatalf("repeat %d recorded a different event sequence (%d vs %d events)", i, len(got), len(want))
+		}
 	}
 }

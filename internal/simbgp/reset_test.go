@@ -164,6 +164,99 @@ func TestDeliveryAllocsZero(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("steady-state message delivery allocates %v per send+deliver, want 0", allocs)
 	}
+
+	// Detect mode: AS 2 checks every announcement against the MOAS lists
+	// it holds. Replaying AS 1's route for a legitimately multi-origin
+	// prefix walks every held slot; replaying AS 9's forged origin for
+	// the already resolved victim is filtered by the resolved origin set.
+	n, valid, multi := detectStar(t)
+	nd2 := n.Node(2)
+	alarms := len(nd2.alarms)
+	st, _ := n.stateOf(multi)
+	legit := message{from: 1, prefix: multi}
+	held := n.slotBase[nd2.idx] + int32(nd2.slotOf(1))
+	legit.pathID, legit.commID = st.adjPath[held], st.adjComm[held]
+	forged := message{
+		from:   9,
+		prefix: victim,
+		pathID: n.paths.prepend(0, 9),
+		commID: n.comms.intern(valid.Communities(), n.lists),
+	}
+	from1, from9 := n.Node(1), n.Node(9)
+	replay := func() {
+		n.sendSlot(from1, from1.slotOf(2), legit)
+		n.sendSlot(from9, from9.slotOf(2), forged)
+		if err := n.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	replay()
+	if allocs := testing.AllocsPerRun(200, replay); allocs != 0 {
+		t.Errorf("detect-mode delivery allocates %v per replay, want 0", allocs)
+	}
+	if got := len(nd2.alarms); got != alarms {
+		t.Errorf("replays raised %d new alarms; the resolved set should filter them", got-alarms)
+	}
+	if best := nd2.Best(victim); best == nil || !valid.Contains(best.OriginAS()) {
+		t.Errorf("AS 2 best route for the victim: %v", best)
+	}
+}
+
+// detectStar builds AS 2 in detect mode between ASes 1, 3 and 9. ASes 1
+// and 3 both originate the victim and a second prefix with the list
+// {1, 3}; attacker 9 originates the victim with a forged origin under
+// the same list, so AS 2 alarms once and resolves the victim.
+func detectStar(t *testing.T) (n *Network, valid core.List, multi astypes.Prefix) {
+	t.Helper()
+	g := topology.NewGraph()
+	g.AddEdge(1, 2)
+	g.AddEdge(3, 2)
+	g.AddEdge(9, 2)
+	valid = core.NewList(1, 3)
+	multi = astypes.MustPrefix(0x0a000000, 24)
+	n = newNet(t, g, valid)
+	if err := n.SetMode(2, ModeDetect); err != nil {
+		t.Fatal(err)
+	}
+	for _, asn := range []astypes.ASN{1, 3} {
+		for _, p := range []astypes.Prefix{victim, multi} {
+			if err := n.Originate(asn, p, valid); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := n.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if err := n.OriginateInvalid(9, victim, valid); err != nil {
+		t.Fatal(err)
+	}
+	if err := n.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got := len(n.Node(2).alarms); got != 1 {
+		t.Fatalf("AS 2 raised %d alarms, want 1", got)
+	}
+	return n, valid, multi
+}
+
+// TestCensusAllocsZero: both censuses are read-only walks over the
+// converged state, so taking them after every run of a sweep allocates
+// nothing.
+func TestCensusAllocsZero(t *testing.T) {
+	n, valid, _ := detectStar(t)
+	var c, fwd Census
+	take := func() {
+		c = n.TakeCensus(victim, valid)
+		fwd = n.TakeForwardingCensus(victim, valid)
+	}
+	take()
+	if allocs := testing.AllocsPerRun(200, take); allocs != 0 {
+		t.Errorf("census allocates %v per run, want 0", allocs)
+	}
+	if c.NonAttackers != 3 || c.AdoptedFalse != 0 || fwd.AdoptedFalse != 0 || c.AlarmedNodes != 1 {
+		t.Errorf("census %+v, forwarding census %+v", c, fwd)
+	}
 }
 
 // TestSharedAdvertisementIsolation guards the build-once sharing: the

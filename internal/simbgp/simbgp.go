@@ -396,8 +396,6 @@ func (n *Network) Dispatch(ev sim.Typed) {
 // deliver hands inflight slot `slot` to node index toIdx, releasing the
 // slot. Link failure is re-checked at delivery time, so messages in
 // flight when the link fails are lost with it.
-//
-//repro:allocfree
 func (n *Network) deliver(toIdx, slot uint32) {
 	msg := n.inflight[slot]
 	n.inflight[slot] = message{}
@@ -414,8 +412,6 @@ func (n *Network) deliver(toIdx, slot uint32) {
 }
 
 // allocSlot parks msg in the inflight pool and returns its slot.
-//
-//repro:allocfree
 func (n *Network) allocSlot(msg message) uint32 {
 	if k := len(n.freeMsgs); k > 0 {
 		slot := n.freeMsgs[k-1]
@@ -428,8 +424,6 @@ func (n *Network) allocSlot(msg message) uint32 {
 }
 
 // sendSlot schedules msg from nd to its neighbor in adjacency slot s.
-//
-//repro:allocfree
 func (n *Network) sendSlot(nd *Node, s int, msg message) {
 	if nd.neighborDown[s] {
 		return
@@ -617,7 +611,6 @@ func (nd *Node) withdrawLocal(prefix astypes.Prefix) {
 	}
 }
 
-//repro:allocfree
 func (nd *Node) receive(msg message, span uint64) {
 	n := nd.net
 	if msg.withdraw {
@@ -673,8 +666,6 @@ func (nd *Node) receive(msg message, span uint64) {
 // admit applies the paper's MOAS check to an incoming announcement,
 // returning false if the route must be suppressed. effID is the
 // announcement's interned effective MOAS list (0 = unresolvable).
-//
-//repro:allocfree
 func (nd *Node) admit(msg message, st *pfxState, effID uint32, span uint64) bool {
 	n := nd.net
 	if effID == 0 {
@@ -798,7 +789,6 @@ type outMsg struct {
 	commID uint32
 }
 
-//repro:allocfree
 func (o *outMsg) build(nd *Node, st *pfxState, bestG int32) {
 	if o.built {
 		return
@@ -820,8 +810,6 @@ func (o *outMsg) build(nd *Node, st *pfxState, bestG int32) {
 // (or a withdrawal) to every neighbor. Advertisements may be deferred
 // by the MRAI timer; withdrawals are always immediate (RFC 4271
 // §9.2.1.1 rate limits advertisements only).
-//
-//repro:allocfree
 func (nd *Node) propagate(st *pfxState) {
 	n := nd.net
 	bestG := st.bestPlus[nd.idx] - 1
@@ -863,8 +851,6 @@ func (nd *Node) emitTo(peer astypes.ASN, prefix astypes.Prefix) {
 // bestG is -1 or export policy forbids it) to the peer in adjacency
 // slot s, maintaining the advertised bitset. adv is the shared
 // advertisement cache for this propagation round.
-//
-//repro:allocfree
 func (nd *Node) emitToSlot(s int, st *pfxState, bestG int32, adv *outMsg) {
 	n := nd.net
 	g := n.slotBase[nd.idx] + int32(s)
@@ -894,8 +880,6 @@ func (nd *Node) emitToSlot(s int, st *pfxState, bestG int32, adv *outMsg) {
 // are configured: local routes and routes learned from customers go to
 // everyone; routes learned from peers or providers go to customers
 // only. bestG is the slot the exported route was learned on.
-//
-//repro:allocfree
 func (nd *Node) mayExportSlot(bestG int32, s int) bool {
 	n := nd.net
 	if n.relations == nil {
@@ -1013,8 +997,6 @@ const (
 // forwardOutcome walks the AS-level forwarding path a packet for prefix
 // takes from src, reporting whether it is delivered to a valid origin,
 // captured by an attacker/false origin, or dropped for lack of a route.
-//
-//repro:allocfree
 func (n *Network) forwardOutcome(src *Node, prefix astypes.Prefix, valid core.List) forwardResult {
 	st, registered := n.stateOf(prefix)
 	n.visitEpoch++

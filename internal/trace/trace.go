@@ -145,7 +145,6 @@ type slot struct {
 	w    [6]atomic.Uint64
 }
 
-//repro:allocfree
 func (s *slot) store(e *Event) {
 	s.w[0].Store(uint64(e.Nanos))
 	s.w[1].Store(uint64(e.VNanos))
@@ -162,7 +161,6 @@ func packPrefix(p astypes.Prefix) uint64 {
 	return uint64(p.Addr)<<32 | uint64(p.Len)<<24
 }
 
-//repro:allocfree
 func (s *slot) load(e *Event) {
 	e.Nanos = int64(s.w[0].Load())
 	e.VNanos = int64(s.w[1].Load())
@@ -270,8 +268,6 @@ func (r *Recorder) Cap() int { return len(r.slots) }
 
 // Record captures one event. Nil-safe and allocation-free; a disabled
 // recorder pays one atomic load.
-//
-//repro:allocfree
 func (r *Recorder) Record(e Event) {
 	if r == nil || !r.on.Load() {
 		return

@@ -406,3 +406,46 @@ func TestHelpers(t *testing.T) {
 		t.Errorf("unionOrigins = %v", got)
 	}
 }
+
+var timelineSink []Event
+
+// timelineGrowthAllocs counts the allocations of growing an n-event
+// timeline one append at a time from nil, as RecordAlarm does.
+func timelineGrowthAllocs(n int) float64 {
+	return testing.AllocsPerRun(1, func() {
+		timelineSink = nil
+		for i := 0; i < n; i++ {
+			timelineSink = append(timelineSink, Event{})
+		}
+	})
+}
+
+// TestRecordAlarmAllocsIndependentOfMatches: apart from growing the
+// timeline slice, an alarm allocates the same whether two ring slots
+// match its prefix or a thousand do, so copying a matching slot out of
+// the ring allocates nothing.
+func TestRecordAlarmAllocsIndependentOfMatches(t *testing.T) {
+	other := astypes.MustPrefix(0x0a000000, 24)
+	fixed := func(matches int) float64 {
+		r := NewRecorder(4096, WithoutWallClock(), WithMaxAlarms(1))
+		for i := 0; i < 4000; i++ {
+			e := testEvent(i)
+			if i >= matches {
+				e.Prefix = other
+			}
+			r.Record(e)
+		}
+		b := AlarmBundle{Verdict: "conflict", Origin: 9, Existing: []uint32{1}, Received: []uint32{9}}
+		allocs := testing.AllocsPerRun(1, func() { r.RecordAlarm(testPrefix, b) })
+		alarms := r.Alarms()
+		timeline := alarms[len(alarms)-1].Timeline
+		if want := matches + 2; len(timeline) != want { // both RecordAlarm calls' alarm events
+			t.Fatalf("timeline holds %d events, want %d", len(timeline), want)
+		}
+		return allocs - timelineGrowthAllocs(len(timeline))
+	}
+	few, many := fixed(0), fixed(1000)
+	if few != many {
+		t.Errorf("RecordAlarm allocates %v beyond timeline growth with 2 matching slots, %v with 1002", few, many)
+	}
+}

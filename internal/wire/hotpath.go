@@ -42,8 +42,6 @@ type Decoder struct {
 
 // Decode parses one complete message from buf (header included),
 // reusing the Decoder's scratch for UPDATEs.
-//
-//repro:allocfree
 func (d *Decoder) Decode(buf []byte) (Message, error) {
 	t, body, err := checkHeader(buf)
 	if err != nil {
@@ -89,8 +87,6 @@ func NewReader(r io.Reader) *Reader {
 
 // ReadMessage reads exactly one message, validating the marker before
 // the body is consumed (see readFrame).
-//
-//repro:allocfree
 func (rd *Reader) ReadMessage() (Message, error) {
 	n, err := readFrame(rd.r, rd.buf[:])
 	if err != nil {
@@ -144,8 +140,6 @@ func NewWriter(w io.Writer) *Writer {
 // WriteMessage encodes m into the buffer. The buffer is written out
 // early when it already holds at least one full-size message, keeping
 // the backing array at its initial capacity forever.
-//
-//repro:allocfree
 func (wr *Writer) WriteMessage(m Message) error {
 	buf, err := AppendMessage(wr.buf, m)
 	if err != nil {
@@ -163,8 +157,6 @@ func (wr *Writer) Buffered() int { return len(wr.buf) }
 
 // Flush writes any buffered messages to the underlying writer. Buffered
 // data is discarded on error (the connection is failing anyway).
-//
-//repro:allocfree
 func (wr *Writer) Flush() error {
 	if len(wr.buf) == 0 {
 		return nil

@@ -341,7 +341,6 @@ const (
 // Type implements Message.
 func (*Update) Type() MsgType { return MsgUpdate }
 
-//repro:allocfree
 func (u *Update) encodeBody(dst []byte) ([]byte, error) {
 	// Both length-prefixed sections are appended in place and their
 	// lengths fixed up afterwards, so encoding a full UPDATE never
@@ -377,8 +376,6 @@ func (u *Update) encodeBody(dst []byte) ([]byte, error) {
 // bytes; the caller appends the value itself. The extended-length bit
 // describes this encoding, not the attribute, so it is recomputed from
 // the actual value size.
-//
-//repro:allocfree
 func appendAttrHeader(dst []byte, flags, code uint8, vLen int) ([]byte, error) {
 	if vLen > 0xffff {
 		return nil, fmt.Errorf("attribute %d too long: %d bytes", code, vLen)
@@ -392,7 +389,6 @@ func appendAttrHeader(dst []byte, flags, code uint8, vLen int) ([]byte, error) {
 	return append(dst, flags, code, uint8(vLen)), nil
 }
 
-//repro:allocfree
 func (a *PathAttrs) encode(dst []byte, mandatory bool) ([]byte, error) {
 	var err error
 	if a.HasOrigin || mandatory {
@@ -478,8 +474,6 @@ func (a *PathAttrs) reset() {
 // message alias both d and body: unknown-attribute values point into
 // body, and slices are reused on d's next Decode. With d == nil every
 // byte is copied and the result is independently owned.
-//
-//repro:allocfree
 func decodeUpdateInto(u *Update, d *Decoder, body []byte) (*Update, error) {
 	u.Withdrawn = u.Withdrawn[:0]
 	u.NLRI = u.NLRI[:0]
@@ -524,7 +518,6 @@ func decodeUpdateInto(u *Update, d *Decoder, body []byte) (*Update, error) {
 	return u, nil
 }
 
-//repro:allocfree
 func (a *PathAttrs) decode(data []byte, d *Decoder) error {
 	// Duplicate detection on the stack: a map here costs an allocation
 	// per UPDATE decoded.
@@ -608,7 +601,6 @@ func (a *PathAttrs) decode(data []byte, d *Decoder) error {
 				if d == nil {
 					// Copy so the decoded message outlives the input
 					// buffer; scratch decoding aliases it instead.
-					//repro:vet ignore allocfree -- d == nil is the copying decode mode; the scratch path (d != nil) aliases val
 					value = append([]byte(nil), val...)
 				}
 				a.Unknown = append(a.Unknown, UnknownAttr{
@@ -629,8 +621,6 @@ func (a *PathAttrs) decode(data []byte, d *Decoder) error {
 // non-nil Decoder the segment ASN storage comes from d's flat scratch
 // slice (valid until d's next Decode); otherwise each segment allocates
 // its own backing array.
-//
-//repro:allocfree
 func decodeASPathInto(path *astypes.ASPath, d *Decoder, val []byte) error {
 	segs := path.Segments[:0]
 	var asns []astypes.ASN
@@ -652,7 +642,7 @@ func decodeASPathInto(path *astypes.ASPath, d *Decoder, val []byte) error {
 			rest = rest[need:]
 		}
 		if cap(d.asns) < total {
-			//repro:vet ignore allocfree -- scratch growth: amortized to zero once d.asns reaches the high-water mark
+			// Scratch growth, amortized to zero once d.asns reaches the high-water mark.
 			d.asns = make([]astypes.ASN, 0, total)
 		}
 		asns = d.asns[:0]
@@ -677,7 +667,7 @@ func decodeASPathInto(path *astypes.ASPath, d *Decoder, val []byte) error {
 			}
 			segASNs = asns[start:len(asns):len(asns)]
 		} else {
-			//repro:vet ignore allocfree -- d == nil is the copying decode mode; the scratch path above carves from d.asns
+			// The copying decode mode (d == nil); the scratch path above carves from d.asns.
 			segASNs = make([]astypes.ASN, count)
 			for i := 0; i < count; i++ {
 				segASNs[i] = astypes.ASN(binary.BigEndian.Uint16(val[2+2*i : 4+2*i]))
@@ -693,7 +683,6 @@ func decodeASPathInto(path *astypes.ASPath, d *Decoder, val []byte) error {
 	return nil
 }
 
-//repro:allocfree
 func encodePrefixes(dst []byte, prefixes []astypes.Prefix) ([]byte, error) {
 	for _, p := range prefixes {
 		if p.Len > 32 {
@@ -709,8 +698,6 @@ func encodePrefixes(dst []byte, prefixes []astypes.Prefix) ([]byte, error) {
 }
 
 // decodePrefixes appends the prefixes encoded in data to out.
-//
-//repro:allocfree
 func decodePrefixes(out []astypes.Prefix, data []byte) ([]astypes.Prefix, error) {
 	for len(data) > 0 {
 		length := data[0]
@@ -746,8 +733,6 @@ func decodePrefixes(out []astypes.Prefix, data []byte) ([]astypes.Prefix, error)
 // returns the extended slice. When dst has spare capacity no allocation
 // occurs; this is the zero-allocation core that Encode, WriteMessage
 // and Writer share.
-//
-//repro:allocfree
 func AppendMessage(dst []byte, m Message) ([]byte, error) {
 	start := len(dst)
 	dst = append(dst,
@@ -772,8 +757,6 @@ func Encode(m Message) ([]byte, error) {
 
 // checkHeader validates the marker, declared length, and framing of one
 // complete message and returns its type code and body.
-//
-//repro:allocfree
 func checkHeader(buf []byte) (MsgType, []byte, error) {
 	if len(buf) < HeaderLen {
 		return 0, nil, msgErrf(ErrCodeHeader, SubBadLength, "message %d bytes < header", len(buf))
