@@ -1,7 +1,7 @@
 // Command moas-collector runs a Route-Views-style passive route
 // collector: it accepts BGP peerings on a listen address, archives
 // periodic table snapshots to a directory as MRT table dumps, and
-// (with -moasrr) checks every snapshot through the off-line MOAS
+// (with -check) checks every snapshot through the off-line MOAS
 // monitor, printing alarms as they appear — the §4.2 off-line
 // deployment, live.
 //
@@ -77,7 +77,10 @@ func main() {
 		roaFile:     *roaFile,
 		rtrAddr:     *rtrAddr,
 	}
-	if err := run(cfg); err != nil {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	err = run(ctx, cfg)
+	stop()
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "moas-collector:", err)
 		os.Exit(1)
 	}
@@ -99,7 +102,10 @@ type runConfig struct {
 	rtrAddr     string
 }
 
-func run(cfg runConfig) error {
+// run serves until ctx is canceled, then writes a final snapshot.
+func run(ctx context.Context, cfg runConfig) error {
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
 	reg := telemetry.NewRegistry("moas")
 	telemetry.RegisterBuildInfo(reg)
 	var rec *trace.Recorder
@@ -135,6 +141,37 @@ func run(cfg runConfig) error {
 			Obs:      obsRec,
 		})
 		ready.Register("ris-live", telemetry.NotSynced(stage.Connected, "stream not connected"))
+	}
+
+	// Any ROA source turns on RPKI/ROV cross-validation: monitor alarms
+	// then carry a benign-moas / likely-misconfig / likely-hijack class.
+	var roaStore *rpki.Store
+	if cfg.roaFile != "" || cfg.rtrAddr != "" {
+		roaStore = rpki.NewStore()
+		if cfg.roaFile != "" {
+			roas, err := rpki.ParseFile(cfg.roaFile)
+			if err != nil {
+				return err
+			}
+			for _, r := range roas {
+				roaStore.Add(r)
+			}
+			log.Printf("moas-collector: loaded %d ROAs from %s", roaStore.Len(), cfg.roaFile)
+		}
+	}
+	var rtr *rpki.Client
+	if cfg.rtrAddr != "" {
+		var err error
+		rtr, err = rpki.NewClient(rpki.ClientConfig{
+			Addr:     cfg.rtrAddr,
+			Store:    roaStore,
+			Registry: reg,
+		})
+		if err != nil {
+			return err
+		}
+		// Alarm classes are not trustworthy until the first sync lands.
+		ready.Register("rtr", telemetry.NotSynced(rtr.Synced, "cache not synced"))
 	}
 
 	if cfg.metricsAddr != "" {
@@ -174,23 +211,6 @@ func run(cfg runConfig) error {
 	c.Listen(ln)
 	log.Printf("moas-collector: AS %d listening on %s", collector.CollectorASN, ln.Addr())
 
-	// Any ROA source turns on RPKI/ROV cross-validation: monitor alarms
-	// then carry a benign-moas / likely-misconfig / likely-hijack class.
-	var roaStore *rpki.Store
-	if cfg.roaFile != "" || cfg.rtrAddr != "" {
-		roaStore = rpki.NewStore()
-		if cfg.roaFile != "" {
-			roas, err := rpki.ParseFile(cfg.roaFile)
-			if err != nil {
-				return err
-			}
-			for _, r := range roas {
-				roaStore.Add(r)
-			}
-			log.Printf("moas-collector: loaded %d ROAs from %s", roaStore.Len(), cfg.roaFile)
-		}
-	}
-
 	// The monitor exists whenever anything feeds it: snapshot checking,
 	// an MRT replay, or a live stream.
 	var mon *monitor.Monitor
@@ -211,18 +231,8 @@ func run(cfg runConfig) error {
 		}
 	}
 
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	if cfg.rtrAddr != "" {
-		client, err := rpki.NewClient(rpki.ClientConfig{
-			Addr:     cfg.rtrAddr,
-			Store:    roaStore,
-			Registry: reg,
-		})
-		if err != nil {
-			return err
-		}
-		go client.Run(ctx)
+	if rtr != nil {
+		go rtr.Run(ctx)
 		log.Printf("moas-collector: syncing ROAs from RTR cache %s", cfg.rtrAddr)
 	}
 	if stage != nil {
@@ -261,10 +271,7 @@ func run(cfg runConfig) error {
 	}
 	log.Printf("moas-collector: archiving to %s every %s", cfg.dir, cfg.interval)
 
-	stop := make(chan os.Signal, 1)
-	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
-	<-stop
-	cancel()
+	<-ctx.Done()
 	if stage != nil {
 		cnt := stage.Counters()
 		log.Printf("moas-collector: ris-live received %d delivered %d dropped %d parse-errors %d reconnects %d",

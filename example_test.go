@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro"
+	"repro/internal/routegen"
 )
 
 // The complete detection loop on a five-AS internetwork: a hijack is
@@ -83,4 +84,56 @@ func ExampleMonitor() {
 	// Output:
 	// 131.179.0.0/16 [4 52]
 	// alarms: 1
+}
+
+// The §4.2 off-line pipeline over the synthetic RouteViews series around
+// the April 2001 AS15412 fault: a MOASRR database seeded from a quiet
+// day classifies each day's MOAS cases, and the two fault days stand out
+// as invalid without touching a router.
+func ExampleMonitor_incident() {
+	gen, err := repro.NewDumpGenerator(repro.DefaultDumpConfig())
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
+	quiet, err := gen.DumpForDay(routegen.EventAS15412Day - 30)
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
+	// Every origin set visible on the quiet day is authorized.
+	origins := make(map[repro.Prefix][]repro.ASN)
+	for _, e := range quiet.Entries {
+		origins[e.Prefix] = append(origins[e.Prefix], e.Origin())
+	}
+	store := repro.NewMOASRRStore()
+	for prefix, asns := range origins {
+		store.Register(prefix, repro.NewList(asns...))
+	}
+
+	for day := routegen.EventAS15412Day - 2; day <= routegen.EventAS15412Day+5; day++ {
+		d, err := gen.DumpForDay(day)
+		if err != nil {
+			fmt.Println(err)
+			return
+		}
+		mon := repro.NewMonitor(repro.WithMonitorResolver(store))
+		mon.ObserveDump("route-views", d)
+		invalid := 0
+		for _, c := range mon.MOASCases() {
+			if c.Invalid {
+				invalid++
+			}
+		}
+		fmt.Printf("%s: %d invalid\n", d.Date.Format("2006-01-02"), invalid)
+	}
+	// Output:
+	// 2001-04-04: 0 invalid
+	// 2001-04-05: 0 invalid
+	// 2001-04-06: 649 invalid
+	// 2001-04-07: 0 invalid
+	// 2001-04-08: 0 invalid
+	// 2001-04-09: 0 invalid
+	// 2001-04-10: 649 invalid
+	// 2001-04-11: 0 invalid
 }

@@ -24,9 +24,9 @@ func benchTable(nPrefixes int) (*Table, []astypes.Prefix) {
 	return tbl, prefixes
 }
 
-// BenchmarkRIBBestBaselineClone measures the pre-PR read contract: every
+// BenchmarkRIBBestBaselineClone measures the old read contract: every
 // Best call deep-copies the route. Kept as the in-tree baseline that
-// BENCH_hotpath.json compares BenchmarkRIBBest against.
+// BenchmarkRIBBest is compared against.
 func BenchmarkRIBBestBaselineClone(b *testing.B) {
 	tbl, prefixes := benchTable(64)
 	b.ReportAllocs()

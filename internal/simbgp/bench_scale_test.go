@@ -10,14 +10,13 @@ import (
 	"repro/internal/topology"
 )
 
-// The BenchmarkSimScale family records the compact engine's
-// internet-scale numbers in BENCH_simscale.json (make bench-simscale):
-// convergence throughput in nodes/s, steady-state bytes of network
-// state per node, and allocs/op for a full converge-attack-converge
-// cycle at 10k and 70k ASes. The 1k pair benchmarks the identical
-// workload against the pre-refactor map layout (one rib.Table, one
-// advertised map and one resolved map per node), so the file itself
-// documents the compaction factor.
+// The BenchmarkSimScale family reports the compact engine's
+// internet-scale numbers: convergence throughput in nodes/s,
+// steady-state bytes of network state per node, and allocs/op for a
+// full converge-attack-converge cycle at 10k and 70k ASes. The 1k pair
+// benchmarks the identical workload against the pre-refactor map layout
+// (one rib.Table, one advertised map and one resolved map per node), so
+// the pair documents the compaction factor.
 
 // benchConverge measures the compact engine: per iteration one pooled
 // Reset, a valid origination converged, one forged-origin attack

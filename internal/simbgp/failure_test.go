@@ -134,6 +134,20 @@ func TestDetectionSurvivesLinkFailure(t *testing.T) {
 	if best == nil || best.OriginAS() != 1 {
 		t.Errorf("AS 3 after failover: %+v", best)
 	}
+	// Flap the attacker's link: on restore AS 9 re-advertises its
+	// shorter forged route, which AS 3 must still reject.
+	for _, flap := range []func(a, b astypes.ASN) error{n.FailLink, n.RestoreLink} {
+		if err := flap(3, 9); err != nil {
+			t.Fatal(err)
+		}
+		if err := n.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	best = n.Node(3).Best(victim)
+	if best == nil || best.OriginAS() != 1 {
+		t.Errorf("AS 3 after the attacker's link flapped: %+v", best)
+	}
 }
 
 func TestSubprefixHijackEvadesMOASDetection(t *testing.T) {

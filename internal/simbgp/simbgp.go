@@ -137,7 +137,6 @@ type Network struct {
 	msgCount     uint64
 	failedLinks  map[[2]astypes.ASN]bool
 	relations    *topology.Relations
-	tracer       *Tracer
 	recorder     *trace.Recorder
 
 	// Adjacency-slot geometry: node i owns the global slot range
@@ -287,7 +286,6 @@ func (n *Network) Reset(cfg Config) error {
 	}
 	n.engine.Reset()
 	n.msgCount = 0
-	n.tracer = nil
 	n.recorder = nil
 	clear(n.alarmClasses[:])
 	n.visitEpoch = 0
@@ -614,7 +612,9 @@ func (nd *Node) withdrawLocal(prefix astypes.Prefix) {
 func (nd *Node) receive(msg message, span uint64) {
 	n := nd.net
 	if msg.withdraw {
-		n.trace(EvWithdrawMsg, nd.asn, msg.from, msg.prefix, astypes.ASPath{})
+		if n.tracing() {
+			n.record(trace.KindRecv, trace.DetailWithdrawal, nd.asn, msg.from, msg.prefix, astypes.ASNNone)
+		}
 		st, ok := n.stateOf(msg.prefix)
 		if !ok {
 			return
@@ -625,7 +625,7 @@ func (nd *Node) receive(msg message, span uint64) {
 		return
 	}
 	if n.tracing() {
-		n.trace(EvAnnounce, nd.asn, msg.from, msg.prefix, n.paths.materialize(msg.pathID))
+		n.record(trace.KindRecv, trace.DetailNone, nd.asn, msg.from, msg.prefix, n.paths.origin[msg.pathID])
 	}
 	st := n.registerPrefix(msg.prefix)
 	g := n.slotBase[nd.idx] + msg.toSlot
@@ -646,7 +646,7 @@ func (nd *Node) receive(msg message, span uint64) {
 		effID = effectiveID(n.comms, n.lists, msg.commID, n.paths.origin[msg.pathID])
 		if !nd.admit(msg, st, effID, span) {
 			if n.tracing() {
-				n.trace(EvRejected, nd.asn, msg.from, msg.prefix, n.paths.materialize(msg.pathID))
+				n.record(trace.KindValidate, trace.DetailRejected, nd.asn, msg.from, msg.prefix, n.paths.origin[msg.pathID])
 			}
 			// Rejected as invalid: treat the bogus announcement as a no-op.
 			// Any previously accepted route from this peer is deliberately
@@ -743,7 +743,6 @@ func (nd *Node) raiseAndResolve(st *pfxState, existingID, receivedID uint32, ori
 		Span:     span,
 		Verdict:  verdict,
 	}
-	n.trace(EvAlarm, nd.asn, from, prefix, c.Path)
 	class := rpki.Classify(n.rpki.Validate(prefix, origin), verdict)
 	n.alarmClasses[class]++
 	if rec := n.recorder; rec.Enabled() {
@@ -814,11 +813,11 @@ func (nd *Node) propagate(st *pfxState) {
 	n := nd.net
 	bestG := st.bestPlus[nd.idx] - 1
 	if n.tracing() {
-		path := astypes.ASPath{}
+		detail, origin := trace.DetailWithdrawn, astypes.ASNNone
 		if bestG >= 0 {
-			path = n.paths.materialize(st.adjPath[bestG])
+			detail, origin = trace.DetailInstalled, n.paths.origin[st.adjPath[bestG]]
 		}
-		n.trace(EvBestChanged, nd.asn, astypes.ASNNone, st.prefix, path)
+		n.record(trace.KindRIB, detail, nd.asn, astypes.ASNNone, st.prefix, origin)
 	}
 	var adv outMsg
 	for s := range nd.neighbors {

@@ -1,145 +1,9 @@
 package simbgp
 
 import (
-	"fmt"
-	"time"
-
 	"repro/internal/astypes"
 	"repro/internal/trace"
 )
-
-// Event tracing: an optional hook recording every routing-plane event
-// the simulation produces, for debugging convergence dynamics and for
-// the examples' narrations. Tracing is off unless a Tracer is attached.
-
-// EventKind classifies a trace event.
-type EventKind int
-
-// Trace event kinds.
-const (
-	// EvAnnounce: a node received a route announcement.
-	EvAnnounce EventKind = iota + 1
-	// EvWithdrawMsg: a node received a withdrawal.
-	EvWithdrawMsg
-	// EvBestChanged: a node's best route for a prefix changed.
-	EvBestChanged
-	// EvAlarm: a node raised a MOAS alarm.
-	EvAlarm
-	// EvRejected: a detecting node refused an announcement.
-	EvRejected
-)
-
-func (k EventKind) String() string {
-	switch k {
-	case EvAnnounce:
-		return "announce"
-	case EvWithdrawMsg:
-		return "withdraw"
-	case EvBestChanged:
-		return "best-changed"
-	case EvAlarm:
-		return "alarm"
-	case EvRejected:
-		return "rejected"
-	default:
-		return "unknown"
-	}
-}
-
-// TraceEvent is one recorded routing event.
-type TraceEvent struct {
-	At     time.Duration // virtual time
-	Kind   EventKind
-	Node   astypes.ASN
-	Peer   astypes.ASN // message source (ASNNone for local events)
-	Prefix astypes.Prefix
-	Path   astypes.ASPath
-}
-
-// String renders the event compactly for logs.
-func (e TraceEvent) String() string {
-	return fmt.Sprintf("%8s AS%-5s %-12s %s from AS%s path [%s]",
-		e.At, e.Node, e.Kind, e.Prefix, e.Peer, e.Path)
-}
-
-// Tracer records simulation events in order. It is a bounded ring: once
-// capacity is exceeded, the oldest events are dropped (Dropped counts
-// them). The zero value is not usable; call NewTracer.
-type Tracer struct {
-	events  []TraceEvent
-	start   int
-	count   int
-	dropped int
-	// filter limits recording to matching events (nil records all).
-	filter func(TraceEvent) bool
-}
-
-// TracerOption configures a Tracer.
-type TracerOption interface {
-	apply(*Tracer)
-}
-
-type filterOption func(TraceEvent) bool
-
-func (f filterOption) apply(t *Tracer) { t.filter = f }
-
-// WithFilter records only events for which keep returns true.
-func WithFilter(keep func(TraceEvent) bool) TracerOption {
-	return filterOption(keep)
-}
-
-// NewTracer builds a tracer holding up to capacity events.
-func NewTracer(capacity int, opts ...TracerOption) *Tracer {
-	if capacity < 1 {
-		capacity = 1
-	}
-	t := &Tracer{events: make([]TraceEvent, capacity)}
-	for _, o := range opts {
-		o.apply(t)
-	}
-	return t
-}
-
-func (t *Tracer) record(e TraceEvent) {
-	if t.filter != nil && !t.filter(e) {
-		return
-	}
-	if t.count == len(t.events) {
-		t.events[t.start] = e
-		t.start = (t.start + 1) % len(t.events)
-		t.dropped++
-		return
-	}
-	t.events[(t.start+t.count)%len(t.events)] = e
-	t.count++
-}
-
-// Events returns the recorded events, oldest first.
-func (t *Tracer) Events() []TraceEvent {
-	out := make([]TraceEvent, 0, t.count)
-	for i := 0; i < t.count; i++ {
-		out = append(out, t.events[(t.start+i)%len(t.events)])
-	}
-	return out
-}
-
-// Dropped reports how many events the ring evicted.
-func (t *Tracer) Dropped() int { return t.dropped }
-
-// CountKind returns the number of recorded events of one kind.
-func (t *Tracer) CountKind(kind EventKind) int {
-	n := 0
-	for i := 0; i < t.count; i++ {
-		if t.events[(t.start+i)%len(t.events)].Kind == kind {
-			n++
-		}
-	}
-	return n
-}
-
-// Attach installs the tracer on the network (replacing any previous
-// one). Pass nil to disable tracing.
-func (n *Network) Attach(t *Tracer) { n.tracer = t }
 
 // AttachRecorder mirrors simulation events onto a flight recorder in
 // the live path's event vocabulary (replacing any previous recorder):
@@ -149,57 +13,21 @@ func (n *Network) Attach(t *Tracer) { n.tracer = t }
 // virtual simulation time. Pass nil to disable.
 func (n *Network) AttachRecorder(rec *trace.Recorder) { n.recorder = rec }
 
-// tracing reports whether any event sink is attached; propagation paths
+// tracing reports whether a recorder is attached; propagation paths
 // consult it before assembling event arguments.
-func (n *Network) tracing() bool { return n.tracer != nil || n.recorder != nil }
+func (n *Network) tracing() bool { return n.recorder != nil }
 
-func (n *Network) trace(kind EventKind, node, peer astypes.ASN, prefix astypes.Prefix, path astypes.ASPath) {
-	if n.tracer != nil {
-		n.tracer.record(TraceEvent{
-			At:     n.engine.Now(),
-			Kind:   kind,
-			Node:   node,
-			Peer:   peer,
-			Prefix: prefix,
-			Path:   path,
-		})
-	}
-	n.recordFlight(kind, node, peer, prefix, path)
-}
-
-// recordFlight translates one simulation event for the flight recorder.
-// EvAlarm is deliberately skipped: RecordAlarm in raiseAndResolve emits
-// the alarm event together with its forensic bundle.
-func (n *Network) recordFlight(kind EventKind, node, peer astypes.ASN, prefix astypes.Prefix, path astypes.ASPath) {
-	if !n.recorder.Enabled() {
-		return
-	}
-	e := trace.Event{
+// record mirrors one simulation event onto the recorder at the current
+// virtual time. origin is the route's origin AS (ASNNone when there is
+// no route).
+func (n *Network) record(kind trace.Kind, detail trace.Detail, node, peer astypes.ASN, prefix astypes.Prefix, origin astypes.ASN) {
+	n.recorder.Record(trace.Event{
 		VNanos: int64(n.engine.Now()),
+		Kind:   kind,
+		Detail: detail,
 		Node:   node,
 		Peer:   peer,
 		Prefix: prefix,
-	}
-	origin, hasOrigin := path.Origin()
-	e.Origin = origin
-	switch kind {
-	case EvAnnounce:
-		e.Kind = trace.KindRecv
-	case EvWithdrawMsg:
-		e.Kind = trace.KindRecv
-		e.Detail = trace.DetailWithdrawal
-	case EvBestChanged:
-		e.Kind = trace.KindRIB
-		if hasOrigin {
-			e.Detail = trace.DetailInstalled
-		} else {
-			e.Detail = trace.DetailWithdrawn
-		}
-	case EvRejected:
-		e.Kind = trace.KindValidate
-		e.Detail = trace.DetailRejected
-	default:
-		return
-	}
-	n.recorder.Record(e)
+		Origin: origin,
+	})
 }

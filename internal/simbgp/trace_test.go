@@ -4,32 +4,32 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/astypes"
 	"repro/internal/core"
 	"repro/internal/trace"
 )
 
 func TestTracerRecordsConvergence(t *testing.T) {
 	n := newNet(t, lineTopology(1, 2, 3), core.NewList(1))
-	tracer := NewTracer(1024)
-	n.Attach(tracer)
+	rec := trace.NewRecorder(1024, trace.WithoutWallClock())
+	n.AttachRecorder(rec)
 	if err := n.Originate(1, victim, core.List{}); err != nil {
 		t.Fatal(err)
 	}
 	if err := n.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if tracer.CountKind(EvAnnounce) == 0 || tracer.CountKind(EvBestChanged) == 0 {
-		t.Errorf("missing events: %d announces, %d best-changes",
-			tracer.CountKind(EvAnnounce), tracer.CountKind(EvBestChanged))
-	}
-	events := tracer.Events()
-	for i := 1; i < len(events); i++ {
-		if events[i].At < events[i-1].At {
-			t.Fatal("events out of virtual-time order")
+	kinds := map[trace.Kind]int{}
+	events := rec.Events()
+	for i, e := range events {
+		kinds[e.Kind]++
+		if i > 0 && e.VNanos < events[i-1].VNanos {
+			t.Fatalf("event %d out of virtual-time order: %d after %d", i, e.VNanos, events[i-1].VNanos)
 		}
 	}
-	if s := events[0].String(); !strings.Contains(s, "AS") {
+	if kinds[trace.KindRecv] == 0 || kinds[trace.KindRIB] == 0 {
+		t.Fatalf("missing events: %d recvs, %d rib changes", kinds[trace.KindRecv], kinds[trace.KindRIB])
+	}
+	if s := string(trace.AppendEventText(nil, &events[0])); !strings.Contains(s, "AS") {
 		t.Errorf("event rendering: %q", s)
 	}
 }
@@ -37,10 +37,8 @@ func TestTracerRecordsConvergence(t *testing.T) {
 func TestTracerAlarmAndRejectEvents(t *testing.T) {
 	n := newNet(t, lineTopology(1, 2, 9), core.NewList(1))
 	detectAll(t, n, 9)
-	tracer := NewTracer(1024, WithFilter(func(e TraceEvent) bool {
-		return e.Kind == EvAlarm || e.Kind == EvRejected
-	}))
-	n.Attach(tracer)
+	rec := trace.NewRecorder(1024, trace.WithoutWallClock())
+	n.AttachRecorder(rec)
 	if err := n.Originate(1, victim, core.List{}); err != nil {
 		t.Fatal(err)
 	}
@@ -50,30 +48,23 @@ func TestTracerAlarmAndRejectEvents(t *testing.T) {
 	if err := n.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if tracer.CountKind(EvAlarm) == 0 {
-		t.Error("no alarm events recorded")
-	}
-	for _, e := range tracer.Events() {
-		if e.Kind != EvAlarm && e.Kind != EvRejected {
-			t.Fatalf("filter leaked %v", e.Kind)
+	alarms, rejects := 0, 0
+	for _, e := range rec.Events() {
+		switch e.Kind {
+		case trace.KindAlarm:
+			alarms++
+		case trace.KindValidate:
+			if e.Detail != trace.DetailRejected {
+				t.Errorf("validate event with detail %v, want rejected", e.Detail)
+			}
+			rejects++
 		}
 	}
-}
-
-func TestTracerRingEviction(t *testing.T) {
-	tr := NewTracer(3)
-	for i := 0; i < 5; i++ {
-		tr.record(TraceEvent{Node: astypes.ASN(i)})
+	if alarms == 0 {
+		t.Error("no alarm events recorded")
 	}
-	events := tr.Events()
-	if len(events) != 3 || tr.Dropped() != 2 {
-		t.Fatalf("len=%d dropped=%d", len(events), tr.Dropped())
-	}
-	if events[0].Node != 2 || events[2].Node != 4 {
-		t.Errorf("ring order: %v", events)
-	}
-	if NewTracer(0) == nil {
-		t.Error("zero capacity should clamp, not fail")
+	if rejects == 0 {
+		t.Error("no rejection events recorded")
 	}
 }
 
@@ -93,10 +84,17 @@ func TestRecorderMirrorsSimulation(t *testing.T) {
 	}
 
 	kinds := map[trace.Kind]int{}
-	for _, e := range rec.Events() {
+	events := rec.Events()
+	for i, e := range events {
 		kinds[e.Kind]++
 		if e.Nanos != 0 {
 			t.Fatal("virtual-clock recorder must not stamp wall time")
+		}
+		if i > 0 && e.VNanos < events[i-1].VNanos {
+			t.Fatalf("event %d out of virtual-time order: %d after %d", i, e.VNanos, events[i-1].VNanos)
+		}
+		if e.Kind == trace.KindValidate && e.Detail != trace.DetailRejected {
+			t.Errorf("validate event with detail %v, want rejected", e.Detail)
 		}
 	}
 	if kinds[trace.KindRecv] == 0 || kinds[trace.KindRIB] == 0 {
@@ -127,7 +125,7 @@ func TestRecorderMirrorsSimulation(t *testing.T) {
 		t.Errorf("offending path %v must end at origin %d", b.Path, b.Origin)
 	}
 
-	// Reset must detach the recorder along with the tracer.
+	// Reset must detach the recorder.
 	if err := n.Reset(Config{Topology: n.topo}); err != nil {
 		t.Fatal(err)
 	}

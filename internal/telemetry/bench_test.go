@@ -7,8 +7,7 @@ import (
 
 // BenchmarkTelemetryHotPath measures the full per-update cost the
 // speaker's hot path pays: one counter increment plus one histogram
-// observation. `make bench` records the result in BENCH_telemetry.json
-// as the start of the perf trajectory.
+// observation.
 func BenchmarkTelemetryHotPath(b *testing.B) {
 	r := NewRegistry("bench")
 	c := r.Counter("updates_total", "")

@@ -8,9 +8,8 @@ import (
 
 // The Baseline benchmarks exercise the allocating compatibility APIs
 // (Encode/Decode allocate the frame and the decoded message afresh);
-// their non-baseline twins exercise the pooled/scratch hot path. The
-// pairs are what BENCH_hotpath.json compares — the allocs/op delta is
-// the tentpole's acceptance criterion.
+// their non-baseline twins exercise the pooled/scratch hot path. Run
+// each pair with -benchmem: the allocs/op delta is what pooling buys.
 
 func BenchmarkWireEncodeBaseline(b *testing.B) {
 	u := moasUpdate()

@@ -8,9 +8,8 @@ import (
 	"repro"
 )
 
-// TestFacadeSimulationEndToEnd drives the whole public API the way the
-// quickstart does: build a topology, run a hijack with detection, check
-// the census.
+// TestFacadeSimulationEndToEnd drives the simulation facade: build a
+// topology, run a hijack with detection, check the census.
 func TestFacadeSimulationEndToEnd(t *testing.T) {
 	g := repro.NewGraph()
 	g.AddEdge(1, 2)
