@@ -12,7 +12,7 @@ FUZZ_TARGETS := \
 	./internal/mrt/rislive:FuzzRISLiveJSON
 FUZZTIME ?= 10s
 
-.PHONY: build test vet vet-test vet-json vet-annotations race e2e bench-smoke bench-test fuzz-smoke check
+.PHONY: build test vet race e2e bench-smoke bench-test fuzz-smoke check
 
 build:
 	$(GO) build ./...
@@ -20,31 +20,9 @@ build:
 test:
 	$(GO) test ./...
 
-## vet: stock go vet plus the repo's own analyzers (cmd/repro-vet).
-## The multichecker runs under a 60s budget: all three analyzers over
-## the full tree take a few seconds, so hitting the budget means an
-## analyzer regressed into pathological behavior.
+## vet: stock go vet over the whole tree.
 vet:
 	$(GO) vet ./...
-	timeout 60 $(GO) run ./cmd/repro-vet ./...
-
-## vet-test: the analyzers' own fixture tests and the driver's exit-code
-## regression tests.
-vet-test:
-	$(GO) test ./internal/analysis/... ./cmd/repro-vet
-
-## vet-json: machine-readable findings (one JSON object per line) for
-## the CI artifact; the target itself never fails so the artifact is
-## produced even when there are findings.
-vet-json:
-	$(GO) run ./cmd/repro-vet -json ./... > repro-vet.json; \
-		code=$$?; echo "repro-vet exit $$code, $$(wc -l < repro-vet.json) finding(s)"; \
-		test $$code -ne 2
-
-## vet-annotations: every //repro:vet ignore suppression in the real
-## tree (fixtures excluded), so suppression drift shows up in review.
-vet-annotations:
-	@grep -rnE --include='*.go' '^\s*//repro:vet ignore' internal cmd | grep -v testdata || true
 
 ## race: the full test suite under the race detector.
 race:
@@ -80,4 +58,4 @@ fuzz-smoke:
 	done
 
 ## check: the full verification gate CI runs on every PR.
-check: build vet vet-test test race e2e bench-smoke bench-test fuzz-smoke
+check: build vet test race e2e bench-smoke bench-test fuzz-smoke

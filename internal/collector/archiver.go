@@ -156,8 +156,10 @@ func (a *Archiver) checkSnapshot(d *routegen.Dump) {
 	if a.onAlarm == nil {
 		return
 	}
-	alarms := a.monitor.Alarms()
+	// Read the alarm log and advance seen in one critical section:
+	// concurrent snapshots each take only the alarms the other has not.
 	a.mu.Lock()
+	alarms := a.monitor.Alarms()
 	fresh := alarms[a.seen:]
 	a.seen = len(alarms)
 	a.mu.Unlock()

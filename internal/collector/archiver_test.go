@@ -6,6 +6,8 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -113,6 +115,52 @@ func TestArchiverPeriodicAndMonitor(t *testing.T) {
 	}
 	if len(arch.Written()) == 0 {
 		t.Error("no snapshots written")
+	}
+}
+
+// TestArchiverConcurrentSnapshotsReportEachAlarmOnce: overlapping
+// SnapshotNow calls share one alarm cursor, so every monitor alarm
+// reaches onAlarm exactly once, however the snapshots interleave.
+func TestArchiverConcurrentSnapshotsReportEachAlarmOnce(t *testing.T) {
+	c := newCollector(t)
+	origin := newPeerSpeaker(t, 4)
+	attacker := newPeerSpeaker(t, 52)
+	peerWithCollector(t, c, origin)
+	peerWithCollector(t, c, attacker)
+	origin.Originate(prefix, core.List{})
+	attacker.Originate(prefix, core.List{})
+	waitFor(t, func() bool {
+		return len(c.RoutesFrom(4)) == 1 && len(c.RoutesFrom(52)) == 1
+	}, "both routes archived")
+
+	mon := monitor.New()
+	var delivered atomic.Int64
+	arch, err := NewArchiver(c, t.TempDir(), time.Hour,
+		WithMonitor(mon, func(monitor.Alarm) { delivered.Add(1) }))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer arch.Close()
+	var wg sync.WaitGroup
+	for range 8 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range 100 {
+				if _, err := arch.SnapshotNow(); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	want := int64(len(mon.Alarms()))
+	if want == 0 {
+		t.Fatal("the two-origin snapshots raised no alarm")
+	}
+	if got := delivered.Load(); got != want {
+		t.Errorf("onAlarm ran %d times for %d monitor alarms", got, want)
 	}
 }
 

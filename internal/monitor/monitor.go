@@ -74,11 +74,7 @@ type Monitor struct {
 // monitorMetrics is the monitor's instrumentation (WithTelemetry).
 type monitorMetrics struct {
 	entries *telemetry.Counter
-	// alarms is labeled by prefix: operators watch which prefixes are
-	// in conflict, not just how many alarms fired. The label space is
-	// bounded by the number of conflicting prefixes, which the paper
-	// measures in the tens per day, not the table size.
-	alarms *telemetry.CounterVec
+	alarms  *telemetry.Counter
 	// cases tracks prefixes currently visible with more than one origin.
 	cases *telemetry.Gauge
 	// classes counts alarms by ROV-crossed class, the paper evaluation's
@@ -90,8 +86,8 @@ func newMonitorMetrics(r *telemetry.Registry) *monitorMetrics {
 	return &monitorMetrics{
 		entries: r.Counter("monitor_entries_total",
 			"Routing-table entries ingested across all vantages."),
-		alarms: r.CounterVec("monitor_alarms_total",
-			"MOAS-list alarms raised, by conflicting prefix.", "prefix"),
+		alarms: r.Counter("monitor_alarms_total",
+			"MOAS-list alarms raised."),
 		cases: r.Gauge("monitor_moas_cases",
 			"Prefixes currently visible with more than one origin AS."),
 		classes: r.CounterVec("monitor_alarm_class_total",
@@ -133,8 +129,8 @@ type telemetryOption struct{ r *telemetry.Registry }
 
 func (o telemetryOption) apply(m *Monitor) { m.met = newMonitorMetrics(o.r) }
 
-// WithTelemetry mirrors entry counts, per-prefix alarm counts, and the
-// live MOAS-case count onto r.
+// WithTelemetry mirrors entry and alarm counts, alarms by class, and
+// the live MOAS-case count onto r.
 func WithTelemetry(r *telemetry.Registry) Option {
 	return telemetryOption{r: r}
 }
@@ -239,7 +235,7 @@ func (m *Monitor) observe(vantage string, prefix astypes.Prefix, path astypes.AS
 	if conflict != nil {
 		m.alarms = append(m.alarms, Alarm{Conflict: *conflict, Vantage: vantage, Class: class})
 		if m.met != nil {
-			m.met.alarms.With(prefix.String()).Inc()
+			m.met.alarms.Inc()
 			m.met.classes.With(class.String()).Inc()
 		}
 	}

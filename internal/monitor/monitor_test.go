@@ -1,13 +1,17 @@
 package monitor
 
 import (
+	"bytes"
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/astypes"
 	"repro/internal/core"
 	"repro/internal/dnsval"
 	"repro/internal/routegen"
+	"repro/internal/telemetry"
 	"repro/internal/trace"
 	"repro/internal/wire"
 )
@@ -200,5 +204,36 @@ func TestMonitorWithTrace(t *testing.T) {
 	}
 	if !reflect.DeepEqual(b.Path, []uint32{1239, 52}) {
 		t.Errorf("offending path = %v", b.Path)
+	}
+}
+
+// TestAlarmsMetricIsOneSeries: the alarm counter is one series whatever
+// the number of conflicting prefixes; per-prefix detail lives in the
+// alarms and their forensic bundles, not in the metric's label space.
+func TestAlarmsMetricIsOneSeries(t *testing.T) {
+	reg := telemetry.NewRegistry("moas")
+	m := New(WithTelemetry(reg))
+	const prefixes = 1000
+	for i := range prefixes {
+		p := astypes.MustPrefix(0x0a000000|uint32(i)<<8, 24)
+		m.ObserveEntry("rv-a", p, astypes.NewSeqPath(701, 4), nil)
+		m.ObserveEntry("rv-b", p, astypes.NewSeqPath(1239, 52), nil)
+	}
+	if got := len(m.Alarms()); got != prefixes {
+		t.Fatalf("alarms = %d, want %d", got, prefixes)
+	}
+	var buf bytes.Buffer
+	if err := telemetry.WritePrometheus(&buf, reg); err != nil {
+		t.Fatal(err)
+	}
+	var series []string
+	for _, line := range strings.Split(buf.String(), "\n") {
+		if strings.HasPrefix(line, "moas_monitor_alarms_total") {
+			series = append(series, line)
+		}
+	}
+	if want := fmt.Sprintf("moas_monitor_alarms_total %d", prefixes); len(series) != 1 || series[0] != want {
+		t.Errorf("exposition has %d monitor_alarms_total series, first %q; want only %q",
+			len(series), series[:min(len(series), 2)], want)
 	}
 }

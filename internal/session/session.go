@@ -327,7 +327,6 @@ func (s *Session) setState(st State) {
 // Callers must hold writeMu.
 func (s *Session) writeLocked(m wire.Message) error {
 	if err := s.bw.WriteMessage(m); err != nil {
-		//repro:vet ignore wireerr -- every caller wraps with peer and message context
 		return err
 	}
 	return s.bw.Flush()
@@ -406,7 +405,6 @@ func (s *Session) sendNotification(code, sub uint8) {
 	_ = s.conn.SetWriteDeadline(time.Now().Add(200 * time.Millisecond))
 	s.writeMu.Lock()
 	defer s.writeMu.Unlock()
-	//repro:vet ignore wireerr -- best-effort teardown write; the session is already coming down
 	if err := s.writeLocked(&wire.Notification{Code: code, Subcode: sub}); err == nil {
 		s.met.sentMsg(wire.MsgNotification)
 	}

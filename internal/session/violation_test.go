@@ -88,6 +88,26 @@ func TestOpenInEstablishedIsFatal(t *testing.T) {
 	}
 }
 
+// TestMalformedOpenKeepsMessageError: a handshake that fails on the
+// peer's OPEN wraps the codec's *wire.MessageError, so the caller can
+// still read the NOTIFICATION code and subcode it calls for.
+func TestMalformedOpenKeepsMessageError(t *testing.T) {
+	ca, cb := net.Pipe()
+	defer cb.Close()
+	go func() {
+		if _, err := wire.ReadMessage(cb); err != nil {
+			return
+		}
+		// Version 3 decodes to an OPEN error (unsupported version).
+		_ = wire.WriteMessage(cb, &wire.Open{Version: 3, AS: 2, HoldTime: 90, BGPID: 2})
+	}()
+	_, err := Establish(ca, Config{LocalAS: 1, Handler: newCollector()})
+	var me *wire.MessageError
+	if !errors.As(err, &me) || me.Code != wire.ErrCodeOpen || me.Subcode != wire.SubUnsupportedVersion {
+		t.Fatalf("Establish error = %v, want a wrapped unsupported-version MessageError", err)
+	}
+}
+
 type asyncMsg struct {
 	msg wire.Message
 	err error

@@ -44,7 +44,7 @@ func TestForgedPathEvadesMOASDetection(t *testing.T) {
 	// No MOAS alarm anywhere: the forged announcement's implicit list
 	// {1} matches the valid one.
 	for _, asn := range n.Nodes() {
-		if got := len(n.Node(asn).Alarms()); got != 0 {
+		if got := n.Node(asn).AlarmCount(); got != 0 {
 			t.Errorf("AS %s alarmed (%d) — forged-path attacks should be invisible to MOAS checking", asn, got)
 		}
 	}

@@ -135,7 +135,7 @@ func TestDetectionConservation(t *testing.T) {
 		// resolved the conflict: it must not end on the false route.
 		for _, asn := range net.Nodes() {
 			node := net.Node(asn)
-			if node.Attacker() || len(node.Alarms()) == 0 {
+			if node.Attacker() || node.AlarmCount() == 0 {
 				continue
 			}
 			if node.AdoptsFalse(victim, valid) {

@@ -171,7 +171,7 @@ func TestDeliveryAllocsZero(t *testing.T) {
 	// the already resolved victim is filtered by the resolved origin set.
 	n, valid, multi := detectStar(t)
 	nd2 := n.Node(2)
-	alarms := len(nd2.alarms)
+	alarms := nd2.alarms
 	st, _ := n.stateOf(multi)
 	legit := message{from: 1, prefix: multi}
 	held := n.slotBase[nd2.idx] + int32(nd2.slotOf(1))
@@ -194,7 +194,7 @@ func TestDeliveryAllocsZero(t *testing.T) {
 	if allocs := testing.AllocsPerRun(200, replay); allocs != 0 {
 		t.Errorf("detect-mode delivery allocates %v per replay, want 0", allocs)
 	}
-	if got := len(nd2.alarms); got != alarms {
+	if got := nd2.alarms; got != alarms {
 		t.Errorf("replays raised %d new alarms; the resolved set should filter them", got-alarms)
 	}
 	if best := nd2.Best(victim); best == nil || !valid.Contains(best.OriginAS()) {
@@ -234,7 +234,7 @@ func detectStar(t *testing.T) (n *Network, valid core.List, multi astypes.Prefix
 	if err := n.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if got := len(n.Node(2).alarms); got != 1 {
+	if got := n.Node(2).alarms; got != 1 {
 		t.Fatalf("AS 2 raised %d alarms, want 1", got)
 	}
 	return n, valid, multi

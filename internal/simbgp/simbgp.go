@@ -306,7 +306,7 @@ func (n *Network) Reset(cfg Config) error {
 		nd := &n.nodes[i]
 		nd.attacker = false
 		nd.stripMOAS = false
-		nd.alarms = nil
+		nd.alarms = 0
 		clear(nd.neighborDown)
 	}
 	n.applyConfig(cfg)
@@ -511,7 +511,8 @@ type Node struct {
 	neighbors    []astypes.ASN
 	neighborIdx  []int32
 	neighborDown []bool
-	alarms       []core.Conflict
+	// alarms counts the MOAS conflicts this node has raised.
+	alarms int
 	// mraiInterval is the configured MinRouteAdvertisementInterval
 	// (zero = disabled); mrai is its timer state, created lazily on the
 	// first deferred advertisement.
@@ -528,16 +529,8 @@ func (nd *Node) Mode() Mode { return nd.mode }
 // Attacker reports whether the node has originated an invalid route.
 func (nd *Node) Attacker() bool { return nd.attacker }
 
-// Alarms returns the MOAS conflicts this node has raised, in order.
-func (nd *Node) Alarms() []core.Conflict {
-	out := make([]core.Conflict, len(nd.alarms))
-	copy(out, nd.alarms)
-	return out
-}
-
-// AlarmCount returns the number of MOAS conflicts the node has raised,
-// without copying them out.
-func (nd *Node) AlarmCount() int { return len(nd.alarms) }
+// AlarmCount returns the number of MOAS conflicts the node has raised.
+func (nd *Node) AlarmCount() int { return nd.alarms }
 
 // Best returns the node's selected route for prefix, or nil. The Route
 // is materialized fresh from the interned state, so callers own it.
@@ -719,39 +712,39 @@ func (nd *Node) admit(msg message, st *pfxState, effID uint32, span uint64) bool
 	return true
 }
 
-// raiseAndResolve materializes and records one alarm, then consults the
-// resolver, caching the answer in the prefix's resolved table. Alarms
-// are rare, so this is the one detection path that touches real List
-// and ASPath values.
+// raiseAndResolve counts and classifies one alarm, records its bundle
+// when a recorder is attached, then consults the resolver, caching the
+// answer in the prefix's resolved table. Only a recorded alarm touches
+// real List and ASPath values.
 func (nd *Node) raiseAndResolve(st *pfxState, existingID, receivedID uint32, origin, from astypes.ASN, pathID uint32, verdict core.Verdict, span uint64) {
 	n := nd.net
 	prefix := st.prefix
-	var existing, received core.List
-	if existingID != 0 {
-		existing = n.lists.listOf(existingID)
-	}
-	if receivedID != 0 {
-		received = n.lists.listOf(receivedID)
-	}
-	c := core.Conflict{
-		Prefix:   prefix,
-		Existing: existing,
-		Received: received,
-		Origin:   origin,
-		FromPeer: from,
-		Path:     n.paths.materialize(pathID),
-		Span:     span,
-		Verdict:  verdict,
-	}
 	class := rpki.Classify(n.rpki.Validate(prefix, origin), verdict)
 	n.alarmClasses[class]++
+	nd.alarms++
 	if rec := n.recorder; rec.Enabled() {
+		var existing, received core.List
+		if existingID != 0 {
+			existing = n.lists.listOf(existingID)
+		}
+		if receivedID != 0 {
+			received = n.lists.listOf(receivedID)
+		}
+		c := core.Conflict{
+			Prefix:   prefix,
+			Existing: existing,
+			Received: received,
+			Origin:   origin,
+			FromPeer: from,
+			Path:     n.paths.materialize(pathID),
+			Span:     span,
+			Verdict:  verdict,
+		}
 		b := trace.ConflictBundle(&c, class.String())
 		b.Node = uint32(nd.asn)
 		b.VNanos = int64(n.engine.Now())
 		rec.RecordAlarm(prefix, b)
 	}
-	nd.alarms = append(nd.alarms, c)
 	if n.resolver == nil {
 		return
 	}
@@ -952,7 +945,7 @@ func (n *Network) TakeCensus(prefix astypes.Prefix, valid core.List) Census {
 		case !valid.Contains(n.paths.origin[st.adjPath[b]]):
 			c.AdoptedFalse++
 		}
-		if len(node.alarms) > 0 {
+		if node.alarms > 0 {
 			c.AlarmedNodes++
 		}
 	}
@@ -978,7 +971,7 @@ func (n *Network) TakeForwardingCensus(prefix astypes.Prefix, valid core.List) C
 		case outcomeHijacked:
 			c.AdoptedFalse++
 		}
-		if len(node.alarms) > 0 {
+		if node.alarms > 0 {
 			c.AlarmedNodes++
 		}
 	}

@@ -160,7 +160,7 @@ func TestHijackContainedByDetection(t *testing.T) {
 		t.Error("no node raised an alarm")
 	}
 	// The attacker's direct neighbor must have detected it.
-	if len(n.Node(4).Alarms()) == 0 {
+	if n.Node(4).AlarmCount() == 0 {
 		t.Error("AS 4 (attacker's neighbor) saw no conflict")
 	}
 }
@@ -183,7 +183,7 @@ func TestValidMOASNoFalseAlarms(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, asn := range n.Nodes() {
-		if got := len(n.Node(asn).Alarms()); got != 0 {
+		if got := n.Node(asn).AlarmCount(); got != 0 {
 			t.Errorf("AS %s raised %d false alarm(s)", asn, got)
 		}
 		if n.Node(asn).Best(victim) == nil {
@@ -220,7 +220,7 @@ func TestForgedSupersetListDetected(t *testing.T) {
 	if census.AdoptedFalse != 0 {
 		t.Errorf("forged superset list adopted by %d nodes", census.AdoptedFalse)
 	}
-	if len(n.Node(4).Alarms()) == 0 {
+	if n.Node(4).AlarmCount() == 0 {
 		t.Error("AS 4 did not alarm on the forged list")
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/astypes"
+	"repro/internal/wire"
 )
 
 // TestListenCloseRace hammers the Listen/Close window: the accept
@@ -80,5 +81,47 @@ func TestCloseWaitsForOnPeerDown(t *testing.T) {
 	}
 	if !finished.Load() {
 		t.Fatal("Close returned before OnPeerDown finished")
+	}
+}
+
+// TestAdvertisedToWhilePropagating reads a peer's Adj-RIB-Out while
+// routes propagate to it: AdvertisedTo must take mu, which every write
+// to peers and to a peer's advertised map holds. Run under -race.
+func TestAdvertisedToWhilePropagating(t *testing.T) {
+	s, err := New(Config{AS: 100, RouterID: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+	var heard atomic.Int64
+	dialRaw(t, s, 20, func(u *wire.Update) { heard.Add(int64(len(u.NLRI))) })
+	a := dialRaw(t, s, 10, nil)
+
+	stop, stopped := make(chan struct{}), make(chan struct{})
+	var polls atomic.Int64
+	go func() {
+		defer close(stopped)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			s.AdvertisedTo(20)
+			polls.Add(1)
+		}
+	}()
+	t.Cleanup(func() {
+		close(stop)
+		<-stopped
+	})
+	prefixes := slash24s(10, 2000)
+	announceAll(t, a, astypes.NewSeqPath(10), prefixes)
+	waitFor(t, func() bool { return heard.Load() == int64(len(prefixes)) }, "%d routes at AS 20", len(prefixes))
+	if polls.Load() == 0 {
+		t.Fatal("AdvertisedTo never ran during propagation")
+	}
+	if got := len(s.AdvertisedTo(20)); got != len(prefixes) {
+		t.Errorf("AdvertisedTo(20) lists %d prefixes, want %d", got, len(prefixes))
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/astypes"
 	"repro/internal/core"
@@ -31,6 +32,13 @@ func (rawHandler) HandleDown(astypes.ASN, error) {}
 func dialRaw(t *testing.T, s *Speaker, asn astypes.ASN, onUpdate func(*wire.Update)) *session.Session {
 	t.Helper()
 	near, far := net.Pipe()
+	return peerRaw(t, s, near, far, asn, onUpdate)
+}
+
+// peerRaw is dialRaw over a given connection pair: the speaker gets
+// near, the hand-driven session far.
+func peerRaw(t *testing.T, s *Speaker, near, far net.Conn, asn astypes.ASN, onUpdate func(*wire.Update)) *session.Session {
+	t.Helper()
 	type established struct {
 		sess *session.Session
 		err  error
@@ -145,9 +153,29 @@ func TestPurgeWithdrawsOnlyTheForgedRoute(t *testing.T) {
 	}
 }
 
+// heldCloseConn closes at once, but holds its first Close caller until
+// gate is closed, so that caller's goroutine stays in flight. The first
+// caller is claimed before the close takes effect, so a reader woken by
+// that close is never the one held.
+type heldCloseConn struct {
+	net.Conn
+	gate   chan struct{}
+	closed atomic.Bool
+}
+
+func (c *heldCloseConn) Close() error {
+	first := c.closed.CompareAndSwap(false, true)
+	err := c.Conn.Close()
+	if first {
+		<-c.gate
+	}
+	return err
+}
+
 // TestSendQueueOverflowTearsPeerDownOnce: when a peer stops reading and
 // a burst of withdrawals overflows its send queue, the speaker closes
-// that session once, not once per overflowing update.
+// that session once, not once per overflowing update, and Close waits
+// for that teardown to finish.
 func TestSendQueueOverflowTearsPeerDownOnce(t *testing.T) {
 	var downMu sync.Mutex
 	downs := map[astypes.ASN]int{}
@@ -164,7 +192,12 @@ func TestSendQueueOverflowTearsPeerDownOnce(t *testing.T) {
 	var heard atomic.Int64
 	var stall atomic.Bool
 	release := make(chan struct{})
-	dialRaw(t, s, 20, func(u *wire.Update) {
+	// Only the teardown goroutine closes B's conn while B is stalled, so
+	// it is the caller heldCloseConn keeps until gate opens.
+	near, far := net.Pipe()
+	held := &heldCloseConn{Conn: near, gate: make(chan struct{})}
+	openGate := sync.OnceFunc(func() { close(held.gate) })
+	peerRaw(t, s, held, far, 20, func(u *wire.Update) {
 		if stall.Load() {
 			<-release
 		}
@@ -172,6 +205,7 @@ func TestSendQueueOverflowTearsPeerDownOnce(t *testing.T) {
 	})
 	t.Cleanup(func() { close(release) }) // before B's session Close waits for its reader
 	a := dialRaw(t, s, 10, nil)
+	t.Cleanup(openGate) // runs before the Close cleanups registered above
 
 	// A's table, one UPDATE at a time, so no queue holds more than one
 	// UPDATE's worth while B still reads.
@@ -191,7 +225,25 @@ func TestSendQueueOverflowTearsPeerDownOnce(t *testing.T) {
 		defer downMu.Unlock()
 		return downs[10] == 1 && downs[20] == 1
 	}, "both peers down")
-	s.Close() // waits for every teardown goroutine and OnPeerDown call
+
+	// B is down, but its teardown is still in flight: Close must wait
+	// for it, as for every goroutine the speaker starts.
+	closed := make(chan struct{})
+	go func() {
+		s.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+		t.Fatal("Close returned while a peer teardown was still running")
+	case <-time.After(50 * time.Millisecond):
+	}
+	openGate()
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close did not return after the teardown finished")
+	}
 
 	if got := s.met.teardowns.Value(); got != 1 {
 		t.Errorf("speaker_peer_teardowns_total = %d, want 1", got)

@@ -449,3 +449,36 @@ func TestRecordAlarmAllocsIndependentOfMatches(t *testing.T) {
 		t.Errorf("RecordAlarm allocates %v beyond timeline growth with 2 matching slots, %v with 1002", few, many)
 	}
 }
+
+// TestAlarmsWhileRecording reads the retained bundles while alarms are
+// raised and the oldest evicted: Alarms must take alarmMu, which
+// RecordAlarm holds while it appends and evicts. Run under -race.
+func TestAlarmsWhileRecording(t *testing.T) {
+	const raised, kept = 500, 8
+	r := NewRecorder(256, WithoutWallClock(), WithMaxAlarms(kept))
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		b := AlarmBundle{Verdict: "conflict", Origin: 9, Existing: []uint32{1}, Received: []uint32{9}}
+		for range raised {
+			r.RecordAlarm(testPrefix, b)
+		}
+	}()
+	for running := true; running; {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+		for _, b := range r.Alarms() {
+			if b.Prefix != testPrefix.String() {
+				t.Fatalf("read a torn bundle: %+v", b)
+			}
+		}
+	}
+	alarms := r.Alarms()
+	if len(alarms) != kept || alarms[kept-1].ID != raised-1 {
+		t.Errorf("retained %d bundles ending at ID %d, want %d ending at %d",
+			len(alarms), alarms[len(alarms)-1].ID, kept, raised-1)
+	}
+}
