@@ -20,18 +20,20 @@ build:
 test:
 	$(GO) test ./...
 
-## vet: stock go vet over the whole tree.
+## vet: stock go vet over the whole tree, and over the nested benchmark
+## module, which ./... does not reach.
 vet:
 	$(GO) vet ./...
+	$(GO) vet -C benchmark .
 
 ## race: the full test suite under the race detector.
 race:
 	$(GO) test -race ./...
 
-## e2e: the loopback observability scenario plus the telemetry suite,
-## under the race detector.
+## e2e: the loopback observability scenario plus the telemetry and
+## operator-surface suites, under the race detector.
 e2e:
-	$(GO) test -race ./internal/telemetry/... ./internal/e2etest/...
+	$(GO) test -race ./internal/telemetry/... ./internal/obs/... ./internal/e2etest/...
 
 ## bench-smoke: one-iteration run of every hot-path and evaluation
 ## benchmark so they can't silently rot; part of check (and so CI).

@@ -18,9 +18,9 @@ import (
 	"fmt"
 	"log"
 	"net"
-	"net/http"
 	"os"
 	"os/signal"
+	"sync"
 	"syscall"
 	"time"
 
@@ -42,7 +42,7 @@ func main() {
 		dir         = flag.String("dir", "dumps", "snapshot output directory")
 		interval    = flag.Duration("interval", time.Minute, "snapshot interval")
 		check       = flag.Bool("check", false, "run the off-line MOAS monitor on every snapshot")
-		metricsAddr = flag.String("metrics-addr", "", "admin endpoint address serving /metrics and /healthz")
+		metricsAddr = flag.String("metrics-addr", "", "admin endpoint address serving /metrics, /healthz, /readyz, /debug/status and /debug/runtime")
 		traceEvents = flag.Int("trace-events", 0, "flight-recorder ring size; nonzero serves /debug/trace and /debug/alarms on the admin endpoint")
 		pprof       = flag.Bool("pprof", false, "mount net/http/pprof on the admin endpoint")
 		mrtReplay   = flag.String("mrt-replay", "", "MRT file (raw, .gz or .bz2) to replay through the RIB and monitor at startup")
@@ -145,59 +145,27 @@ func run(ctx context.Context, cfg runConfig) error {
 
 	// Any ROA source turns on RPKI/ROV cross-validation: monitor alarms
 	// then carry a benign-moas / likely-misconfig / likely-hijack class.
-	var roaStore *rpki.Store
-	if cfg.roaFile != "" || cfg.rtrAddr != "" {
-		roaStore = rpki.NewStore()
-		if cfg.roaFile != "" {
-			roas, err := rpki.ParseFile(cfg.roaFile)
-			if err != nil {
-				return err
-			}
-			for _, r := range roas {
-				roaStore.Add(r)
-			}
-			log.Printf("moas-collector: loaded %d ROAs from %s", roaStore.Len(), cfg.roaFile)
-		}
+	roaStore, rtr, err := rpki.Open(cfg.roaFile, nil, rpki.ClientConfig{Addr: cfg.rtrAddr, Registry: reg})
+	if err != nil {
+		return err
 	}
-	var rtr *rpki.Client
-	if cfg.rtrAddr != "" {
-		var err error
-		rtr, err = rpki.NewClient(rpki.ClientConfig{
-			Addr:     cfg.rtrAddr,
-			Store:    roaStore,
-			Registry: reg,
-		})
-		if err != nil {
-			return err
-		}
+	if cfg.roaFile != "" {
+		log.Printf("moas-collector: loaded %d ROAs from %s", roaStore.Len(), cfg.roaFile)
+	}
+	if rtr != nil {
 		// Alarm classes are not trustworthy until the first sync lands.
 		ready.Register("rtr", telemetry.NotSynced(rtr.Synced, "cache not synced"))
 	}
 
 	if cfg.metricsAddr != "" {
-		sampler := obs.NewSampler(0, 0)
-		sampler.Start()
-		defer sampler.Close()
-		adminCfg := telemetry.AdminConfig{
+		admin, err := obs.Serve(cfg.metricsAddr, obs.SurfaceConfig{
 			Registry: reg,
-			Pprof:    cfg.pprof,
-			Ready:    ready.Check,
-			Debug:    make(map[string]http.Handler),
-		}
-		if rec != nil {
-			for pattern, h := range trace.Routes(rec) {
-				adminCfg.Debug[pattern] = h
-			}
-		}
-		adminCfg.Debug["/debug/status"] = obs.NewStatusHandler(obs.StatusConfig{
-			Registry: reg,
+			Ready:    ready,
 			Stages:   obsRec,
-			Runtime:  sampler,
+			Trace:    rec,
 			Replay:   replay,
-			Ready:    ready.Check,
+			Pprof:    cfg.pprof,
 		})
-		adminCfg.Debug["/debug/runtime"] = sampler
-		admin, err := telemetry.ServeAdmin(cfg.metricsAddr, adminCfg)
 		if err != nil {
 			return err
 		}
@@ -231,17 +199,32 @@ func run(ctx context.Context, cfg runConfig) error {
 		}
 	}
 
+	// Every goroutine started below is joined before run returns, and
+	// so before the deferred c.Close: the RIS-Live consumer injects into
+	// the collector until the stage closes its channel.
+	var wg sync.WaitGroup
+	defer func() {
+		cancel()
+		wg.Wait()
+	}()
 	if rtr != nil {
-		go rtr.Run(ctx)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rtr.Run(ctx)
+		}()
 		log.Printf("moas-collector: syncing ROAs from RTR cache %s", cfg.rtrAddr)
 	}
 	if stage != nil {
+		wg.Add(2)
 		go func() {
+			defer wg.Done()
 			if err := stage.Run(ctx); err != nil && ctx.Err() == nil {
 				log.Printf("moas-collector: ris-live stream: %v", err)
 			}
 		}()
 		go func() {
+			defer wg.Done()
 			for ev := range stage.Events() {
 				// The channel hop is this path's session stage: the time
 				// the event waited for the consumer.

@@ -25,6 +25,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dnsval"
 	"repro/internal/monitor"
+	"repro/internal/obs"
 	"repro/internal/rpki"
 	"repro/internal/telemetry"
 )
@@ -32,7 +33,7 @@ import (
 func main() {
 	var (
 		moasrr      = flag.String("moasrr", "", "MOASRR database file (prefix=asn,asn lines)")
-		metricsAddr = flag.String("metrics-addr", "", "serve /metrics with the run's counters after processing, until interrupted")
+		metricsAddr = flag.String("metrics-addr", "", "after processing, serve the run's admin endpoint (/metrics, /healthz, /readyz, /debug/status, /debug/runtime) until interrupted")
 		verbose     = flag.Bool("v", false, "also list every alarm")
 		roaFile     = flag.String("roa-file", "", "ROA file (prefix=origin[@maxlen],...) cross-validating alarms against the RPKI")
 		rtrAddr     = flag.String("rtr-addr", "", "RTR-style cache server to pull ROAs from before processing")
@@ -120,7 +121,7 @@ func run(moasrrPath, metricsAddr, roaFile, rtrAddr string, verbose bool, dumps [
 	if metricsAddr != "" {
 		// Batch tool: the scrape endpoint exposes this run's counters
 		// for collection, then the process waits for an interrupt.
-		admin, err := telemetry.ServeAdmin(metricsAddr, telemetry.AdminConfig{Registry: reg})
+		admin, err := obs.Serve(metricsAddr, obs.SurfaceConfig{Registry: reg})
 		if err != nil {
 			return err
 		}
@@ -159,24 +160,11 @@ func replayDumps(m *monitor.Monitor, dumps []string) error {
 // sync, then disconnect — the dumps are then judged against that
 // snapshot.
 func loadROAs(roaFile, rtrAddr string, reg *telemetry.Registry) (*rpki.Store, error) {
-	if roaFile == "" && rtrAddr == "" {
-		return nil, nil
+	store, client, err := rpki.Open(roaFile, nil, rpki.ClientConfig{Addr: rtrAddr, Registry: reg})
+	if err != nil {
+		return nil, err
 	}
-	store := rpki.NewStore()
-	if roaFile != "" {
-		roas, err := rpki.ParseFile(roaFile)
-		if err != nil {
-			return nil, err
-		}
-		for _, r := range roas {
-			store.Add(r)
-		}
-	}
-	if rtrAddr != "" {
-		client, err := rpki.NewClient(rpki.ClientConfig{Addr: rtrAddr, Store: store, Registry: reg})
-		if err != nil {
-			return nil, err
-		}
+	if client != nil {
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 		defer cancel()
 		done := make(chan struct{})
@@ -186,6 +174,7 @@ func loadROAs(roaFile, rtrAddr string, reg *telemetry.Registry) (*rpki.Store, er
 		}()
 		for !client.Synced() {
 			if ctx.Err() != nil {
+				<-done
 				return nil, fmt.Errorf("rtr cache %s: no full sync within 30s", rtrAddr)
 			}
 			time.Sleep(10 * time.Millisecond)

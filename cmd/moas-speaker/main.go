@@ -34,7 +34,7 @@ import (
 func main() {
 	var (
 		configPath  = flag.String("config", "", "path to the JSON configuration (required)")
-		metricsAddr = flag.String("metrics-addr", "", "admin endpoint address serving /metrics, /healthz and /debug/mib (overrides metricsAddr in the config)")
+		metricsAddr = flag.String("metrics-addr", "", "admin endpoint address serving /metrics, /healthz, /readyz, /debug/status, /debug/runtime and /debug/mib (overrides metricsAddr in the config)")
 		verbose     = flag.Bool("v", false, "log every MOAS alarm")
 	)
 	flag.Parse()

@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"net/http"
 	"os"
 	"sync"
 	"time"
@@ -39,9 +38,9 @@ type Config struct {
 	HoldTimeSeconds int `json:"holdTimeSeconds"`
 	// Listen addresses accept inbound peerings ("host:port").
 	Listen []string `json:"listen"`
-	// MetricsAddr, if set, serves the admin endpoint: /metrics
-	// (Prometheus text or JSON), /healthz, and the MIB JSON at
-	// /debug/mib.
+	// MetricsAddr, if set, serves the operator surface (obs.Serve):
+	// /metrics, /healthz, /readyz, /debug/status, /debug/runtime, and
+	// the MIB JSON at /debug/mib.
 	MetricsAddr string `json:"metricsAddr"`
 	// TraceEvents, when nonzero, enables the flight recorder with a ring
 	// of (about) that many events; /debug/trace and /debug/alarms appear
@@ -221,19 +220,14 @@ type Daemon struct {
 	RPKI *rpki.Store
 
 	reg   *telemetry.Registry
-	admin *telemetry.Admin
+	admin *obs.Surface    // nil without an admin endpoint
 	trace *trace.Recorder // nil when tracing is disabled
 	// obsRec is the detection-latency observatory; always on (the
 	// record path costs nanoseconds, and /debug/status serves it when
 	// the admin endpoint is enabled).
 	obsRec *obs.Recorder
-	// sampler feeds /debug/runtime; nil without an admin endpoint.
-	sampler *obs.Sampler
 	// ready aggregates the daemon's readiness probes for /readyz.
 	ready *telemetry.Readiness
-	// rtr is the RTR client, nil unless rtrAddr is configured; its
-	// Synced state gates readiness.
-	rtr *rpki.Client
 
 	listenAddrs []string
 
@@ -308,27 +302,26 @@ func Build(cfg Config) (*Daemon, error) {
 	if cfg.ListEncoding == "attribute" {
 		encoding = speaker.EncodeAttribute
 	}
-	if cfg.ROAFile != "" || len(cfg.ROAs) > 0 || cfg.RTRAddr != "" {
-		d.RPKI = rpki.NewStore()
-		if cfg.ROAFile != "" {
-			roas, err := rpki.ParseFile(cfg.ROAFile)
-			if err != nil {
-				return nil, err
-			}
-			for _, r := range roas {
-				d.RPKI.Add(r)
-			}
+	var inline []rpki.ROA
+	for _, rc := range cfg.ROAs {
+		prefix, err := astypes.ParsePrefix(rc.Prefix)
+		if err != nil {
+			return nil, err
 		}
-		for _, rc := range cfg.ROAs {
-			prefix, err := astypes.ParsePrefix(rc.Prefix)
-			if err != nil {
-				return nil, err
-			}
-			for _, o := range rc.Origins {
-				d.RPKI.Add(rpki.ROA{Prefix: prefix, MaxLen: rc.MaxLen, Origin: astypes.ASN(o)})
-			}
+		for _, o := range rc.Origins {
+			inline = append(inline, rpki.ROA{Prefix: prefix, MaxLen: rc.MaxLen, Origin: astypes.ASN(o)})
 		}
 	}
+	roas, rtr, err := rpki.Open(cfg.ROAFile, inline, rpki.ClientConfig{
+		Addr:          cfg.RTRAddr,
+		ReconnectBase: d.reconnect,
+		ReconnectMax:  d.reconnectMax,
+		Registry:      reg,
+	})
+	if err != nil {
+		return nil, err
+	}
+	d.RPKI = roas
 	spkCfg := speaker.Config{
 		AS:           astypes.ASN(cfg.AS),
 		RouterID:     cfg.RouterID,
@@ -356,11 +349,7 @@ func Build(cfg Config) (*Daemon, error) {
 			d.rtrCancel()
 			d.wg.Wait()
 		}
-		d.sampler.Close()
 		s.Close()
-		if d.admin != nil {
-			d.admin.Close()
-		}
 	}
 
 	for _, addr := range cfg.Listen {
@@ -399,53 +388,27 @@ func Build(cfg Config) (*Daemon, error) {
 		}
 		d.peerUp.Inc()
 	}
-	if cfg.RTRAddr != "" {
-		client, err := rpki.NewClient(rpki.ClientConfig{
-			Addr:          cfg.RTRAddr,
-			Store:         d.RPKI,
-			ReconnectBase: d.reconnect,
-			ReconnectMax:  d.reconnectMax,
-			Registry:      reg,
-		})
-		if err != nil {
-			cleanup()
-			return nil, err
-		}
-		d.rtr = client
+	if rtr != nil {
 		// A daemon that cross-validates against an RTR cache is not
 		// serving trustworthy verdicts until the first sync lands.
-		d.ready.Register("rtr", telemetry.NotSynced(client.Synced, "cache not synced"))
+		d.ready.Register("rtr", telemetry.NotSynced(rtr.Synced, "cache not synced"))
 		ctx, cancel := context.WithCancel(context.Background())
 		d.rtrCancel = cancel
 		d.wg.Add(1)
 		go func() {
 			defer d.wg.Done()
-			client.Run(ctx)
+			rtr.Run(ctx)
 		}()
 	}
 	if cfg.MetricsAddr != "" {
-		d.sampler = obs.NewSampler(0, 0)
-		d.sampler.Start()
-		adminCfg := telemetry.AdminConfig{
+		admin, err := obs.Serve(cfg.MetricsAddr, obs.SurfaceConfig{
 			Registry: reg,
+			Ready:    d.ready,
+			Stages:   d.obsRec,
+			Trace:    rec,
 			MIB:      s,
 			Pprof:    cfg.Pprof,
-			Ready:    d.ready.Check,
-			Debug:    make(map[string]http.Handler),
-		}
-		if rec != nil {
-			for pattern, h := range trace.Routes(rec) {
-				adminCfg.Debug[pattern] = h
-			}
-		}
-		adminCfg.Debug["/debug/status"] = obs.NewStatusHandler(obs.StatusConfig{
-			Registry: reg,
-			Stages:   d.obsRec,
-			Runtime:  d.sampler,
-			Ready:    d.ready.Check,
 		})
-		adminCfg.Debug["/debug/runtime"] = d.sampler
-		admin, err := telemetry.ServeAdmin(cfg.MetricsAddr, adminCfg)
 		if err != nil {
 			cleanup()
 			return nil, err
@@ -457,12 +420,7 @@ func Build(cfg Config) (*Daemon, error) {
 
 // MetricsAddr returns the bound admin endpoint address ("" when
 // disabled).
-func (d *Daemon) MetricsAddr() string {
-	if d.admin == nil {
-		return ""
-	}
-	return d.admin.Addr()
-}
+func (d *Daemon) MetricsAddr() string { return d.admin.Addr() }
 
 // ListenAddrs returns the bound inbound-peering listener addresses in
 // configuration order (resolved, so ":0" configs report real ports).
@@ -541,13 +499,10 @@ func (d *Daemon) Close() error {
 	if d.rtrCancel != nil {
 		d.rtrCancel()
 	}
-	d.sampler.Close()
 	err := d.Speaker.Close()
 	d.wg.Wait()
-	if d.admin != nil {
-		if cerr := d.admin.Close(); err == nil {
-			err = cerr
-		}
+	if cerr := d.admin.Close(); err == nil {
+		err = cerr
 	}
 	return err
 }

@@ -130,7 +130,7 @@ func TestTwoDaemonsDetectHijack(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&mib); err != nil {
 		t.Fatal(err)
 	}
-	if mib.AS != 701 || len(mib.Alarms) == 0 {
+	if mib.AS != 701 || mib.Counters.Alarms == 0 {
 		t.Errorf("MIB over HTTP = %+v", mib)
 	}
 }

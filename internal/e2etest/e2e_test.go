@@ -127,8 +127,8 @@ func TestForgedOriginObservability(t *testing.T) {
 	if err := json.Unmarshal([]byte(h.get(t, "/debug/mib", "")), &mib); err != nil {
 		t.Fatalf("decode /debug/mib: %v", err)
 	}
-	if mib.AS != validatorAS || len(mib.Alarms) != 1 {
-		t.Errorf("/debug/mib AS = %v alarms = %d, want AS %d with 1 alarm", mib.AS, len(mib.Alarms), validatorAS)
+	if mib.AS != validatorAS || mib.Counters.Alarms != 1 {
+		t.Errorf("/debug/mib AS = %v alarms = %d, want AS %d with 1 alarm", mib.AS, mib.Counters.Alarms, validatorAS)
 	}
 	if mib.Counters.Alarms != uint64(final.Counter("moas_speaker_moas_alarms_total")) {
 		t.Errorf("MIB counters (%d alarms) disagree with /metrics (%v)",

@@ -11,6 +11,7 @@ import (
 	"repro/internal/astypes"
 	"repro/internal/monitor"
 	"repro/internal/mrt"
+	"repro/internal/obs"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
 	"repro/internal/wire"
@@ -77,8 +78,7 @@ func TestMRTReplayForensics(t *testing.T) {
 	}
 
 	// Operator view: the forensic bundle over the admin endpoint.
-	adminCfg := telemetry.AdminConfig{Registry: reg, Debug: trace.Routes(rec)}
-	admin, err := telemetry.ServeAdmin("127.0.0.1:0", adminCfg)
+	admin, err := obs.Serve("127.0.0.1:0", obs.SurfaceConfig{Registry: reg, Trace: rec})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -98,7 +98,7 @@ func viewFromMIB(source string, mib speaker.MIB) (*RouterView, error) {
 		AS:           mib.AS,
 		Lists:        make(map[astypes.Prefix]core.List, len(mib.Routes)),
 		Implicit:     make(map[astypes.Prefix]bool),
-		RouterAlarms: len(mib.Alarms),
+		RouterAlarms: int(mib.Counters.Alarms),
 	}
 	for _, r := range mib.Routes {
 		prefix, err := astypes.ParsePrefix(r.Prefix)

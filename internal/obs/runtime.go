@@ -36,18 +36,18 @@ type Sampler struct {
 	done      chan struct{}
 }
 
-// NewSampler returns a sampler holding the most recent `size` samples
-// taken every `interval` (defaults: 256 samples, 1s).
-func NewSampler(size int, interval time.Duration) *Sampler {
-	if size <= 0 {
-		size = 256
-	}
-	if interval <= 0 {
-		interval = time.Second
-	}
+// The sampler holds the most recent samplerRing samples, one taken
+// every samplerInterval: about four minutes of history.
+const (
+	samplerRing     = 256
+	samplerInterval = time.Second
+)
+
+// NewSampler returns an unstarted sampler.
+func NewSampler() *Sampler {
 	return &Sampler{
-		interval: interval,
-		ring:     make([]RuntimeSample, size),
+		interval: samplerInterval,
+		ring:     make([]RuntimeSample, samplerRing),
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
 	}
@@ -56,9 +56,6 @@ func NewSampler(size int, interval time.Duration) *Sampler {
 // Start launches the sampling loop (idempotent). One sample is taken
 // synchronously so Last is immediately meaningful.
 func (s *Sampler) Start() {
-	if s == nil {
-		return
-	}
 	s.startOnce.Do(func() {
 		s.record(takeSample())
 		go s.loop()
@@ -68,9 +65,6 @@ func (s *Sampler) Start() {
 // Close stops the sampling loop and waits for it to exit. Safe to call
 // without Start and more than once.
 func (s *Sampler) Close() {
-	if s == nil {
-		return
-	}
 	started := true
 	s.startOnce.Do(func() { started = false })
 	s.stopOnce.Do(func() { close(s.stop) })
@@ -119,9 +113,6 @@ func (s *Sampler) record(sm RuntimeSample) {
 
 // Samples returns the held samples, oldest first.
 func (s *Sampler) Samples() []RuntimeSample {
-	if s == nil {
-		return nil
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	out := make([]RuntimeSample, 0, s.n)
@@ -137,9 +128,6 @@ func (s *Sampler) Samples() []RuntimeSample {
 
 // Last returns the most recent sample and whether one exists.
 func (s *Sampler) Last() (RuntimeSample, bool) {
-	if s == nil {
-		return RuntimeSample{}, false
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.n == 0 {
@@ -162,9 +150,5 @@ func (s *Sampler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	samples := s.Samples()
-	if samples == nil {
-		samples = []RuntimeSample{}
-	}
-	enc.Encode(samples)
+	enc.Encode(s.Samples())
 }

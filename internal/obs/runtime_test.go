@@ -10,14 +10,14 @@ import (
 )
 
 func TestSamplerRingAndLast(t *testing.T) {
-	s := NewSampler(4, time.Hour) // interval never fires; we drive record()
+	s := NewSampler() // never started; we drive record()
 	defer s.Close()
-	for i := 1; i <= 6; i++ {
+	for i := 1; i <= samplerRing+2; i++ {
 		s.record(RuntimeSample{UnixNanos: int64(i)})
 	}
 	got := s.Samples()
-	if len(got) != 4 {
-		t.Fatalf("Samples len = %d, want ring size 4", len(got))
+	if len(got) != samplerRing {
+		t.Fatalf("Samples len = %d, want ring size %d", len(got), samplerRing)
 	}
 	for i, sm := range got {
 		if want := int64(i + 3); sm.UnixNanos != want {
@@ -25,13 +25,14 @@ func TestSamplerRingAndLast(t *testing.T) {
 		}
 	}
 	last, ok := s.Last()
-	if !ok || last.UnixNanos != 6 {
-		t.Fatalf("Last = %+v ok=%v, want UnixNanos 6", last, ok)
+	if !ok || last.UnixNanos != samplerRing+2 {
+		t.Fatalf("Last = %+v ok=%v, want UnixNanos %d", last, ok, samplerRing+2)
 	}
 }
 
 func TestSamplerStartClose(t *testing.T) {
-	s := NewSampler(8, time.Millisecond)
+	s := NewSampler()
+	s.interval = time.Millisecond
 	s.Start()
 	s.Start() // idempotent
 	if _, ok := s.Last(); !ok {
@@ -61,7 +62,7 @@ func TestSamplerStartClose(t *testing.T) {
 }
 
 func TestSamplerCloseWithoutStart(t *testing.T) {
-	s := NewSampler(2, time.Second)
+	s := NewSampler()
 	done := make(chan struct{})
 	go func() { s.Close(); close(done) }()
 	select {
@@ -69,16 +70,10 @@ func TestSamplerCloseWithoutStart(t *testing.T) {
 	case <-time.After(time.Second):
 		t.Fatal("Close without Start hung")
 	}
-	var nilS *Sampler
-	nilS.Start()
-	nilS.Close()
-	if _, ok := nilS.Last(); ok {
-		t.Error("nil sampler has a sample")
-	}
 }
 
 func TestSamplerServeHTTP(t *testing.T) {
-	s := NewSampler(4, time.Hour)
+	s := NewSampler()
 	defer s.Close()
 	s.record(takeSample())
 

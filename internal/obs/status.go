@@ -12,24 +12,6 @@ import (
 	"repro/internal/telemetry"
 )
 
-// StatusConfig wires the sources the consolidated /debug/status
-// endpoint aggregates. Every field is optional; absent sources are
-// simply omitted from the document.
-type StatusConfig struct {
-	// Registry supplies counters, gauges, and histograms (with quantile
-	// estimates), plus the derived stream-lag and alarm-class views.
-	Registry *telemetry.Registry
-	// Stages supplies the per-stage detection-latency histograms.
-	Stages *Recorder
-	// Runtime supplies the most recent runtime vitals sample.
-	Runtime *Sampler
-	// Replay supplies MRT replay progress.
-	Replay *Progress
-	// Ready mirrors the /readyz probe so one scrape answers both
-	// "how fast" and "is it serving".
-	Ready func() error
-}
-
 // HistogramSummary is one registry histogram flattened for consumers:
 // totals plus pre-computed quantile estimates.
 type HistogramSummary struct {
@@ -63,34 +45,36 @@ type StatusDoc struct {
 	Histograms map[string]HistogramSummary `json:"histograms,omitempty"`
 }
 
-// StatusHandler serves the consolidated status document as JSON
+// statusHandler serves the consolidated status document as JSON
 // (?format=json or Accept: application/json) or a human-readable text
-// summary (default).
-type StatusHandler struct {
-	cfg   StatusConfig
-	start time.Time
+// summary (default). It reads the registry, stage recorder, replay
+// progress and readiness of a SurfaceConfig; absent sources are simply
+// omitted from the document.
+type statusHandler struct {
+	cfg     SurfaceConfig
+	runtime *Sampler
+	start   time.Time
 }
 
-// NewStatusHandler returns a handler over the given sources.
-func NewStatusHandler(cfg StatusConfig) *StatusHandler {
-	return &StatusHandler{cfg: cfg, start: time.Now()}
+func newStatusHandler(cfg SurfaceConfig, runtime *Sampler) *statusHandler {
+	return &statusHandler{cfg: cfg, runtime: runtime, start: time.Now()}
 }
 
 // Doc builds the current status document.
-func (h *StatusHandler) Doc() StatusDoc {
+func (h *statusHandler) Doc() StatusDoc {
 	doc := StatusDoc{
 		UptimeSeconds: time.Since(h.start).Seconds(),
 		Stages:        h.cfg.Stages.Snapshot(),
 	}
 	if h.cfg.Ready != nil {
 		ok := true
-		if err := h.cfg.Ready(); err != nil {
+		if err := h.cfg.Ready.Check(); err != nil {
 			ok = false
 			doc.ReadyError = err.Error()
 		}
 		doc.Ready = &ok
 	}
-	if sm, has := h.cfg.Runtime.Last(); has {
+	if sm, has := h.runtime.Last(); has {
 		doc.Runtime = &sm
 	}
 	if h.cfg.Replay != nil {
@@ -105,7 +89,7 @@ func (h *StatusHandler) Doc() StatusDoc {
 
 // flatten renders registry families into the doc's counter/gauge/
 // histogram maps and derives the lag and alarm-class views.
-func (h *StatusHandler) flatten(doc *StatusDoc, fams []telemetry.FamilySnapshot) {
+func (h *statusHandler) flatten(doc *StatusDoc, fams []telemetry.FamilySnapshot) {
 	for _, f := range fams {
 		for _, s := range f.Series {
 			key := seriesKey(f.Name, f.LabelKeys, s.LabelValues)
@@ -195,7 +179,7 @@ func seriesKey(name string, keys, values []string) string {
 
 // ServeHTTP serves the document. JSON when ?format=json or the Accept
 // header asks for application/json; text otherwise.
-func (h *StatusHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+func (h *statusHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet && r.Method != http.MethodHead {
 		w.Header().Set("Allow", "GET, HEAD")
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)

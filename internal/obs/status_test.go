@@ -11,7 +11,7 @@ import (
 	"repro/internal/telemetry"
 )
 
-func statusFixture() (*StatusHandler, *Recorder) {
+func statusFixture() (*statusHandler, *Recorder) {
 	reg := telemetry.NewRegistry("t")
 	reg.Counter("updates_total", "updates").Add(12)
 	reg.Gauge("rislive_lag_ms", "stream lag").Set(340)
@@ -31,16 +31,15 @@ func statusFixture() (*StatusHandler, *Recorder) {
 	replay.AddRecords(9)
 	replay.MarkDone()
 
-	smp := NewSampler(4, time.Hour)
+	smp := NewSampler()
 	smp.record(takeSample())
 
-	h := NewStatusHandler(StatusConfig{
+	h := newStatusHandler(SurfaceConfig{
 		Registry: reg,
 		Stages:   rec,
-		Runtime:  smp,
 		Replay:   &replay,
-		Ready:    func() error { return nil },
-	})
+		Ready:    &telemetry.Readiness{},
+	}, smp)
 	return h, rec
 }
 
@@ -86,9 +85,11 @@ func TestStatusDoc(t *testing.T) {
 }
 
 func TestStatusReadyError(t *testing.T) {
-	h := NewStatusHandler(StatusConfig{Ready: func() error { return errors.New("rtr not synced") }})
+	ready := &telemetry.Readiness{}
+	ready.Register("rtr", func() error { return errors.New("cache not synced") })
+	h := newStatusHandler(SurfaceConfig{Ready: ready}, NewSampler())
 	doc := h.Doc()
-	if doc.Ready == nil || *doc.Ready || doc.ReadyError != "rtr not synced" {
+	if doc.Ready == nil || *doc.Ready || doc.ReadyError != "not ready: rtr: cache not synced" {
 		t.Fatalf("doc = %+v, want not-ready with error", doc)
 	}
 }
@@ -135,7 +136,7 @@ func TestStatusServeJSONAndText(t *testing.T) {
 }
 
 func TestStatusEmptyConfig(t *testing.T) {
-	h := NewStatusHandler(StatusConfig{})
+	h := newStatusHandler(SurfaceConfig{}, NewSampler())
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest("GET", "/debug/status?format=json", nil))
 	if rec.Code != 200 {

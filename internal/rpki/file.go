@@ -80,3 +80,34 @@ func ParseFile(path string) ([]ROA, error) {
 	}
 	return roas, nil
 }
+
+// Open builds the validated ROA store from any mix of sources: an ROA
+// file, inline records, and an RTR cache at rtr.Addr. File and inline
+// records load now. With an address, Open also returns the RTR client
+// that keeps the store synchronized (rtr.Store is set to the new
+// store); the caller drives its Run, and its Synced is the readiness
+// probe. A full RTR sync replaces the whole store, file and inline
+// records included. With no source at all, the store and client are
+// both nil: the process runs without ROV cross-validation.
+func Open(file string, roas []ROA, rtr ClientConfig) (*Store, *Client, error) {
+	if file == "" && len(roas) == 0 && rtr.Addr == "" {
+		return nil, nil, nil
+	}
+	if file != "" {
+		fromFile, err := ParseFile(file)
+		if err != nil {
+			return nil, nil, err
+		}
+		roas = append(fromFile, roas...)
+	}
+	store := NewStore()
+	for _, r := range roas {
+		store.Add(r)
+	}
+	if rtr.Addr == "" {
+		return store, nil, nil
+	}
+	rtr.Store = store
+	client, err := NewClient(rtr)
+	return store, client, err
+}

@@ -5,6 +5,8 @@ import (
 	"bytes"
 	"context"
 	"net"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -359,5 +361,50 @@ func BenchmarkROVFeedApply(b *testing.B) {
 		} else {
 			s.Remove(r)
 		}
+	}
+}
+
+// TestOpenMixesSources: a file, inline records and an RTR cache all
+// feed the one store Open returns, and the returned client's Synced
+// gates on the cache.
+func TestOpenMixesSources(t *testing.T) {
+	if store, client, err := Open("", nil, ClientConfig{}); store != nil || client != nil || err != nil {
+		t.Fatalf("Open with no source = %v, %v, %v; want all nil", store, client, err)
+	}
+
+	file := filepath.Join(t.TempDir(), "roas.txt")
+	if err := os.WriteFile(file, []byte("131.179.0.0/16=65001\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	inline := []ROA{{Prefix: p("10.0.0.0/8"), MaxLen: 8, Origin: 65002}}
+	store, client, err := Open(file, inline, ClientConfig{})
+	if err != nil || client != nil || store.Len() != 2 {
+		t.Fatalf("file+inline: store %v client %v err %v", store, client, err)
+	}
+	if _, _, err := Open(filepath.Join(t.TempDir(), "absent"), nil, ClientConfig{}); err == nil {
+		t.Error("missing ROA file accepted")
+	}
+
+	srv := newTestServer(t, ROA{Prefix: p("192.0.2.0/24"), MaxLen: 24, Origin: 65003})
+	store, client, err = Open(file, inline, ClientConfig{Addr: srv.Addr()})
+	if err != nil || client == nil {
+		t.Fatalf("with rtr: client %v err %v", client, err)
+	}
+	if client.Synced() {
+		t.Fatal("client synced before Run")
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		client.Run(ctx)
+	}()
+	defer func() {
+		cancel()
+		<-done
+	}()
+	waitFor(t, "rtr sync", client.Synced)
+	if got := store.Validate(p("192.0.2.0/24"), 65003); got != Valid {
+		t.Errorf("cache ROA not in the opened store: Validate = %v", got)
 	}
 }

@@ -12,8 +12,9 @@ import (
 // §4.2: "If the router is equipped to support the new BGP MIB, one
 // could also run a management application to get all MOAS List through
 // the MIB interface and check the MOAS List consistency." The MIB
-// snapshot exposes per-peer session entries, message counters, the
-// Loc-RIB's per-prefix MOAS lists, and the alarm log; ServeHTTP makes
+// snapshot exposes per-peer session entries, message counters (the
+// alarm count among them), and the Loc-RIB's per-prefix MOAS lists;
+// ServeHTTP makes
 // it consumable by an external checker over HTTP/JSON, and the daemon
 // serves the same handler at the admin endpoint's /debug/mib.
 //
@@ -57,7 +58,6 @@ type MIB struct {
 	Counters Counters      `json:"counters"`
 	Peers    []PeerEntry   `json:"peers"`
 	Routes   []PrefixEntry `json:"routes"`
-	Alarms   []string      `json:"alarms"`
 }
 
 // MIB returns the current management snapshot.
@@ -70,10 +70,7 @@ type MIB struct {
 //  2. the Loc-RIB route walk (rib.Table locks itself) — taken after
 //     s.mu is released: propagateLocked runs under s.mu, so every route
 //     visible here was propagated by a peer the walk in (1) could see,
-//  3. the counter reads (telemetry atomics, each individually exact),
-//  4. the alarm log, under s.mu again — admitLocked counts an alarm and
-//     logs it in one s.mu section, so the log is never behind the
-//     counter read in (3).
+//  3. the counter reads (telemetry atomics, each individually exact).
 //
 // s.mu is deliberately NOT held across steps 2–3: no lock needs it (the
 // RIB locks itself), and a full-table walk under s.mu would stall every
@@ -121,11 +118,6 @@ func (s *Speaker) MIB() MIB {
 	// the snapshot has its accept/reject decision already counted, so
 	// the counter view is never behind the route view.
 	m.Counters = s.met.snapshot()
-	s.mu.Lock()
-	for _, a := range s.alarms { // alarms guarded by mu
-		m.Alarms = append(m.Alarms, a.Error())
-	}
-	s.mu.Unlock()
 	return m
 }
 

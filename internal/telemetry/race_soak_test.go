@@ -37,7 +37,7 @@ func TestScrapeWhileInstrumenting(t *testing.T) {
 		// The HTTP client can leave a dialed connection unused, which
 		// stalls the graceful drain until Close cuts it; a short budget
 		// keeps those iterations cheap.
-		a, err := ServeAdmin("127.0.0.1:0", AdminConfig{Registry: r, ShutdownTimeout: 100 * time.Millisecond})
+		a, err := ServeAdmin("127.0.0.1:0", AdminConfig{Registry: r, shutdownTimeout: 100 * time.Millisecond})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -86,29 +86,6 @@ func TestAdminReadyzSplit(t *testing.T) {
 	}
 }
 
-// TestAdminReadyzFallsBackToHealth pins the compatibility default: with
-// no Ready probe configured, /readyz mirrors /healthz.
-func TestAdminReadyzFallsBackToHealth(t *testing.T) {
-	a, err := ServeAdmin("127.0.0.1:0", AdminConfig{
-		Registry: NewRegistry("t"),
-		Health:   func() error { return errors.New("wedged") },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer a.Close()
-	for _, path := range []string{"/healthz", "/readyz"} {
-		resp, err := http.Get("http://" + a.Addr() + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusServiceUnavailable {
-			t.Errorf("%s status = %d, want 503", path, resp.StatusCode)
-		}
-	}
-}
-
 // TestAdminShutdownDuringSlowScrape covers the window the /debug/status
 // endpoint opened: a scrape handler that stalls mid-response while the
 // admin endpoint shuts down. Close must return within the shutdown
@@ -140,8 +117,8 @@ func TestAdminShutdownDuringSlowScrape(t *testing.T) {
 	reg := NewRegistry("t")
 	a, err := ServeAdmin("127.0.0.1:0", AdminConfig{
 		Registry:        reg,
-		ShutdownTimeout: 50 * time.Millisecond,
 		Debug:           map[string]http.Handler{"/debug/status": slow},
+		shutdownTimeout: 50 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)

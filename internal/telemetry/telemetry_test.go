@@ -157,7 +157,7 @@ func TestAdminEndpoints(t *testing.T) {
 	mib := http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		w.Write([]byte(`{"mib":true}`))
 	})
-	a, err := ServeAdmin("127.0.0.1:0", AdminConfig{Registry: r, MIB: mib})
+	a, err := ServeAdmin("127.0.0.1:0", AdminConfig{Registry: r, Debug: map[string]http.Handler{"/debug/mib": mib}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,26 +193,6 @@ func TestAdminEndpoints(t *testing.T) {
 	}
 	if err := a.Close(); err != nil {
 		t.Errorf("second close: %v", err)
-	}
-}
-
-func TestAdminHealthzFailure(t *testing.T) {
-	r := NewRegistry("t")
-	a, err := ServeAdmin("127.0.0.1:0", AdminConfig{
-		Registry: r,
-		Health:   func() error { return io.ErrUnexpectedEOF },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer a.Close()
-	resp, err := http.Get("http://" + a.Addr() + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Errorf("status = %d, want 503", resp.StatusCode)
 	}
 }
 

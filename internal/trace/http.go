@@ -1,7 +1,7 @@
-// Admin-endpoint handlers for the flight recorder. Routes plugs into
-// the telemetry admin server's Debug map (telemetry.AdminConfig) so
-// every binary that serves /metrics can also serve its trace ring and
-// alarm forensics.
+// Admin-endpoint handlers for the flight recorder. The operator
+// surface (obs.Serve) mounts Routes whenever a process has a recorder,
+// so every binary that serves /metrics can also serve its trace ring
+// and alarm forensics.
 package trace
 
 import (
