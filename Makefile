@@ -9,7 +9,8 @@ FUZZ_TARGETS := \
 	./internal/trace:FuzzTraceDecode \
 	./internal/mrt:FuzzMRTDecode \
 	./internal/mrt:FuzzWriterRoundTrip \
-	./internal/mrt/rislive:FuzzRISLiveJSON
+	./internal/mrt/rislive:FuzzRISLiveJSON \
+	./internal/mrt/rislive:FuzzDecodeMatchesJSON
 FUZZTIME ?= 10s
 
 .PHONY: build test vet race e2e bench-smoke bench-test fuzz-smoke check
@@ -38,8 +39,8 @@ e2e:
 ## bench-smoke: one-iteration run of every hot-path and evaluation
 ## benchmark so they can't silently rot; part of check (and so CI).
 bench-smoke:
-	$(GO) test -run='^$$' -bench='^(BenchmarkWire|BenchmarkRIB|BenchmarkTelemetry|BenchmarkEngineEvents|BenchmarkTrace|BenchmarkMRT|BenchmarkROV|BenchmarkObs)' \
-		-benchtime=1x -benchmem ./internal/wire/ ./internal/rib/ ./internal/telemetry/ ./internal/sim/ ./internal/trace/ ./internal/mrt/ ./internal/rpki/ ./internal/obs/
+	$(GO) test -run='^$$' -bench='^(BenchmarkWire|BenchmarkRIB|BenchmarkTelemetry|BenchmarkEngineEvents|BenchmarkTrace|BenchmarkMRT|BenchmarkROV|BenchmarkObs|BenchmarkRISLive)' \
+		-benchtime=1x -benchmem ./internal/wire/ ./internal/rib/ ./internal/telemetry/ ./internal/sim/ ./internal/trace/ ./internal/mrt/ ./internal/mrt/rislive/ ./internal/rpki/ ./internal/obs/
 	$(GO) test -run='^$$' -benchtime=1x -benchmem \
 		-bench='^(BenchmarkFigure9Effectiveness|BenchmarkMeasureStudy)(Baseline)?$$' .
 	$(GO) test -run='^$$' -benchtime=1x -benchmem \

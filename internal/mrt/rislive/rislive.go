@@ -6,17 +6,19 @@
 // feed in a bounded channel with an explicit backpressure policy and
 // reconnects with the shared backoff schedule.
 //
-// Unlike the archive path this package is not allocation-free —
-// encoding/json dominates — and it is not deterministic: reconnect
-// jitter and wall-clock timestamps are part of its job.
+// Decode reads a line with a scanner written for the RIS-Live schema
+// (scan.go) that accepts exactly what encoding/json would. Unlike the
+// archive path this package is not allocation-free — an event owns its
+// strings and slices — and it is not deterministic: reconnect jitter
+// and wall-clock timestamps are part of its job.
 package rislive
 
 import (
-	"encoding/json"
 	"fmt"
 	"strconv"
 	"strings"
 	"time"
+	"unicode/utf8"
 
 	"repro/internal/astypes"
 	"repro/internal/obs"
@@ -54,50 +56,27 @@ type Event struct {
 	SkippedPrefixes int
 }
 
-// envelope is the outer RIS-Live JSON framing.
-type envelope struct {
-	Type string  `json:"type"`
-	Data message `json:"data"`
-}
-
-// message is the data payload of a ris_message envelope. Fields the
-// pipeline does not consume (id, raw, med, …) are left out; unknown
-// fields are ignored by encoding/json.
-type message struct {
-	Timestamp     float64           `json:"timestamp"`
-	Peer          string            `json:"peer"`
-	PeerASN       string            `json:"peer_asn"`
-	Type          string            `json:"type"`
-	Host          string            `json:"host"`
-	Path          []json.RawMessage `json:"path"`
-	Community     [][2]uint32       `json:"community"`
-	Origin        string            `json:"origin"`
-	Announcements []announcement    `json:"announcements"`
-	Withdrawals   []string          `json:"withdrawals"`
-}
-
-type announcement struct {
-	NextHop  string   `json:"next_hop"`
-	Prefixes []string `json:"prefixes"`
-}
-
 // Decode parses one line of the feed. It returns (nil, nil) for
 // well-formed envelopes the pipeline does not consume (keepalives,
 // RIS state messages, OPEN/NOTIFICATION mirrors, pure-IPv6 updates);
-// an error only for malformed input.
+// an error only for malformed input. The event owns its memory: line
+// may be reused as soon as Decode returns.
 func Decode(line []byte) (*Event, error) {
 	var env envelope
-	if err := json.Unmarshal(line, &env); err != nil {
+	if err := parseEnvelope(string(line), &env); err != nil {
 		return nil, fmt.Errorf("rislive: parse envelope: %w", err)
 	}
 	if env.Type != "ris_message" || env.Data.Type != "UPDATE" {
 		return nil, nil
 	}
 	m := &env.Data
+	// Peer and Host get one allocation of their own, so that a consumer
+	// keeping them does not pin the copy of the line they came from.
+	peerHost := m.Peer + m.Host
 	ev := &Event{
 		Time: time.Unix(int64(m.Timestamp), int64((m.Timestamp-float64(int64(m.Timestamp)))*1e9)).UTC(),
-		Peer: m.Peer,
-		Host: m.Host,
+		Peer: peerHost[:len(m.Peer)],
+		Host: peerHost[len(m.Peer):],
 	}
 	if m.PeerASN != "" {
 		v, err := strconv.ParseUint(m.PeerASN, 10, 32)
@@ -106,23 +85,28 @@ func Decode(line []byte) (*Event, error) {
 		}
 		ev.PeerASN = ev.mapASN(uint32(v))
 	}
-	if err := ev.decodePath(m.Path); err != nil {
-		return nil, err
+	if m.PathErr != nil {
+		return nil, m.PathErr
 	}
-	for _, c := range m.Community {
-		ev.Update.Attrs.Communities = append(ev.Update.Attrs.Communities,
-			astypes.NewCommunity(astypes.ASN(c[0]&0xffff), uint16(c[1]&0xffff)))
+	for _, seg := range m.Path {
+		for i, a := range seg.ASNs {
+			seg.ASNs[i] = ev.mapASN(uint32(a))
+		}
 	}
-	switch strings.ToUpper(m.Origin) {
-	case "IGP":
-		ev.Update.Attrs.HasOrigin, ev.Update.Attrs.Origin = true, wire.OriginIGP
-	case "EGP":
-		ev.Update.Attrs.HasOrigin, ev.Update.Attrs.Origin = true, wire.OriginEGP
-	case "INCOMPLETE":
-		ev.Update.Attrs.HasOrigin, ev.Update.Attrs.Origin = true, wire.OriginIncomplete
-	case "":
-	default:
-		return nil, fmt.Errorf("rislive: origin %q", m.Origin)
+	ev.Update.Attrs.ASPath.Segments = m.Path
+	if len(m.Community) > 0 {
+		ev.Update.Attrs.Communities = m.Community
+	}
+	if m.Origin != "" {
+		origin, ok := parseOrigin(m.Origin)
+		if !ok {
+			return nil, fmt.Errorf("rislive: origin %q", m.Origin)
+		}
+		ev.Update.Attrs.HasOrigin, ev.Update.Attrs.Origin = true, origin
+	}
+	announced := 0
+	for _, a := range m.Announcements {
+		announced += len(a.Prefixes)
 	}
 	for _, a := range m.Announcements {
 		if !ev.Update.Attrs.HasNextHop {
@@ -140,7 +124,7 @@ func Decode(line []byte) (*Event, error) {
 				ev.SkippedPrefixes++
 				continue
 			}
-			ev.Update.NLRI = append(ev.Update.NLRI, pfx)
+			ev.Update.NLRI = appendSized(ev.Update.NLRI, pfx, announced)
 		}
 	}
 	for _, p := range m.Withdrawals {
@@ -152,7 +136,7 @@ func Decode(line []byte) (*Event, error) {
 			ev.SkippedPrefixes++
 			continue
 		}
-		ev.Update.Withdrawn = append(ev.Update.Withdrawn, pfx)
+		ev.Update.Withdrawn = appendSized(ev.Update.Withdrawn, pfx, len(m.Withdrawals))
 	}
 	if len(ev.Update.NLRI) == 0 && len(ev.Update.Withdrawn) == 0 {
 		// Everything in the update was IPv6; nothing to feed the
@@ -167,6 +151,36 @@ func Decode(line []byte) (*Event, error) {
 	return ev, nil
 }
 
+// parseOrigin reads an ORIGIN spelled in any case. It matches what
+// strings.ToUpper would map to IGP, EGP or INCOMPLETE — which takes in
+// non-ASCII runes such as 'ı' — but allocates only for non-ASCII input.
+func parseOrigin(s string) (wire.OriginCode, bool) {
+	for i := 0; i < len(s); i++ {
+		if s[i] >= utf8.RuneSelf {
+			s = strings.ToUpper(s)
+			break
+		}
+	}
+	switch {
+	case strings.EqualFold(s, "IGP"):
+		return wire.OriginIGP, true
+	case strings.EqualFold(s, "EGP"):
+		return wire.OriginEGP, true
+	case strings.EqualFold(s, "INCOMPLETE"):
+		return wire.OriginIncomplete, true
+	}
+	return 0, false
+}
+
+// appendSized appends p to ps, giving a nil ps room for n prefixes
+// first, so that a list stays nil until it has a member.
+func appendSized(ps []astypes.Prefix, p astypes.Prefix, n int) []astypes.Prefix {
+	if ps == nil {
+		ps = make([]astypes.Prefix, 0, n)
+	}
+	return append(ps, p)
+}
+
 // mapASN narrows a 32-bit AS number, counting substitutions on the
 // event.
 func (ev *Event) mapASN(v uint32) astypes.ASN {
@@ -175,44 +189,6 @@ func (ev *Event) mapASN(v uint32) astypes.ASN {
 		return ASTrans
 	}
 	return astypes.ASN(v)
-}
-
-// decodePath converts the feed's path array — integers, with nested
-// arrays for AS_SETs — into AS_PATH segments: runs of integers become
-// SEQUENCE segments, each nested array a SET segment.
-func (ev *Event) decodePath(path []json.RawMessage) error {
-	var run []astypes.ASN
-	flush := func() {
-		if len(run) > 0 {
-			ev.Update.Attrs.ASPath.Segments = append(ev.Update.Attrs.ASPath.Segments,
-				astypes.Segment{Type: astypes.SegSequence, ASNs: run})
-			run = nil
-		}
-	}
-	for _, raw := range path {
-		trimmed := strings.TrimSpace(string(raw))
-		if strings.HasPrefix(trimmed, "[") {
-			var set []uint32
-			if err := json.Unmarshal(raw, &set); err != nil {
-				return fmt.Errorf("rislive: path AS_SET: %w", err)
-			}
-			flush()
-			asns := make([]astypes.ASN, 0, len(set))
-			for _, v := range set {
-				asns = append(asns, ev.mapASN(v))
-			}
-			ev.Update.Attrs.ASPath.Segments = append(ev.Update.Attrs.ASPath.Segments,
-				astypes.Segment{Type: astypes.SegSet, ASNs: asns})
-			continue
-		}
-		var v uint32
-		if err := json.Unmarshal(raw, &v); err != nil {
-			return fmt.Errorf("rislive: path element %s: %w", trimmed, err)
-		}
-		run = append(run, ev.mapASN(v))
-	}
-	flush()
-	return nil
 }
 
 // parsePrefix parses "a.b.c.d/len". IPv6 prefixes return ok == false
@@ -229,8 +205,8 @@ func parsePrefix(s string) (p astypes.Prefix, ok bool, err error) {
 	if !okIP {
 		return p, false, fmt.Errorf("rislive: prefix %q has a bad address", s)
 	}
-	n, err := strconv.Atoi(lenStr)
-	if err != nil || n < 0 || n > 32 {
+	n, okLen := prefixLen(lenStr)
+	if !okLen {
 		return p, false, fmt.Errorf("rislive: prefix %q has a bad length", s)
 	}
 	if n > 0 {
@@ -245,7 +221,24 @@ func parsePrefix(s string) (p astypes.Prefix, ok bool, err error) {
 	return pfx, true, nil
 }
 
-// parseIPv4 parses a dotted-quad address.
+// prefixLen parses a prefix length as netip does: one or two digits,
+// no sign, no leading zero, at most 32.
+func prefixLen(s string) (int, bool) {
+	if len(s) == 0 || len(s) > 2 || (len(s) == 2 && s[0] == '0') {
+		return 0, false
+	}
+	n := 0
+	for i := 0; i < len(s); i++ {
+		if !isDigit(s[i]) {
+			return 0, false
+		}
+		n = n*10 + int(s[i]-'0')
+	}
+	return n, n <= 32
+}
+
+// parseIPv4 parses a dotted-quad address. As with netip, an octet has
+// no leading zero.
 func parseIPv4(s string) (uint32, bool) {
 	var addr uint32
 	part := 0
@@ -261,7 +254,7 @@ func parseIPv4(s string) (uint32, bool) {
 			continue
 		}
 		c := s[i]
-		if c < '0' || c > '9' {
+		if c < '0' || c > '9' || (digits == 1 && val == 0) {
 			return 0, false
 		}
 		val = val*10 + int(c-'0')

@@ -2,6 +2,7 @@ package rislive
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -87,6 +88,10 @@ func TestDecodeErrors(t *testing.T) {
 		"bad-prefix":  `{"type":"ris_message","data":{"type":"UPDATE","withdrawals":["10.0.0.0"]}}`,
 		"bad-preflen": `{"type":"ris_message","data":{"type":"UPDATE","withdrawals":["10.0.0.0/64"]}}`,
 		"bad-path":    `{"type":"ris_message","data":{"type":"UPDATE","path":["x"],"withdrawals":["10.0.0.0/8"]}}`,
+		"signed-len":  `{"type":"ris_message","data":{"type":"UPDATE","withdrawals":["10.0.0.0/+8"]}}`,
+		"padded-len":  `{"type":"ris_message","data":{"type":"UPDATE","withdrawals":["10.0.0.0/008"]}}`,
+		"zero-len":    `{"type":"ris_message","data":{"type":"UPDATE","withdrawals":["10.0.0.0/08"]}}`,
+		"padded-addr": `{"type":"ris_message","data":{"type":"UPDATE","withdrawals":["010.0.0.0/8"]}}`,
 	} {
 		if _, err := Decode([]byte(line)); err == nil {
 			t.Errorf("%s: decoded without error", name)
@@ -138,6 +143,8 @@ func TestParseIPv4(t *testing.T) {
 		"a.b.c.d":         {0, false},
 		"":                {0, false},
 		"1234.1.1.1":      {0, false},
+		"010.0.0.0":       {0, false},
+		"10.0.0.00":       {0, false},
 	} {
 		addr, ok := parseIPv4(s)
 		if ok != want.ok || addr != want.addr {
@@ -178,4 +185,82 @@ func FuzzRISLiveJSON(f *testing.F) {
 			t.Fatal("announcement without origin")
 		}
 	})
+}
+
+// TestDecodeOwnsItsMemory: the event must not alias line, which the
+// stage's reader overwrites with the next line.
+func TestDecodeOwnsItsMemory(t *testing.T) {
+	escaped := strings.NewReplacer(`"rrc00"`, `"rrc\u0030\u0030"`, `"192.0.2.9"`, `"192.0.2.\u0039"`).Replace(sampleUpdate)
+	for _, s := range []string{sampleUpdate, escaped, benchLine} {
+		line := []byte(s)
+		ev, err := Decode(line)
+		if err != nil || ev == nil {
+			t.Fatalf("Decode(%s) = %v, %v", s, ev, err)
+		}
+		for i := range line {
+			line[i] = 'x'
+		}
+		want, _ := Decode([]byte(s))
+		if !reflect.DeepEqual(ev, want) {
+			t.Errorf("event changed with its line:\n got %+v\nwant %+v", ev, want)
+		}
+	}
+}
+
+// TestDecodeDepthLimit: Decode and encoding/json agree on where the
+// nesting limit falls. (Kept out of the fuzz seeds: the fuzzer stalls
+// minimizing 20 KB inputs.)
+func TestDecodeDepthLimit(t *testing.T) {
+	for _, depth := range []int{maxDepth - 1, maxDepth} {
+		// The envelope itself is one more level.
+		line := []byte(`{"x":` + strings.Repeat("[", depth) + strings.Repeat("]", depth) + `}`)
+		_, err := Decode(line)
+		_, wantErr := decodeJSON(line)
+		if (err == nil) != (wantErr == nil) || (err == nil) != (depth < maxDepth) {
+			t.Errorf("depth %d+1: Decode error %v, encoding/json error %v", depth, err, wantErr)
+		}
+	}
+}
+
+// FuzzDecodeMatchesJSON holds Decode to the encoding/json decoder it
+// replaced (decodeJSON): on every line both fail, or both return the
+// same event, nil for a skipped line. Corner cases it has found live
+// in testdata/fuzz/FuzzDecodeMatchesJSON.
+func FuzzDecodeMatchesJSON(f *testing.F) {
+	f.Add([]byte(sampleUpdate))
+	f.Add([]byte(benchLine))
+	f.Fuzz(func(t *testing.T, line []byte) {
+		want, wantErr := decodeJSON(line)
+		got, err := Decode(line)
+		if (err == nil) != (wantErr == nil) {
+			t.Fatalf("Decode error: %v\nencoding/json error: %v", err, wantErr)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("Decode = %+v\nencoding/json = %+v", got, want)
+		}
+	})
+}
+
+// benchLine has the shape of the lines the benchmark's feed_replay
+// workload streams.
+const benchLine = `{"type":"ris_message","data":{"timestamp":1700000000.00,"peer":"10.0.0.1","peer_asn":"64512","id":"bench-1700000000","host":"rrc00","type":"UPDATE","path":[64512,3356,1299,15169],"community":[[64512,100],[3356,2]],"origin":"igp","announcements":[{"next_hop":"10.0.0.1","prefixes":["203.0.113.0/24","198.51.100.0/24"]}],"withdrawals":["192.0.2.0/24"]}}`
+
+// BenchmarkRISLiveDecode prices one feed line through Decode and, for
+// comparison, through the encoding/json decoder it replaced.
+func BenchmarkRISLiveDecode(b *testing.B) {
+	for _, bc := range []struct {
+		name   string
+		decode func([]byte) (*Event, error)
+	}{{"scanner", Decode}, {"encoding_json", decodeJSON}} {
+		b.Run(bc.name, func(b *testing.B) {
+			line := []byte(benchLine)
+			b.ReportAllocs()
+			b.SetBytes(int64(len(line)))
+			for i := 0; i < b.N; i++ {
+				if _, err := bc.decode(line); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }

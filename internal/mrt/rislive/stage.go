@@ -2,6 +2,7 @@ package rislive
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -50,9 +51,12 @@ func ParsePolicy(s string) (Policy, error) {
 }
 
 // DefaultBuffer is the bounded-channel capacity when Config leaves it
-// zero: enough to ride out consumer hiccups of a few thousand events
-// without unbounded memory.
-const DefaultBuffer = 1024
+// zero. Decoding outruns the consumer, so under PolicyBlock the channel
+// sits full and its length is a standing queue: lag ≈ Buffer ÷ consumer
+// rate, about 1 ms at 256. Under PolicyDrop it is the burst cushion,
+// Buffer ÷ feed rate. 256 keeps both small; operators override it with
+// moas-collector -ris-buffer.
+const DefaultBuffer = 256
 
 // Config parameterizes a Stage.
 type Config struct {
@@ -118,6 +122,7 @@ type Stage struct {
 	mDelivered   *telemetry.Counter
 	mDropped     *telemetry.Counter
 	mParseErrors *telemetry.Counter
+	mSkipped     *telemetry.Counter
 	mReconnects  *telemetry.Counter
 	mQueue       *telemetry.Gauge
 	mConnected   *telemetry.Gauge
@@ -147,7 +152,8 @@ func NewStage(cfg Config) *Stage {
 		s.mReceived = r.Counter("rislive_received_total", "UPDATE events decoded from the feed.")
 		s.mDelivered = r.Counter("rislive_delivered_total", "Events handed to the consumer.")
 		s.mDropped = r.Counter("rislive_dropped_total", "Events discarded by the drop policy.")
-		s.mParseErrors = r.Counter("rislive_parse_errors_total", "Feed lines that failed to decode.")
+		s.mParseErrors = r.Counter("rislive_parse_errors_total", "Feed lines that failed to decode or exceeded the line limit.")
+		s.mSkipped = r.Counter("rislive_skipped_total", "Well-formed feed lines with nothing to deliver.")
 		s.mReconnects = r.Counter("rislive_reconnects_total", "Feed connection attempts after the first.")
 		s.mQueue = r.Gauge("rislive_queue_depth", "Events buffered in the bounded channel.")
 		s.mConnected = r.Gauge("rislive_connected", "1 while the feed connection is established.")
@@ -270,13 +276,19 @@ const maxLine = 4 << 20
 // ingest decodes lines from r and delivers them under the configured
 // policy until the stream or ctx ends.
 func (s *Stage) ingest(ctx context.Context, r io.Reader) error {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 64<<10), maxLine)
-	for sc.Scan() {
+	lr := lineReader{r: bufio.NewReaderSize(r, 64<<10), max: maxLine}
+	for {
+		line, err := lr.next()
+		if errors.Is(err, errLineTooLong) {
+			s.parseError()
+			continue
+		}
+		if err != nil {
+			return err
+		}
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		line := sc.Bytes()
 		if len(line) == 0 {
 			continue
 		}
@@ -285,14 +297,14 @@ func (s *Stage) ingest(ctx context.Context, r io.Reader) error {
 		st := s.cfg.Obs.Start(0)
 		ev, err := Decode(line)
 		if err != nil {
-			s.parseErrors.Add(1)
-			if s.mParseErrors != nil {
-				s.mParseErrors.Inc()
-			}
+			s.parseError()
 			continue
 		}
 		if ev == nil {
 			s.skipped.Add(1)
+			if s.mSkipped != nil {
+				s.mSkipped.Inc()
+			}
 			continue
 		}
 		ev.Span = s.received.Add(1)
@@ -346,8 +358,67 @@ func (s *Stage) ingest(ctx context.Context, r io.Reader) error {
 			s.mQueue.Set(int64(len(s.out)))
 		}
 	}
-	if err := sc.Err(); err != nil {
-		return err
+}
+
+// parseError counts a line that did not decode.
+func (s *Stage) parseError() {
+	s.parseErrors.Add(1)
+	if s.mParseErrors != nil {
+		s.mParseErrors.Inc()
 	}
-	return io.EOF
+}
+
+// errLineTooLong reports a line longer than lineReader.max, which was
+// skipped.
+var errLineTooLong = errors.New("rislive: line too long")
+
+// lineReader splits a stream into lines as bufio.ScanLines does — the
+// terminator and one '\r' before it dropped, a last line without one
+// returned — except that a line longer than max is discarded up to its
+// newline and reported as errLineTooLong, and reading goes on.
+type lineReader struct {
+	r    *bufio.Reader
+	max  int
+	long []byte // a line that spans reader buffers
+	err  error  // the error that ended the stream, returned from then on
+}
+
+// next returns the next line, valid until the following call. At the
+// end of the stream it returns io.EOF or the read error.
+func (lr *lineReader) next() ([]byte, error) {
+	if lr.err != nil {
+		return nil, lr.err
+	}
+	lr.long = lr.long[:0]
+	over := false // the line is longer than max, even without a '\r'
+	for {
+		frag, err := lr.r.ReadSlice('\n')
+		if errors.Is(err, bufio.ErrBufferFull) {
+			over = over || len(lr.long)+len(frag) > lr.max+1
+			if !over {
+				lr.long = append(lr.long, frag...)
+			}
+			continue
+		}
+		if err != nil {
+			lr.err = err
+			if !errors.Is(err, io.EOF) || (len(frag) == 0 && len(lr.long) == 0 && !over) {
+				return nil, err
+			}
+		}
+		if over {
+			return nil, errLineTooLong
+		}
+		line := frag
+		if len(lr.long) > 0 {
+			lr.long = append(lr.long, frag...)
+			line = lr.long
+		}
+		line = bytes.TrimSuffix(line, []byte("\n"))
+		line = bytes.TrimSuffix(line, []byte("\r"))
+		if len(line) > lr.max {
+			return nil, errLineTooLong
+		}
+		return line, nil
+	}
 }

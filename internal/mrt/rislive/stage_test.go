@@ -1,11 +1,14 @@
 package rislive
 
 import (
+	"bufio"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -281,5 +284,66 @@ func TestTelemetryMirrors(t *testing.T) {
 	c := s.Counters()
 	if c.Received != 500 || c.Delivered+c.Dropped != c.Received {
 		t.Fatalf("counters %+v", c)
+	}
+	for name, want := range map[string]uint64{
+		"rislive_received_total":     c.Received,
+		"rislive_delivered_total":    c.Delivered,
+		"rislive_dropped_total":      c.Dropped,
+		"rislive_parse_errors_total": c.ParseErrors,
+		"rislive_skipped_total":      c.Skipped,
+	} {
+		if got := reg.Counter(name, "").Value(); got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
+	}
+	if c.Skipped == 0 || c.ParseErrors == 0 {
+		t.Errorf("feed noise not counted: %+v", c)
+	}
+}
+
+// TestOversizeLineSkipped: a line over maxLine is counted as a parse
+// error and skipped; the stream goes on, so neither replay nor a live
+// connection ends on it.
+func TestOversizeLineSkipped(t *testing.T) {
+	s := NewStage(Config{Policy: PolicyBlock})
+	stream := feedLine(1) + "\n" + strings.Repeat("x", maxLine+1) + "\n" + feedLine(2) + "\n"
+	if err := s.RunReader(context.Background(), strings.NewReader(stream)); err != nil {
+		t.Fatalf("RunReader: %v", err)
+	}
+	delivered := 0
+	for range s.Events() {
+		delivered++
+	}
+	c := s.Counters()
+	if delivered != 2 || c.Delivered != 2 || c.ParseErrors != 1 || c.Reconnects != 0 {
+		t.Errorf("consumer saw %d events; counters %+v", delivered, c)
+	}
+}
+
+// TestLineReader: lines split as bufio.ScanLines splits them, up to and
+// including the limit, across reader-buffer boundaries.
+func TestLineReader(t *testing.T) {
+	const limit = 40
+	long := strings.Repeat("y", limit)
+	in := "a\r\n\n" + long + "\n" + long + "z\n" + long + "\r\n" + strings.Repeat("z", 3*limit) + "\nlast"
+	lr := lineReader{r: bufio.NewReaderSize(strings.NewReader(in), 16), max: limit}
+	var got []string
+	for {
+		line, err := lr.next()
+		if errors.Is(err, errLineTooLong) {
+			got = append(got, "<long>")
+			continue
+		}
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, string(line))
+	}
+	want := []string{"a", "", long, "<long>", long, "<long>", "last"}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("lines %q, want %q", got, want)
 	}
 }
