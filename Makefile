@@ -3,6 +3,7 @@ GO ?= go
 # Fuzz targets exercised by fuzz-smoke, as package:target pairs.
 FUZZ_TARGETS := \
 	./internal/wire:FuzzDecode \
+	./internal/wire:FuzzReaderMatchesReadMessage \
 	./internal/astypes:FuzzParsePrefix \
 	./internal/astypes:FuzzParseASPath \
 	./internal/astypes:FuzzParseCommunity \

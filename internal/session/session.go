@@ -413,9 +413,15 @@ func (s *Session) sendNotification(code, sub uint8) {
 func (s *Session) readLoop() {
 	defer close(s.done)
 	for {
-		if err := s.conn.SetReadDeadline(s.readDeadline()); err != nil {
-			s.goDown(err)
-			return
+		// The hold timer bounds the delivery of each whole message: the
+		// deadline is armed once per message that is not yet fully
+		// buffered, never per Read, so a peer dribbling a message
+		// byte by byte still times out.
+		if !s.rd.Buffered() {
+			if err := s.conn.SetReadDeadline(s.readDeadline()); err != nil {
+				s.goDown(err)
+				return
+			}
 		}
 		msg, err := s.rd.ReadMessage()
 		if err != nil {

@@ -2,6 +2,7 @@ package session
 
 import (
 	"errors"
+	"io"
 	"net"
 	"sync"
 	"testing"
@@ -179,6 +180,73 @@ func TestHoldTimerExpiry(t *testing.T) {
 	}
 	if !errors.Is(sa.Err(), ErrHoldTimerExpired) {
 		t.Errorf("session error = %v, want ErrHoldTimerExpired", sa.Err())
+	}
+}
+
+// TestHoldTimerBoundsDribbledMessage: the hold time bounds the delivery
+// of a whole message, not the gap between reads. A peer that sends a
+// valid header and then one body byte per second is dropped within the
+// hold time, though every single read returns well inside it.
+func TestHoldTimerBoundsDribbledMessage(t *testing.T) {
+	if testing.Short() {
+		t.Skip("waits out a 3 s hold timer")
+	}
+	const hold = 3 * time.Second
+	ca, cb := net.Pipe()
+	ha := newCollector()
+	first := make(chan time.Time, 1)
+	go func() {
+		if _, err := wire.ReadMessage(cb); err != nil {
+			return
+		}
+		_ = wire.WriteMessage(cb, &wire.Open{Version: wire.Version4, AS: 2, HoldTime: uint16(hold / time.Second), BGPID: 2})
+		_ = wire.WriteMessage(cb, &wire.Keepalive{})
+		// Drain the session's keepalives so its writer never blocks.
+		go func() { _, _ = io.Copy(io.Discard, cb) }()
+		frame, err := wire.Encode(&wire.Update{
+			Attrs: wire.PathAttrs{HasOrigin: true, HasNextHop: true, ASPath: astypes.NewSeqPath(2)},
+			NLRI:  []astypes.Prefix{astypes.MustPrefix(0x0a000000, 8)},
+		})
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if _, err := cb.Write(frame[:wire.HeaderLen]); err != nil {
+			return
+		}
+		first <- time.Now()
+		for _, b := range frame[wire.HeaderLen:] {
+			time.Sleep(time.Second)
+			if _, err := cb.Write([]byte{b}); err != nil {
+				return // the session hung up
+			}
+		}
+		t.Error("the whole dribbled UPDATE was delivered")
+	}()
+	sa, err := Establish(ca, Config{LocalAS: 1, HoldTime: hold, Handler: ha})
+	if err != nil {
+		t.Fatalf("establish: %v", err)
+	}
+	defer sa.Close()
+	var start time.Time
+	select {
+	case start = <-first:
+	case <-time.After(5 * time.Second):
+		t.Fatal("scripted peer never sent the header")
+	}
+	select {
+	case <-ha.downCh:
+	case <-time.After(10 * time.Second):
+		t.Fatal("hold timer never fired")
+	}
+	if took := time.Since(start); took > hold+time.Second {
+		t.Errorf("session went down %v after the first byte, want <= %v", took, hold+time.Second)
+	}
+	if !errors.Is(sa.Err(), ErrHoldTimerExpired) {
+		t.Errorf("session error = %v, want ErrHoldTimerExpired", sa.Err())
+	}
+	if n := ha.updateCount(); n != 0 {
+		t.Errorf("handler saw %d updates, want 0", n)
 	}
 }
 

@@ -3,7 +3,6 @@ package speaker
 import (
 	"encoding/json"
 	"net/http"
-	"sort"
 
 	"repro/internal/astypes"
 )
@@ -65,7 +64,7 @@ type MIB struct {
 // Snapshot ordering (kept consistent so concurrent updates cannot show
 // a peer table newer than the routes it produced):
 //
-//  1. the s.mu-guarded peer walk (peers map; each session's State is
+//  1. the s.mu-guarded peer walk (sorted peers; each session's State is
 //     internally synchronized),
 //  2. the Loc-RIB route walk (rib.Table locks itself) — taken after
 //     s.mu is released: propagateLocked runs under s.mu, so every route
@@ -81,7 +80,7 @@ func (s *Speaker) MIB() MIB {
 		Mode: s.cfg.Validation.String(),
 	}
 	s.mu.Lock()
-	for asn, p := range s.peers { // peers guarded by mu
+	for _, p := range s.peers { // peers guarded by mu; sorted by AS
 		advertised := 0
 		for _, on := range p.advertised { // advertised guarded by mu
 			if on {
@@ -89,13 +88,12 @@ func (s *Speaker) MIB() MIB {
 			}
 		}
 		m.Peers = append(m.Peers, PeerEntry{
-			AS:         asn,
+			AS:         p.asn,
 			State:      p.sess.State().String(),
 			Advertised: advertised,
 		})
 	}
 	s.mu.Unlock()
-	sort.Slice(m.Peers, func(i, j int) bool { return m.Peers[i].AS < m.Peers[j].AS })
 
 	for _, r := range s.table.BestRoutes() {
 		entry := PrefixEntry{

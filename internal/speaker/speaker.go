@@ -12,9 +12,11 @@
 package speaker
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -141,8 +143,10 @@ type Speaker struct {
 
 	mu    sync.Mutex
 	table *rib.Table // set at construction; the Table locks itself
-	// peers holds established sessions by peer AS. Guarded by mu.
-	peers map[astypes.ASN]*peer
+	// peers holds established sessions in ascending peer-AS order, so
+	// every walk (export, purge, MIB) is deterministic without a sort.
+	// Guarded by mu.
+	peers []*peer
 	// alarms is the log of raised MOAS conflicts, in detection order.
 	// Guarded by mu.
 	alarms []core.Conflict
@@ -233,7 +237,6 @@ func New(cfg Config) (*Speaker, error) {
 		reg:      reg,
 		met:      newMetrics(reg),
 		table:    rib.NewTable(),
-		peers:    make(map[astypes.ASN]*peer),
 		resolved: make(map[astypes.Prefix]core.List),
 	}
 	if len(cfg.ImportDeny) > 0 {
@@ -289,8 +292,8 @@ func (h handler) HandleDown(peerAS astypes.ASN, err error) {
 func (h handler) HandleRouteRefresh(peerAS astypes.ASN, _ *wire.RouteRefresh) {
 	h.s.mu.Lock()
 	defer h.s.mu.Unlock()
-	p, ok := h.s.peers[peerAS]
-	if !ok {
+	p := h.s.peerLocked(peerAS)
+	if p == nil {
 		return
 	}
 	for _, r := range h.s.table.BestRoutes() {
@@ -304,9 +307,9 @@ func (h handler) HandleRouteRefresh(peerAS astypes.ASN, _ *wire.RouteRefresh) {
 // RequestRefresh asks one peer to resend its routes.
 func (s *Speaker) RequestRefresh(peerAS astypes.ASN) error {
 	s.mu.Lock()
-	p, ok := s.peers[peerAS]
+	p := s.peerLocked(peerAS)
 	s.mu.Unlock()
-	if !ok {
+	if p == nil {
 		return fmt.Errorf("speaker AS %s: no peer AS %s", s.cfg.AS, peerAS)
 	}
 	return p.sess.SendRouteRefresh()
@@ -319,6 +322,22 @@ func (s *Speaker) deniedPrefix(prefix astypes.Prefix) bool {
 	}
 	_, _, covered := s.denied.LongestMatchPrefix(prefix)
 	return covered
+}
+
+// findPeerLocked returns the index of peer AS asn in s.peers, or the
+// index it would be inserted at, and whether it is there.
+func (s *Speaker) findPeerLocked(asn astypes.ASN) (int, bool) {
+	return slices.BinarySearchFunc(s.peers, asn, func(p *peer, a astypes.ASN) int {
+		return cmp.Compare(p.asn, a)
+	})
+}
+
+// peerLocked returns the established peer with AS asn, or nil.
+func (s *Speaker) peerLocked(asn astypes.ASN) *peer {
+	if i, ok := s.findPeerLocked(asn); ok {
+		return s.peers[i]
+	}
+	return nil
 }
 
 // AddPeerConn runs the BGP handshake on an existing connection and
@@ -344,7 +363,8 @@ func (s *Speaker) AddPeerConn(conn net.Conn, peerAS astypes.ASN) (astypes.ASN, e
 		sess.Close()
 		return astypes.ASNNone, errors.New("speaker closed")
 	}
-	if _, dup := s.peers[got]; dup {
+	i, dup := s.findPeerLocked(got)
+	if dup {
 		s.mu.Unlock()
 		sess.Close()
 		return astypes.ASNNone, fmt.Errorf("speaker AS %s: duplicate session with AS %s", s.cfg.AS, got)
@@ -356,7 +376,7 @@ func (s *Speaker) AddPeerConn(conn net.Conn, peerAS astypes.ASN) (astypes.ASN, e
 		sendQ:      make(chan *wire.Update, sendQueueLen),
 		qdone:      make(chan struct{}),
 	}
-	s.peers[got] = p
+	s.peers = slices.Insert(s.peers, i, p)
 	s.met.peers.Inc()
 	s.wg.Add(1)
 	go func() {
@@ -425,8 +445,8 @@ func (s *Speaker) Listen(ln net.Listener) {
 func (s *Speaker) AdvertisedTo(peerAS astypes.ASN) []astypes.Prefix {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	p, ok := s.peers[peerAS]
-	if !ok {
+	p := s.peerLocked(peerAS)
+	if p == nil {
 		return nil
 	}
 	var out []astypes.Prefix
@@ -443,11 +463,10 @@ func (s *Speaker) AdvertisedTo(peerAS astypes.ASN) []astypes.Prefix {
 func (s *Speaker) Peers() []astypes.ASN {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]astypes.ASN, 0, len(s.peers))
-	for a := range s.peers {
-		out = append(out, a)
+	out := make([]astypes.ASN, len(s.peers))
+	for i, p := range s.peers {
+		out[i] = p.asn
 	}
-	astypes.SortASNs(out)
 	return out
 }
 
@@ -644,24 +663,45 @@ func (s *Speaker) admitLocked(prefix astypes.Prefix, attrs wire.PathAttrs, peerA
 
 // purgeInvalidLocked drops installed routes for prefix whose origin is
 // outside the resolved valid set: one shard lookup per peer, whatever
-// the size of its Adj-RIB-In.
+// the size of its Adj-RIB-In. Every invalid route leaves the table
+// before anything is exported, and peers hear one net change, from the
+// best route before the purge to the best after it: a forged route that
+// becomes best only while the other forged routes are withdrawn one by
+// one is never advertised.
 func (s *Speaker) purgeInvalidLocked(prefix astypes.Prefix, truth core.List) {
-	for peerAS := range s.peers {
-		if r := s.table.RouteFrom(peerAS, prefix); r != nil && !truth.Contains(r.OriginAS()) {
-			ch := s.table.Withdraw(peerAS, prefix)
-			s.propagateLocked(ch, 0)
+	merged := rib.Change{Prefix: prefix}
+	for _, p := range s.peers {
+		r := s.table.RouteFrom(p.asn, prefix)
+		if r == nil || truth.Contains(r.OriginAS()) {
+			continue
+		}
+		if ch := s.table.Withdraw(p.asn, prefix); ch.Changed {
+			if !merged.Changed {
+				merged.Old = ch.Old
+			}
+			merged.New, merged.Changed = ch.New, true
 		}
 	}
+	// Withdrawals never bring back the best route they replaced, so a
+	// change in any step is a net change.
+	if merged.Changed {
+		merged.Reason = rib.ReasonReplaced
+		if merged.New == nil {
+			merged.Reason = rib.ReasonWithdrawn
+		}
+	}
+	s.propagateLocked(merged, 0)
 }
 
 func (s *Speaker) handlePeerDown(peerAS astypes.ASN) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	p, ok := s.peers[peerAS]
+	i, ok := s.findPeerLocked(peerAS)
 	if !ok {
 		return
 	}
-	delete(s.peers, peerAS)
+	p := s.peers[i]
+	s.peers = slices.Delete(s.peers, i, i+1)
 	s.met.peers.Dec()
 	close(p.sendQ)
 	for _, ch := range s.table.DropPeer(peerAS) {
@@ -693,20 +733,13 @@ func (s *Speaker) propagateLocked(ch rib.Change, span uint64) {
 	if suppressed && ch.New != nil {
 		s.met.suppressed.Inc()
 	}
-	// Deterministic peer order keeps tests reproducible. The export
-	// UPDATE is built once and shared by every peer: updates are
-	// immutable once enqueued, and the encoder only reads them.
+	// The export UPDATE is built once and shared by every peer: updates
+	// are immutable once enqueued, and the encoder only reads them.
 	var u *wire.Update
 	if ch.New != nil && !suppressed {
 		u = s.exportUpdate(ch.New)
 	}
-	asns := make([]astypes.ASN, 0, len(s.peers))
-	for a := range s.peers {
-		asns = append(asns, a)
-	}
-	sort.Slice(asns, func(i, j int) bool { return asns[i] < asns[j] })
-	for _, a := range asns {
-		p := s.peers[a]
+	for _, p := range s.peers {
 		if u == nil {
 			s.withdrawFromLocked(p, ch.Prefix, span)
 			continue

@@ -153,6 +153,63 @@ func TestPurgeWithdrawsOnlyTheForgedRoute(t *testing.T) {
 	}
 }
 
+// TestPurgeNeverAdvertisesAForgedRoute: when two peers hold the forged
+// origin, the purge removes both before exporting, so no other peer
+// hears the second-best forged route in between, whichever order the
+// routes are withdrawn in. Repeated because an order-dependent purge
+// passes some runs.
+func TestPurgeNeverAdvertisesAForgedRoute(t *testing.T) {
+	prefix := astypes.MustPrefix(0x83b30000, 16)
+	resolver := ResolverFunc(func(p astypes.Prefix) (core.List, bool) {
+		return core.NewList(1), p == prefix
+	})
+	for run := 0; run < 20; run++ {
+		t.Run(fmt.Sprint(run), func(t *testing.T) {
+			s := newSpeaker(t, 100, ValidationDrop, resolver)
+			// W records what the speaker tells it about prefix, in order.
+			var mu sync.Mutex
+			var toW []string
+			dialRaw(t, s, 30, func(u *wire.Update) {
+				mu.Lock()
+				defer mu.Unlock()
+				for _, p := range u.Withdrawn {
+					if p == prefix {
+						toW = append(toW, "withdraw")
+					}
+				}
+				for _, p := range u.NLRI {
+					if p == prefix {
+						origin, _ := u.Attrs.ASPath.Origin()
+						via := u.Attrs.ASPath.Segments[0].ASNs[1]
+						toW = append(toW, fmt.Sprintf("origin %d via %d", origin, via))
+					}
+				}
+			})
+			short := dialRaw(t, s, 10, nil)
+			valid := dialRaw(t, s, 20, nil)
+			long := dialRaw(t, s, 40, nil)
+
+			announceAll(t, short, astypes.NewSeqPath(10, 9), []astypes.Prefix{prefix})
+			waitFor(t, func() bool { return s.Table().RouteFrom(10, prefix) != nil }, "AS10's route")
+			announceAll(t, long, astypes.NewSeqPath(40, 5, 9), []astypes.Prefix{prefix})
+			waitFor(t, func() bool { return s.Table().RouteFrom(40, prefix) != nil }, "AS40's route")
+			announceAll(t, valid, astypes.NewSeqPath(20, 1), []astypes.Prefix{prefix})
+			const last = "origin 1 via 20"
+			waitFor(t, func() bool {
+				mu.Lock()
+				defer mu.Unlock()
+				return len(toW) > 0 && toW[len(toW)-1] == last
+			}, "the valid route at W")
+
+			mu.Lock()
+			defer mu.Unlock()
+			if want := []string{"origin 9 via 10", "withdraw", last}; fmt.Sprint(toW) != fmt.Sprint(want) {
+				t.Errorf("W heard %q, want %q", toW, want)
+			}
+		})
+	}
+}
+
 // heldCloseConn closes at once, but holds its first Close caller until
 // gate is closed, so that caller's goroutine stays in flight. The first
 // caller is claimed before the close takes effect, so a reader woken by

@@ -63,21 +63,36 @@ func (d *Decoder) Decode(buf []byte) (Message, error) {
 // starting at 1; 0 means nothing has decoded yet.
 func (d *Decoder) Span() uint64 { return d.span }
 
+// readBufLen is the size of a Reader's fill buffer: one Read takes up
+// to ~1 000 back-to-back ~60-byte UPDATEs, or 16 full-size messages.
+const readBufLen = 64 << 10
+
 // Reader frames and decodes messages from one connection with zero
-// steady-state allocations: the read buffer is owned by the Reader and
-// UPDATEs decode into Decoder scratch. The message returned by
-// ReadMessage is valid only until the next call. Not safe for
-// concurrent use; a BGP session has exactly one reader goroutine.
+// steady-state allocations. It reads ahead into an owned fill buffer:
+// one Read takes as many frames as the source holds, and ReadMessage
+// reads again only when no complete frame is buffered. UPDATEs decode
+// into Decoder scratch. The message returned by ReadMessage is valid
+// only until the next call. Not safe for concurrent use; a BGP session
+// has exactly one reader goroutine.
 type Reader struct {
-	r   io.Reader
-	buf [MaxMessageLen]byte
+	r io.Reader
+	// buf[start:end] is read but not yet framed. The frame returned
+	// last lies before start and may still be aliased by its message
+	// (unknown-attribute values), so only a fill, which runs inside the
+	// next ReadMessage, moves bytes.
+	buf        [readBufLen]byte
+	start, end int
+	// err is the error the last Read returned; it is reported once the
+	// frames completed before it are consumed, as bufio.Reader does.
+	err error
 	dec Decoder
-	// rec, when set, stamps each message's ingest instant and records
-	// its decode-stage latency; st is the current message's stamp,
-	// owned by the Reader (valid until the next ReadMessage) so the
-	// record path stays allocation-free.
-	rec *obs.Recorder
-	st  obs.Stamp
+	// rec, when set, stamps each fill's ingest instant (fillSt) and
+	// records each message's decode-stage latency; st is the current
+	// message's stamp, owned by the Reader (valid until the next
+	// ReadMessage) so the record path stays allocation-free.
+	rec    *obs.Recorder
+	fillSt obs.Stamp
+	st     obs.Stamp
 }
 
 // NewReader returns a Reader framing messages from r.
@@ -85,18 +100,22 @@ func NewReader(r io.Reader) *Reader {
 	return &Reader{r: r}
 }
 
-// ReadMessage reads exactly one message, validating the marker before
-// the body is consumed (see readFrame).
+// ReadMessage reads one message. Its header is validated as soon as
+// its 19 bytes are buffered, before any body byte is awaited (see
+// frameLen). The end of the source at a frame boundary returns io.EOF;
+// inside a frame, io.ErrUnexpectedEOF.
 func (rd *Reader) ReadMessage() (Message, error) {
-	n, err := readFrame(rd.r, rd.buf[:])
+	n, err := rd.next()
 	if err != nil {
 		return nil, err
 	}
-	// Ingest T0 is stamped after the frame is read, so time spent
-	// blocked on the socket (idle sessions) never pollutes the decode
-	// stage.
-	rd.st = rd.rec.Start(0)
-	m, err := rd.dec.Decode(rd.buf[:n])
+	frame := rd.buf[rd.start : rd.start+n]
+	rd.start += n
+	// Ingest T0 is the return of the Read that completed this frame:
+	// time blocked on an idle socket is never counted, while time the
+	// frame waited in the buffer behind earlier frames is.
+	rd.st = rd.fillSt
+	m, err := rd.dec.Decode(frame)
 	if err != nil {
 		return nil, err
 	}
@@ -105,6 +124,57 @@ func (rd *Reader) ReadMessage() (Message, error) {
 	rd.st.Span = rd.dec.Span()
 	rd.rec.Cross(&rd.st, obs.StageDecode)
 	return m, nil
+}
+
+// Buffered reports whether the next ReadMessage returns without reading
+// from the source: a complete frame, or a header that fails validation,
+// is already buffered.
+func (rd *Reader) Buffered() bool {
+	avail := rd.end - rd.start
+	if avail < HeaderLen {
+		return false
+	}
+	n, err := frameLen(rd.buf[rd.start:rd.end])
+	return err != nil || n <= avail
+}
+
+// next returns the length of the frame at buf[start:], filling from the
+// source until the whole frame is buffered.
+func (rd *Reader) next() (int, error) {
+	for {
+		if avail := rd.end - rd.start; avail >= HeaderLen {
+			n, err := frameLen(rd.buf[rd.start:rd.end])
+			if err != nil {
+				return 0, err
+			}
+			if n <= avail {
+				return n, nil
+			}
+		}
+		if err := rd.err; err != nil {
+			rd.err = nil
+			if err == io.EOF && rd.end > rd.start {
+				err = io.ErrUnexpectedEOF
+			}
+			return 0, err
+		}
+		rd.fill()
+	}
+}
+
+// fill moves the unframed tail of buf to the front and makes one Read
+// into the space after it. A Read that returns bytes restamps the
+// ingest instant: every frame framed before the next fill was completed
+// by this Read.
+func (rd *Reader) fill() {
+	rd.end = copy(rd.buf[:], rd.buf[rd.start:rd.end])
+	rd.start = 0
+	n, err := rd.r.Read(rd.buf[rd.end:])
+	if n > 0 {
+		rd.end += n
+		rd.fillSt = rd.rec.Start(0)
+	}
+	rd.err = err
 }
 
 // Span returns the ordinal of the most recently decoded message (see

@@ -755,20 +755,37 @@ func Encode(m Message) ([]byte, error) {
 	return AppendMessage(make([]byte, 0, HeaderLen+64), m)
 }
 
-// checkHeader validates the marker, declared length, and framing of one
-// complete message and returns its type code and body.
+// frameLen validates a message header — the 16-byte marker, then the
+// declared length — and returns the frame's total length. hdr must hold
+// at least HeaderLen bytes. Every framing path calls it as soon as the
+// header is in hand, before any body byte is consumed or awaited, so a
+// desynchronized peer fails fast with ErrCodeHeader/SubConnNotSynced
+// instead of feeding up to MaxMessageLen of garbage through the body.
+func frameLen(hdr []byte) (int, error) {
+	for i := 0; i < markerLen; i++ {
+		if hdr[i] != 0xff {
+			return 0, msgErrf(ErrCodeHeader, SubConnNotSynced, "bad marker")
+		}
+	}
+	n := int(binary.BigEndian.Uint16(hdr[16:18]))
+	if n < HeaderLen || n > MaxMessageLen {
+		return 0, msgErrf(ErrCodeHeader, SubBadLength, "declared length %d", n)
+	}
+	return n, nil
+}
+
+// checkHeader validates the header and framing of one complete message
+// and returns its type code and body.
 func checkHeader(buf []byte) (MsgType, []byte, error) {
 	if len(buf) < HeaderLen {
 		return 0, nil, msgErrf(ErrCodeHeader, SubBadLength, "message %d bytes < header", len(buf))
 	}
-	for i := 0; i < markerLen; i++ {
-		if buf[i] != 0xff {
-			return 0, nil, msgErrf(ErrCodeHeader, SubConnNotSynced, "bad marker")
-		}
+	n, err := frameLen(buf)
+	if err != nil {
+		return 0, nil, err
 	}
-	totalLen := int(binary.BigEndian.Uint16(buf[16:18]))
-	if totalLen != len(buf) || totalLen > MaxMessageLen {
-		return 0, nil, msgErrf(ErrCodeHeader, SubBadLength, "declared length %d, have %d", totalLen, len(buf))
+	if n != len(buf) {
+		return 0, nil, msgErrf(ErrCodeHeader, SubBadLength, "declared length %d, have %d", n, len(buf))
 	}
 	return MsgType(buf[18]), buf[HeaderLen:], nil
 }
@@ -800,38 +817,31 @@ func Decode(buf []byte) (Message, error) {
 	}
 }
 
-// readFrame reads one framed message from r into buf (which must hold
-// MaxMessageLen bytes) and returns its total length. The 16-byte marker
-// is validated as part of the header read — before any body byte is
-// consumed — so a desynchronized peer fails fast with ErrCodeHeader/
-// SubConnNotSynced instead of feeding up to MaxMessageLen of garbage
-// through the body read.
+// readFrame reads exactly one framed message from r into buf (which
+// must hold MaxMessageLen bytes) and returns its total length: the
+// header, validated by frameLen, then the body it declares.
 func readFrame(r io.Reader, buf []byte) (int, error) {
 	if _, err := io.ReadFull(r, buf[:HeaderLen]); err != nil {
 		return 0, err
 	}
-	for i := 0; i < markerLen; i++ {
-		if buf[i] != 0xff {
-			return 0, msgErrf(ErrCodeHeader, SubConnNotSynced, "bad marker")
-		}
+	n, err := frameLen(buf)
+	if err != nil {
+		return 0, err
 	}
-	totalLen := int(binary.BigEndian.Uint16(buf[16:18]))
-	if totalLen < HeaderLen || totalLen > MaxMessageLen {
-		return 0, msgErrf(ErrCodeHeader, SubBadLength, "declared length %d", totalLen)
-	}
-	if _, err := io.ReadFull(r, buf[HeaderLen:totalLen]); err != nil {
+	if _, err := io.ReadFull(r, buf[HeaderLen:n]); err != nil {
 		if errors.Is(err, io.EOF) {
 			err = io.ErrUnexpectedEOF
 		}
 		return 0, err
 	}
-	return totalLen, nil
+	return n, nil
 }
 
 // ReadMessage reads exactly one message from r, using the header length
-// field to frame it. The read buffer is pooled; the returned message
-// owns all of its memory. Long-lived readers should prefer a Reader,
-// which also reuses the decoded message.
+// field to frame it, and consumes no byte past it. The read buffer is
+// pooled; the returned message owns all of its memory. Long-lived
+// readers should prefer a Reader, which reads ahead in bulk and reuses
+// the decoded message.
 func ReadMessage(r io.Reader) (Message, error) {
 	bp := msgBufPool.Get().(*[]byte)
 	buf := (*bp)[:MaxMessageLen]
