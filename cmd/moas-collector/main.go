@@ -123,7 +123,7 @@ func run(ctx context.Context, cfg runConfig) error {
 		// A collector still replaying its archive serves a partial
 		// table; hold readiness until the replay lands.
 		replay = &obs.Progress{}
-		ready.Register("mrt-replay", telemetry.NotSynced(replay.Done, "replay not finished"))
+		ready.Register("mrt-replay", replay.Done, "replay not finished")
 	}
 
 	c := collector.New(collector.Config{RouterID: 6447, Telemetry: reg, Trace: rec, Obs: obsRec})
@@ -140,7 +140,7 @@ func run(ctx context.Context, cfg runConfig) error {
 			Registry: reg,
 			Obs:      obsRec,
 		})
-		ready.Register("ris-live", telemetry.NotSynced(stage.Connected, "stream not connected"))
+		ready.Register("ris-live", stage.Connected, "stream not connected")
 	}
 
 	// Any ROA source turns on RPKI/ROV cross-validation: monitor alarms
@@ -154,7 +154,7 @@ func run(ctx context.Context, cfg runConfig) error {
 	}
 	if rtr != nil {
 		// Alarm classes are not trustworthy until the first sync lands.
-		ready.Register("rtr", telemetry.NotSynced(rtr.Synced, "cache not synced"))
+		ready.Register("rtr", rtr.Synced, "cache not synced")
 	}
 
 	if cfg.metricsAddr != "" {

@@ -8,6 +8,7 @@
 package collector
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"sort"
@@ -84,7 +85,7 @@ type Collector struct {
 	met *metrics
 
 	mu    sync.Mutex
-	peers map[astypes.ASN]*session.Session // guarded by mu
+	peers map[astypes.ASN]*peering // guarded by mu
 	// rib[peer][prefix] mirrors each peer's announcements. Guarded by mu.
 	rib       map[astypes.ASN]map[astypes.Prefix]route
 	snapshots int  // guarded by mu
@@ -107,7 +108,7 @@ func New(cfg Config) *Collector {
 		cfg:   cfg,
 		reg:   reg,
 		met:   newMetrics(reg),
-		peers: make(map[astypes.ASN]*session.Session),
+		peers: make(map[astypes.ASN]*peering),
 		rib:   make(map[astypes.ASN]map[astypes.Prefix]route),
 	}
 }
@@ -116,21 +117,30 @@ func New(cfg Config) *Collector {
 // itself on (the configured one, or the private default).
 func (c *Collector) Registry() *telemetry.Registry { return c.reg }
 
-// handler adapts session events for one peer.
-type handler struct {
-	c *Collector
+// peering is one peer session and the session.Handler it reports to.
+// Each connection gets its own, so a session that goes down can tell
+// whether it is the one registered for its AS.
+type peering struct {
+	c    *Collector
+	sess *session.Session // set on registration; guarded by c.mu
+	down bool             // the session has gone down; guarded by c.mu
 }
 
 // HandleUpdate implements session.Handler.
-func (h handler) HandleUpdate(peer astypes.ASN, u *wire.Update) {
-	h.c.met.updatesIn.Inc()
-	h.c.met.withdrawalsIn.Add(uint64(len(u.Withdrawn)))
-	h.c.mu.Lock()
-	defer h.c.mu.Unlock()
-	table := h.c.rib[peer]
+func (p *peering) HandleUpdate(asn astypes.ASN, u *wire.Update) {
+	p.c.mirror(asn, u)
+}
+
+// mirror applies one UPDATE from peer AS asn to the collector's RIB.
+func (c *Collector) mirror(asn astypes.ASN, u *wire.Update) {
+	c.met.updatesIn.Inc()
+	c.met.withdrawalsIn.Add(uint64(len(u.Withdrawn)))
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	table := c.rib[asn]
 	if table == nil {
 		table = make(map[astypes.Prefix]route)
-		h.c.rib[peer] = table
+		c.rib[asn] = table
 	}
 	for _, w := range u.Withdrawn {
 		delete(table, w)
@@ -148,9 +158,9 @@ func (h handler) HandleUpdate(peer astypes.ASN, u *wire.Update) {
 
 // HandleUpdateStamp is the stage-timed delivery path: the RIB-mirror
 // stage crossing lands in the collector's obs recorder.
-func (h handler) HandleUpdateStamp(peer astypes.ASN, u *wire.Update, st *obs.Stamp) {
-	h.HandleUpdate(peer, u)
-	h.c.cfg.Obs.Cross(st, obs.StageRIB)
+func (p *peering) HandleUpdateStamp(asn astypes.ASN, u *wire.Update, st *obs.Stamp) {
+	p.c.mirror(asn, u)
+	p.c.cfg.Obs.Cross(st, obs.StageRIB)
 }
 
 // Inject feeds one UPDATE into the collector's RIB as if peer had sent
@@ -158,28 +168,34 @@ func (h handler) HandleUpdateStamp(peer astypes.ASN, u *wire.Update, st *obs.Sta
 // stages use to reach snapshots without a TCP peering. The update is
 // cloned on ingest, so u may alias decoder scratch.
 func (c *Collector) Inject(peer astypes.ASN, u *wire.Update) {
-	handler{c: c}.HandleUpdate(peer, u)
+	c.mirror(peer, u)
 }
 
-// HandleDown implements session.Handler.
-func (h handler) HandleDown(peer astypes.ASN, err error) {
-	h.c.mu.Lock()
-	defer h.c.mu.Unlock()
-	if _, ok := h.c.peers[peer]; ok {
-		h.c.met.peers.Dec()
+// HandleDown implements session.Handler. Only the registered session
+// of an AS owns its peering: a rejected duplicate going down leaves the
+// established peer and its routes alone.
+func (p *peering) HandleDown(asn astypes.ASN, err error) {
+	c := p.c
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	p.down = true
+	if c.peers[asn] != p {
+		return
 	}
-	delete(h.c.peers, peer)
-	delete(h.c.rib, peer)
+	c.met.peers.Dec()
+	delete(c.peers, asn)
+	delete(c.rib, asn)
 }
 
 // AddPeerConn runs the BGP handshake on conn and starts collecting from
 // the peer. The collector accepts any peer AS.
 func (c *Collector) AddPeerConn(conn net.Conn) (astypes.ASN, error) {
+	p := &peering{c: c}
 	sess, err := session.Establish(conn, session.Config{
 		LocalAS:  c.cfg.AS,
 		LocalID:  c.cfg.RouterID,
 		HoldTime: c.cfg.HoldTime,
-		Handler:  handler{c: c},
+		Handler:  p,
 		Metrics:  c.met.session,
 		Trace:    c.cfg.Trace,
 		Obs:      c.cfg.Obs,
@@ -189,17 +205,25 @@ func (c *Collector) AddPeerConn(conn net.Conn) (astypes.ASN, error) {
 	}
 	got := sess.PeerAS()
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed {
-		sess.Close()
-		return astypes.ASNNone, fmt.Errorf("collector closed")
+	switch _, dup := c.peers[got]; {
+	case c.closed:
+		err = errors.New("collector closed")
+	case dup:
+		err = fmt.Errorf("collector: duplicate peer AS %s", got)
+	case p.down:
+		err = fmt.Errorf("collector: session with AS %s went down during setup", got)
+	default:
+		p.sess = sess
+		c.peers[got] = p
+		c.met.peers.Inc()
 	}
-	if _, dup := c.peers[got]; dup {
+	c.mu.Unlock()
+	if err != nil {
+		// Outside mu: Close waits for the read loop, whose HandleDown
+		// takes mu.
 		sess.Close()
-		return astypes.ASNNone, fmt.Errorf("collector: duplicate peer AS %s", got)
+		return astypes.ASNNone, err
 	}
-	c.peers[got] = sess
-	c.met.peers.Inc()
 	return got, nil
 }
 
@@ -313,8 +337,8 @@ func (c *Collector) Close() error {
 	c.closed = true
 	listeners := c.listeners
 	sessions := make([]*session.Session, 0, len(c.peers))
-	for _, s := range c.peers {
-		sessions = append(sessions, s)
+	for _, p := range c.peers {
+		sessions = append(sessions, p.sess)
 	}
 	c.mu.Unlock()
 	for _, ln := range listeners {

@@ -391,7 +391,7 @@ func Build(cfg Config) (*Daemon, error) {
 	if rtr != nil {
 		// A daemon that cross-validates against an RTR cache is not
 		// serving trustworthy verdicts until the first sync lands.
-		d.ready.Register("rtr", telemetry.NotSynced(rtr.Synced, "cache not synced"))
+		d.ready.Register("rtr", rtr.Synced, "cache not synced")
 		ctx, cancel := context.WithCancel(context.Background())
 		d.rtrCancel = cancel
 		d.wg.Add(1)

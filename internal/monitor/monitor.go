@@ -56,7 +56,8 @@ type Monitor struct {
 	// rpki, if set, is the validated ROA store alarms are cross-checked
 	// against; nil validates to NotFound (no ROV signal).
 	rpki *rpki.Store
-	// met, if set, mirrors monitor state onto a telemetry registry.
+	// met counts monitor state on the WithTelemetry registry, or on a
+	// private one.
 	met *monitorMetrics
 	// rec, if set, records validate events and forensic alarm bundles
 	// on a flight recorder (WithTrace).
@@ -129,8 +130,8 @@ type telemetryOption struct{ r *telemetry.Registry }
 
 func (o telemetryOption) apply(m *Monitor) { m.met = newMonitorMetrics(o.r) }
 
-// WithTelemetry mirrors entry and alarm counts, alarms by class, and
-// the live MOAS-case count onto r.
+// WithTelemetry counts entries and alarms, alarms by class, and the
+// live MOAS-case count on r.
 func WithTelemetry(r *telemetry.Registry) Option {
 	return telemetryOption{r: r}
 }
@@ -164,6 +165,9 @@ func New(opts ...Option) *Monitor {
 	}
 	for _, o := range opts {
 		o.apply(m)
+	}
+	if m.met == nil {
+		m.met = newMonitorMetrics(telemetry.NewRegistry("moas"))
 	}
 	return m
 }
@@ -215,9 +219,7 @@ func (m *Monitor) observe(vantage string, prefix astypes.Prefix, path astypes.AS
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.met != nil {
-		m.met.entries.Inc()
-	}
+	m.met.entries.Inc()
 	if origin, ok := path.Origin(); ok {
 		set, ok := m.origins[prefix]
 		if !ok {
@@ -228,16 +230,14 @@ func (m *Monitor) observe(vantage string, prefix astypes.Prefix, path astypes.AS
 		set[origin] = struct{}{}
 		// A prefix becomes a MOAS case when its visible origin set
 		// crosses from one to two.
-		if m.met != nil && before == 1 && len(set) == 2 {
+		if before == 1 && len(set) == 2 {
 			m.met.cases.Inc()
 		}
 	}
 	if conflict != nil {
 		m.alarms = append(m.alarms, Alarm{Conflict: *conflict, Vantage: vantage, Class: class})
-		if m.met != nil {
-			m.met.alarms.Inc()
-			m.met.classes.With(class.String()).Inc()
-		}
+		m.met.alarms.Inc()
+		m.met.classes.With(class.String()).Inc()
 	}
 }
 
@@ -275,7 +275,7 @@ func (m *Monitor) forgetWithdrawn(u *wire.Update) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for _, w := range u.Withdrawn {
-		if m.met != nil && len(m.origins[w]) >= 2 {
+		if len(m.origins[w]) >= 2 {
 			m.met.cases.Dec()
 		}
 		delete(m.origins, w)
@@ -344,11 +344,9 @@ func (m *Monitor) Reset() {
 	m.checker.Reset()
 	m.origins = make(map[astypes.Prefix]map[astypes.ASN]struct{})
 	m.alarms = nil
-	if m.met != nil {
-		// Counters are cumulative across resets by design; only the
-		// live-case gauge goes back to zero.
-		m.met.cases.Set(0)
-	}
+	// Counters are cumulative across resets by design; only the
+	// live-case gauge goes back to zero.
+	m.met.cases.Set(0)
 }
 
 // AlarmGroup aggregates the alarms of one prefix: operators care about

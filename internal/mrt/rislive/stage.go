@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/backoff"
@@ -73,7 +72,9 @@ type Config struct {
 	ReconnectMax  time.Duration
 	// Client overrides the HTTP client (http.DefaultClient when nil).
 	Client *http.Client
-	// Registry receives the stage's counters when non-nil.
+	// Registry receives the stage's counters; nil keeps them on a
+	// private registry. Counters reads them back, so stages sharing a
+	// registry share their accounting.
 	Registry *telemetry.Registry
 	// Obs, if set, stamps each event's ingest instant before its line
 	// decodes and records the decode-stage latency; the stamp rides the
@@ -105,31 +106,27 @@ type Stage struct {
 	cfg Config
 	out chan *Event
 
-	received    atomic.Uint64
-	delivered   atomic.Uint64
-	dropped     atomic.Uint64
-	parseErrors atomic.Uint64
-	skipped     atomic.Uint64
-	reconnects  atomic.Uint64
+	// seq mints each received event's span: its ordinal in this
+	// stage's stream. Only the ingest goroutine touches it.
+	seq uint64
 
-	// connected tracks whether the feed is currently attached to a
-	// source (HTTP 200 established, or a RunReader stream in progress);
-	// readiness probes consult it.
-	connected atomic.Bool
-
-	// Mirrored telemetry counters (nil when no registry was given).
-	mReceived    *telemetry.Counter
-	mDelivered   *telemetry.Counter
-	mDropped     *telemetry.Counter
-	mParseErrors *telemetry.Counter
-	mSkipped     *telemetry.Counter
-	mReconnects  *telemetry.Counter
-	mQueue       *telemetry.Gauge
-	mConnected   *telemetry.Gauge
-	// mLagMs is the stream-lag watermark (wall clock minus the event's
-	// feed timestamp); mLag is its histogram twin for distribution.
-	mLagMs *telemetry.Gauge
-	mLag   *telemetry.Histogram
+	// The stage's accounting lives only in these instruments; Counters
+	// reads them back.
+	received    *telemetry.Counter
+	delivered   *telemetry.Counter
+	dropped     *telemetry.Counter
+	parseErrors *telemetry.Counter
+	skipped     *telemetry.Counter
+	reconnects  *telemetry.Counter
+	queue       *telemetry.Gauge
+	// connected is 1 while the feed is attached to a source (HTTP 200
+	// established, or a RunReader stream in progress); readiness probes
+	// consult it.
+	connected *telemetry.Gauge
+	// lagMs is the stream-lag watermark (wall clock minus the event's
+	// feed timestamp); lag is its histogram twin for distribution.
+	lagMs *telemetry.Gauge
+	lag   *telemetry.Histogram
 }
 
 // NewStage returns a Stage with the channel allocated but no connection
@@ -147,21 +144,24 @@ func NewStage(cfg Config) *Stage {
 	if cfg.Client == nil {
 		cfg.Client = http.DefaultClient
 	}
-	s := &Stage{cfg: cfg, out: make(chan *Event, cfg.Buffer)}
-	if r := cfg.Registry; r != nil {
-		s.mReceived = r.Counter("rislive_received_total", "UPDATE events decoded from the feed.")
-		s.mDelivered = r.Counter("rislive_delivered_total", "Events handed to the consumer.")
-		s.mDropped = r.Counter("rislive_dropped_total", "Events discarded by the drop policy.")
-		s.mParseErrors = r.Counter("rislive_parse_errors_total", "Feed lines that failed to decode or exceeded the line limit.")
-		s.mSkipped = r.Counter("rislive_skipped_total", "Well-formed feed lines with nothing to deliver.")
-		s.mReconnects = r.Counter("rislive_reconnects_total", "Feed connection attempts after the first.")
-		s.mQueue = r.Gauge("rislive_queue_depth", "Events buffered in the bounded channel.")
-		s.mConnected = r.Gauge("rislive_connected", "1 while the feed connection is established.")
-		s.mLagMs = r.Gauge("rislive_lag_ms", "Stream-lag watermark: wall clock minus event timestamp, milliseconds.")
-		s.mLag = r.Histogram("rislive_lag_seconds", "Stream-lag distribution in seconds.",
-			telemetry.ExpBuckets(0.05, 4, 8))
+	r := cfg.Registry
+	if r == nil {
+		r = telemetry.NewRegistry("moas")
 	}
-	return s
+	return &Stage{
+		cfg:         cfg,
+		out:         make(chan *Event, cfg.Buffer),
+		received:    r.Counter("rislive_received_total", "UPDATE events decoded from the feed."),
+		delivered:   r.Counter("rislive_delivered_total", "Events handed to the consumer."),
+		dropped:     r.Counter("rislive_dropped_total", "Events discarded by the drop policy."),
+		parseErrors: r.Counter("rislive_parse_errors_total", "Feed lines that failed to decode or exceeded the line limit."),
+		skipped:     r.Counter("rislive_skipped_total", "Well-formed feed lines with nothing to deliver."),
+		reconnects:  r.Counter("rislive_reconnects_total", "Feed connection attempts after the first."),
+		queue:       r.Gauge("rislive_queue_depth", "Events buffered in the bounded channel."),
+		connected:   r.Gauge("rislive_connected", "1 while the feed connection is established."),
+		lagMs:       r.Gauge("rislive_lag_ms", "Stream-lag watermark: wall clock minus event timestamp, milliseconds."),
+		lag:         r.Histogram("rislive_lag_seconds", "Stream-lag distribution in seconds."),
+	}
 }
 
 // Events returns the bounded output channel. It is closed when Run or
@@ -169,17 +169,14 @@ func NewStage(cfg Config) *Stage {
 func (s *Stage) Events() <-chan *Event { return s.out }
 
 // Connected reports whether the feed is currently attached to a source.
-func (s *Stage) Connected() bool { return s.connected.Load() }
+func (s *Stage) Connected() bool { return s.connected.Value() != 0 }
 
-// setConnected flips the connection state and its telemetry mirror.
+// setConnected flips the connection state.
 func (s *Stage) setConnected(up bool) {
-	s.connected.Store(up)
-	if s.mConnected != nil {
-		if up {
-			s.mConnected.Set(1)
-		} else {
-			s.mConnected.Set(0)
-		}
+	if up {
+		s.connected.Set(1)
+	} else {
+		s.connected.Set(0)
 	}
 }
 
@@ -190,13 +187,13 @@ func (s *Stage) Counters() Counters {
 	// reading received last guarantees Delivered + Dropped <= Received
 	// for a snapshot taken mid-delivery. (Loading received first could
 	// transiently report the opposite.)
-	delivered := s.delivered.Load()
-	dropped := s.dropped.Load()
-	parseErrors := s.parseErrors.Load()
-	skipped := s.skipped.Load()
-	reconnects := s.reconnects.Load()
+	delivered := s.delivered.Value()
+	dropped := s.dropped.Value()
+	parseErrors := s.parseErrors.Value()
+	skipped := s.skipped.Value()
+	reconnects := s.reconnects.Value()
 	return Counters{
-		Received:    s.received.Load(),
+		Received:    s.received.Value(),
 		Delivered:   delivered,
 		Dropped:     dropped,
 		ParseErrors: parseErrors,
@@ -224,10 +221,7 @@ func (s *Stage) Run(ctx context.Context) error {
 		_ = err // any disconnect reason leads to the same backoff
 		delay := jit.Delay(s.cfg.ReconnectBase, s.cfg.ReconnectMax, attempt)
 		attempt++
-		s.reconnects.Add(1)
-		if s.mReconnects != nil {
-			s.mReconnects.Inc()
-		}
+		s.reconnects.Inc()
 		select {
 		case <-ctx.Done():
 			return ctx.Err()
@@ -280,7 +274,7 @@ func (s *Stage) ingest(ctx context.Context, r io.Reader) error {
 	for {
 		line, err := lr.next()
 		if errors.Is(err, errLineTooLong) {
-			s.parseError()
+			s.parseErrors.Inc()
 			continue
 		}
 		if err != nil {
@@ -297,74 +291,44 @@ func (s *Stage) ingest(ctx context.Context, r io.Reader) error {
 		st := s.cfg.Obs.Start(0)
 		ev, err := Decode(line)
 		if err != nil {
-			s.parseError()
+			s.parseErrors.Inc()
 			continue
 		}
 		if ev == nil {
-			s.skipped.Add(1)
-			if s.mSkipped != nil {
-				s.mSkipped.Inc()
-			}
+			s.skipped.Inc()
 			continue
 		}
-		ev.Span = s.received.Add(1)
+		s.seq++
+		ev.Span = s.seq
 		st.Span = ev.Span
 		s.cfg.Obs.Cross(&st, obs.StageDecode)
 		ev.Stamp = st
-		if s.mReceived != nil {
-			s.mReceived.Inc()
-		}
+		s.received.Inc()
 		// Stream-lag watermark: wall clock minus the event's feed
 		// timestamp. Only meaningful for live feeds (recorded replays
 		// report their age, which is its own useful signal).
 		if !ev.Time.IsZero() {
-			lag := time.Since(ev.Time)
-			if lag < 0 {
-				lag = 0
-			}
-			if s.mLagMs != nil {
-				s.mLagMs.Set(lag.Milliseconds())
-			}
-			if s.mLag != nil {
-				s.mLag.Observe(lag.Seconds())
-			}
+			lag := max(time.Since(ev.Time), 0)
+			s.lagMs.Set(lag.Milliseconds())
+			s.lag.Observe(lag)
 		}
 		switch s.cfg.Policy {
 		case PolicyDrop:
 			select {
 			case s.out <- ev:
-				s.delivered.Add(1)
-				if s.mDelivered != nil {
-					s.mDelivered.Inc()
-				}
+				s.delivered.Inc()
 			default:
-				s.dropped.Add(1)
-				if s.mDropped != nil {
-					s.mDropped.Inc()
-				}
+				s.dropped.Inc()
 			}
 		default: // PolicyBlock
 			select {
 			case s.out <- ev:
-				s.delivered.Add(1)
-				if s.mDelivered != nil {
-					s.mDelivered.Inc()
-				}
+				s.delivered.Inc()
 			case <-ctx.Done():
 				return ctx.Err()
 			}
 		}
-		if s.mQueue != nil {
-			s.mQueue.Set(int64(len(s.out)))
-		}
-	}
-}
-
-// parseError counts a line that did not decode.
-func (s *Stage) parseError() {
-	s.parseErrors.Add(1)
-	if s.mParseErrors != nil {
-		s.mParseErrors.Inc()
+		s.queue.Set(int64(len(s.out)))
 	}
 }
 

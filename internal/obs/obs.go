@@ -4,7 +4,8 @@
 // timestamp is stamped when a message enters the system — after the
 // frame is read off the wire, before an MRT record decodes, before a
 // RIS-Live line decodes — and every stage crossing after that records
-// its delta into a fixed, allocation-free per-stage histogram:
+// its delta into a per-stage telemetry.Histogram, the repo's one
+// lock-free, allocation-free latency histogram:
 //
 //	decode   framing/parse cost of the message itself
 //	session  decode completion → handler dispatch (queueing included)
@@ -18,16 +19,17 @@
 // /debug/trace timeline or /debug/alarms bundle instead of being an
 // anonymous count. See docs/latency.md for the stage model.
 //
-// The record path (Record, Cross, End) is lock-free — atomic adds into
-// fixed arrays — allocates nothing, and is nil-safe throughout, so
-// instrumented code needs no conditionals.
+// The record path (Record, Cross, End) is lock-free, allocates
+// nothing, and is nil-safe throughout, so instrumented code needs no
+// conditionals.
 package obs
 
 import (
 	"math"
-	"math/bits"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/telemetry"
 )
 
 // Stage identifies one pipeline stage boundary.
@@ -62,61 +64,6 @@ func (s Stage) String() string {
 	}
 }
 
-// Bucket geometry: powers of two in nanoseconds. Bucket 0 holds
-// everything under 256ns; bucket i holds [2^(7+i), 2^(8+i)) ns; the
-// last bucket is the +Inf overflow (everything ≥ ~1.07s).
-const (
-	bucketMinBits = 8
-	numBuckets    = 24
-)
-
-// bucketOf maps a nanosecond duration to its bucket index.
-func bucketOf(ns int64) int {
-	b := bits.Len64(uint64(ns))
-	if b <= bucketMinBits {
-		return 0
-	}
-	i := b - bucketMinBits
-	if i >= numBuckets {
-		return numBuckets - 1
-	}
-	return i
-}
-
-// BucketBound returns the inclusive upper bound of bucket i in
-// nanoseconds (math.MaxInt64 for the overflow bucket).
-func BucketBound(i int) int64 {
-	if i < 0 {
-		return 0
-	}
-	if i >= numBuckets-1 {
-		return math.MaxInt64
-	}
-	return 1<<(bucketMinBits+i) - 1
-}
-
-// bucketLower returns the exclusive-lower/inclusive-lower edge of
-// bucket i, used for quantile interpolation.
-func bucketLower(i int) int64 {
-	if i <= 0 {
-		return 0
-	}
-	return 1 << (bucketMinBits + i - 1)
-}
-
-// stageHist is one stage's latency histogram: per-bucket counts plus a
-// per-bucket exemplar span, all atomics so the record path never locks.
-type stageHist struct {
-	counts [numBuckets]atomic.Uint64
-	// exemplars[i] holds the span ID of a recent message that landed in
-	// bucket i (0 = none yet). Last-writer-wins on purpose: "a recent
-	// one" is the contract, not "the maximum".
-	exemplars [numBuckets]atomic.Uint64
-	count     atomic.Uint64
-	sumNs     atomic.Int64
-	maxNs     atomic.Int64
-}
-
 // Recorder accumulates per-stage latency histograms. The zero value is
 // disabled; NewRecorder returns an enabled one. All methods are
 // nil-receiver safe.
@@ -125,7 +72,7 @@ type Recorder struct {
 	// epoch anchors relative time: deltas are computed against one
 	// process-local monotonic reference so a Stamp is two plain int64s.
 	epoch  time.Time
-	stages [NumStages]stageHist
+	stages [NumStages]telemetry.Histogram
 }
 
 // NewRecorder returns an enabled recorder.
@@ -155,24 +102,7 @@ func (r *Recorder) Record(stage Stage, span uint64, d time.Duration) {
 	if r == nil || !r.on.Load() || stage >= NumStages {
 		return
 	}
-	ns := int64(d)
-	if ns < 0 {
-		ns = 0
-	}
-	h := &r.stages[stage]
-	i := bucketOf(ns)
-	h.counts[i].Add(1)
-	if span != 0 {
-		h.exemplars[i].Store(span)
-	}
-	h.count.Add(1)
-	h.sumNs.Add(ns)
-	for {
-		cur := h.maxNs.Load()
-		if ns <= cur || h.maxNs.CompareAndSwap(cur, ns) {
-			return
-		}
-	}
+	r.stages[stage].ObserveSpan(d, span)
 }
 
 // Stamp carries one in-flight message's timing context: its span ID,
@@ -263,28 +193,26 @@ func (r *Recorder) Snapshot() []StageSnapshot {
 	}
 	out := make([]StageSnapshot, 0, int(NumStages))
 	for s := Stage(0); s < NumStages; s++ {
-		h := &r.stages[s]
+		h := r.stages[s].Snapshot()
 		snap := StageSnapshot{
 			Stage: s.String(),
-			Count: h.count.Load(),
-			SumNs: h.sumNs.Load(),
-			MaxNs: h.maxNs.Load(),
+			Count: h.Count,
+			SumNs: int64(math.Round(h.Sum * 1e9)),
+			MaxNs: int64(h.Max),
+			P50Ns: int64(h.Quantile(0.50)),
+			P90Ns: int64(h.Quantile(0.90)),
+			P99Ns: int64(h.Quantile(0.99)),
 		}
-		var counts [numBuckets]uint64
-		for i := 0; i < numBuckets; i++ {
-			counts[i] = h.counts[i].Load()
-			if counts[i] == 0 {
+		for i, c := range h.Counts {
+			if c == 0 {
 				continue
 			}
 			snap.Buckets = append(snap.Buckets, BucketSnapshot{
-				UpperNs:      BucketBound(i),
-				Count:        counts[i],
-				ExemplarSpan: h.exemplars[i].Load(),
+				UpperNs:      int64(telemetry.BucketBound(i)),
+				Count:        c,
+				ExemplarSpan: h.Exemplars[i],
 			})
 		}
-		snap.P50Ns = quantileNs(counts, snap.Count, snap.MaxNs, 0.50)
-		snap.P90Ns = quantileNs(counts, snap.Count, snap.MaxNs, 0.90)
-		snap.P99Ns = quantileNs(counts, snap.Count, snap.MaxNs, 0.99)
 		out = append(out, snap)
 	}
 	return out
@@ -295,40 +223,5 @@ func (r *Recorder) StageCount(stage Stage) uint64 {
 	if r == nil || stage >= NumStages {
 		return 0
 	}
-	return r.stages[stage].count.Load()
-}
-
-// quantileNs estimates the q-quantile from power-of-two bucket counts
-// by linear interpolation inside the landing bucket; the overflow
-// bucket interpolates toward the observed maximum.
-func quantileNs(counts [numBuckets]uint64, total uint64, maxNs int64, q float64) int64 {
-	if total == 0 {
-		return 0
-	}
-	rank := uint64(math.Ceil(q * float64(total)))
-	if rank == 0 {
-		rank = 1
-	}
-	var cum uint64
-	for i := 0; i < numBuckets; i++ {
-		c := counts[i]
-		if c == 0 {
-			continue
-		}
-		if cum+c < rank {
-			cum += c
-			continue
-		}
-		lo := bucketLower(i)
-		hi := BucketBound(i)
-		if i == numBuckets-1 || hi > maxNs {
-			hi = maxNs // never report beyond what was observed
-		}
-		if hi < lo {
-			return lo
-		}
-		frac := float64(rank-cum) / float64(c)
-		return lo + int64(frac*float64(hi-lo))
-	}
-	return maxNs
+	return r.stages[stage].Count()
 }

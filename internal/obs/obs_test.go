@@ -1,9 +1,10 @@
 package obs
 
 import (
-	"math"
 	"testing"
 	"time"
+
+	"repro/internal/telemetry"
 )
 
 func TestStageString(t *testing.T) {
@@ -18,34 +19,6 @@ func TestStageString(t *testing.T) {
 	for s, name := range want {
 		if got := s.String(); got != name {
 			t.Errorf("Stage(%d).String() = %q, want %q", s, got, name)
-		}
-	}
-}
-
-func TestBucketOf(t *testing.T) {
-	cases := []struct {
-		ns   int64
-		want int
-	}{
-		{0, 0}, {1, 0}, {255, 0},
-		{256, 1}, {511, 1},
-		{512, 2},
-		{1 << 20, 13}, {1<<21 - 1, 13},
-		{math.MaxInt64, numBuckets - 1},
-	}
-	for _, c := range cases {
-		if got := bucketOf(c.ns); got != c.want {
-			t.Errorf("bucketOf(%d) = %d, want %d", c.ns, got, c.want)
-		}
-	}
-	// Every value must land in a bucket whose bound contains it.
-	for i := 0; i < numBuckets-1; i++ {
-		ub := BucketBound(i)
-		if got := bucketOf(ub); got != i {
-			t.Errorf("bucketOf(bound %d) = %d, want %d", ub, got, i)
-		}
-		if got := bucketOf(ub + 1); got != i+1 {
-			t.Errorf("bucketOf(bound+1 %d) = %d, want %d", ub+1, got, i+1)
 		}
 	}
 }
@@ -81,8 +54,8 @@ func TestRecordAndSnapshot(t *testing.T) {
 		t.Errorf("slow-bucket exemplar = %d, want 9", got)
 	}
 	// p50 sits in the fast bucket, p99 in the slow one.
-	if dec.P50Ns > BucketBound(0) {
-		t.Errorf("P50Ns = %d, want ≤ %d", dec.P50Ns, BucketBound(0))
+	if bound := int64(telemetry.BucketBound(0)); dec.P50Ns > bound {
+		t.Errorf("P50Ns = %d, want ≤ %d", dec.P50Ns, bound)
 	}
 	if dec.P99Ns < int64(time.Millisecond) {
 		t.Errorf("P99Ns = %d, want ≥ 1ms", dec.P99Ns)
@@ -191,9 +164,14 @@ func TestQuantileSingleObservation(t *testing.T) {
 	r := NewRecorder()
 	r.Record(StageValidate, 3, 700*time.Nanosecond)
 	snap := r.Snapshot()[StageValidate]
+	if len(snap.Buckets) != 1 {
+		t.Fatalf("buckets = %+v, want one", snap.Buckets)
+	}
+	// 700ns lands in [512ns, 1023ns]; every estimate stays inside it
+	// and never passes the observed maximum.
 	for _, q := range []int64{snap.P50Ns, snap.P90Ns, snap.P99Ns} {
-		if q < bucketLower(bucketOf(700)) || q > snap.MaxNs {
-			t.Errorf("quantile %d outside [%d, %d]", q, bucketLower(bucketOf(700)), snap.MaxNs)
+		if q < 512 || q > snap.MaxNs {
+			t.Errorf("quantile %d outside [512, %d]", q, snap.MaxNs)
 		}
 	}
 }

@@ -3,7 +3,6 @@ package obs
 import (
 	"encoding/json"
 	"fmt"
-	"math"
 	"net/http"
 	"sort"
 	"strings"
@@ -121,13 +120,13 @@ func (h *statusHandler) flatten(doc *StatusDoc, fams []telemetry.FamilySnapshot)
 				if doc.Histograms == nil {
 					doc.Histograms = make(map[string]HistogramSummary)
 				}
-				sum := HistogramSummary{Count: s.Histogram.Count, Sum: s.Histogram.Sum}
-				if s.Histogram.Count > 0 {
-					sum.P50 = finiteOr0(s.Histogram.Quantile(0.50))
-					sum.P90 = finiteOr0(s.Histogram.Quantile(0.90))
-					sum.P99 = finiteOr0(s.Histogram.Quantile(0.99))
+				doc.Histograms[key] = HistogramSummary{
+					Count: s.Histogram.Count,
+					Sum:   s.Histogram.Sum,
+					P50:   s.Histogram.Quantile(0.50).Seconds(),
+					P90:   s.Histogram.Quantile(0.90).Seconds(),
+					P99:   s.Histogram.Quantile(0.99).Seconds(),
 				}
-				doc.Histograms[key] = sum
 			}
 		}
 	}
@@ -145,13 +144,6 @@ func alarmClassOf(name string, keys, values []string) (string, bool) {
 		}
 	}
 	return "", false
-}
-
-func finiteOr0(v float64) float64 {
-	if math.IsNaN(v) || math.IsInf(v, 0) {
-		return 0
-	}
-	return v
 }
 
 // seriesKey renders a series exactly as the Prometheus text exposition

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"encoding/json"
-	"errors"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -19,7 +18,7 @@ func statusFixture() (*statusHandler, *Recorder) {
 		With("forged").Add(3)
 	reg.CounterVec("monitor_alarm_class_total", "monitor alarms", "class").
 		With("forged").Add(2)
-	reg.Histogram("apply_seconds", "apply latency", nil).Observe(0.004)
+	reg.Histogram("apply_seconds", "apply latency").Observe(4 * time.Millisecond)
 
 	rec := NewRecorder()
 	rec.Record(StageDecode, 11, 300*time.Nanosecond)
@@ -86,7 +85,7 @@ func TestStatusDoc(t *testing.T) {
 
 func TestStatusReadyError(t *testing.T) {
 	ready := &telemetry.Readiness{}
-	ready.Register("rtr", func() error { return errors.New("cache not synced") })
+	ready.Register("rtr", func() bool { return false }, "cache not synced")
 	h := newStatusHandler(SurfaceConfig{Ready: ready}, NewSampler())
 	doc := h.Doc()
 	if doc.Ready == nil || *doc.Ready || doc.ReadyError != "not ready: rtr: cache not synced" {

@@ -1,7 +1,15 @@
 package obs
 
 import (
+	"context"
+	"errors"
+	"fmt"
+	"net"
 	"net/http"
+	"net/http/pprof"
+	"strings"
+	"sync"
+	"time"
 
 	"repro/internal/telemetry"
 	"repro/internal/trace"
@@ -30,41 +38,79 @@ type SurfaceConfig struct {
 	Pprof bool
 }
 
-// Surface is a running operator surface: the admin endpoint with every
+// Surface is a running operator surface: one HTTP endpoint with every
 // route its inputs call for, and the runtime sampler behind
 // /debug/status and /debug/runtime.
 type Surface struct {
-	admin   *telemetry.Admin
-	sampler *Sampler
+	srv      *http.Server
+	addr     string
+	registry *telemetry.Registry
+	sampler  *Sampler
+	// shutdownTimeout bounds the graceful drain in Close before open
+	// connections are cut; tests shorten it.
+	shutdownTimeout time.Duration
+
+	closeOnce sync.Once
+	closeErr  error
+	served    chan struct{} // closed when the serve loop returns
 }
 
 // Serve binds addr (host:port; port 0 picks a free port), starts the
-// runtime sampler, and serves /metrics, /healthz, /readyz,
-// /debug/status and /debug/runtime, plus the routes of each optional
-// input that is set.
+// runtime sampler, and serves on a background goroutine until Close:
+// /metrics (Prometheus text, or JSON with ?format=json or an
+// application/json Accept header), /healthz (liveness: ok while the
+// endpoint serves), /readyz (readiness: a 503 naming every failing
+// probe), /debug/status and /debug/runtime, plus the routes of each
+// optional input that is set.
 func Serve(addr string, cfg SurfaceConfig) (*Surface, error) {
+	if cfg.Registry == nil {
+		return nil, errors.New("obs: operator surface requires a registry")
+	}
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return nil, fmt.Errorf("obs: listen %s: %w", addr, err)
+	}
 	sampler := NewSampler()
 	sampler.Start()
-	routes := make(map[string]http.Handler)
+	mux := http.NewServeMux()
+	mux.Handle("/metrics", metricsHandler{cfg.Registry})
+	mux.Handle("/healthz", probeHandler{})
+	mux.Handle("/readyz", probeHandler{cfg.Ready})
+	mux.Handle("/debug/status", newStatusHandler(cfg, sampler))
+	mux.Handle("/debug/runtime", sampler)
 	if cfg.Trace != nil {
-		routes = trace.Routes(cfg.Trace)
+		for pattern, h := range trace.Routes(cfg.Trace) {
+			mux.Handle(pattern, h)
+		}
 	}
-	routes["/debug/status"] = newStatusHandler(cfg, sampler)
-	routes["/debug/runtime"] = sampler
 	if cfg.MIB != nil {
-		routes["/debug/mib"] = cfg.MIB
+		mux.Handle("/debug/mib", cfg.MIB)
 	}
-	admin, err := telemetry.ServeAdmin(addr, telemetry.AdminConfig{
-		Registry: cfg.Registry,
-		Ready:    cfg.Ready.Check,
-		Debug:    routes,
-		Pprof:    cfg.Pprof,
-	})
-	if err != nil {
-		sampler.Close()
-		return nil, err
+	if cfg.Pprof {
+		// net/http/pprof registers on http.DefaultServeMux, not this
+		// mux; mount its handlers explicitly.
+		mux.HandleFunc("/debug/pprof/", pprof.Index)
+		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	}
-	return &Surface{admin: admin, sampler: sampler}, nil
+	s := &Surface{
+		srv:             &http.Server{Handler: mux},
+		addr:            ln.Addr().String(),
+		registry:        cfg.Registry,
+		sampler:         sampler,
+		shutdownTimeout: 2 * time.Second,
+		served:          make(chan struct{}),
+	}
+	go func() {
+		defer close(s.served)
+		// ErrServerClosed is the Close path, not a failure; any other
+		// error leaves the endpoint dead, which /healthz consumers will
+		// notice as a refused connection.
+		_ = s.srv.Serve(ln)
+	}()
+	return s, nil
 }
 
 // Addr returns the bound address, or "" for a nil surface (the process
@@ -73,17 +119,69 @@ func (s *Surface) Addr() string {
 	if s == nil {
 		return ""
 	}
-	return s.admin.Addr()
+	return s.addr
 }
 
-// Close stops serving (see telemetry.Admin.Close), then stops the
-// sampler and waits for its loop to exit. Safe on a nil surface and
-// more than once.
+// Close drains the server gracefully (bounded by a 2s budget), then
+// cuts remaining connections, waits for the serve loop to exit, and
+// stops the sampler. A drain that times out is not an error: the cut
+// ends the endpoint all the same, and
+// telemetry_admin_forced_close_total counts it. Safe on a nil surface
+// and more than once.
 func (s *Surface) Close() error {
 	if s == nil {
 		return nil
 	}
-	err := s.admin.Close()
-	s.sampler.Close()
-	return err
+	s.closeOnce.Do(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), s.shutdownTimeout)
+		defer cancel()
+		// Idle keep-alive connections would otherwise only be reaped by
+		// Shutdown's poll.
+		s.srv.SetKeepAlivesEnabled(false)
+		err := s.srv.Shutdown(ctx)
+		if errors.Is(err, context.DeadlineExceeded) {
+			// A wedged scrape, or a client holding a connection that never
+			// sent a request; Close cuts every connection.
+			s.srv.Close()
+			s.registry.Counter("telemetry_admin_forced_close_total",
+				"Admin endpoint closes whose graceful drain timed out and cut open connections.").Inc()
+			err = nil
+		}
+		<-s.served
+		s.sampler.Close()
+		s.closeErr = err
+	})
+	return s.closeErr
+}
+
+// metricsHandler serves the registry in either exposition encoding.
+type metricsHandler struct{ r *telemetry.Registry }
+
+func (h metricsHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if r.URL.Query().Get("format") == "json" ||
+		strings.Contains(r.Header.Get("Accept"), "application/json") {
+		w.Header().Set("Content-Type", "application/json")
+		if err := telemetry.WriteJSON(w, h.r); err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+		}
+		return
+	}
+	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+	if err := telemetry.WritePrometheus(w, h.r); err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+	}
+}
+
+// probeHandler answers "ok", or a 503 carrying every failing probe. A
+// nil readiness always passes, which makes the zero value the liveness
+// probe.
+type probeHandler struct{ ready *telemetry.Readiness }
+
+func (h probeHandler) ServeHTTP(w http.ResponseWriter, _ *http.Request) {
+	if err := h.ready.Check(); err != nil {
+		http.Error(w, err.Error(), http.StatusServiceUnavailable)
+		return
+	}
+	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+	fmt.Fprintln(w, "ok")
 }

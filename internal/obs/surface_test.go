@@ -2,7 +2,6 @@ package obs
 
 import (
 	"encoding/json"
-	"errors"
 	"io"
 	"net/http"
 	"strings"
@@ -19,7 +18,7 @@ import (
 // sampler, so Close must also leave no sampling goroutine behind.
 func TestSurfaceRoutes(t *testing.T) {
 	notReady := &telemetry.Readiness{}
-	notReady.Register("rtr", func() error { return errors.New("cache not synced") })
+	notReady.Register("rtr", func() bool { return false }, "cache not synced")
 	mib := http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		w.Write([]byte(`{"as":4}`))
 	})

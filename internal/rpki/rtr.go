@@ -155,7 +155,8 @@ type ClientConfig struct {
 	Seed int64
 	// Dial overrides the dialer (a plain net.Dialer when nil).
 	Dial func(ctx context.Context, addr string) (net.Conn, error)
-	// Registry receives the client's counters when non-nil.
+	// Registry receives the client's counters; nil keeps them on a
+	// private registry.
 	Registry *telemetry.Registry
 }
 
@@ -198,14 +199,18 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 			return d.DialContext(ctx, "tcp", addr)
 		}
 	}
-	c := &Client{cfg: cfg, jit: backoff.NewJitter(cfg.Seed)}
-	if r := cfg.Registry; r != nil {
-		c.mConnects = r.Counter("rpki_rtr_connects_total", "RTR cache connections established.")
-		c.mResets = r.Counter("rpki_rtr_resets_total", "Full cache resyncs (reset queries answered).")
-		c.mROAs = r.Gauge("rpki_roas", "ROAs currently held in the validated store.")
-		c.mSerial = r.Gauge("rpki_rtr_serial", "Last cache serial acknowledged by EndOfData.")
+	r := cfg.Registry
+	if r == nil {
+		r = telemetry.NewRegistry("moas")
 	}
-	return c, nil
+	return &Client{
+		cfg:       cfg,
+		jit:       backoff.NewJitter(cfg.Seed),
+		mConnects: r.Counter("rpki_rtr_connects_total", "RTR cache connections established."),
+		mResets:   r.Counter("rpki_rtr_resets_total", "Full cache resyncs (reset queries answered)."),
+		mROAs:     r.Gauge("rpki_roas", "ROAs currently held in the validated store."),
+		mSerial:   r.Gauge("rpki_rtr_serial", "Last cache serial acknowledged by EndOfData."),
+	}, nil
 }
 
 // Synced reports whether at least one end-of-data has landed — i.e.
@@ -223,9 +228,7 @@ func (c *Client) Run(ctx context.Context) error {
 		}
 		conn, err := c.cfg.Dial(ctx, c.cfg.Addr)
 		if err == nil {
-			if c.mConnects != nil {
-				c.mConnects.Inc()
-			}
+			c.mConnects.Inc()
 			if c.session(ctx, conn) {
 				attempt = 0
 			}
@@ -300,19 +303,15 @@ func (c *Client) session(ctx context.Context, conn net.Conn) (progressed bool) {
 			}
 			if fullResponse {
 				c.cfg.Store.ReplaceAll(full)
-				if c.mResets != nil {
-					c.mResets.Inc()
-				}
+				c.mResets.Inc()
 			}
 			inResponse = false
 			c.serial = p.serial
 			c.synced = true
 			c.everSynced.Store(true)
 			progressed = true
-			if c.mROAs != nil {
-				c.mROAs.Set(int64(c.cfg.Store.Len()))
-				c.mSerial.Set(int64(p.serial))
-			}
+			c.mROAs.Set(int64(c.cfg.Store.Len()))
+			c.mSerial.Set(int64(p.serial))
 			if pendingNotify {
 				pendingNotify = false
 				if sendQuery() != nil {

@@ -38,7 +38,7 @@ func NewMetrics(r *telemetry.Registry) *Metrics {
 		handshakeFailures: r.Counter("session_handshake_failures_total",
 			"OPEN handshakes that failed before reaching Established."),
 		keepaliveRTT: r.Histogram("session_keepalive_rtt_seconds",
-			"Approximate keepalive round trip: our KEEPALIVE send to the peer's next KEEPALIVE receipt.", nil),
+			"Approximate keepalive round trip: our KEEPALIVE send to the peer's next KEEPALIVE receipt."),
 	}
 	for t := wire.MsgOpen; t <= wire.MsgRouteRefresh; t++ {
 		label := strings.ToLower(t.String())
@@ -73,5 +73,5 @@ func (m *Metrics) observeKeepaliveRTT(d time.Duration) {
 	if m == nil || d < 0 {
 		return
 	}
-	m.keepaliveRTT.Observe(d.Seconds())
+	m.keepaliveRTT.Observe(d)
 }

@@ -265,13 +265,16 @@ func (s *Speaker) Alarms() []core.Conflict {
 	return append([]core.Conflict(nil), s.alarms...)
 }
 
-// handler adapts session callbacks to the speaker.
+// handler adapts one connection's session callbacks to the speaker.
+// Each connection gets its own, so a session that goes down can tell
+// whether it is the one registered for its AS.
 type handler struct {
 	s    *Speaker
-	peer astypes.ASN
+	p    *peer // set on registration; guarded by Speaker.mu
+	down bool  // the session has gone down; guarded by Speaker.mu
 }
 
-func (h handler) HandleUpdate(peerAS astypes.ASN, u *wire.Update) {
+func (h *handler) HandleUpdate(peerAS astypes.ASN, u *wire.Update) {
 	h.s.handleUpdate(peerAS, u, 0, nil)
 }
 
@@ -279,21 +282,21 @@ func (h handler) HandleUpdate(peerAS astypes.ASN, u *wire.Update) {
 // carries the message's span, so every downstream event correlates back
 // to the exact UPDATE, plus the ingest instant, so validate/RIB
 // crossings and the alarm latency land in the speaker's obs recorder.
-func (h handler) HandleUpdateStamp(peerAS astypes.ASN, u *wire.Update, st *obs.Stamp) {
+func (h *handler) HandleUpdateStamp(peerAS astypes.ASN, u *wire.Update, st *obs.Stamp) {
 	h.s.handleUpdate(peerAS, u, st.Span, st)
 }
 
-func (h handler) HandleDown(peerAS astypes.ASN, err error) {
-	h.s.handlePeerDown(peerAS)
+func (h *handler) HandleDown(peerAS astypes.ASN, err error) {
+	h.s.handlePeerDown(h, peerAS)
 }
 
 // HandleRouteRefresh re-advertises the full Loc-RIB to the requesting
 // peer (RFC 2918).
-func (h handler) HandleRouteRefresh(peerAS astypes.ASN, _ *wire.RouteRefresh) {
+func (h *handler) HandleRouteRefresh(peerAS astypes.ASN, _ *wire.RouteRefresh) {
 	h.s.mu.Lock()
 	defer h.s.mu.Unlock()
 	p := h.s.peerLocked(peerAS)
-	if p == nil {
+	if p == nil || p != h.p {
 		return
 	}
 	for _, r := range h.s.table.BestRoutes() {
@@ -343,12 +346,13 @@ func (s *Speaker) peerLocked(asn astypes.ASN) *peer {
 // AddPeerConn runs the BGP handshake on an existing connection and
 // registers the peer. peerAS of ASNNone accepts any AS.
 func (s *Speaker) AddPeerConn(conn net.Conn, peerAS astypes.ASN) (astypes.ASN, error) {
+	h := &handler{s: s}
 	sess, err := session.Establish(conn, session.Config{
 		LocalAS:  s.cfg.AS,
 		LocalID:  s.cfg.RouterID,
 		PeerAS:   peerAS,
 		HoldTime: s.cfg.HoldTime,
-		Handler:  handler{s: s},
+		Handler:  h,
 		Metrics:  s.met.session,
 		Trace:    s.cfg.Trace,
 		Obs:      s.cfg.Obs,
@@ -369,6 +373,11 @@ func (s *Speaker) AddPeerConn(conn net.Conn, peerAS astypes.ASN) (astypes.ASN, e
 		sess.Close()
 		return astypes.ASNNone, fmt.Errorf("speaker AS %s: duplicate session with AS %s", s.cfg.AS, got)
 	}
+	if h.down {
+		s.mu.Unlock()
+		sess.Close()
+		return astypes.ASNNone, fmt.Errorf("speaker AS %s: session with AS %s went down during setup", s.cfg.AS, got)
+	}
 	p := &peer{
 		asn:        got,
 		sess:       sess,
@@ -376,6 +385,7 @@ func (s *Speaker) AddPeerConn(conn net.Conn, peerAS astypes.ASN) (astypes.ASN, e
 		sendQ:      make(chan *wire.Update, sendQueueLen),
 		qdone:      make(chan struct{}),
 	}
+	h.p = p
 	s.peers = slices.Insert(s.peers, i, p)
 	s.met.peers.Inc()
 	s.wg.Add(1)
@@ -693,11 +703,15 @@ func (s *Speaker) purgeInvalidLocked(prefix astypes.Prefix, truth core.List) {
 	s.propagateLocked(merged, 0)
 }
 
-func (s *Speaker) handlePeerDown(peerAS astypes.ASN) {
+// handlePeerDown tears down the peering h registered. Only that
+// session owns it: a rejected duplicate going down leaves the
+// established peer with the same AS, and its routes, alone.
+func (s *Speaker) handlePeerDown(h *handler, peerAS astypes.ASN) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	h.down = true
 	i, ok := s.findPeerLocked(peerAS)
-	if !ok {
+	if !ok || s.peers[i] != h.p {
 		return
 	}
 	p := s.peers[i]

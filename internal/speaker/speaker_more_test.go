@@ -113,6 +113,9 @@ func TestDuplicatePeeringRejected(t *testing.T) {
 	s1 := newSpeaker(t, 1, ValidationOff, nil)
 	s2 := newSpeaker(t, 2, ValidationOff, nil)
 	connectPair(t, s1, s2)
+	prefix := astypes.MustPrefix(0x0a000000, 8)
+	s1.Originate(prefix, core.List{})
+	waitFor(t, func() bool { return s2.Table().RouteFrom(1, prefix) != nil }, "route at AS2")
 
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -121,6 +124,18 @@ func TestDuplicatePeeringRejected(t *testing.T) {
 	s1.Listen(ln)
 	if err := s2.Connect(ln.Addr().String(), 1); err == nil {
 		t.Error("second session with the same peer accepted")
+	}
+
+	// The rejected duplicate's teardown must leave the established
+	// peering, and the routes learned over it, in place on both sides.
+	// s1 rejects its end on its accept goroutine, so give that teardown
+	// time to land before checking.
+	time.Sleep(50 * time.Millisecond)
+	if !hasPeer(s1, 2) || !hasPeer(s2, 1) {
+		t.Errorf("peers after the rejected duplicate: AS1 %v, AS2 %v", s1.Peers(), s2.Peers())
+	}
+	if s2.Table().RouteFrom(1, prefix) == nil {
+		t.Error("AS2 lost the route learned from AS1")
 	}
 }
 

@@ -3,6 +3,7 @@ package telemetry
 import (
 	"io"
 	"testing"
+	"time"
 )
 
 // BenchmarkTelemetryHotPath measures the full per-update cost the
@@ -11,12 +12,12 @@ import (
 func BenchmarkTelemetryHotPath(b *testing.B) {
 	r := NewRegistry("bench")
 	c := r.Counter("updates_total", "")
-	h := r.Histogram("lat_seconds", "", nil)
+	h := r.Histogram("lat_seconds", "")
 	b.ReportAllocs()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
 			c.Inc()
-			h.Observe(0.0007)
+			h.Observe(700 * time.Microsecond)
 		}
 	})
 }
@@ -34,11 +35,11 @@ func BenchmarkTelemetryCounterInc(b *testing.B) {
 
 // BenchmarkTelemetryHistogramObserve isolates the histogram path.
 func BenchmarkTelemetryHistogramObserve(b *testing.B) {
-	h := NewRegistry("bench").Histogram("lat_seconds", "", nil)
+	h := NewRegistry("bench").Histogram("lat_seconds", "")
 	b.ReportAllocs()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
-			h.Observe(0.0007)
+			h.Observe(700 * time.Microsecond)
 		}
 	})
 }
@@ -65,9 +66,9 @@ func BenchmarkTelemetryScrape(b *testing.B) {
 			v.With(t).Add(12345)
 		}
 	}
-	h := r.Histogram("lat_seconds", "", nil)
+	h := r.Histogram("lat_seconds", "")
 	for i := 0; i < 1000; i++ {
-		h.Observe(float64(i) / 997)
+		h.Observe(time.Duration(i) * time.Second / 997)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"net/http"
 	"runtime"
 	"strings"
 	"testing"
@@ -46,30 +45,4 @@ func TestRegisterBuildInfo(t *testing.T) {
 		}
 	}
 	t.Error("build_info family not gathered")
-}
-
-func TestAdminDebugAndPprofRoutes(t *testing.T) {
-	r := NewRegistry("t")
-	extra := http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		w.Write([]byte("traced"))
-	})
-	a, err := ServeAdmin("127.0.0.1:0", AdminConfig{
-		Registry: r,
-		Debug:    map[string]http.Handler{"/debug/trace": extra},
-		Pprof:    true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer a.Close()
-
-	if got := get(t, "http://"+a.Addr()+"/debug/trace"); got != "traced" {
-		t.Errorf("/debug/trace = %q", got)
-	}
-	if got := get(t, "http://"+a.Addr()+"/debug/pprof/cmdline"); got == "" {
-		t.Error("/debug/pprof/cmdline empty")
-	}
-	if got := get(t, "http://"+a.Addr()+"/debug/pprof/"); !strings.Contains(got, "pprof") {
-		t.Errorf("/debug/pprof/ index: %q", got)
-	}
 }

@@ -102,11 +102,11 @@ func WriteJSON(w io.Writer, r *Registry) error {
 				count, sum := h.Count, h.Sum
 				js.Count = &count
 				js.Sum = &sum
-				if count > 0 && len(h.Bounds) > 0 {
+				if count > 0 {
 					js.Quantiles = &jsonQuantiles{
-						P50: h.Quantile(0.50),
-						P90: h.Quantile(0.90),
-						P99: h.Quantile(0.99),
+						P50: h.Quantile(0.50).Seconds(),
+						P90: h.Quantile(0.90).Seconds(),
+						P99: h.Quantile(0.99).Seconds(),
 					}
 				}
 				cum := uint64(0)

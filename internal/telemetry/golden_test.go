@@ -6,14 +6,14 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
 
 // goldenRegistry builds the fixture both encoder golden tests share:
 // every metric kind, labeled and unlabeled series, label values needing
-// escaping, and histogram observations on, below, between and above the
-// bucket bounds.
+// escaping, and histogram observations across several buckets.
 func goldenRegistry() *Registry {
 	r := NewRegistry("demo")
 	r.Counter("requests_total", "Total requests served.").Add(42)
@@ -31,17 +31,13 @@ a newline.`, "path")
 	// Observed values are binary-exact (powers of two and their sums) so
 	// the _sum is exact — float rounding must not leak into golden
 	// output.
-	h := r.Histogram("rtt_seconds", "Round-trip time.", []float64{0.25, 0.5, 1, 2})
-	h.Observe(0.25) // exactly the first bound: inclusive
-	h.Observe(0.125)
-	h.Observe(0.75)
-	h.Observe(2) // exactly the last bound
-	h.Observe(32)
-	h.Observe(32) // two above every bound: only +Inf/_count/_sum move
-
-	hv := r.HistogramVec("op_seconds", "Per-op latency.", []float64{0.5}, "op")
-	hv.With("scrape").Observe(0.25)
-	hv.With("dump") // declared but never observed: all-zero series
+	h := r.Histogram("rtt_seconds", "Round-trip time.")
+	h.Observe(250 * time.Millisecond)
+	h.Observe(125 * time.Millisecond)
+	h.Observe(750 * time.Millisecond)
+	h.Observe(2 * time.Second)
+	h.Observe(32 * time.Second)
+	h.Observe(32 * time.Second)
 	return r
 }
 

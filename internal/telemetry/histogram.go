@@ -2,134 +2,154 @@ package telemetry
 
 import (
 	"math"
-	"sort"
-	"sync"
+	"math/bits"
+	"sync/atomic"
+	"time"
 )
 
-// DefBuckets are the default histogram bucket upper bounds, in seconds,
-// chosen for network RTT / handler-latency style measurements.
-var DefBuckets = []float64{
-	0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10,
+// Bucket layout, shared by every histogram: powers of two in
+// nanoseconds. Bucket 0 holds everything under 256ns; bucket i holds
+// [2^(7+i), 2^(8+i)) ns. The last finite bucket ends just under 2^42 ns
+// (~73 min), so a 30s keepalive round trip or an hour of stream lag
+// still lands in a finite bucket; the final bucket is the +Inf
+// overflow.
+const (
+	bucketMinBits = 8
+	numBuckets    = 36
+)
+
+// bucketOf maps a nanosecond duration to its bucket index.
+func bucketOf(ns int64) int {
+	b := bits.Len64(uint64(ns))
+	if b <= bucketMinBits {
+		return 0
+	}
+	return min(b-bucketMinBits, numBuckets-1)
 }
 
-// ExpBuckets returns n bucket upper bounds starting at start and
-// multiplying by factor — the exponential analogue of the unit-binned
-// integer histograms in internal/stats, for continuous quantities whose
-// interesting range spans orders of magnitude.
-func ExpBuckets(start, factor float64, n int) []float64 {
-	if start <= 0 || factor <= 1 || n < 1 {
-		panic("telemetry: ExpBuckets wants start > 0, factor > 1, n >= 1")
+// BucketBound returns the inclusive upper bound of bucket i
+// (math.MaxInt64 for the overflow bucket).
+func BucketBound(i int) time.Duration {
+	if i < 0 {
+		return 0
 	}
-	out := make([]float64, n)
+	if i >= numBuckets-1 {
+		return math.MaxInt64
+	}
+	return 1<<(bucketMinBits+i) - 1
+}
+
+// bucketLower returns the inclusive lower edge of bucket i, the
+// interpolation origin for quantiles landing there.
+func bucketLower(i int) time.Duration {
+	if i <= 0 {
+		return 0
+	}
+	return 1 << (bucketMinBits + i - 1)
+}
+
+// boundsSeconds are the finite bucket bounds in seconds, the exposition
+// view every snapshot shares.
+var boundsSeconds = func() []float64 {
+	out := make([]float64, numBuckets-1)
 	for i := range out {
-		out[i] = start
-		start *= factor
+		out[i] = BucketBound(i).Seconds()
 	}
 	return out
-}
+}()
 
-// LinearBuckets returns n bucket upper bounds starting at start with
-// the given width.
-func LinearBuckets(start, width float64, n int) []float64 {
-	if width <= 0 || n < 1 {
-		panic("telemetry: LinearBuckets wants width > 0, n >= 1")
-	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = start
-		start += width
-	}
-	return out
-}
-
-// Histogram counts observations into cumulative-at-exposition buckets
-// with fixed upper bounds, like a Prometheus histogram. One mutex guards
-// the buckets. Its production writers do not contend for it: sessions
-// observe keepalive RTT once per keepalive, and RIS-Live lag is observed
-// only by the single decode goroutine.
+// Histogram counts durations into the fixed power-of-two buckets. The
+// record path is lock-free and allocation-free: atomic adds into fixed
+// arrays, a CAS for the maximum. Each bucket keeps an exemplar, the
+// span ID of a recent observation that landed in it, so an outlier
+// links to its trace instead of being an anonymous count.
 //
-// Construct via Registry.Histogram / HistogramVec; the zero value is
-// not usable.
+// The zero value is ready to use; all methods are safe for concurrent
+// use.
 type Histogram struct {
-	bounds []float64 // sorted ascending; +Inf is implicit
-
-	mu     sync.Mutex
-	counts []uint64 // per-bucket observation counts; guarded by mu
-	count  uint64   // total observations; guarded by mu
-	sum    float64  // sum of observed values; guarded by mu
+	counts [numBuckets]atomic.Uint64
+	// exemplars[i] holds the span ID of a recent observation in bucket
+	// i (0 = none yet). Last writer wins on purpose: "a recent one" is
+	// the contract, not "the maximum".
+	exemplars [numBuckets]atomic.Uint64
+	count     atomic.Uint64
+	sumNs     atomic.Int64
+	maxNs     atomic.Int64
 }
 
-func newHistogram(bounds []float64) *Histogram {
-	bs := append([]float64(nil), bounds...)
-	sort.Float64s(bs)
-	for i := 1; i < len(bs); i++ {
-		if bs[i] == bs[i-1] {
-			panic("telemetry: duplicate histogram bucket bound")
+// Observe records one observation of d. Negative durations count as
+// zero.
+func (h *Histogram) Observe(d time.Duration) { h.ObserveSpan(d, 0) }
+
+// ObserveSpan records one observation of d and makes span the landing
+// bucket's exemplar (span 0 leaves the exemplar untouched).
+func (h *Histogram) ObserveSpan(d time.Duration, span uint64) {
+	ns := max(int64(d), 0)
+	i := bucketOf(ns)
+	h.counts[i].Add(1)
+	if span != 0 {
+		h.exemplars[i].Store(span)
+	}
+	h.count.Add(1)
+	h.sumNs.Add(ns)
+	for {
+		cur := h.maxNs.Load()
+		if ns <= cur || h.maxNs.CompareAndSwap(cur, ns) {
+			return
 		}
 	}
-	if len(bs) > 0 && math.IsInf(bs[len(bs)-1], +1) {
-		bs = bs[:len(bs)-1] // +Inf is always implicit
-	}
-	return &Histogram{bounds: bs, counts: make([]uint64, len(bs))}
 }
 
-// Observe records one observation.
-func (h *Histogram) Observe(v float64) {
-	h.mu.Lock()
-	// Linear scan: bucket counts are small (≤ ~20) and the slice is a
-	// single cache line or two; binary search costs more in branches.
-	for i, ub := range h.bounds {
-		if v <= ub {
-			h.counts[i]++
-			break
-		}
-	}
-	h.count++
-	h.sum += v
-	h.mu.Unlock()
-}
+// Count returns the number of observations.
+func (h *Histogram) Count() uint64 { return h.count.Load() }
 
 // HistogramSnapshot is a point-in-time histogram reading.
 type HistogramSnapshot struct {
-	// Bounds are the bucket upper bounds (ascending, +Inf implicit).
+	// Bounds are the finite bucket upper bounds in seconds, ascending;
+	// +Inf is implicit.
 	Bounds []float64
 	// Counts[i] is the number of observations in (Bounds[i-1], Bounds[i]]
-	// — per-bucket, not cumulative; encoders cumulate.
+	// — per-bucket, not cumulative; encoders cumulate. The last entry,
+	// Counts[len(Bounds)], is the +Inf overflow bucket.
 	Counts []uint64
-	// Count is the total number of observations (including > last bound).
+	// Exemplars[i] is the span ID of a recent observation in bucket i
+	// (0 = none recorded).
+	Exemplars []uint64
+	// Count is the total number of observations, the sum of Counts.
 	Count uint64
-	// Sum is the sum of all observed values.
+	// Sum is the sum of all observed values, in seconds.
 	Sum float64
+	// Max is the largest observation.
+	Max time.Duration
 }
 
-// Snapshot copies the buckets under the histogram's lock.
+// Snapshot reads the histogram without stopping its writers. Count is
+// summed from the bucket reads, so the cumulative exposition stays
+// monotone even while observations land mid-read.
 func (h *Histogram) Snapshot() HistogramSnapshot {
 	snap := HistogramSnapshot{
-		Bounds: h.bounds,
-		Counts: make([]uint64, len(h.bounds)),
+		Bounds:    boundsSeconds,
+		Counts:    make([]uint64, numBuckets),
+		Exemplars: make([]uint64, numBuckets),
+		Sum:       time.Duration(h.sumNs.Load()).Seconds(),
+		Max:       time.Duration(h.maxNs.Load()),
 	}
-	h.mu.Lock()
-	copy(snap.Counts, h.counts)
-	snap.Count = h.count
-	snap.Sum = h.sum
-	h.mu.Unlock()
+	for i := range snap.Counts {
+		snap.Counts[i] = h.counts[i].Load()
+		snap.Exemplars[i] = h.exemplars[i].Load()
+		snap.Count += snap.Counts[i]
+	}
 	return snap
 }
 
-// Quantile estimates the q-quantile (0 < q ≤ 1) from the bucket counts
-// by linear interpolation inside the bucket the rank lands in. The
-// overflow bucket (observations above the last finite bound) has no
-// upper edge, so estimates landing there clamp to the last finite
-// bound — a deliberate under-estimate that keeps the value finite.
-// Returns NaN when the snapshot holds no observations or no buckets.
-func (s HistogramSnapshot) Quantile(q float64) float64 {
-	if s.Count == 0 || len(s.Bounds) == 0 {
-		return math.NaN()
+// Quantile estimates the q-quantile (0 < q ≤ 1) by linear
+// interpolation inside the bucket the rank lands in, never beyond the
+// observed maximum. Zero when the snapshot holds no observations.
+func (s HistogramSnapshot) Quantile(q float64) time.Duration {
+	if s.Count == 0 {
+		return 0
 	}
-	rank := uint64(math.Ceil(q * float64(s.Count)))
-	if rank == 0 {
-		rank = 1
-	}
+	rank := max(uint64(math.Ceil(q*float64(s.Count))), 1)
 	var cum uint64
 	for i, c := range s.Counts {
 		if c == 0 {
@@ -139,14 +159,12 @@ func (s HistogramSnapshot) Quantile(q float64) float64 {
 			cum += c
 			continue
 		}
-		lo := 0.0
-		if i > 0 {
-			lo = s.Bounds[i-1]
+		lo, hi := bucketLower(i), min(BucketBound(i), s.Max)
+		if hi < lo {
+			return lo
 		}
-		hi := s.Bounds[i]
 		frac := float64(rank-cum) / float64(c)
-		return lo + frac*(hi-lo)
+		return lo + time.Duration(frac*float64(hi-lo))
 	}
-	// Rank falls in the implicit +Inf bucket: clamp to the last bound.
-	return s.Bounds[len(s.Bounds)-1]
+	return s.Max
 }

@@ -6,27 +6,34 @@ import (
 	"sync"
 )
 
-// Readiness aggregates named readiness probes into one func() error
-// suitable for AdminConfig.Ready. Probes are evaluated in registration
-// order and every failing probe is reported, so an operator reading the
-// /readyz body sees the full set of blockers, not just the first.
+// Readiness aggregates named readiness probes into one check, the one
+// the operator surface's /readyz serves. Probes are evaluated in
+// registration order and every failing probe is reported, so an
+// operator reading the /readyz body sees the full set of blockers, not
+// just the first.
 //
 // The zero value is ready to use; Register is safe against concurrent
 // Check but is expected at wiring time.
 type Readiness struct {
 	mu     sync.Mutex
-	names  []string
-	probes []func() error
+	probes []probe
 }
 
-// Register adds a named probe. A nil probe is ignored.
-func (r *Readiness) Register(name string, probe func() error) {
-	if r == nil || probe == nil {
+// probe is one named readiness condition.
+type probe struct {
+	name   string
+	ok     func() bool
+	reason string
+}
+
+// Register adds a named probe: the process is not ready while ok
+// reports false, and reason says why. A nil ok is ignored.
+func (r *Readiness) Register(name string, ok func() bool, reason string) {
+	if r == nil || ok == nil {
 		return
 	}
 	r.mu.Lock()
-	r.names = append(r.names, name)
-	r.probes = append(r.probes, probe)
+	r.probes = append(r.probes, probe{name: name, ok: ok, reason: reason})
 	r.mu.Unlock()
 }
 
@@ -37,29 +44,16 @@ func (r *Readiness) Check() error {
 		return nil
 	}
 	r.mu.Lock()
-	names := r.names
 	probes := r.probes
 	r.mu.Unlock()
 	var fails []string
-	for i, probe := range probes {
-		if err := probe(); err != nil {
-			fails = append(fails, fmt.Sprintf("%s: %v", names[i], err))
+	for _, p := range probes {
+		if !p.ok() {
+			fails = append(fails, p.name+": "+p.reason)
 		}
 	}
 	if len(fails) == 0 {
 		return nil
 	}
 	return fmt.Errorf("not ready: %s", strings.Join(fails, "; "))
-}
-
-// NotSynced is a convenience for boolean probes: it converts a
-// condition into the error a probe reports while the condition is
-// still false.
-func NotSynced(ok func() bool, what string) func() error {
-	return func() error {
-		if ok() {
-			return nil
-		}
-		return fmt.Errorf("%s", what)
-	}
 }

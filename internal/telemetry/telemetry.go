@@ -1,7 +1,8 @@
 // Package telemetry is the repo's stdlib-only metrics layer: atomic
-// counters and gauges, mutex-guarded latency histograms, and a named
+// counters and gauges, lock-free latency histograms, and a named
 // Registry of labeled metric families with two exposition encodings
-// (Prometheus text format and JSON) served from an admin HTTP endpoint.
+// (Prometheus text format and JSON), which the operator surface
+// (internal/obs) serves.
 //
 // The paper's detection scheme only earns operational trust if its
 // behaviour is observable: alarm rates, MOAS-list validation counts,
@@ -11,8 +12,8 @@
 // -metrics-addr.
 //
 // Concurrency: instruments are safe for concurrent use and their update
-// paths are wait-free (counters, gauges) or take one short lock
-// (histograms).
+// paths never lock: counters and gauges are one atomic add, histograms
+// a few atomic adds plus a CAS for the maximum.
 // Registration is cheap but takes locks; hot paths should register once
 // and cache the returned instrument, as the instrumented packages do.
 package telemetry
@@ -101,7 +102,6 @@ type family struct {
 	help      string
 	kind      Kind
 	labelKeys []string
-	buckets   []float64 // histogram families only
 
 	mu     sync.Mutex
 	series map[string]*series // guarded by mu; keyed by joined label values
@@ -141,7 +141,7 @@ func (r *Registry) fullName(name string) string {
 // getFamily returns the named family, creating it on first use. It
 // panics on a kind or label-key mismatch with an earlier registration:
 // that is a programming error, not a runtime condition.
-func (r *Registry) getFamily(name, help string, kind Kind, labelKeys []string, buckets []float64) *family {
+func (r *Registry) getFamily(name, help string, kind Kind, labelKeys []string) *family {
 	mustValidName(name)
 	for _, k := range labelKeys {
 		mustValidName(k)
@@ -155,7 +155,6 @@ func (r *Registry) getFamily(name, help string, kind Kind, labelKeys []string, b
 			help:      help,
 			kind:      kind,
 			labelKeys: append([]string(nil), labelKeys...),
-			buckets:   append([]float64(nil), buckets...),
 			series:    make(map[string]*series),
 		}
 		r.families[name] = f
@@ -212,7 +211,7 @@ func (f *family) get(values []string) *series {
 	case KindGauge:
 		s.gauge = &Gauge{}
 	case KindHistogram:
-		s.hist = newHistogram(f.buckets)
+		s.hist = &Histogram{}
 	}
 	f.series[key] = s
 	return s
@@ -221,23 +220,20 @@ func (f *family) get(values []string) *series {
 // Counter returns the unlabeled counter with the given name, creating
 // it on first use.
 func (r *Registry) Counter(name, help string) *Counter {
-	return r.getFamily(name, help, KindCounter, nil, nil).get(nil).counter
+	return r.getFamily(name, help, KindCounter, nil).get(nil).counter
 }
 
 // Gauge returns the unlabeled gauge with the given name, creating it on
 // first use.
 func (r *Registry) Gauge(name, help string) *Gauge {
-	return r.getFamily(name, help, KindGauge, nil, nil).get(nil).gauge
+	return r.getFamily(name, help, KindGauge, nil).get(nil).gauge
 }
 
 // Histogram returns the unlabeled histogram with the given name,
-// creating it on first use with the given bucket upper bounds (nil
-// selects DefBuckets).
-func (r *Registry) Histogram(name, help string, buckets []float64) *Histogram {
-	if buckets == nil {
-		buckets = DefBuckets
-	}
-	return r.getFamily(name, help, KindHistogram, nil, buckets).get(nil).hist
+// creating it on first use. Every histogram shares the fixed
+// power-of-two bucket layout and is exposed in seconds.
+func (r *Registry) Histogram(name, help string) *Histogram {
+	return r.getFamily(name, help, KindHistogram, nil).get(nil).hist
 }
 
 // CounterVec is a counter family with labels.
@@ -245,7 +241,7 @@ type CounterVec struct{ f *family }
 
 // CounterVec returns the labeled counter family with the given name.
 func (r *Registry) CounterVec(name, help string, labelKeys ...string) *CounterVec {
-	return &CounterVec{f: r.getFamily(name, help, KindCounter, labelKeys, nil)}
+	return &CounterVec{f: r.getFamily(name, help, KindCounter, labelKeys)}
 }
 
 // With returns the counter for the given label values, creating it on
@@ -259,29 +255,12 @@ type GaugeVec struct{ f *family }
 
 // GaugeVec returns the labeled gauge family with the given name.
 func (r *Registry) GaugeVec(name, help string, labelKeys ...string) *GaugeVec {
-	return &GaugeVec{f: r.getFamily(name, help, KindGauge, labelKeys, nil)}
+	return &GaugeVec{f: r.getFamily(name, help, KindGauge, labelKeys)}
 }
 
 // With returns the gauge for the given label values.
 func (v *GaugeVec) With(labelValues ...string) *Gauge {
 	return v.f.get(labelValues).gauge
-}
-
-// HistogramVec is a histogram family with labels.
-type HistogramVec struct{ f *family }
-
-// HistogramVec returns the labeled histogram family with the given name
-// and bucket bounds (nil selects DefBuckets).
-func (r *Registry) HistogramVec(name, help string, buckets []float64, labelKeys ...string) *HistogramVec {
-	if buckets == nil {
-		buckets = DefBuckets
-	}
-	return &HistogramVec{f: r.getFamily(name, help, KindHistogram, labelKeys, buckets)}
-}
-
-// With returns the histogram for the given label values.
-func (v *HistogramVec) With(labelValues ...string) *Histogram {
-	return v.f.get(labelValues).hist
 }
 
 // FamilySnapshot is one family's point-in-time exposition view.
@@ -304,8 +283,8 @@ type SeriesSnapshot struct {
 
 // Gather returns a consistent-enough snapshot of every family, sorted
 // by name with series sorted by label values — the stable order both
-// encoders rely on. Counters and gauges are read atomically; histograms
-// are copied under their locks.
+// encoders rely on. Every instrument is read atomically, without
+// stopping its writers.
 func (r *Registry) Gather() []FamilySnapshot {
 	r.mu.Lock()
 	fams := make([]*family, 0, len(r.families))

@@ -1,12 +1,6 @@
 package telemetry
 
 import (
-	"encoding/json"
-	"io"
-	"math"
-	"net/http"
-	"strings"
-	"sync"
 	"testing"
 )
 
@@ -92,147 +86,4 @@ func TestRegistrationMismatchPanics(t *testing.T) {
 			fn()
 		}()
 	}
-}
-
-func TestHistogramBuckets(t *testing.T) {
-	r := NewRegistry("t")
-	h := r.Histogram("rtt_seconds", "round trips", []float64{0.01, 0.1, 1})
-	h.Observe(0.01) // exactly on a bound: counted in that bucket (le is inclusive)
-	h.Observe(0.005)
-	h.Observe(0.5)
-	h.Observe(99) // above the last bound: only count/sum
-	snap := h.Snapshot()
-	if want := []uint64{2, 0, 1}; !equalU64(snap.Counts, want) {
-		t.Errorf("counts = %v, want %v", snap.Counts, want)
-	}
-	if snap.Count != 4 {
-		t.Errorf("count = %d, want 4", snap.Count)
-	}
-	if want := 0.01 + 0.005 + 0.5 + 99; math.Abs(snap.Sum-want) > 1e-9 {
-		t.Errorf("sum = %v, want %v", snap.Sum, want)
-	}
-}
-
-func TestHistogramInfBoundDropped(t *testing.T) {
-	r := NewRegistry("t")
-	h := r.Histogram("x_seconds", "", []float64{1, math.Inf(1)})
-	if got := len(h.Snapshot().Bounds); got != 1 {
-		t.Errorf("bounds = %d, want 1 (+Inf implicit)", got)
-	}
-}
-
-func TestBucketHelpers(t *testing.T) {
-	if got := ExpBuckets(1, 10, 3); !equalF64(got, []float64{1, 10, 100}) {
-		t.Errorf("ExpBuckets = %v", got)
-	}
-	if got := LinearBuckets(0.5, 0.5, 3); !equalF64(got, []float64{0.5, 1, 1.5}) {
-		t.Errorf("LinearBuckets = %v", got)
-	}
-}
-
-func TestHistogramConcurrentObserve(t *testing.T) {
-	r := NewRegistry("t")
-	h := r.Histogram("x_seconds", "", []float64{1})
-	const goroutines, per = 8, 1000
-	var wg sync.WaitGroup
-	for i := 0; i < goroutines; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := 0; j < per; j++ {
-				h.Observe(0.5)
-			}
-		}()
-	}
-	wg.Wait()
-	snap := h.Snapshot()
-	if snap.Count != goroutines*per || snap.Counts[0] != goroutines*per {
-		t.Errorf("snapshot = %+v, want %d observations", snap, goroutines*per)
-	}
-}
-
-func TestAdminEndpoints(t *testing.T) {
-	r := NewRegistry("t")
-	r.Counter("reqs_total", "requests").Add(7)
-	mib := http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		w.Write([]byte(`{"mib":true}`))
-	})
-	a, err := ServeAdmin("127.0.0.1:0", AdminConfig{Registry: r, Debug: map[string]http.Handler{"/debug/mib": mib}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer a.Close()
-
-	text := get(t, "http://"+a.Addr()+"/metrics")
-	if !strings.Contains(text, "t_reqs_total 7") {
-		t.Errorf("/metrics:\n%s", text)
-	}
-	js := get(t, "http://"+a.Addr()+"/metrics?format=json")
-	var doc struct {
-		Metrics []struct {
-			Name   string `json:"name"`
-			Series []struct {
-				Value *float64 `json:"value"`
-			} `json:"series"`
-		} `json:"metrics"`
-	}
-	if err := json.Unmarshal([]byte(js), &doc); err != nil {
-		t.Fatalf("metrics json: %v\n%s", err, js)
-	}
-	if len(doc.Metrics) != 1 || doc.Metrics[0].Name != "t_reqs_total" || *doc.Metrics[0].Series[0].Value != 7 {
-		t.Errorf("json doc = %+v", doc)
-	}
-	if got := get(t, "http://"+a.Addr()+"/healthz"); got != "ok\n" {
-		t.Errorf("/healthz = %q", got)
-	}
-	if got := get(t, "http://"+a.Addr()+"/debug/mib"); got != `{"mib":true}` {
-		t.Errorf("/debug/mib = %q", got)
-	}
-	if err := a.Close(); err != nil {
-		t.Errorf("close: %v", err)
-	}
-	if err := a.Close(); err != nil {
-		t.Errorf("second close: %v", err)
-	}
-}
-
-func get(t *testing.T, url string) string {
-	t.Helper()
-	resp, err := http.Get(url)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET %s: status %d", url, resp.StatusCode)
-	}
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return string(body)
-}
-
-func equalU64(a, b []uint64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func equalF64(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
