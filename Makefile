@@ -10,6 +10,7 @@ FUZZ_TARGETS := \
 	./internal/trace:FuzzTraceDecode \
 	./internal/mrt:FuzzMRTDecode \
 	./internal/mrt:FuzzWriterRoundTrip \
+	./internal/routegen:FuzzReadBinaryDump \
 	./internal/mrt/rislive:FuzzRISLiveJSON \
 	./internal/mrt/rislive:FuzzDecodeMatchesJSON
 FUZZTIME ?= 10s

@@ -88,3 +88,24 @@ func BenchmarkMRTChurn(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkMRTWriteRIB measures the table-dump encode path the
+// collector archiver and moas-measure -emit-dumps write through: one
+// two-entry RIB record per op into a warm Writer. The allocs/op column
+// should read 0 (TestWriterSteadyStateAllocFree enforces it).
+func BenchmarkMRTWriteRIB(b *testing.B) {
+	t0 := time.Unix(1000000000, 0).UTC()
+	w := NewWriter(io.Discard)
+	entries := []RIBEntry{
+		{PeerIndex: 0, Origin: wire.OriginIGP, Path: astypes.NewSeqPath(65001, 64512, 64513), NextHop: 1,
+			Communities: []astypes.Community{0xFDE90064}},
+		{PeerIndex: 1, Origin: wire.OriginIGP, Path: astypes.NewSeqPath(65002, 64513), NextHop: 2},
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		prefix := astypes.MustPrefix(0x0A000000+uint32(i&0xffff)<<8, 24)
+		if err := w.WriteRIB(t0, uint32(i), prefix, entries); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

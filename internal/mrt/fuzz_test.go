@@ -2,12 +2,15 @@ package mrt
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
+	"reflect"
 	"testing"
 	"time"
 
 	"repro/internal/astypes"
+	"repro/internal/wire"
 )
 
 // timeZero is the fixed timestamp fuzzed records carry.
@@ -83,13 +86,22 @@ func FuzzMRTDecode(f *testing.F) {
 	})
 }
 
-// FuzzWriterRoundTrip is the encode side: any RIB table the Writer
-// accepts must decode back. The fuzzer mutates the raw knobs.
+// FuzzWriterRoundTrip is the encode side: any RIB entry the Writer
+// accepts, and the same route as a 2-octet and a 4-octet UPDATE, must
+// decode back. The fuzzer mutates the raw knobs; pathSpec is read five
+// bytes per AS (a control byte whose bit 0 opens a new segment and bit
+// 1 makes it an AS_SET, then the 4-octet AS), comms four bytes per
+// community.
 func FuzzWriterRoundTrip(f *testing.F) {
-	f.Add(uint32(1), uint32(0x0A000000), uint8(24), uint16(65001), uint32(0xC0000201))
-	f.Add(uint32(9), uint32(0), uint8(0), uint16(1), uint32(1))
-	f.Fuzz(func(t *testing.T, seq, addr uint32, plen uint8, as uint16, nexthop uint32) {
-		if plen > 32 || as == 0 {
+	f.Add(uint32(1), uint32(0x0A000000), uint8(24), uint16(65001), uint32(0xC0000201),
+		[]byte{0, 0, 0, 0xFD, 0xE9}, []byte(nil), false, uint32(0))
+	f.Add(uint32(9), uint32(0), uint8(0), uint16(1), uint32(1), []byte(nil), []byte(nil), false, uint32(0))
+	f.Add(uint32(5), uint32(0xC0000200), uint8(24), uint16(701), uint32(7),
+		[]byte{0, 0, 0, 0x02, 0xBD, 0, 0, 0, 0x04, 0xD7, 3, 0, 3, 0, 7, 0, 0, 0, 0x1B, 0x1B},
+		[]byte{0x02, 0xBD, 0, 0x64, 0xFF, 0xFF, 0xFF, 0x01}, true, uint32(100))
+	f.Fuzz(func(t *testing.T, seq, addr uint32, plen uint8, as uint16, nexthop uint32,
+		pathSpec, comms []byte, hasLocalPref bool, localPref uint32) {
+		if plen > 32 || as == 0 || len(pathSpec) > 5*200 {
 			return
 		}
 		if plen < 32 {
@@ -99,35 +111,87 @@ func FuzzWriterRoundTrip(f *testing.F) {
 		if err != nil {
 			return
 		}
+		path, narrowed := fuzzPath(pathSpec)
+		var communities []astypes.Community
+		for ; len(comms) >= 4; comms = comms[4:] {
+			communities = append(communities, astypes.Community(binary.BigEndian.Uint32(comms)))
+		}
 		var buf bytes.Buffer
 		w := NewWriter(&buf)
 		peers := []Peer{{BGPID: 1, IP: 2, AS: uint32(as)}}
 		if err := w.WritePeerIndex(timeZero, 1, "fuzz", peers); err != nil {
 			t.Fatal(err)
 		}
-		want := []RIBEntry{{
-			PeerAS:  peers[0].ASN(),
-			Origin:  0,
-			Path:    astypes.NewSeqPath(peers[0].ASN()),
-			NextHop: nexthop,
-		}}
-		if err := w.WriteRIB(timeZero, seq, prefix, want); err != nil {
+		entry := RIBEntry{
+			PeerAS:       peers[0].ASN(),
+			Origin:       wire.OriginIGP,
+			Path:         path,
+			NextHop:      nexthop,
+			HasLocalPref: hasLocalPref,
+			Communities:  communities,
+		}
+		if hasLocalPref {
+			entry.LocalPref = localPref
+		}
+		if err := w.WriteRIB(timeZero, seq, prefix, []RIBEntry{entry}); err != nil {
 			t.Fatal(err)
 		}
-		rd, err := NewReader(bytes.NewReader(buf.Bytes()))
-		if err != nil {
+		u := &wire.Update{NLRI: []astypes.Prefix{prefix}}
+		u.Attrs = wire.PathAttrs{
+			HasOrigin:    true,
+			ASPath:       path,
+			HasNextHop:   true,
+			NextHop:      nexthop,
+			HasLocalPref: hasLocalPref,
+			LocalPref:    entry.LocalPref,
+			Communities:  communities,
+		}
+		if err := w.WriteUpdate(timeZero, astypes.ASN(as), 6447, 1, 2, u); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := rd.Next(); err != nil {
+		if err := w.WriteUpdateAS4(timeZero, uint32(as), 6447, 1, 2, u); err != nil {
 			t.Fatal(err)
 		}
-		rec, err := rd.Next()
-		if err != nil {
-			t.Fatalf("decoding written RIB: %v", err)
+
+		recs, _ := readAll(t, buf.Bytes())
+		if len(recs) != 4 {
+			t.Fatalf("decoded %d records, want 4", len(recs))
 		}
-		if rec.Seq != seq || rec.Prefix != prefix || len(rec.Entries) != 1 ||
-			rec.Entries[0].PeerAS != want[0].PeerAS || rec.Entries[0].NextHop != nexthop {
-			t.Fatalf("round trip mismatch: %+v", rec)
+		entry.Path = narrowed
+		want := copyRecord(&Record{Entries: []RIBEntry{entry}}).Entries
+		if rec := recs[1]; rec.Seq != seq || rec.Prefix != prefix || !reflect.DeepEqual(rec.Entries, want) {
+			t.Fatalf("RIB round trip:\n got %+v\nwant %+v", rec.Entries, want)
+		}
+		u.Attrs.ASPath = narrowed
+		for _, rec := range recs[2:] {
+			if rec.Update == nil || !updateEqual(rec.Update, copyRecord(&Record{Update: u}).Update) {
+				t.Fatalf("subtype %d UPDATE round trip:\n got %+v\nwant %+v", rec.Subtype, rec.Update, u)
+			}
 		}
 	})
+}
+
+// fuzzPath builds an AS path from a FuzzWriterRoundTrip path spec, and
+// the same path as the reader returns it: AS numbers above 65535
+// narrowed to AS_TRANS.
+func fuzzPath(spec []byte) (path, narrowed astypes.ASPath) {
+	for ; len(spec) >= 5; spec = spec[5:] {
+		asn := astypes.ASN(binary.BigEndian.Uint32(spec[1:5]))
+		n := len(path.Segments)
+		if n == 0 || spec[0]&1 != 0 || len(path.Segments[n-1].ASNs) == 255 {
+			typ := astypes.SegSequence
+			if spec[0]&2 != 0 {
+				typ = astypes.SegSet
+			}
+			path.Segments = append(path.Segments, astypes.Segment{Type: typ})
+			narrowed.Segments = append(narrowed.Segments, astypes.Segment{Type: typ})
+			n++
+		}
+		path.Segments[n-1].ASNs = append(path.Segments[n-1].ASNs, asn)
+		if asn > astypes.Max2Octet {
+			asn = ASTrans
+		}
+		narrowed.Segments[n-1].ASNs = append(narrowed.Segments[n-1].ASNs, asn)
+	}
+	return path, narrowed
 }

@@ -130,6 +130,7 @@ func copyRecord(r *Record) Record {
 		}
 		u.Attrs.ASPath = r.Update.Attrs.ASPath.Clone()
 		u.Attrs.Communities = append([]astypes.Community(nil), r.Update.Attrs.Communities...)
+		u.Attrs.Unknown = wire.CloneUnknownAttrs(r.Update.Attrs.Unknown)
 		c.Update = u
 	}
 	return c

@@ -2,10 +2,12 @@
 // (RFC 6396): the TABLE_DUMP_V2 full-table snapshots and BGP4MP update
 // traces published by RouteViews and RIPE RIS collectors. It is the
 // internet-scale ingestion layer: real archives hold ~1M-prefix tables
-// and millions of daily updates, so the reader follows the wire-codec
-// scratch idiom (PR 3) — one reusable record buffer plus flat decode
-// arenas — and decodes records with zero steady-state allocations,
-// straight into the existing wire/astypes types.
+// and millions of daily updates, so the reader decodes path attributes
+// and NLRI through the wire codec's scratch Decoder — the session's
+// code at 4-octet AS width where the record calls for it — with one
+// reusable record buffer and zero steady-state allocations, straight
+// into the existing wire/astypes types. The Writer encodes through the
+// same codec.
 //
 // Supported record types:
 //
@@ -263,9 +265,6 @@ type Stats struct {
 	StateChanges uint64
 	// Skipped counts unsupported record types/subtypes.
 	Skipped uint64
-	// SkippedAttrs counts path attributes outside the decoded set
-	// (MED, MP_REACH_NLRI, AS4_PATH, …) that were passed over.
-	SkippedAttrs uint64
 	// AS4Substituted counts 4-byte AS numbers replaced with ASTrans.
 	AS4Substituted uint64
 }

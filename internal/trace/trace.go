@@ -139,7 +139,7 @@ type Event struct {
 // slot is one ring entry: a seqlock-published event packed into atomic
 // words. mark holds seq+1 while the event is published and 0 while a
 // writer is mid-store, so readers can detect and skip torn entries
-// without taking a lock.
+// without taking a lock. Node, Peer and Origin keep all 32 bits.
 type slot struct {
 	mark atomic.Uint64
 	w    [6]atomic.Uint64
@@ -149,14 +149,17 @@ func (s *slot) store(e *Event) {
 	s.w[0].Store(uint64(e.Nanos))
 	s.w[1].Store(uint64(e.VNanos))
 	s.w[2].Store(e.Span)
-	s.w[3].Store(uint64(e.Kind)<<56 | uint64(e.Detail)<<48 |
-		uint64(e.Node)<<32 | uint64(e.Peer)<<16 | uint64(e.Origin))
-	s.w[4].Store(packPrefix(e.Prefix))
-	s.w[5].Store(uint64(e.Aux))
+	s.w[3].Store(uint64(e.Node)<<32 | uint64(e.Peer))
+	s.w[4].Store(packPrefix(e.Prefix) | uint64(e.Kind)<<8 | uint64(e.Detail))
+	s.w[5].Store(uint64(e.Origin)<<32 | uint64(e.Aux))
 }
 
-// packPrefix is a prefix's slot word (w[4]), so a filtered scan can
-// compare one atomic word against it before loading the whole slot.
+// prefixBits masks a slot's w[4] down to its prefix; the low 24 bits
+// carry the event's Kind and Detail.
+const prefixBits = ^uint64(1<<24 - 1)
+
+// packPrefix is a prefix's bits in slot word w[4], so a filtered scan
+// can compare one atomic word against it before loading the whole slot.
 func packPrefix(p astypes.Prefix) uint64 {
 	return uint64(p.Addr)<<32 | uint64(p.Len)<<24
 }
@@ -165,15 +168,16 @@ func (s *slot) load(e *Event) {
 	e.Nanos = int64(s.w[0].Load())
 	e.VNanos = int64(s.w[1].Load())
 	e.Span = s.w[2].Load()
-	packed := s.w[3].Load()
-	e.Kind = Kind(packed >> 56)
-	e.Detail = Detail(packed >> 48 & 0xff)
-	e.Node = astypes.ASN(packed >> 32 & 0xffff)
-	e.Peer = astypes.ASN(packed >> 16 & 0xffff)
-	e.Origin = astypes.ASN(packed & 0xffff)
-	pfx := s.w[4].Load()
-	e.Prefix = astypes.Prefix{Addr: uint32(pfx >> 32), Len: uint8(pfx >> 24 & 0xff)}
-	e.Aux = uint32(s.w[5].Load())
+	ases := s.w[3].Load()
+	e.Node = astypes.ASN(ases >> 32)
+	e.Peer = astypes.ASN(uint32(ases))
+	packed := s.w[4].Load()
+	e.Prefix = astypes.Prefix{Addr: uint32(packed >> 32), Len: uint8(packed >> 24)}
+	e.Kind = Kind(packed >> 8)
+	e.Detail = Detail(packed)
+	aux := s.w[5].Load()
+	e.Origin = astypes.ASN(aux >> 32)
+	e.Aux = uint32(aux)
 }
 
 // Recorder is the lock-free flight recorder: a power-of-two ring of
@@ -331,7 +335,7 @@ func (r *Recorder) appendRetained(out []Event, head uint64, only *astypes.Prefix
 	}
 	for i := start; i < head; i++ {
 		s := &r.slots[i&r.mask]
-		if s.mark.Load() != i+1 || only != nil && s.w[4].Load() != want {
+		if s.mark.Load() != i+1 || only != nil && s.w[4].Load()&prefixBits != want {
 			continue
 		}
 		var e Event

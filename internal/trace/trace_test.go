@@ -49,6 +49,36 @@ func TestRecordAndEvents(t *testing.T) {
 	}
 }
 
+// TestFullWidthASNs: Node, Peer and Origin above 65535 — the 70k-AS
+// simulated topologies, a 4-octet daemon AS — read back whole, leave
+// Kind and Detail intact, and still match the prefix-filtered timeline.
+func TestFullWidthASNs(t *testing.T) {
+	r := NewRecorder(16, WithoutWallClock())
+	want := Event{
+		Span:   9,
+		Kind:   KindValidate,
+		Detail: DetailConflict,
+		Node:   70000,
+		Peer:   70000,
+		Origin: 4200000000,
+		Prefix: testPrefix,
+		Aux:    0xffffffff,
+	}
+	r.Record(want)
+	r.Record(Event{Kind: KindRecv, Node: 1, Prefix: astypes.MustPrefix(0x0a000000, 8)})
+	if got := r.Events()[0]; got != want {
+		t.Fatalf("event: got %+v, want %+v", got, want)
+	}
+	id := r.RecordAlarm(testPrefix, AlarmBundle{Node: 70000, FromPeer: 70000, Origin: 4200000000, Verdict: "conflict"})
+	b, _ := r.Alarm(id)
+	if len(b.Timeline) != 2 || b.Timeline[0] != want {
+		t.Fatalf("timeline: got %+v, want the event then the alarm", b.Timeline)
+	}
+	if a := b.Timeline[1]; a.Kind != KindAlarm || a.Node != 70000 || a.Peer != 70000 || a.Origin != 4200000000 {
+		t.Errorf("alarm event: got %+v", a)
+	}
+}
+
 func TestRingWraparound(t *testing.T) {
 	r := NewRecorder(16, WithoutWallClock())
 	const total = 40

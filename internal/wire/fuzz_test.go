@@ -64,7 +64,40 @@ func FuzzDecode(f *testing.F) {
 		if !bytes.Equal(re, re2) {
 			t.Fatalf("encode not stable:\n  %x\n  %x", re, re2)
 		}
+		if u, ok := m.(*Update); ok {
+			roundTripAS4(t, u, re)
+		}
 	})
+}
+
+// roundTripAS4 checks that an accepted UPDATE survives the 4-octet
+// encoding: decoded back at 4-octet width it re-encodes to the same
+// 4-octet bytes and to its original 2-octet form re.
+func roundTripAS4(t *testing.T, u *Update, re []byte) {
+	b4, err := AppendUpdate(nil, u, AS4)
+	if err != nil {
+		// Each AS grows by two octets and an AGGREGATOR by two; only
+		// an UPDATE near the size limit may outgrow it.
+		grow := 2 + 1
+		for _, seg := range u.Attrs.ASPath.Segments {
+			grow += 2 * len(seg.ASNs)
+		}
+		if len(re)+grow <= MaxMessageLen {
+			t.Fatalf("accepted UPDATE failed to encode at 4-octet width: %v", err)
+		}
+		return
+	}
+	var d Decoder
+	u4, err := d.DecodeUpdate(b4[HeaderLen:], AS4)
+	if err != nil {
+		t.Fatalf("4-octet encoding failed to decode: %v\n  %x", err, b4)
+	}
+	if again, err := AppendUpdate(nil, u4, AS4); err != nil || !bytes.Equal(again, b4) {
+		t.Fatalf("4-octet encode not stable (%v):\n  %x\n  %x", err, b4, again)
+	}
+	if as2, err := AppendMessage(nil, u4); err != nil || !bytes.Equal(as2, re) {
+		t.Fatalf("4-octet round trip changed the 2-octet encoding (%v):\n  %x\n  %x", err, re, as2)
+	}
 }
 
 func wireAttrs() PathAttrs {

@@ -26,8 +26,9 @@ var msgBufPool = sync.Pool{
 // Decoder decodes messages into reusable scratch storage. The UPDATE it
 // returns — including Withdrawn/NLRI slices, AS-path segments,
 // communities, and unknown-attribute values (which alias the input
-// buffer) — is valid only until the next Decode call; callers that
-// retain any of it must copy (rib.Route construction already does).
+// buffer) — is valid only until the next Decode, DecodeUpdate or
+// Rewind call; callers that retain any of it must copy (rib.Route
+// construction already does).
 // OPEN, NOTIFICATION and ROUTE-REFRESH are session-rare and decode
 // into fresh memory. A Decoder is not safe for concurrent use.
 type Decoder struct {
@@ -41,15 +42,15 @@ type Decoder struct {
 }
 
 // Decode parses one complete message from buf (header included),
-// reusing the Decoder's scratch for UPDATEs.
+// reusing the Decoder's scratch for UPDATEs, which are 2-octet.
 func (d *Decoder) Decode(buf []byte) (Message, error) {
-	t, body, err := checkHeader(buf)
+	t, body, err := SplitMessage(buf)
 	if err != nil {
 		return nil, err
 	}
 	var m Message
 	if t == MsgUpdate {
-		m, err = decodeUpdateInto(&d.upd, d, body)
+		m, err = d.DecodeUpdate(body, AS2)
 	} else {
 		m, err = Decode(buf)
 	}
@@ -58,6 +59,27 @@ func (d *Decoder) Decode(buf []byte) (Message, error) {
 	}
 	return m, err
 }
+
+// DecodeUpdate parses an UPDATE body (the message after its header)
+// whose AS numbers are w octets wide into the Decoder's scratch, as
+// Decode does, without counting a span.
+func (d *Decoder) DecodeUpdate(body []byte, w ASWidth) (*Update, error) {
+	d.Rewind()
+	return decodeUpdateInto(&d.upd, d, body, w)
+}
+
+// DecodeAttrs parses a bare attribute block with w-octet AS numbers —
+// one TABLE_DUMP_V2 RIB entry's — into a, reusing a's slices. Its AS
+// path is carved from the Decoder's arena, which DecodeAttrs does not
+// recycle, so the paths of every block decoded since the last Rewind
+// stay valid together. Unknown-attribute values alias data.
+func (d *Decoder) DecodeAttrs(a *PathAttrs, data []byte, w ASWidth) error {
+	return a.decode(data, d, w)
+}
+
+// Rewind recycles the Decoder's arena: the AS paths of everything it
+// decoded before become invalid.
+func (d *Decoder) Rewind() { d.asns = d.asns[:0] }
 
 // Span returns the ordinal of the most recently decoded message,
 // starting at 1; 0 means nothing has decoded yet.

@@ -1,7 +1,9 @@
 // Package wire implements a BGP-4 binary message codec in the style of
 // RFC 4271 (with RFC 1997 communities), sufficient to run live speaker
 // meshes over TCP and to serialize routing feeds for the offline MOAS
-// monitor. AS numbers are 2 octets, matching the era of the paper.
+// monitor. It is the repository's one path-attribute and NLRI codec:
+// sessions speak 2-octet AS numbers, matching the era of the paper,
+// and MRT archives reuse the same code at 4-octet AS_PATH width.
 //
 // The codec is strict on decode: malformed input returns a
 // *MessageError carrying the NOTIFICATION error code/subcode a conformant
@@ -112,9 +114,22 @@ func msgErrf(code, sub uint8, format string, args ...any) error {
 type Message interface {
 	// Type returns the message type code.
 	Type() MsgType
-	// encodeBody appends the body (everything after the 19-byte header).
-	encodeBody(dst []byte) ([]byte, error)
+	// encodeBody appends the body (everything after the 19-byte header),
+	// with AS_PATH and AGGREGATOR AS numbers w octets wide.
+	encodeBody(dst []byte, w ASWidth) ([]byte, error)
 }
+
+// ASWidth is the size in octets of the AS numbers in AS_PATH and
+// AGGREGATOR (RFC 6793). It is an argument taken from the input, never
+// a setting: a classic session is 2-octet, a TABLE_DUMP_V2 RIB entry
+// or a BGP4MP *_AS4 record 4-octet.
+type ASWidth uint8
+
+// AS number widths.
+const (
+	AS2 ASWidth = 2
+	AS4 ASWidth = 4
+)
 
 // Open is the BGP OPEN message. Optional parameters are not modelled.
 type Open struct {
@@ -130,19 +145,19 @@ const Version4 uint8 = 4
 // Type implements Message.
 func (*Open) Type() MsgType { return MsgOpen }
 
-func (o *Open) encodeBody(dst []byte) ([]byte, error) {
+func (o *Open) encodeBody(dst []byte, _ ASWidth) ([]byte, error) {
 	dst = append(dst, o.Version)
-	dst = binary.BigEndian.AppendUint16(dst, as2of(o.AS))
+	dst = binary.BigEndian.AppendUint16(dst, NarrowAS(o.AS))
 	dst = binary.BigEndian.AppendUint16(dst, o.HoldTime)
 	dst = binary.BigEndian.AppendUint32(dst, o.BGPID)
 	dst = append(dst, 0) // optional parameters length
 	return dst, nil
 }
 
-// as2of narrows a 4-octet ASN into a 2-octet wire field, substituting
+// NarrowAS narrows a 4-octet ASN into a 2-octet wire field, substituting
 // AS_TRANS (RFC 6793) for values that do not fit — the classic encoding
 // used by this speaker carries only 2-octet AS fields.
-func as2of(a astypes.ASN) uint16 {
+func NarrowAS(a astypes.ASN) uint16 {
 	if a > astypes.Max2Octet {
 		return uint16(astypes.ASTrans)
 	}
@@ -189,7 +204,7 @@ const (
 // Type implements Message.
 func (*RouteRefresh) Type() MsgType { return MsgRouteRefresh }
 
-func (r *RouteRefresh) encodeBody(dst []byte) ([]byte, error) {
+func (r *RouteRefresh) encodeBody(dst []byte, _ ASWidth) ([]byte, error) {
 	dst = binary.BigEndian.AppendUint16(dst, r.AFI)
 	dst = append(dst, 0 /* reserved */, r.SAFI)
 	return dst, nil
@@ -211,7 +226,7 @@ type Keepalive struct{}
 // Type implements Message.
 func (*Keepalive) Type() MsgType { return MsgKeepalive }
 
-func (*Keepalive) encodeBody(dst []byte) ([]byte, error) { return dst, nil }
+func (*Keepalive) encodeBody(dst []byte, _ ASWidth) ([]byte, error) { return dst, nil }
 
 // Notification is the BGP NOTIFICATION message.
 type Notification struct {
@@ -223,7 +238,7 @@ type Notification struct {
 // Type implements Message.
 func (*Notification) Type() MsgType { return MsgNotification }
 
-func (n *Notification) encodeBody(dst []byte) ([]byte, error) {
+func (n *Notification) encodeBody(dst []byte, _ ASWidth) ([]byte, error) {
 	dst = append(dst, n.Code, n.Subcode)
 	return append(dst, n.Data...), nil
 }
@@ -341,7 +356,7 @@ const (
 // Type implements Message.
 func (*Update) Type() MsgType { return MsgUpdate }
 
-func (u *Update) encodeBody(dst []byte) ([]byte, error) {
+func (u *Update) encodeBody(dst []byte, w ASWidth) ([]byte, error) {
 	// Both length-prefixed sections are appended in place and their
 	// lengths fixed up afterwards, so encoding a full UPDATE never
 	// builds intermediate slices.
@@ -357,7 +372,7 @@ func (u *Update) encodeBody(dst []byte) ([]byte, error) {
 	binary.BigEndian.PutUint16(dst[wOff:], uint16(len(dst)-wOff-2))
 	aOff := len(dst)
 	dst = append(dst, 0, 0) // total path attribute length, fixed up below
-	dst, err = u.Attrs.encode(dst, len(u.NLRI) > 0)
+	dst, err = u.Attrs.encode(dst, len(u.NLRI) > 0, w)
 	if err != nil {
 		return nil, err
 	}
@@ -389,7 +404,15 @@ func appendAttrHeader(dst []byte, flags, code uint8, vLen int) ([]byte, error) {
 	return append(dst, flags, code, uint8(vLen)), nil
 }
 
-func (a *PathAttrs) encode(dst []byte, mandatory bool) ([]byte, error) {
+// AppendPathAttrs appends the attribute block of one route — a
+// TABLE_DUMP_V2 RIB entry's, without its length field — with AS numbers
+// w octets wide. ORIGIN, AS_PATH and NEXT_HOP are always written, as on
+// an UPDATE that carries NLRI.
+func AppendPathAttrs(dst []byte, a *PathAttrs, w ASWidth) ([]byte, error) {
+	return a.encode(dst, true, w)
+}
+
+func (a *PathAttrs) encode(dst []byte, mandatory bool, w ASWidth) ([]byte, error) {
 	var err error
 	if a.HasOrigin || mandatory {
 		if dst, err = appendAttrHeader(dst, flagTransitive, attrOrigin, 1); err != nil {
@@ -403,7 +426,7 @@ func (a *PathAttrs) encode(dst []byte, mandatory bool) ([]byte, error) {
 			if len(seg.ASNs) > 255 {
 				return nil, fmt.Errorf("AS_PATH segment with %d ASNs exceeds 255", len(seg.ASNs))
 			}
-			pLen += 2 + 2*len(seg.ASNs)
+			pLen += 2 + int(w)*len(seg.ASNs)
 		}
 		if dst, err = appendAttrHeader(dst, flagTransitive, attrASPath, pLen); err != nil {
 			return nil, err
@@ -411,7 +434,7 @@ func (a *PathAttrs) encode(dst []byte, mandatory bool) ([]byte, error) {
 		for _, seg := range a.ASPath.Segments {
 			dst = append(dst, uint8(seg.Type), uint8(len(seg.ASNs)))
 			for _, asn := range seg.ASNs {
-				dst = binary.BigEndian.AppendUint16(dst, as2of(asn))
+				dst = appendAS(dst, asn, w)
 			}
 		}
 	}
@@ -433,10 +456,10 @@ func (a *PathAttrs) encode(dst []byte, mandatory bool) ([]byte, error) {
 		}
 	}
 	if a.HasAggregator {
-		if dst, err = appendAttrHeader(dst, flagOptional|flagTransitive, attrAggregator, 6); err != nil {
+		if dst, err = appendAttrHeader(dst, flagOptional|flagTransitive, attrAggregator, int(w)+4); err != nil {
 			return nil, err
 		}
-		dst = binary.BigEndian.AppendUint16(dst, as2of(a.AggregatorAS))
+		dst = appendAS(dst, a.AggregatorAS, w)
 		dst = binary.BigEndian.AppendUint32(dst, a.AggregatorID)
 	}
 	if len(a.Communities) > 0 {
@@ -456,28 +479,33 @@ func (a *PathAttrs) encode(dst []byte, mandatory bool) ([]byte, error) {
 	return dst, nil
 }
 
+// appendAS appends one AS number w octets wide.
+func appendAS(dst []byte, a astypes.ASN, w ASWidth) []byte {
+	if w == AS4 {
+		return binary.BigEndian.AppendUint32(dst, uint32(a))
+	}
+	return binary.BigEndian.AppendUint16(dst, NarrowAS(a))
+}
+
 // reset clears the attribute set for reuse, keeping the capacity of the
 // decoded slices so steady-state decoding does not reallocate.
 func (a *PathAttrs) reset() {
-	comms := a.Communities[:0]
-	unknown := a.Unknown[:0]
-	segs := a.ASPath.Segments[:0]
-	*a = PathAttrs{
-		Communities: comms,
-		Unknown:     unknown,
-		ASPath:      astypes.ASPath{Segments: segs},
-	}
+	comms, unknown, segs := a.Communities[:0], a.Unknown[:0], a.ASPath.Segments[:0]
+	// Clearing in place, not assigning a composite literal, saves a
+	// temporary and its copy on every decoded attribute block.
+	*a = PathAttrs{}
+	a.Communities, a.Unknown, a.ASPath.Segments = comms, unknown, segs
 }
 
-// decodeUpdateInto parses an UPDATE body into u, which is reset first.
-// A non-nil d supplies reusable decode scratch and makes the decoded
-// message alias both d and body: unknown-attribute values point into
-// body, and slices are reused on d's next Decode. With d == nil every
-// byte is copied and the result is independently owned.
-func decodeUpdateInto(u *Update, d *Decoder, body []byte) (*Update, error) {
+// decodeUpdateInto parses an UPDATE body whose AS numbers are w octets
+// wide into u, which is reset first. A non-nil d supplies reusable
+// decode scratch and makes the decoded message alias both d and body:
+// unknown-attribute values point into body, and slices are reused on
+// d's next Decode. With d == nil every byte is copied and the result is
+// independently owned.
+func decodeUpdateInto(u *Update, d *Decoder, body []byte, w ASWidth) (*Update, error) {
 	u.Withdrawn = u.Withdrawn[:0]
 	u.NLRI = u.NLRI[:0]
-	u.Attrs.reset()
 	if len(body) < 4 {
 		return nil, msgErrf(ErrCodeUpdate, SubMalformedAttrList, "UPDATE body %d bytes", len(body))
 	}
@@ -500,7 +528,7 @@ func decodeUpdateInto(u *Update, d *Decoder, body []byte) (*Update, error) {
 	if aLen > len(rest) {
 		return nil, msgErrf(ErrCodeUpdate, SubMalformedAttrList, "attribute length %d exceeds body", aLen)
 	}
-	if err := u.Attrs.decode(rest[:aLen], d); err != nil {
+	if err := u.Attrs.decode(rest[:aLen], d, w); err != nil {
 		return nil, err
 	}
 	u.NLRI, err = decodePrefixes(u.NLRI, rest[aLen:])
@@ -518,7 +546,9 @@ func decodeUpdateInto(u *Update, d *Decoder, body []byte) (*Update, error) {
 	return u, nil
 }
 
-func (a *PathAttrs) decode(data []byte, d *Decoder) error {
+// decode parses one attribute block into a, which is reset first.
+func (a *PathAttrs) decode(data []byte, d *Decoder, w ASWidth) error {
+	a.reset()
 	// Duplicate detection on the stack: a map here costs an allocation
 	// per UPDATE decoded.
 	var seen [256]bool
@@ -560,7 +590,7 @@ func (a *PathAttrs) decode(data []byte, d *Decoder) error {
 			}
 			a.HasOrigin, a.Origin = true, OriginCode(val[0])
 		case attrASPath:
-			if err := decodeASPathInto(&a.ASPath, d, val); err != nil {
+			if err := decodeASPathInto(&a.ASPath, d, val, w); err != nil {
 				return err
 			}
 		case attrNextHop:
@@ -579,12 +609,18 @@ func (a *PathAttrs) decode(data []byte, d *Decoder) error {
 			}
 			a.AtomicAggregate = true
 		case attrAggregator:
-			if vLen != 6 {
+			// The AS is 2 octets in a 6-byte value and 4 in an 8-byte one,
+			// whatever the AS_PATH width: archives mix both.
+			switch vLen {
+			case 6:
+				a.AggregatorAS = astypes.ASN(binary.BigEndian.Uint16(val))
+			case 8:
+				a.AggregatorAS = astypes.ASN(binary.BigEndian.Uint32(val))
+			default:
 				return msgErrf(ErrCodeUpdate, SubAttrLengthError, "AGGREGATOR length %d", vLen)
 			}
 			a.HasAggregator = true
-			a.AggregatorAS = astypes.ASN(binary.BigEndian.Uint16(val[:2]))
-			a.AggregatorID = binary.BigEndian.Uint32(val[2:6])
+			a.AggregatorID = binary.BigEndian.Uint32(val[vLen-4:])
 		case attrCommunity:
 			if vLen%4 != 0 {
 				return msgErrf(ErrCodeUpdate, SubAttrLengthError, "COMMUNITY length %d", vLen)
@@ -617,36 +653,12 @@ func (a *PathAttrs) decode(data []byte, d *Decoder) error {
 	return nil
 }
 
-// decodeASPathInto parses an AS_PATH attribute value into path. With a
-// non-nil Decoder the segment ASN storage comes from d's flat scratch
-// slice (valid until d's next Decode); otherwise each segment allocates
-// its own backing array.
-func decodeASPathInto(path *astypes.ASPath, d *Decoder, val []byte) error {
+// decodeASPathInto parses an AS_PATH value with w-octet AS numbers into
+// path. With a non-nil Decoder the segments' AS numbers are appended to
+// d's flat arena, valid until d's arena is recycled (see Rewind);
+// otherwise each segment allocates its own backing array.
+func decodeASPathInto(path *astypes.ASPath, d *Decoder, val []byte, w ASWidth) error {
 	segs := path.Segments[:0]
-	var asns []astypes.ASN
-	if d != nil {
-		// Pre-size the flat scratch so appends below never reallocate
-		// (a mid-decode growth would strand earlier segments on the old
-		// backing array).
-		total := 0
-		for rest := val; len(rest) > 0; {
-			if len(rest) < 2 {
-				break // the main loop reports the framing error
-			}
-			count := int(rest[1])
-			total += count
-			need := 2 + 2*count
-			if len(rest) < need {
-				break
-			}
-			rest = rest[need:]
-		}
-		if cap(d.asns) < total {
-			// Scratch growth, amortized to zero once d.asns reaches the high-water mark.
-			d.asns = make([]astypes.ASN, 0, total)
-		}
-		asns = d.asns[:0]
-	}
 	for len(val) > 0 {
 		if len(val) < 2 {
 			return msgErrf(ErrCodeUpdate, SubMalformedASPath, "truncated segment header")
@@ -655,44 +667,61 @@ func decodeASPathInto(path *astypes.ASPath, d *Decoder, val []byte) error {
 		if segType != uint8(astypes.SegSequence) && segType != uint8(astypes.SegSet) {
 			return msgErrf(ErrCodeUpdate, SubMalformedASPath, "segment type %d", segType)
 		}
-		need := 2 + 2*count
+		need := 2 + int(w)*count
 		if len(val) < need {
 			return msgErrf(ErrCodeUpdate, SubMalformedASPath, "segment needs %d bytes, have %d", need, len(val))
 		}
-		var segASNs []astypes.ASN
+		var asns []astypes.ASN
 		if d != nil {
-			start := len(asns)
-			for i := 0; i < count; i++ {
-				asns = append(asns, astypes.ASN(binary.BigEndian.Uint16(val[2+2*i:4+2*i])))
-			}
-			segASNs = asns[start:len(asns):len(asns)]
+			// Carved once the segment is complete, so an arena growth
+			// leaves earlier segments intact on the old backing array.
+			start := len(d.asns)
+			d.asns = appendASNs(d.asns, val[2:need], w)
+			asns = d.asns[start:len(d.asns):len(d.asns)]
 		} else {
-			// The copying decode mode (d == nil); the scratch path above carves from d.asns.
-			segASNs = make([]astypes.ASN, count)
-			for i := 0; i < count; i++ {
-				segASNs[i] = astypes.ASN(binary.BigEndian.Uint16(val[2+2*i : 4+2*i]))
-			}
+			asns = appendASNs(make([]astypes.ASN, 0, count), val[2:need], w)
 		}
-		segs = append(segs, astypes.Segment{Type: astypes.SegmentType(segType), ASNs: segASNs})
+		segs = append(segs, astypes.Segment{Type: astypes.SegmentType(segType), ASNs: asns})
 		val = val[need:]
 	}
 	path.Segments = segs
-	if d != nil {
-		d.asns = asns
-	}
 	return nil
 }
 
+// appendASNs appends the w-octet AS numbers packed in val to dst.
+func appendASNs(dst []astypes.ASN, val []byte, w ASWidth) []astypes.ASN {
+	if w == AS4 {
+		for ; len(val) >= 4; val = val[4:] {
+			dst = append(dst, astypes.ASN(binary.BigEndian.Uint32(val)))
+		}
+		return dst
+	}
+	for ; len(val) >= 2; val = val[2:] {
+		dst = append(dst, astypes.ASN(binary.BigEndian.Uint16(val)))
+	}
+	return dst
+}
+
 func encodePrefixes(dst []byte, prefixes []astypes.Prefix) ([]byte, error) {
+	var err error
 	for _, p := range prefixes {
-		if p.Len > 32 {
-			return nil, fmt.Errorf("prefix length %d out of range", p.Len)
+		if dst, err = AppendPrefix(dst, p); err != nil {
+			return nil, err
 		}
-		dst = append(dst, p.Len)
-		octets := (int(p.Len) + 7) / 8
-		for i := 0; i < octets; i++ {
-			dst = append(dst, byte(p.Addr>>uint(24-8*i)))
-		}
+	}
+	return dst, nil
+}
+
+// AppendPrefix appends p in NLRI encoding: the length octet, then the
+// fewest address octets that hold it.
+func AppendPrefix(dst []byte, p astypes.Prefix) ([]byte, error) {
+	if p.Len > 32 {
+		return nil, fmt.Errorf("prefix length %d out of range", p.Len)
+	}
+	dst = append(dst, p.Len)
+	octets := (int(p.Len) + 7) / 8
+	for i := 0; i < octets; i++ {
+		dst = append(dst, byte(p.Addr>>uint(24-8*i)))
 	}
 	return dst, nil
 }
@@ -700,46 +729,66 @@ func encodePrefixes(dst []byte, prefixes []astypes.Prefix) ([]byte, error) {
 // decodePrefixes appends the prefixes encoded in data to out.
 func decodePrefixes(out []astypes.Prefix, data []byte) ([]astypes.Prefix, error) {
 	for len(data) > 0 {
-		length := data[0]
-		if length > 32 {
-			return nil, fmt.Errorf("prefix length %d out of range", length)
-		}
-		octets := (int(length) + 7) / 8
-		if len(data) < 1+octets {
-			return nil, fmt.Errorf("truncated prefix of length %d", length)
-		}
-		var addr uint32
-		for i := 0; i < octets; i++ {
-			addr |= uint32(data[1+i]) << uint(24-8*i)
-		}
-		// Mask off any stray host bits rather than rejecting: RFC 4271
-		// leaves trailing bits unspecified.
-		if length > 0 {
-			addr &= ^uint32(0) << (32 - length)
-		} else {
-			addr = 0
-		}
-		p, err := astypes.NewPrefix(addr, length)
+		p, n, err := DecodePrefix(data)
 		if err != nil {
 			return nil, err
 		}
 		out = append(out, p)
-		data = data[1+octets:]
+		data = data[n:]
 	}
 	return out, nil
 }
 
+// DecodePrefix parses the NLRI-encoded prefix at the start of data and
+// returns it with the number of bytes it took.
+func DecodePrefix(data []byte) (astypes.Prefix, int, error) {
+	if len(data) == 0 {
+		return astypes.Prefix{}, 0, errors.New("missing prefix")
+	}
+	length := data[0]
+	if length > 32 {
+		return astypes.Prefix{}, 0, fmt.Errorf("prefix length %d out of range", length)
+	}
+	octets := (int(length) + 7) / 8
+	if len(data) < 1+octets {
+		return astypes.Prefix{}, 0, fmt.Errorf("truncated prefix of length %d", length)
+	}
+	var addr uint32
+	for i := 0; i < octets; i++ {
+		addr |= uint32(data[1+i]) << uint(24-8*i)
+	}
+	// Mask off any stray host bits rather than rejecting: RFC 4271
+	// leaves trailing bits unspecified.
+	if length > 0 {
+		addr &= ^uint32(0) << (32 - length)
+	} else {
+		addr = 0
+	}
+	p, err := astypes.NewPrefix(addr, length)
+	return p, 1 + octets, err
+}
+
 // AppendMessage serializes a full message (header + body) onto dst and
-// returns the extended slice. When dst has spare capacity no allocation
-// occurs; this is the zero-allocation core that Encode, WriteMessage
-// and Writer share.
+// returns the extended slice, with 2-octet AS numbers. When dst has
+// spare capacity no allocation occurs; this is the zero-allocation core
+// that Encode, WriteMessage and Writer share.
 func AppendMessage(dst []byte, m Message) ([]byte, error) {
+	return appendMessage(dst, m, AS2)
+}
+
+// AppendUpdate is AppendMessage for an UPDATE whose AS_PATH and
+// AGGREGATOR carry AS numbers w octets wide.
+func AppendUpdate(dst []byte, u *Update, w ASWidth) ([]byte, error) {
+	return appendMessage(dst, u, w)
+}
+
+func appendMessage(dst []byte, m Message, w ASWidth) ([]byte, error) {
 	start := len(dst)
 	dst = append(dst,
 		0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff,
 		0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff,
 		0, 0, uint8(m.Type()))
-	dst, err := m.encodeBody(dst)
+	dst, err := m.encodeBody(dst, w)
 	if err != nil {
 		return nil, fmt.Errorf("encode %s: %w", m.Type(), err)
 	}
@@ -774,9 +823,9 @@ func frameLen(hdr []byte) (int, error) {
 	return n, nil
 }
 
-// checkHeader validates the header and framing of one complete message
+// SplitMessage validates the header and framing of one complete message
 // and returns its type code and body.
-func checkHeader(buf []byte) (MsgType, []byte, error) {
+func SplitMessage(buf []byte) (MsgType, []byte, error) {
 	if len(buf) < HeaderLen {
 		return 0, nil, msgErrf(ErrCodeHeader, SubBadLength, "message %d bytes < header", len(buf))
 	}
@@ -794,7 +843,7 @@ func checkHeader(buf []byte) (MsgType, []byte, error) {
 // returned message owns all of its memory; use a Decoder for the
 // allocation-free variant.
 func Decode(buf []byte) (Message, error) {
-	t, body, err := checkHeader(buf)
+	t, body, err := SplitMessage(buf)
 	if err != nil {
 		return nil, err
 	}
@@ -802,7 +851,7 @@ func Decode(buf []byte) (Message, error) {
 	case MsgOpen:
 		return decodeOpen(body)
 	case MsgUpdate:
-		return decodeUpdateInto(&Update{}, nil, body)
+		return decodeUpdateInto(&Update{}, nil, body, AS2)
 	case MsgNotification:
 		return decodeNotification(body)
 	case MsgKeepalive:

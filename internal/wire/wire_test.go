@@ -491,3 +491,118 @@ func TestUnknownAttrHelpers(t *testing.T) {
 		t.Error("absent code should be nil")
 	}
 }
+
+// TestUpdateAS4RoundTrip: at 4-octet width AS_PATH and AGGREGATOR keep
+// AS numbers above 65535, which the 2-octet encoding narrows to
+// AS_TRANS.
+func TestUpdateAS4RoundTrip(t *testing.T) {
+	u := &Update{Attrs: wireAttrs(), NLRI: []astypes.Prefix{astypes.MustPrefix(0x83b30000, 16)}}
+	u.Attrs.ASPath = astypes.NewSeqPath(4200000000, 196615, 701)
+	u.Attrs.AggregatorAS = 196615
+	b4, err := AppendUpdate(nil, u, AS4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b2, err := AppendMessage(nil, u)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Three ASes and the aggregator each grow by two octets.
+	if len(b4)-len(b2) != 8 {
+		t.Errorf("4-octet UPDATE is %d bytes, 2-octet %d: want 8 more", len(b4), len(b2))
+	}
+	var d Decoder
+	got, err := d.DecodeUpdate(b4[HeaderLen:], AS4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Attrs, u.Attrs) || !reflect.DeepEqual(got.NLRI, u.NLRI) {
+		t.Errorf("4-octet round trip:\n got %+v\nwant %+v", got, u)
+	}
+	narrow, err := Decode(b2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := astypes.NewSeqPath(astypes.ASTrans, astypes.ASTrans, 701)
+	if a := narrow.(*Update).Attrs; !reflect.DeepEqual(a.ASPath, want) || a.AggregatorAS != astypes.ASTrans {
+		t.Errorf("2-octet encoding: path %v aggregator %d, want %v and AS_TRANS", a.ASPath, a.AggregatorAS, want)
+	}
+}
+
+// TestAggregatorEitherLength: an 8-byte AGGREGATOR carries a 4-octet AS
+// even on a 2-octet session, as archives mix both; other lengths stay
+// an attribute length error.
+func TestAggregatorEitherLength(t *testing.T) {
+	update := func(agg ...byte) []byte {
+		attr := append([]byte{flagOptional | flagTransitive, attrAggregator, byte(len(agg))}, agg...)
+		return frame(MsgUpdate, append([]byte{0, 0, 0, byte(len(attr))}, attr...))
+	}
+	for _, c := range []struct {
+		agg    []byte
+		as, id uint32
+	}{
+		{[]byte{0x02, 0xbd, 10, 0, 0, 1}, 701, 0x0a000001},
+		{[]byte{0, 3, 0, 7, 10, 0, 0, 1}, 196615, 0x0a000001},
+	} {
+		m, err := Decode(update(c.agg...))
+		if err != nil {
+			t.Fatalf("%d-byte AGGREGATOR: %v", len(c.agg), err)
+		}
+		if a := m.(*Update).Attrs; !a.HasAggregator || uint32(a.AggregatorAS) != c.as || a.AggregatorID != c.id {
+			t.Errorf("%d-byte AGGREGATOR decoded as AS %d ID %x", len(c.agg), a.AggregatorAS, a.AggregatorID)
+		}
+	}
+	_, err := Decode(update(0, 1, 0, 0, 0, 0, 0))
+	assertMessageError(t, err, ErrCodeUpdate, SubAttrLengthError)
+}
+
+// TestDecodeAttrsSharesArena: attribute blocks decoded one after
+// another — the entries of one RIB record — keep their AS paths until
+// Rewind, however far the arena grows in between.
+func TestDecodeAttrsSharesArena(t *testing.T) {
+	var d Decoder
+	blocks := make([][]byte, 3)
+	want := make([]astypes.ASPath, len(blocks))
+	for i := range blocks {
+		asns := make([]astypes.ASN, 10*(i+1)*(i+1))
+		for j := range asns {
+			asns[j] = astypes.ASN(70000 + 100*i + j)
+		}
+		want[i] = astypes.NewSeqPath(asns...)
+		var err error
+		if blocks[i], err = AppendPathAttrs(nil, &PathAttrs{ASPath: want[i]}, AS4); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := make([]PathAttrs, len(blocks))
+	for i, b := range blocks {
+		if err := d.DecodeAttrs(&got[i], b, AS4); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := range got {
+		if !got[i].HasOrigin || !got[i].HasNextHop || !reflect.DeepEqual(got[i].ASPath, want[i]) {
+			t.Errorf("block %d decoded as %+v, want path %v", i, got[i], want[i])
+		}
+	}
+}
+
+func TestPrefixCodec(t *testing.T) {
+	p := astypes.MustPrefix(0xc0000280, 25)
+	b, err := AppendPrefix([]byte{9}, p)
+	if err != nil || !bytes.Equal(b, []byte{9, 25, 0xc0, 0, 2, 0x80}) {
+		t.Fatalf("AppendPrefix = %x, %v", b, err)
+	}
+	got, n, err := DecodePrefix(b[1:])
+	if err != nil || got != p || n != 5 {
+		t.Errorf("DecodePrefix = %v, %d, %v", got, n, err)
+	}
+	if _, err := AppendPrefix(nil, astypes.Prefix{Len: 33}); err == nil {
+		t.Error("AppendPrefix accepted length 33")
+	}
+	for _, bad := range [][]byte{nil, {33}, {25, 0xc0, 0, 2}} {
+		if _, _, err := DecodePrefix(bad); err == nil {
+			t.Errorf("DecodePrefix(%x) accepted", bad)
+		}
+	}
+}
