@@ -33,10 +33,11 @@ vet:
 race:
 	$(GO) test -race ./...
 
-## e2e: the loopback observability scenario plus the telemetry and
-## operator-surface suites, under the race detector.
+## e2e: the loopback observability scenario plus the telemetry,
+## operator-surface and moas-top (the status document's one renderer)
+## suites, under the race detector.
 e2e:
-	$(GO) test -race ./internal/telemetry/... ./internal/obs/... ./internal/e2etest/...
+	$(GO) test -race ./internal/telemetry/... ./internal/obs/... ./internal/e2etest/... ./cmd/moas-top/
 
 ## bench-smoke: one-iteration run of every hot-path and evaluation
 ## benchmark so they can't silently rot; part of check (and so CI).

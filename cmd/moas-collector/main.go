@@ -225,14 +225,7 @@ func run(ctx context.Context, cfg runConfig) error {
 		}()
 		go func() {
 			defer wg.Done()
-			for ev := range stage.Events() {
-				// The channel hop is this path's session stage: the time
-				// the event waited for the consumer.
-				obsRec.Cross(&ev.Stamp, obs.StageSession)
-				c.Inject(ev.PeerASN, &ev.Update)
-				obsRec.Cross(&ev.Stamp, obs.StageRIB)
-				mon.ObserveUpdateStamp("ris:"+ev.Host, &ev.Update, &ev.Stamp)
-			}
+			c.ConsumeRISLive(stage.Events(), mon, nil)
 		}()
 		log.Printf("moas-collector: ingesting %s (buffer %d, policy %s)",
 			cfg.risLive, cfg.risBuffer, cfg.risPolicy)

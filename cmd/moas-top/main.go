@@ -2,12 +2,13 @@
 // observatory: it polls a daemon or collector's /debug/status endpoint
 // and renders message-rate deltas, per-stage latency quantiles, the
 // RIS-Live stream-lag watermark, and the top alarm classes — a `top`
-// for the paper's detection pipeline.
+// for the paper's detection pipeline. /debug/status serves only JSON;
+// this is its one text view.
 //
 // Usage:
 //
 //	moas-top -addr 127.0.0.1:9999           # refresh every 2s
-//	moas-top -addr 127.0.0.1:9999 -once     # one frame and exit
+//	moas-top -addr 127.0.0.1:9999 -n 1      # one frame and exit
 //	moas-top -addr 127.0.0.1:9999 -n 5      # five frames and exit
 package main
 
@@ -29,7 +30,6 @@ func main() {
 		addr     = flag.String("addr", "127.0.0.1:9999", "admin endpoint host:port serving /debug/status")
 		interval = flag.Duration("interval", 2*time.Second, "refresh interval")
 		frames   = flag.Int("n", 0, "exit after this many frames (0 = run until interrupted)")
-		once     = flag.Bool("once", false, "render one frame and exit (same as -n 1)")
 		clear    = flag.Bool("clear", true, "clear the terminal between frames")
 	)
 	flag.Parse()
@@ -38,9 +38,6 @@ func main() {
 		interval: *interval,
 		frames:   *frames,
 		clear:    *clear,
-	}
-	if *once {
-		cfg.frames = 1
 	}
 	if err := run(cfg, os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "moas-top:", err)
@@ -66,7 +63,7 @@ func run(cfg topConfig, w io.Writer) error {
 		timeout = 2 * time.Second
 	}
 	client := &http.Client{Timeout: timeout}
-	url := "http://" + cfg.addr + "/debug/status?format=json"
+	url := "http://" + cfg.addr + "/debug/status"
 	var prev *frame
 	for n := 0; cfg.frames == 0 || n < cfg.frames; n++ {
 		if n > 0 {
@@ -138,10 +135,10 @@ func render(w io.Writer, addr string, cur, prev *frame) {
 	}
 
 	if len(doc.Stages) > 0 {
-		fmt.Fprintf(w, "\nstage        count        p50        p99        max\n")
+		fmt.Fprintf(w, "\nstage        count        p50        p90        p99        max\n")
 		for _, st := range doc.Stages {
-			fmt.Fprintf(w, "%-9s %8d %10s %10s %10s\n",
-				st.Stage, st.Count, fmtNs(st.P50Ns), fmtNs(st.P99Ns), fmtNs(st.MaxNs))
+			fmt.Fprintf(w, "%-9s %8d %10s %10s %10s %10s\n", st.Stage, st.Count,
+				fmtNs(st.P50Ns), fmtNs(st.P90Ns), fmtNs(st.P99Ns), fmtNs(st.MaxNs))
 		}
 	}
 
@@ -149,8 +146,8 @@ func render(w io.Writer, addr string, cur, prev *frame) {
 		fmt.Fprintf(w, "\nstream lag: %dms\n", *doc.LagMs)
 	}
 	if doc.Replay != nil {
-		fmt.Fprintf(w, "replay: %d records (%.1f%%) done=%v\n",
-			doc.Replay.Records, doc.Replay.Percent, doc.Replay.Done)
+		fmt.Fprintf(w, "replay: %d records, %d bytes (%.1f%%) done=%v\n",
+			doc.Replay.Records, doc.Replay.Bytes, doc.Replay.Percent, doc.Replay.Done)
 	}
 
 	if len(doc.AlarmClasses) > 0 {
@@ -174,10 +171,12 @@ type rate struct {
 
 // counterRates ranks counters by their per-second delta between two
 // frames (totals on the first frame), keeping the top eight so the
-// frame stays one screen tall.
+// frame stays one screen tall. A target whose uptime went backwards
+// restarted and reset its counters, so its frame counts as a first
+// one.
 func counterRates(cur, prev *frame) []rate {
 	var out []rate
-	if prev == nil {
+	if prev == nil || cur.doc.UptimeSeconds < prev.doc.UptimeSeconds {
 		for name, v := range cur.doc.Counters {
 			out = append(out, rate{name, v})
 		}

@@ -8,7 +8,6 @@
 package e2etest
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"net"
@@ -152,57 +151,6 @@ func (h *Harness) Scrape(t *testing.T) Metrics {
 		t.Fatal(err)
 	}
 	return m
-}
-
-// ScrapeJSON fetches the JSON exposition and flattens it into the same
-// series-key space as the text format, so the two encoders can be
-// cross-checked sample by sample.
-func (h *Harness) ScrapeJSON(t *testing.T) Metrics {
-	t.Helper()
-	body := h.get(t, "/metrics?format=json", "")
-	var doc struct {
-		Namespace string `json:"namespace"`
-		Metrics   []struct {
-			Name   string `json:"name"`
-			Type   string `json:"type"`
-			Series []struct {
-				Labels map[string]string `json:"labels"`
-				Value  *float64          `json:"value"`
-				Count  *uint64           `json:"count"`
-				Sum    *float64          `json:"sum"`
-			} `json:"series"`
-		} `json:"metrics"`
-	}
-	if err := json.Unmarshal([]byte(body), &doc); err != nil {
-		t.Fatalf("decode JSON exposition: %v", err)
-	}
-	out := make(Metrics)
-	for _, f := range doc.Metrics {
-		for _, s := range f.Series {
-			key := f.Name
-			if len(s.Labels) > 0 {
-				// Label order in the JSON doc mirrors registration
-				// order, but for the counters this harness asserts on
-				// there is at most one label, so sorting is not needed
-				// to match the text rendering.
-				var parts []string
-				for k, v := range s.Labels {
-					parts = append(parts, fmt.Sprintf("%s=%q", k, v))
-				}
-				key += "{" + strings.Join(parts, ",") + "}"
-			}
-			switch {
-			case s.Value != nil:
-				out[key] = *s.Value
-			case s.Count != nil:
-				out[key+"_count"] = float64(*s.Count)
-				if s.Sum != nil {
-					out[key+"_sum"] = *s.Sum
-				}
-			}
-		}
-	}
-	return out
 }
 
 // get fetches path from the admin endpoint, asserting status 200 (or

@@ -57,24 +57,39 @@ func TestAdminEndpoints(t *testing.T) {
 	})
 	s := serve(t, SurfaceConfig{Registry: r, MIB: mib})
 
-	text := get(t, "http://"+s.Addr()+"/metrics")
-	if !strings.Contains(text, "t_reqs_total 7") {
-		t.Errorf("/metrics:\n%s", text)
-	}
-	js := get(t, "http://"+s.Addr()+"/metrics?format=json")
-	var doc struct {
-		Metrics []struct {
-			Name   string `json:"name"`
-			Series []struct {
-				Value *float64 `json:"value"`
-			} `json:"series"`
-		} `json:"metrics"`
-	}
-	if err := json.Unmarshal([]byte(js), &doc); err != nil {
-		t.Fatalf("metrics json: %v\n%s", err, js)
-	}
-	if len(doc.Metrics) != 1 || doc.Metrics[0].Name != "t_reqs_total" || *doc.Metrics[0].Series[0].Value != 7 {
-		t.Errorf("json doc = %+v", doc)
+	// /metrics has one encoding: no query or Accept header selects
+	// anything but Prometheus text. The forced-close counter is
+	// registered by Serve, so a fresh surface shows it at 0.
+	for _, tc := range []struct{ query, accept string }{
+		{"", ""},
+		{"?format=json", ""},
+		{"", "application/json"},
+		{"?format=json", "application/json"},
+	} {
+		req, err := http.NewRequest("GET", "http://"+s.Addr()+"/metrics"+tc.query, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tc.accept != "" {
+			req.Header.Set("Accept", tc.accept)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain; version=0.0.4") {
+			t.Errorf("/metrics%s (Accept %q): Content-Type %q, want Prometheus text", tc.query, tc.accept, ct)
+		}
+		for _, want := range []string{"\nt_reqs_total 7\n", "\nt_telemetry_admin_forced_close_total 0\n"} {
+			if !strings.Contains(string(body), want) {
+				t.Errorf("/metrics%s (Accept %q) lacks %q:\n%s", tc.query, tc.accept, want, body)
+			}
+		}
 	}
 	if got := get(t, "http://"+s.Addr()+"/healthz"); got != "ok\n" {
 		t.Errorf("/healthz = %q", got)
@@ -272,7 +287,7 @@ func TestCloseWhileScraping(t *testing.T) {
 // TestLongLatencyQuantiles: a keepalive round trip runs up to the 30s
 // keepalive interval and a stalled RIS-Live feed lags by minutes to
 // hours; their quantiles must report what was observed, not the end
-// of a short bucket layout. Both scrape views read the same estimate.
+// of a short bucket layout.
 func TestLongLatencyQuantiles(t *testing.T) {
 	reg := telemetry.NewRegistry("moas")
 	rtt := reg.Histogram("session_keepalive_rtt_seconds", "keepalive RTT")
@@ -282,19 +297,8 @@ func TestLongLatencyQuantiles(t *testing.T) {
 	reg.Histogram("rislive_lag_seconds", "stream lag").Observe(time.Hour)
 	s := serve(t, SurfaceConfig{Registry: reg})
 
-	var metrics struct {
-		Metrics []struct {
-			Name   string `json:"name"`
-			Series []struct {
-				Quantiles struct{ P50, P90, P99 float64 } `json:"quantiles"`
-			} `json:"series"`
-		} `json:"metrics"`
-	}
-	if err := json.Unmarshal([]byte(get(t, "http://"+s.Addr()+"/metrics?format=json")), &metrics); err != nil {
-		t.Fatal(err)
-	}
 	var status StatusDoc
-	if err := json.Unmarshal([]byte(get(t, "http://"+s.Addr()+"/debug/status?format=json")), &status); err != nil {
+	if err := json.Unmarshal([]byte(get(t, "http://"+s.Addr()+"/debug/status")), &status); err != nil {
 		t.Fatal(err)
 	}
 	type want struct{ p50Lo, p50Hi, p90Lo, p99 float64 }
@@ -304,23 +308,13 @@ func TestLongLatencyQuantiles(t *testing.T) {
 		"moas_session_keepalive_rtt_seconds": {15, 25, 25, 28},
 		"moas_rislive_lag_seconds":           {3600, 3600, 3600, 3600},
 	} {
-		var got []float64
-		for _, m := range metrics.Metrics {
-			if m.Name == name && len(m.Series) == 1 {
-				q := m.Series[0].Quantiles
-				got = []float64{q.P50, q.P90, q.P99}
-			}
-		}
 		hs, ok := status.Histograms[name]
-		if got == nil || !ok {
-			t.Fatalf("%s: missing from /metrics (%v) or /debug/status (%v)", name, got, ok)
+		if !ok {
+			t.Fatalf("%s: missing from /debug/status", name)
 		}
-		if status := []float64{hs.P50, hs.P90, hs.P99}; got[0] != status[0] || got[1] != status[1] || got[2] != status[2] {
-			t.Errorf("%s: /metrics quantiles %v, /debug/status %v; want one estimate", name, got, status)
-		}
-		if got[0] < w.p50Lo || got[0] > w.p50Hi || got[1] < w.p90Lo || got[2] != w.p99 {
-			t.Errorf("%s: p50/p90/p99 = %v, want p50 in [%v, %v], p90 >= %v, p99 = %v",
-				name, got, w.p50Lo, w.p50Hi, w.p90Lo, w.p99)
+		if hs.P50 < w.p50Lo || hs.P50 > w.p50Hi || hs.P90 < w.p90Lo || hs.P99 != w.p99 {
+			t.Errorf("%s: p50/p90/p99 = %v/%v/%v, want p50 in [%v, %v], p90 >= %v, p99 = %v",
+				name, hs.P50, hs.P90, hs.P99, w.p50Lo, w.p50Hi, w.p90Lo, w.p99)
 		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"sort"
 	"strings"
 	"time"
 
@@ -21,9 +20,15 @@ type HistogramSummary struct {
 	P99   float64 `json:"p99"`
 }
 
-// StatusDoc is the consolidated /debug/status document. Field order is
-// the rendering order of the text view.
+// StatusSchemaVersion is the StatusDoc layout version. It changes when
+// a field is renamed, removed or changes meaning; adding a field does
+// not change it.
+const StatusSchemaVersion = 1
+
+// StatusDoc is the consolidated /debug/status document, the one JSON
+// view of a process's registry and pipeline state.
 type StatusDoc struct {
+	SchemaVersion int     `json:"schemaVersion"`
 	UptimeSeconds float64 `json:"uptimeSeconds"`
 	Ready         *bool   `json:"ready,omitempty"`
 	ReadyError    string  `json:"readyError,omitempty"`
@@ -44,11 +49,9 @@ type StatusDoc struct {
 	Histograms map[string]HistogramSummary `json:"histograms,omitempty"`
 }
 
-// statusHandler serves the consolidated status document as JSON
-// (?format=json or Accept: application/json) or a human-readable text
-// summary (default). It reads the registry, stage recorder, replay
-// progress and readiness of a SurfaceConfig; absent sources are simply
-// omitted from the document.
+// statusHandler serves the consolidated status document as JSON. It
+// reads the registry, stage recorder, replay progress and readiness of
+// a SurfaceConfig; absent sources are simply omitted from the document.
 type statusHandler struct {
 	cfg     SurfaceConfig
 	runtime *Sampler
@@ -62,6 +65,7 @@ func newStatusHandler(cfg SurfaceConfig, runtime *Sampler) *statusHandler {
 // Doc builds the current status document.
 func (h *statusHandler) Doc() StatusDoc {
 	doc := StatusDoc{
+		SchemaVersion: StatusSchemaVersion,
 		UptimeSeconds: time.Since(h.start).Seconds(),
 		Stages:        h.cfg.Stages.Snapshot(),
 	}
@@ -169,122 +173,17 @@ func seriesKey(name string, keys, values []string) string {
 	return b.String()
 }
 
-// ServeHTTP serves the document. JSON when ?format=json or the Accept
-// header asks for application/json; text otherwise.
+// ServeHTTP serves the document as indented JSON. A ?format=json query
+// or an Accept header is accepted and changes nothing: there is one
+// encoding, and moas-top is its text view.
 func (h *statusHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet && r.Method != http.MethodHead {
 		w.Header().Set("Allow", "GET, HEAD")
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 		return
 	}
-	doc := h.Doc()
-	wantJSON := r.URL.Query().Get("format") == "json" ||
-		strings.Contains(r.Header.Get("Accept"), "application/json")
-	if wantJSON {
-		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		enc.Encode(doc)
-		return
-	}
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	writeStatusText(w, &doc)
-}
-
-// writeStatusText renders the operator-facing text view.
-func writeStatusText(w http.ResponseWriter, doc *StatusDoc) {
-	fmt.Fprintf(w, "uptime: %.1fs\n", doc.UptimeSeconds)
-	if doc.Ready != nil {
-		if *doc.Ready {
-			fmt.Fprintf(w, "ready: true\n")
-		} else {
-			fmt.Fprintf(w, "ready: false (%s)\n", doc.ReadyError)
-		}
-	}
-	if len(doc.Stages) > 0 {
-		fmt.Fprintf(w, "\nstage latency (count p50 p90 p99 max):\n")
-		for _, st := range doc.Stages {
-			fmt.Fprintf(w, "  %-9s %8d  %10s %10s %10s %10s\n",
-				st.Stage, st.Count,
-				fmtNs(st.P50Ns), fmtNs(st.P90Ns), fmtNs(st.P99Ns), fmtNs(st.MaxNs))
-		}
-	}
-	if doc.LagMs != nil {
-		fmt.Fprintf(w, "\nstream lag: %dms\n", *doc.LagMs)
-	}
-	if doc.Replay != nil {
-		fmt.Fprintf(w, "\nreplay: %d records, %d bytes (%.1f%%), done=%v\n",
-			doc.Replay.Records, doc.Replay.Bytes, doc.Replay.Percent, doc.Replay.Done)
-	}
-	if len(doc.AlarmClasses) > 0 {
-		fmt.Fprintf(w, "\nalarm classes:\n")
-		classes := make([]string, 0, len(doc.AlarmClasses))
-		for c := range doc.AlarmClasses {
-			classes = append(classes, c)
-		}
-		sort.Slice(classes, func(i, j int) bool {
-			if doc.AlarmClasses[classes[i]] != doc.AlarmClasses[classes[j]] {
-				return doc.AlarmClasses[classes[i]] > doc.AlarmClasses[classes[j]]
-			}
-			return classes[i] < classes[j]
-		})
-		for _, c := range classes {
-			fmt.Fprintf(w, "  %-24s %g\n", c, doc.AlarmClasses[c])
-		}
-	}
-	if doc.Runtime != nil {
-		fmt.Fprintf(w, "\nruntime: goroutines=%d heap=%dB gc=%d lastPause=%s\n",
-			doc.Runtime.Goroutines, doc.Runtime.HeapAllocBytes,
-			doc.Runtime.NumGC, fmtNs(int64(doc.Runtime.LastGCPauseNs)))
-	}
-	// Counters and gauges round out the text view, sorted for stability.
-	writeKVBlock(w, "counters", doc.Counters)
-	writeKVBlock(w, "gauges", doc.Gauges)
-	if len(doc.Histograms) > 0 {
-		fmt.Fprintf(w, "\nhistograms (count sum p50 p90 p99):\n")
-		keys := sortedKeysH(doc.Histograms)
-		for _, k := range keys {
-			hs := doc.Histograms[k]
-			fmt.Fprintf(w, "  %-48s %8d %12g %10g %10g %10g\n",
-				k, hs.Count, hs.Sum, hs.P50, hs.P90, hs.P99)
-		}
-	}
-}
-
-func writeKVBlock(w http.ResponseWriter, title string, m map[string]float64) {
-	if len(m) == 0 {
-		return
-	}
-	fmt.Fprintf(w, "\n%s:\n", title)
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		fmt.Fprintf(w, "  %-48s %g\n", k, m[k])
-	}
-}
-
-func sortedKeysH(m map[string]HistogramSummary) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-// fmtNs renders a nanosecond reading with an adaptive unit.
-func fmtNs(ns int64) string {
-	switch {
-	case ns >= int64(time.Second):
-		return fmt.Sprintf("%.2fs", float64(ns)/float64(time.Second))
-	case ns >= int64(time.Millisecond):
-		return fmt.Sprintf("%.2fms", float64(ns)/float64(time.Millisecond))
-	case ns >= int64(time.Microsecond):
-		return fmt.Sprintf("%.1fµs", float64(ns)/float64(time.Microsecond))
-	default:
-		return fmt.Sprintf("%dns", ns)
-	}
+	w.Header().Set("Content-Type", "application/json; charset=utf-8")
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	enc.Encode(h.Doc())
 }

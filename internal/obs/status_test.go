@@ -1,14 +1,20 @@
 package obs
 
 import (
+	"bytes"
 	"encoding/json"
+	"flag"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/telemetry"
 )
+
+var update = flag.Bool("update", false, "rewrite golden files")
 
 func statusFixture() (*statusHandler, *Recorder) {
 	reg := telemetry.NewRegistry("t")
@@ -93,44 +99,72 @@ func TestStatusReadyError(t *testing.T) {
 	}
 }
 
-func TestStatusServeJSONAndText(t *testing.T) {
+// TestStatusServeJSON: /debug/status has one encoding. The bare
+// request, ?format=json and an Accept header all get the same indented
+// JSON document; other methods are refused.
+func TestStatusServeJSON(t *testing.T) {
 	h, _ := statusFixture()
-
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest("GET", "/debug/status?format=json", nil))
-	if rec.Code != 200 || !strings.Contains(rec.Header().Get("Content-Type"), "json") {
-		t.Fatalf("json response: %d %s", rec.Code, rec.Header().Get("Content-Type"))
-	}
-	var doc StatusDoc
-	if err := json.Unmarshal(rec.Body.Bytes(), &doc); err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	if len(doc.Stages) != int(NumStages) {
-		t.Fatalf("json stages = %d", len(doc.Stages))
-	}
-
-	// Accept header selects JSON too.
-	rec = httptest.NewRecorder()
-	req := httptest.NewRequest("GET", "/debug/status", nil)
-	req.Header.Set("Accept", "application/json")
-	h.ServeHTTP(rec, req)
-	if !strings.Contains(rec.Header().Get("Content-Type"), "json") {
-		t.Fatalf("Accept: application/json got %s", rec.Header().Get("Content-Type"))
-	}
-
-	rec = httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest("GET", "/debug/status", nil))
-	body := rec.Body.String()
-	for _, want := range []string{"uptime:", "stage latency", "decode", "alarm", "stream lag: 340ms", "alarm classes:", "forged", "replay: 9 records"} {
-		if !strings.Contains(body, want) {
-			t.Errorf("text view missing %q in:\n%s", want, body)
+	for _, tc := range []struct{ target, accept string }{
+		{"/debug/status", ""},
+		{"/debug/status?format=json", ""},
+		{"/debug/status", "application/json"},
+		{"/debug/status", "text/plain"},
+	} {
+		rec := httptest.NewRecorder()
+		req := httptest.NewRequest("GET", tc.target, nil)
+		if tc.accept != "" {
+			req.Header.Set("Accept", tc.accept)
+		}
+		h.ServeHTTP(rec, req)
+		if rec.Code != 200 || !strings.Contains(rec.Header().Get("Content-Type"), "json") {
+			t.Fatalf("%s (Accept %q): %d %s", tc.target, tc.accept, rec.Code, rec.Header().Get("Content-Type"))
+		}
+		var doc StatusDoc
+		if err := json.Unmarshal(rec.Body.Bytes(), &doc); err != nil {
+			t.Fatalf("%s (Accept %q): decode: %v", tc.target, tc.accept, err)
+		}
+		if doc.SchemaVersion != StatusSchemaVersion || len(doc.Stages) != int(NumStages) {
+			t.Fatalf("%s (Accept %q): schema %d, %d stages", tc.target, tc.accept, doc.SchemaVersion, len(doc.Stages))
 		}
 	}
 
-	rec = httptest.NewRecorder()
+	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest("PUT", "/debug/status", nil))
 	if rec.Code != 405 {
 		t.Fatalf("PUT status = %d, want 405", rec.Code)
+	}
+}
+
+// TestStatusGolden pins the document's layout: field names, order,
+// series keys and stage buckets of a fixed registry, stage recorder,
+// readiness and replay. Uptime and the runtime sample are the only
+// clock- or machine-dependent parts and are zeroed first. Run with
+// -update to regenerate testdata/status.json.golden.
+func TestStatusGolden(t *testing.T) {
+	h, _ := statusFixture()
+	doc := h.Doc()
+	doc.UptimeSeconds = 0
+	doc.Runtime = nil
+	got, err := json.MarshalIndent(doc, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got = append(got, '\n')
+	path := filepath.Join("testdata", "status.json.golden")
+	if *update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("read golden (run with -update to regenerate): %v", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("status document mismatch\n--- got ---\n%s\n--- want ---\n%s", got, want)
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"strings"
 	"sync"
 	"time"
 
@@ -42,10 +41,11 @@ type SurfaceConfig struct {
 // route its inputs call for, and the runtime sampler behind
 // /debug/status and /debug/runtime.
 type Surface struct {
-	srv      *http.Server
-	addr     string
-	registry *telemetry.Registry
-	sampler  *Sampler
+	srv     *http.Server
+	addr    string
+	sampler *Sampler
+	// forcedClose counts Close calls whose graceful drain timed out.
+	forcedClose *telemetry.Counter
 	// shutdownTimeout bounds the graceful drain in Close before open
 	// connections are cut; tests shorten it.
 	shutdownTimeout time.Duration
@@ -57,11 +57,10 @@ type Surface struct {
 
 // Serve binds addr (host:port; port 0 picks a free port), starts the
 // runtime sampler, and serves on a background goroutine until Close:
-// /metrics (Prometheus text, or JSON with ?format=json or an
-// application/json Accept header), /healthz (liveness: ok while the
+// /metrics (Prometheus text), /healthz (liveness: ok while the
 // endpoint serves), /readyz (readiness: a 503 naming every failing
-// probe), /debug/status and /debug/runtime, plus the routes of each
-// optional input that is set.
+// probe), /debug/status (the status document as JSON) and
+// /debug/runtime, plus the routes of each optional input that is set.
 func Serve(addr string, cfg SurfaceConfig) (*Surface, error) {
 	if cfg.Registry == nil {
 		return nil, errors.New("obs: operator surface requires a registry")
@@ -95,11 +94,15 @@ func Serve(addr string, cfg SurfaceConfig) (*Surface, error) {
 		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	}
+	// Registered up front so the series reads 0 from the first scrape,
+	// not only after the first forced close.
+	forcedClose := cfg.Registry.Counter("telemetry_admin_forced_close_total",
+		"Admin endpoint closes whose graceful drain timed out and cut open connections.")
 	s := &Surface{
 		srv:             &http.Server{Handler: mux},
 		addr:            ln.Addr().String(),
-		registry:        cfg.Registry,
 		sampler:         sampler,
+		forcedClose:     forcedClose,
 		shutdownTimeout: 2 * time.Second,
 		served:          make(chan struct{}),
 	}
@@ -143,8 +146,7 @@ func (s *Surface) Close() error {
 			// A wedged scrape, or a client holding a connection that never
 			// sent a request; Close cuts every connection.
 			s.srv.Close()
-			s.registry.Counter("telemetry_admin_forced_close_total",
-				"Admin endpoint closes whose graceful drain timed out and cut open connections.").Inc()
+			s.forcedClose.Inc()
 			err = nil
 		}
 		<-s.served
@@ -154,18 +156,11 @@ func (s *Surface) Close() error {
 	return s.closeErr
 }
 
-// metricsHandler serves the registry in either exposition encoding.
+// metricsHandler serves the registry in the Prometheus text format,
+// whatever the request's query or Accept header asks for.
 type metricsHandler struct{ r *telemetry.Registry }
 
-func (h metricsHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Query().Get("format") == "json" ||
-		strings.Contains(r.Header.Get("Accept"), "application/json") {
-		w.Header().Set("Content-Type", "application/json")
-		if err := telemetry.WriteJSON(w, h.r); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
-		return
-	}
+func (h metricsHandler) ServeHTTP(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	if err := telemetry.WritePrometheus(w, h.r); err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)

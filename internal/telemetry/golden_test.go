@@ -11,7 +11,7 @@ import (
 
 var update = flag.Bool("update", false, "rewrite golden files")
 
-// goldenRegistry builds the fixture both encoder golden tests share:
+// goldenRegistry builds the exposition golden test's fixture:
 // every metric kind, labeled and unlabeled series, label values needing
 // escaping, and histogram observations across several buckets.
 func goldenRegistry() *Registry {
@@ -69,23 +69,11 @@ func TestGoldenPrometheus(t *testing.T) {
 	checkGolden(t, "exposition.prom.golden", buf.Bytes())
 }
 
-func TestGoldenJSON(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteJSON(&buf, goldenRegistry()); err != nil {
-		t.Fatal(err)
-	}
-	checkGolden(t, "exposition.json.golden", buf.Bytes())
-}
-
 func TestGoldenEmptyRegistry(t *testing.T) {
 	r := NewRegistry("")
-	var prom, js bytes.Buffer
+	var prom bytes.Buffer
 	if err := WritePrometheus(&prom, r); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteJSON(&js, r); err != nil {
-		t.Fatal(err)
-	}
 	checkGolden(t, "empty.prom.golden", prom.Bytes())
-	checkGolden(t, "empty.json.golden", js.Bytes())
 }

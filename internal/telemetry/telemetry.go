@@ -1,8 +1,8 @@
 // Package telemetry is the repo's stdlib-only metrics layer: atomic
 // counters and gauges, lock-free latency histograms, and a named
-// Registry of labeled metric families with two exposition encodings
-// (Prometheus text format and JSON), which the operator surface
-// (internal/obs) serves.
+// Registry of labeled metric families with one exposition encoding,
+// the Prometheus text format, which the operator surface (internal/obs)
+// serves at /metrics and flattens into /debug/status.
 //
 // The paper's detection scheme only earns operational trust if its
 // behaviour is observable: alarm rates, MOAS-list validation counts,
@@ -282,8 +282,8 @@ type SeriesSnapshot struct {
 }
 
 // Gather returns a consistent-enough snapshot of every family, sorted
-// by name with series sorted by label values — the stable order both
-// encoders rely on. Every instrument is read atomically, without
+// by name with series sorted by label values — the stable order the
+// Prometheus encoder and /debug/status rely on. Every instrument is read atomically, without
 // stopping its writers.
 func (r *Registry) Gather() []FamilySnapshot {
 	r.mu.Lock()
