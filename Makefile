@@ -12,7 +12,8 @@ FUZZ_TARGETS := \
 	./internal/mrt:FuzzWriterRoundTrip \
 	./internal/routegen:FuzzReadBinaryDump \
 	./internal/mrt/rislive:FuzzRISLiveJSON \
-	./internal/mrt/rislive:FuzzDecodeMatchesJSON
+	./internal/mrt/rislive:FuzzDecodeMatchesJSON \
+	./internal/rpki:FuzzParseROAs
 FUZZTIME ?= 10s
 
 .PHONY: build test vet race e2e bench-smoke bench-test fuzz-smoke check

@@ -1,15 +1,16 @@
 // Command moas-collector runs a Route-Views-style passive route
-// collector: it accepts BGP peerings on a listen address, archives
-// periodic table snapshots to a directory as MRT table dumps, and
-// (with -check) checks every snapshot through the off-line MOAS
-// monitor, printing alarms as they appear — the §4.2 off-line
-// deployment, live.
+// collector: it accepts BGP peerings on a listen address and archives
+// periodic table snapshots to a directory as MRT table dumps. With
+// -check, the off-line MOAS monitor checks every UPDATE from every
+// source once, as it arrives, and each alarm is logged — the §4.2
+// off-line deployment, live.
 //
-// Two internet-scale ingest paths complement the TCP peerings:
-// -mrt-replay feeds an archived MRT table dump / update trace through
-// the same session→RIB→alarm path (span IDs point back at the archive
-// records), and -ris-live consumes a RIS-Live-style streaming JSON feed
-// with a bounded channel and an explicit backpressure policy.
+// Two internet-scale ingest paths complement the TCP peerings, and
+// each implies -check: -mrt-replay feeds an archived MRT table dump /
+// update trace through the same session→RIB→alarm path (span IDs point
+// back at the archive records), and -ris-live consumes a
+// RIS-Live-style streaming JSON feed with a bounded channel and an
+// explicit backpressure policy.
 package main
 
 import (
@@ -24,7 +25,6 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/astypes"
 	"repro/internal/collector"
 	"repro/internal/monitor"
 	"repro/internal/mrt"
@@ -33,7 +33,6 @@ import (
 	"repro/internal/rpki"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
-	"repro/internal/wire"
 )
 
 func main() {
@@ -41,11 +40,11 @@ func main() {
 		listen      = flag.String("listen", "127.0.0.1:1790", "address accepting BGP peerings")
 		dir         = flag.String("dir", "dumps", "snapshot output directory")
 		interval    = flag.Duration("interval", time.Minute, "snapshot interval")
-		check       = flag.Bool("check", false, "run the off-line MOAS monitor on every snapshot")
+		check       = flag.Bool("check", false, "check every update from every source with the off-line MOAS monitor and log each alarm")
 		metricsAddr = flag.String("metrics-addr", "", "admin endpoint address serving /metrics, /healthz, /readyz, /debug/status and /debug/runtime")
 		traceEvents = flag.Int("trace-events", 0, "flight-recorder ring size; nonzero serves /debug/trace and /debug/alarms on the admin endpoint")
 		pprof       = flag.Bool("pprof", false, "mount net/http/pprof on the admin endpoint")
-		mrtReplay   = flag.String("mrt-replay", "", "MRT file (raw, .gz or .bz2) to replay through the RIB and monitor at startup")
+		mrtReplay   = flag.String("mrt-replay", "", "MRT file (raw, .gz or .bz2) to replay through the RIB and monitor at startup (implies -check)")
 		risLive     = flag.String("ris-live", "", "RIS-Live streaming JSON endpoint to ingest (implies -check)")
 		risBuffer   = flag.Int("ris-buffer", rislive.DefaultBuffer, "bounded-channel capacity for -ris-live")
 		risPolicy   = flag.String("ris-policy", "block", "backpressure policy for -ris-live: block or drop")
@@ -126,9 +125,6 @@ func run(ctx context.Context, cfg runConfig) error {
 		ready.Register("mrt-replay", replay.Done, "replay not finished")
 	}
 
-	c := collector.New(collector.Config{RouterID: 6447, Telemetry: reg, Trace: rec, Obs: obsRec})
-	defer c.Close()
-
 	// The stage is built (and its readiness probe registered) before
 	// the admin endpoint starts serving /readyz.
 	var stage *rislive.Stage
@@ -157,6 +153,19 @@ func run(ctx context.Context, cfg runConfig) error {
 		ready.Register("rtr", rtr.Synced, "cache not synced")
 	}
 
+	// The collector owns the monitor, which checks every UPDATE from
+	// every source once, as it arrives.
+	ccfg := collector.Config{RouterID: 6447, Telemetry: reg, Trace: rec, Obs: obsRec}
+	if cfg.check || cfg.mrtReplay != "" || cfg.risLive != "" {
+		ccfg.Monitor = monitor.New(monitor.WithTelemetry(reg), monitor.WithObs(obsRec),
+			monitor.WithTrace(rec), monitor.WithRPKI(roaStore),
+			monitor.WithOnAlarm(func(a monitor.Alarm) {
+				log.Printf("ALARM [%s] class=%s: %s", a.Vantage, a.Class, a.Conflict.Error())
+			}))
+	}
+	c := collector.New(ccfg)
+	defer c.Close()
+
 	if cfg.metricsAddr != "" {
 		admin, err := obs.Serve(cfg.metricsAddr, obs.SurfaceConfig{
 			Registry: reg,
@@ -179,24 +188,24 @@ func run(ctx context.Context, cfg runConfig) error {
 	c.Listen(ln)
 	log.Printf("moas-collector: AS %d listening on %s", collector.CollectorASN, ln.Addr())
 
-	// The monitor exists whenever anything feeds it: snapshot checking,
-	// an MRT replay, or a live stream.
-	var mon *monitor.Monitor
-	if cfg.check || cfg.mrtReplay != "" || cfg.risLive != "" {
-		monOpts := []monitor.Option{monitor.WithTelemetry(reg), monitor.WithObs(obsRec)}
-		if rec != nil {
-			monOpts = append(monOpts, monitor.WithTrace(rec))
-		}
-		if roaStore != nil {
-			monOpts = append(monOpts, monitor.WithRPKI(roaStore))
-		}
-		mon = monitor.New(monOpts...)
-	}
-
 	if cfg.mrtReplay != "" {
-		if err := replayMRT(c, mon, cfg.mrtReplay, replay); err != nil {
+		f, err := os.Open(cfg.mrtReplay)
+		if err != nil {
 			return err
 		}
+		if fi, err := f.Stat(); err == nil {
+			replay.SetTotalBytes(uint64(fi.Size()))
+		}
+		start := time.Now()
+		res, err := c.ReplayMRT("mrt:"+cfg.mrtReplay, replay.CountReader(f), func(*mrt.Record) { replay.AddRecords(1) })
+		f.Close()
+		if err != nil {
+			return fmt.Errorf("replay %s: %w", cfg.mrtReplay, err)
+		}
+		replay.MarkDone()
+		log.Printf("moas-collector: replayed %s in %s: %d records (%d RIB prefixes, %d entries, %d updates), %d skipped, %d malformed, %d AS4-substituted",
+			cfg.mrtReplay, time.Since(start).Round(time.Millisecond), res.Stats.Records, res.Stats.RIBPrefixes,
+			res.Stats.RIBEntries, res.Stats.Updates, res.Stats.Skipped, res.Malformed, res.Stats.AS4Substituted)
 	}
 
 	// Every goroutine started below is joined before run returns, and
@@ -225,19 +234,13 @@ func run(ctx context.Context, cfg runConfig) error {
 		}()
 		go func() {
 			defer wg.Done()
-			c.ConsumeRISLive(stage.Events(), mon, nil)
+			c.ConsumeRISLive(stage.Events(), nil)
 		}()
 		log.Printf("moas-collector: ingesting %s (buffer %d, policy %s)",
 			cfg.risLive, cfg.risBuffer, cfg.risPolicy)
 	}
 
-	var opts []collector.ArchiverOption
-	if cfg.check && mon != nil {
-		opts = append(opts, collector.WithMonitor(mon, func(a monitor.Alarm) {
-			log.Printf("ALARM [%s] class=%s: %s", a.Vantage, a.Class, a.Conflict.Error())
-		}))
-	}
-	arch, err := collector.NewArchiver(c, cfg.dir, cfg.interval, opts...)
+	arch, err := collector.NewArchiver(c, cfg.dir, cfg.interval)
 	if err != nil {
 		return err
 	}
@@ -257,52 +260,5 @@ func run(ctx context.Context, cfg runConfig) error {
 	if name, err := arch.SnapshotNow(); err == nil {
 		log.Println("moas-collector: wrote", name)
 	}
-	return nil
-}
-
-// replayMRT streams one archive through the monitor, mirroring every
-// record into the collector RIB so subsequent snapshots include the
-// replayed table.
-func replayMRT(c *collector.Collector, mon *monitor.Monitor, path string, progress *obs.Progress) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if fi, err := f.Stat(); err == nil {
-		progress.SetTotalBytes(uint64(fi.Size()))
-	}
-	start := time.Now()
-	var inject wire.Update
-	res, err := mon.ReplayMRTFunc("mrt:"+path, progress.CountReader(f), func(rec *mrt.Record) {
-		progress.AddRecords(1)
-		switch rec.Kind {
-		case mrt.KindRIB:
-			// Each RIB entry becomes a one-prefix announcement from its
-			// peer; Inject clones, so reusing one scratch update is safe.
-			for i := range rec.Entries {
-				e := &rec.Entries[i]
-				inject = wire.Update{NLRI: []astypes.Prefix{rec.Prefix}}
-				inject.Attrs.ASPath = e.Path
-				inject.Attrs.Communities = e.Communities
-				inject.Attrs.HasOrigin = true
-				inject.Attrs.Origin = e.Origin
-				inject.Attrs.HasNextHop = true
-				inject.Attrs.NextHop = e.NextHop
-				c.Inject(e.PeerAS, &inject)
-			}
-		case mrt.KindMessage:
-			if rec.Update != nil {
-				c.Inject(rec.PeerAS, rec.Update)
-			}
-		}
-	})
-	if err != nil {
-		return fmt.Errorf("replay %s: %w", path, err)
-	}
-	progress.MarkDone()
-	log.Printf("moas-collector: replayed %s in %s: %d records (%d RIB prefixes, %d entries, %d updates), %d skipped, %d malformed, %d AS4-substituted",
-		path, time.Since(start).Round(time.Millisecond), res.Stats.Records, res.Stats.RIBPrefixes,
-		res.Stats.RIBEntries, res.Stats.Updates, res.Stats.Skipped, res.Malformed, res.Stats.AS4Substituted)
 	return nil
 }

@@ -25,7 +25,6 @@ import (
 	"os"
 	"os/signal"
 	"syscall"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/daemon"
@@ -55,7 +54,12 @@ func run(configPath, metricsAddr string, verbose bool) error {
 	if metricsAddr != "" {
 		cfg.MetricsAddr = metricsAddr
 	}
-	d, err := daemon.Build(cfg)
+	var onAlarm func(core.Conflict)
+	if verbose {
+		// The hook runs under the speaker's lock: it only logs.
+		onAlarm = func(c core.Conflict) { log.Println("ALARM:", c.Error()) }
+	}
+	d, err := daemon.Build(cfg, onAlarm)
 	if err != nil {
 		return err
 	}
@@ -69,30 +73,7 @@ func run(configPath, metricsAddr string, verbose bool) error {
 
 	stop := make(chan os.Signal, 1)
 	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
-
-	if verbose {
-		// Poll the alarm log; the speaker also supports an OnAlarm
-		// callback, but a config-driven daemon reports periodically.
-		go logAlarms(d)
-	}
 	<-stop
 	log.Println("moas-speaker: shutting down")
 	return nil
-}
-
-func logAlarms(d *daemon.Daemon) {
-	ticker := time.NewTicker(time.Second)
-	defer ticker.Stop()
-	seen := 0
-	for range ticker.C {
-		alarms := d.Speaker.Alarms()
-		for _, a := range alarms[seen:] {
-			log.Println("ALARM:", conflictString(a))
-		}
-		seen = len(alarms)
-	}
-}
-
-func conflictString(c core.Conflict) string {
-	return c.Error()
 }

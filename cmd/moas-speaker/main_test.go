@@ -28,7 +28,7 @@ func TestConfigRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := daemon.Build(cfg)
+	d, err := daemon.Build(cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,22 +8,18 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/monitor"
 	"repro/internal/routegen"
 	"repro/internal/telemetry"
 )
 
 // Archiver periodically snapshots a Collector to MRT table-dump files on
-// disk — the daily archive of the real Route Views server — and
-// optionally runs each snapshot through the off-line monitor, logging
-// alarms as they appear.
+// disk — the daily archive of the real Route Views server. It only
+// archives: the collector's monitor checks each UPDATE when it arrives.
 type Archiver struct {
 	collector *Collector
 	dir       string
 	interval  time.Duration
-	monitor   *monitor.Monitor
-	onAlarm   func(monitor.Alarm)
-	now       func() time.Time
+	now       func() time.Time // stamps snapshots; tests replace it
 
 	// Archive instrumentation, registered on the collector's registry.
 	dumpsWritten  *telemetry.Counter
@@ -32,53 +28,22 @@ type Archiver struct {
 
 	mu       sync.Mutex
 	written  []string // guarded by mu
-	seen     int      // alarms already reported; guarded by mu
 	stop     chan struct{}
 	stopOnce sync.Once
 	done     chan struct{}
 	started  bool // guarded by mu
 }
 
-// ArchiverOption configures an Archiver.
-type ArchiverOption interface {
-	apply(*Archiver)
-}
-
-type archMonitorOption struct {
-	m  *monitor.Monitor
-	fn func(monitor.Alarm)
-}
-
-func (o archMonitorOption) apply(a *Archiver) {
-	a.monitor = o.m
-	a.onAlarm = o.fn
-}
-
-// WithMonitor checks every snapshot through mon and invokes onAlarm for
-// each new alarm.
-func WithMonitor(mon *monitor.Monitor, onAlarm func(monitor.Alarm)) ArchiverOption {
-	return archMonitorOption{m: mon, fn: onAlarm}
-}
-
-type clockOption func() time.Time
-
-func (o clockOption) apply(a *Archiver) { a.now = o }
-
-// WithClock injects a time source (tests).
-func WithClock(now func() time.Time) ArchiverOption {
-	return clockOption(now)
-}
-
 // NewArchiver builds an archiver writing snapshots of c into dir every
 // interval.
-func NewArchiver(c *Collector, dir string, interval time.Duration, opts ...ArchiverOption) (*Archiver, error) {
+func NewArchiver(c *Collector, dir string, interval time.Duration) (*Archiver, error) {
 	if interval <= 0 {
 		return nil, fmt.Errorf("collector: archive interval %v", interval)
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("collector: archive dir: %w", err)
 	}
-	a := &Archiver{
+	return &Archiver{
 		collector: c,
 		dir:       dir,
 		interval:  interval,
@@ -91,11 +56,7 @@ func NewArchiver(c *Collector, dir string, interval time.Duration, opts ...Archi
 			"Bytes of dump data written to the archive directory."),
 		writeErrors: c.reg.Counter("archiver_write_errors_total",
 			"Snapshot writes that failed (disk trouble; the next tick retries)."),
-	}
-	for _, o := range opts {
-		o.apply(a)
-	}
-	return a, nil
+	}, nil
 }
 
 // SnapshotNow takes and writes one snapshot immediately, returning the
@@ -131,7 +92,6 @@ func (a *Archiver) snapshotNow() (string, error) {
 	a.mu.Lock()
 	a.written = append(a.written, name)
 	a.mu.Unlock()
-	a.checkSnapshot(d)
 	return name, nil
 }
 
@@ -146,26 +106,6 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 	n, err := c.w.Write(p)
 	c.n += int64(n)
 	return n, err
-}
-
-func (a *Archiver) checkSnapshot(d *routegen.Dump) {
-	if a.monitor == nil {
-		return
-	}
-	a.monitor.ObserveDump("collector", d)
-	if a.onAlarm == nil {
-		return
-	}
-	// Read the alarm log and advance seen in one critical section:
-	// concurrent snapshots each take only the alarms the other has not.
-	a.mu.Lock()
-	alarms := a.monitor.Alarms()
-	fresh := alarms[a.seen:]
-	a.seen = len(alarms)
-	a.mu.Unlock()
-	for _, alarm := range fresh {
-		a.onAlarm(alarm)
-	}
 }
 
 // Start begins periodic snapshotting; stop with Close. Start is

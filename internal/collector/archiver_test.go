@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 	"slices"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -25,11 +24,12 @@ func TestArchiverSnapshotNow(t *testing.T) {
 
 	dir := t.TempDir()
 	fixed := time.Date(2001, 4, 6, 12, 0, 0, 0, time.UTC)
-	arch, err := NewArchiver(c, dir, time.Hour, WithClock(func() time.Time { return fixed }))
+	arch, err := NewArchiver(c, dir, time.Hour)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer arch.Close()
+	arch.now = func() time.Time { return fixed }
 
 	name, err := arch.SnapshotNow()
 	if err != nil {
@@ -75,21 +75,23 @@ func TestArchiverSnapshotNow(t *testing.T) {
 	}
 }
 
+// TestArchiverPeriodicAndMonitor: the archiver writes snapshots on its
+// interval, while the collector's monitor raises the conflict once,
+// when the second UPDATE arrives, however many snapshots follow.
 func TestArchiverPeriodicAndMonitor(t *testing.T) {
-	c := newCollector(t)
-	origin := newPeerSpeaker(t, 4)
-	attacker := newPeerSpeaker(t, 52)
-	peerWithCollector(t, c, origin)
-	peerWithCollector(t, c, attacker)
-	origin.Originate(prefix, core.List{})
-	attacker.Originate(prefix, core.List{})
-	waitFor(t, func() bool {
-		return len(c.RoutesFrom(4)) == 1 && len(c.RoutesFrom(52)) == 1
-	}, "both routes archived")
-
 	alarmCh := make(chan monitor.Alarm, 8)
-	arch, err := NewArchiver(c, t.TempDir(), 20*time.Millisecond,
-		WithMonitor(monitor.New(), func(a monitor.Alarm) { alarmCh <- a }))
+	c, mon := newMonitoredCollector(t, monitor.WithOnAlarm(func(a monitor.Alarm) { alarmCh <- a }))
+	originateConflict(t, c)
+	select {
+	case a := <-alarmCh:
+		if a.Conflict.Prefix != prefix || a.Vantage != "collector" {
+			t.Errorf("alarm = %+v", a)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the conflicting UPDATE never raised the alarm")
+	}
+
+	arch, err := NewArchiver(c, t.TempDir(), 5*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,54 +101,42 @@ func TestArchiverPeriodicAndMonitor(t *testing.T) {
 	if err := arch.Start(); err == nil {
 		t.Error("double Start accepted")
 	}
-	select {
-	case a := <-alarmCh:
-		if a.Conflict.Prefix != prefix {
-			t.Errorf("alarm = %+v", a)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("periodic snapshot never raised the alarm")
-	}
+	waitFor(t, func() bool { return len(arch.Written()) >= 3 }, "three periodic snapshots")
 	if err := arch.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if err := arch.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if len(arch.Written()) == 0 {
-		t.Error("no snapshots written")
+	if got := mon.AlarmCount(); got != 1 {
+		t.Errorf("monitor raised %d alarms across %d snapshots, want 1", got, len(arch.Written()))
+	}
+	if len(alarmCh) != 0 {
+		t.Errorf("%d more alarms reached the hook", len(alarmCh))
 	}
 }
 
-// TestArchiverConcurrentSnapshotsReportEachAlarmOnce: overlapping
-// SnapshotNow calls share one alarm cursor, so every monitor alarm
-// reaches onAlarm exactly once, however the snapshots interleave.
-func TestArchiverConcurrentSnapshotsReportEachAlarmOnce(t *testing.T) {
+// TestArchiverConcurrentSnapshots: overlapping SnapshotNow calls each
+// write their own file, and every one is recorded and counted.
+func TestArchiverConcurrentSnapshots(t *testing.T) {
 	c := newCollector(t)
-	origin := newPeerSpeaker(t, 4)
-	attacker := newPeerSpeaker(t, 52)
-	peerWithCollector(t, c, origin)
-	peerWithCollector(t, c, attacker)
-	origin.Originate(prefix, core.List{})
-	attacker.Originate(prefix, core.List{})
-	waitFor(t, func() bool {
-		return len(c.RoutesFrom(4)) == 1 && len(c.RoutesFrom(52)) == 1
-	}, "both routes archived")
+	s := newPeerSpeaker(t, 4)
+	peerWithCollector(t, c, s)
+	s.Originate(prefix, core.List{})
+	waitFor(t, func() bool { return len(c.RoutesFrom(4)) == 1 }, "route archived")
 
-	mon := monitor.New()
-	var delivered atomic.Int64
-	arch, err := NewArchiver(c, t.TempDir(), time.Hour,
-		WithMonitor(mon, func(monitor.Alarm) { delivered.Add(1) }))
+	arch, err := NewArchiver(c, t.TempDir(), time.Hour)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer arch.Close()
+	const workers, each = 8, 100
 	var wg sync.WaitGroup
-	for range 8 {
+	for range workers {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for range 100 {
+			for range each {
 				if _, err := arch.SnapshotNow(); err != nil {
 					t.Error(err)
 					return
@@ -155,12 +145,16 @@ func TestArchiverConcurrentSnapshotsReportEachAlarmOnce(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	want := int64(len(mon.Alarms()))
-	if want == 0 {
-		t.Fatal("the two-origin snapshots raised no alarm")
+	written := arch.Written()
+	distinct := make(map[string]bool, len(written))
+	for _, name := range written {
+		distinct[name] = true
 	}
-	if got := delivered.Load(); got != want {
-		t.Errorf("onAlarm ran %d times for %d monitor alarms", got, want)
+	if len(written) != workers*each || len(distinct) != len(written) {
+		t.Errorf("Written holds %d names, %d distinct, want %d", len(written), len(distinct), workers*each)
+	}
+	if got := arch.dumpsWritten.Value(); got != workers*each {
+		t.Errorf("archiver_dumps_written_total = %d, want %d", got, workers*each)
 	}
 }
 

@@ -5,6 +5,10 @@
 // source for the measurement pipeline (internal/measure) and the
 // off-line monitor (internal/monitor) — the role the Oregon RouteViews
 // server plays for the paper (§3.1, §5.1).
+//
+// The collector owns its monitor (Config.Monitor): every UPDATE it
+// takes, from a peering, an MRT replay (ReplayMRT) or RIS-Live
+// (ConsumeRISLive), is observed exactly once, when it arrives.
 package collector
 
 import (
@@ -16,6 +20,7 @@ import (
 	"time"
 
 	"repro/internal/astypes"
+	"repro/internal/monitor"
 	"repro/internal/obs"
 	"repro/internal/routegen"
 	"repro/internal/session"
@@ -47,7 +52,16 @@ type Config struct {
 	// ingest at the wire reader and the collector crosses the RIB stage
 	// after mirroring each UPDATE.
 	Obs *obs.Recorder
+	// Monitor, if set, observes every UPDATE the collector takes, once,
+	// right after it is mirrored: peerings under the vantage
+	// "collector", RIS-Live events under "ris:<host>", and MRT replays
+	// under the caller's vantage.
+	Monitor *monitor.Monitor
 }
+
+// peeringVantage is the monitor vantage of UPDATEs from the collector's
+// BGP peerings.
+const peeringVantage = "collector"
 
 // metrics is the collector's instrumentation.
 type metrics struct {
@@ -126,9 +140,26 @@ type peering struct {
 	down bool             // the session has gone down; guarded by c.mu
 }
 
-// HandleUpdate implements session.Handler.
+// HandleUpdate implements session.Handler. Sessions deliver through
+// HandleUpdateStamp; this path has no stamp.
 func (p *peering) HandleUpdate(asn astypes.ASN, u *wire.Update) {
-	p.c.mirror(asn, u)
+	p.c.ingest(peeringVantage, asn, u, nil)
+}
+
+// HandleUpdateStamp is the stage-timed delivery path: the RIB-mirror
+// stage crossing lands in the collector's obs recorder.
+func (p *peering) HandleUpdateStamp(asn astypes.ASN, u *wire.Update, st *obs.Stamp) {
+	p.c.ingest(peeringVantage, asn, u, st)
+}
+
+// ingest mirrors one UPDATE from peer into the RIB, crosses the RIB
+// stage, and has the monitor, if any, observe it under vantage.
+func (c *Collector) ingest(vantage string, peer astypes.ASN, u *wire.Update, st *obs.Stamp) {
+	c.mirror(peer, u)
+	c.cfg.Obs.Cross(st, obs.StageRIB)
+	if c.cfg.Monitor != nil {
+		c.cfg.Monitor.ObserveUpdateStamp(vantage, u, st)
+	}
 }
 
 // mirror applies one UPDATE from peer AS asn to the collector's RIB.
@@ -156,17 +187,10 @@ func (c *Collector) mirror(asn astypes.ASN, u *wire.Update) {
 	}
 }
 
-// HandleUpdateStamp is the stage-timed delivery path: the RIB-mirror
-// stage crossing lands in the collector's obs recorder.
-func (p *peering) HandleUpdateStamp(asn astypes.ASN, u *wire.Update, st *obs.Stamp) {
-	p.c.mirror(asn, u)
-	p.c.cfg.Obs.Cross(st, obs.StageRIB)
-}
-
 // Inject feeds one UPDATE into the collector's RIB as if peer had sent
-// it over a session — the entry point MRT replays and streaming-feed
-// stages use to reach snapshots without a TCP peering. The update is
-// cloned on ingest, so u may alias decoder scratch.
+// it over a session, without the monitor: the entry point for a caller
+// that checks the update with its own monitor. The update is cloned on
+// ingest, so u may alias decoder scratch.
 func (c *Collector) Inject(peer astypes.ASN, u *wire.Update) {
 	c.mirror(peer, u)
 }

@@ -21,6 +21,31 @@ func newCollector(t *testing.T) *Collector {
 	return c
 }
 
+// newMonitoredCollector builds a collector that owns a monitor built
+// with opts.
+func newMonitoredCollector(t *testing.T, opts ...monitor.Option) (*Collector, *monitor.Monitor) {
+	t.Helper()
+	mon := monitor.New(opts...)
+	c := New(Config{RouterID: 999, Monitor: mon})
+	t.Cleanup(func() { c.Close() })
+	return c, mon
+}
+
+// originateConflict peers origin AS 4 and attacker AS 52 with c; both
+// originate prefix without a MOAS list.
+func originateConflict(t *testing.T, c *Collector) {
+	t.Helper()
+	origin := newPeerSpeaker(t, 4)
+	attacker := newPeerSpeaker(t, 52)
+	peerWithCollector(t, c, origin)
+	peerWithCollector(t, c, attacker)
+	origin.Originate(prefix, core.List{})
+	attacker.Originate(prefix, core.List{})
+	waitFor(t, func() bool {
+		return len(c.RoutesFrom(4)) == 1 && len(c.RoutesFrom(52)) == 1
+	}, "both routes archived")
+}
+
 func newPeerSpeaker(t *testing.T, asn astypes.ASN) *speaker.Speaker {
 	t.Helper()
 	s, err := speaker.New(speaker.Config{AS: asn, RouterID: uint32(asn)})
@@ -148,6 +173,31 @@ func TestCollectorMonitorCatchesLiveHijack(t *testing.T) {
 	cases := mon.MOASCases()
 	if len(cases) != 1 || len(cases[0].Origins) != 2 {
 		t.Errorf("cases = %+v", cases)
+	}
+}
+
+// TestCollectorMonitorAlarmsOncePerConflict: with Config.Monitor set,
+// a conflict between two peerings raises one alarm when the second
+// UPDATE arrives, and snapshots do not raise it again.
+func TestCollectorMonitorAlarmsOncePerConflict(t *testing.T) {
+	c, mon := newMonitoredCollector(t)
+	originateConflict(t, c)
+	waitFor(t, func() bool { return mon.AlarmCount() > 0 }, "the conflict alarm")
+	if alarms := mon.Alarms(); len(alarms) != 1 || alarms[0].Vantage != "collector" {
+		t.Fatalf("alarms = %+v, want one from vantage collector", alarms)
+	}
+	arch, err := NewArchiver(c, t.TempDir(), time.Hour)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer arch.Close()
+	for range 20 {
+		if _, err := arch.SnapshotNow(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := len(mon.Alarms()); got != 1 {
+		t.Errorf("after 20 snapshots the monitor holds %d alarms, want 1", got)
 	}
 }
 

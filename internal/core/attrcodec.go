@@ -47,3 +47,17 @@ func ListFromAttrBytes(b []byte) (List, error) {
 	}
 	return NewList(asns...), nil
 }
+
+// CarriedList returns the MOAS list a route carries, with the one
+// precedence every detector applies: the dedicated attribute's value
+// listAttr (ListAttrCode), then the communities. ok is false when the
+// route carries neither (or only an undecodable attribute), i.e. the
+// implicit single-origin list applies.
+func CarriedList(comms []astypes.Community, listAttr []byte) (List, bool) {
+	if listAttr != nil {
+		if l, err := ListFromAttrBytes(listAttr); err == nil {
+			return l, true
+		}
+	}
+	return FromCommunities(comms)
+}

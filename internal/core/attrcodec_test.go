@@ -45,7 +45,7 @@ func TestCheckerHonorsAttrList(t *testing.T) {
 		Prefix:      testPrefix,
 		Path:        astypes.NewSeqPath(9, 1),
 		Communities: NewList(7).Communities(), // contradicting communities
-		AttrList:    &attr,
+		ListAttr:    attr.AttrBytes(),
 	})
 	if v != VerdictConsistent {
 		t.Fatalf("first attr-list announcement: %v", v)
@@ -54,14 +54,23 @@ func TestCheckerHonorsAttrList(t *testing.T) {
 		t.Errorf("recorded list = %v, want the attribute one", l)
 	}
 	// An attribute-encoded hijack conflicts.
-	forged := NewList(52)
 	v, _ = c.Check(Announcement{
 		Prefix:   testPrefix,
 		Path:     astypes.NewSeqPath(9, 52),
-		AttrList: &forged,
+		ListAttr: NewList(52).AttrBytes(),
 	})
 	if v != VerdictConflict {
 		t.Errorf("attr-encoded hijack verdict = %v", v)
+	}
+	// An undecodable attribute falls back to the communities.
+	v, _ = c.Check(Announcement{
+		Prefix:      testPrefix,
+		Path:        astypes.NewSeqPath(9, 2),
+		Communities: attr.Communities(),
+		ListAttr:    []byte{0},
+	})
+	if v != VerdictConsistent {
+		t.Errorf("odd-length attribute with valid communities: %v", v)
 	}
 }
 

@@ -52,11 +52,10 @@ type Announcement struct {
 	Prefix      astypes.Prefix
 	Path        astypes.ASPath
 	Communities []astypes.Community
-	// AttrList, when non-nil, is the route's explicit MOAS list as the
-	// transport layer already decoded it (from the dedicated path
-	// attribute, ListAttrCode, or the communities). It takes precedence
-	// over Communities.
-	AttrList *List
+	// ListAttr is the raw value of the route's dedicated MOAS-list path
+	// attribute (ListAttrCode), nil when it carries none. A decodable
+	// value takes precedence over Communities (see CarriedList).
+	ListAttr []byte
 	FromPeer astypes.ASN // ASNNone for locally originated routes
 	// Span is the trace span of the message that carried the
 	// announcement (0 when untraced); it flows into any Conflict so
@@ -68,10 +67,10 @@ type Announcement struct {
 // precedence: dedicated attribute, then communities, then the implicit
 // single-origin rule.
 func (a Announcement) effectiveList() (List, error) {
-	if a.AttrList != nil {
-		return *a.AttrList, nil
+	if l, ok := CarriedList(a.Communities, a.ListAttr); ok {
+		return l, nil
 	}
-	return EffectiveList(a.Communities, a.Path)
+	return EffectiveList(nil, a.Path)
 }
 
 // Checker implements the per-router MOAS-list consistency check. It

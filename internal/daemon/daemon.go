@@ -252,8 +252,9 @@ type Daemon struct {
 
 // Build constructs and starts the daemon: the MOASRR store, the
 // speaker, listeners, outbound peerings, originations and aggregates,
-// and the admin endpoint.
-func Build(cfg Config) (*Daemon, error) {
+// and the admin endpoint. onAlarm, if non-nil, is the speaker's
+// OnAlarm hook: it runs under the speaker's lock, so it must only log.
+func Build(cfg Config, onAlarm func(core.Conflict)) (*Daemon, error) {
 	store := dnsval.NewStore()
 	for _, rec := range cfg.MOASRR {
 		prefix, err := astypes.ParsePrefix(rec.Prefix)
@@ -334,6 +335,7 @@ func Build(cfg Config) (*Daemon, error) {
 		Trace:        rec,
 		RPKI:         d.RPKI,
 		Obs:          d.obsRec,
+		OnAlarm:      onAlarm,
 		// Always observe peer-down events (the counter fires regardless);
 		// peerDown gates the re-dial loop itself on d.reconnect > 0.
 		OnPeerDown: d.peerDown,

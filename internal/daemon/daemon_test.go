@@ -68,7 +68,7 @@ func TestTwoDaemonsDetectHijack(t *testing.T) {
 		Originate: []OriginateConfig{
 			{Prefix: "131.179.0.0/16"},
 		},
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestTwoDaemonsDetectHijack(t *testing.T) {
 		MOASRR: []MOASRRConfig{
 			{Prefix: "131.179.0.0/16", Origins: []uint32{4}},
 		},
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestTwoDaemonsDetectHijack(t *testing.T) {
 		Originate: []OriginateConfig{
 			{Prefix: "131.179.0.0/16"},
 		},
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestBuildRejectsBadPeerAddr(t *testing.T) {
 	_, err := Build(Config{
 		AS:    4,
 		Peers: []PeerConfig{{Addr: "127.0.0.1:1", AS: 5}},
-	})
+	}, nil)
 	if err == nil {
 		t.Fatal("dial to a dead port should fail Build")
 	}
@@ -175,7 +175,7 @@ func TestBuildWithMIBAndAggregates(t *testing.T) {
 		Aggregates: []AggregateConfig{
 			{Prefix: "10.0.0.0/8", SummaryOnly: true},
 		},
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +198,7 @@ func TestBuildWithMIBAndAggregates(t *testing.T) {
 }
 
 func TestBuildRejectsBadListenAddr(t *testing.T) {
-	if _, err := Build(Config{AS: 4, Listen: []string{"300.1.1.1:bad"}}); err == nil {
+	if _, err := Build(Config{AS: 4, Listen: []string{"300.1.1.1:bad"}}, nil); err == nil {
 		t.Error("bad listen address accepted")
 	}
 }

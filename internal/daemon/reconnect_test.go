@@ -90,7 +90,7 @@ func TestDaemonReconnect(t *testing.T) {
 		RouterID:  4,
 		Listen:    []string{addr},
 		Originate: []OriginateConfig{{Prefix: "131.179.0.0/16"}},
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestDaemonReconnect(t *testing.T) {
 		RouterID:         701,
 		Peers:            []PeerConfig{{Addr: addr, AS: 4}},
 		ReconnectSeconds: 1,
-	})
+	}, nil)
 	if err != nil {
 		origin.Close()
 		t.Fatal(err)
@@ -122,7 +122,7 @@ func TestDaemonReconnect(t *testing.T) {
 		RouterID:  4,
 		Listen:    []string{addr},
 		Originate: []OriginateConfig{{Prefix: "131.179.0.0/16"}},
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestDaemonAttributeEncodingEndToEnd(t *testing.T) {
 		Originate: []OriginateConfig{
 			{Prefix: "131.179.0.0/16", MOASList: []uint32{4, 226}},
 		},
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestDaemonAttributeEncodingEndToEnd(t *testing.T) {
 		AS:       701,
 		RouterID: 701,
 		Peers:    []PeerConfig{{Addr: addr, AS: 4}},
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -75,7 +75,7 @@ func Boot(t *testing.T, prefix string, legitOrigin uint32, roaOrigins ...uint32)
 	if len(roaOrigins) > 0 {
 		cfg.ROAs = []daemon.ROAConfig{{Prefix: prefix, Origins: roaOrigins}}
 	}
-	d, err := daemon.Build(cfg)
+	d, err := daemon.Build(cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -66,6 +66,8 @@ type Monitor struct {
 	// ingest paths (WithObs): the validate crossing per checked entry
 	// and the cumulative ingest → alarm latency per conflict.
 	obs *obs.Recorder
+	// onAlarm, if set, is called once per alarm (WithOnAlarm).
+	onAlarm func(Alarm)
 	// seq mints one span per ingested entry, so an alarm bundle points
 	// back at the exact snapshot entry that triggered it even when
 	// feeds are ingested in parallel. Atomic: minted before mu is taken.
@@ -157,6 +159,17 @@ func WithObs(rec *obs.Recorder) Option {
 	return obsOption{rec: rec}
 }
 
+type onAlarmOption func(Alarm)
+
+func (o onAlarmOption) apply(m *Monitor) { m.onAlarm = o }
+
+// WithOnAlarm calls fn once per alarm, on the observing goroutine,
+// after the monitor's lock is released (so fn may call back into the
+// monitor).
+func WithOnAlarm(fn func(Alarm)) Option {
+	return onAlarmOption(fn)
+}
+
 // New returns an empty monitor.
 func New(opts ...Option) *Monitor {
 	m := &Monitor{
@@ -174,10 +187,7 @@ func New(opts ...Option) *Monitor {
 
 // ObserveEntry ingests one routing-table entry from the named vantage.
 func (m *Monitor) ObserveEntry(vantage string, prefix astypes.Prefix, path astypes.ASPath, comms []astypes.Community) {
-	// The monitor has no wire decoder to mint spans, so each ingested
-	// entry gets its own ordinal: bundle forensics can then say "the
-	// Nth entry of this run" rather than nothing.
-	m.observe(vantage, prefix, path, comms, m.seq.Add(1), nil)
+	m.ObserveEntryStamp(vantage, prefix, path, comms, nil)
 }
 
 // ObserveEntryStamp is ObserveEntry with the caller's stage stamp:
@@ -186,14 +196,27 @@ func (m *Monitor) ObserveEntry(vantage string, prefix astypes.Prefix, path astyp
 // lands a validate-stage crossing and a detected conflict records the
 // cumulative ingest → alarm latency.
 func (m *Monitor) ObserveEntryStamp(vantage string, prefix astypes.Prefix, path astypes.ASPath, comms []astypes.Community, st *obs.Stamp) {
-	m.observe(vantage, prefix, path, comms, st.Span, st)
+	m.observe(vantage, prefix, path, comms, nil, st)
 }
 
-func (m *Monitor) observe(vantage string, prefix astypes.Prefix, path astypes.ASPath, comms []astypes.Community, span uint64, st *obs.Stamp) {
+// observe checks one announcement from vantage under st's span and
+// raises its alarm, if any. listAttr is the raw MOAS-list attribute
+// (nil when absent). Without a stamp the announcement gets its own
+// ordinal: the monitor has no wire decoder to mint spans, and bundle
+// forensics can then say "the Nth entry of this run" rather than
+// nothing.
+func (m *Monitor) observe(vantage string, prefix astypes.Prefix, path astypes.ASPath, comms []astypes.Community, listAttr []byte, st *obs.Stamp) {
+	var span uint64
+	if st != nil {
+		span = st.Span
+	} else {
+		span = m.seq.Add(1)
+	}
 	verdict, conflict := m.checker.Check(core.Announcement{
 		Prefix:      prefix,
 		Path:        path,
 		Communities: comms,
+		ListAttr:    listAttr,
 		Span:        span,
 	})
 	m.obs.Cross(st, obs.StageValidate)
@@ -218,7 +241,6 @@ func (m *Monitor) observe(vantage string, prefix astypes.Prefix, path astypes.AS
 		}
 	}
 	m.mu.Lock()
-	defer m.mu.Unlock()
 	m.met.entries.Inc()
 	if origin, ok := path.Origin(); ok {
 		set, ok := m.origins[prefix]
@@ -234,10 +256,17 @@ func (m *Monitor) observe(vantage string, prefix astypes.Prefix, path astypes.AS
 			m.met.cases.Inc()
 		}
 	}
-	if conflict != nil {
-		m.alarms = append(m.alarms, Alarm{Conflict: *conflict, Vantage: vantage, Class: class})
-		m.met.alarms.Inc()
-		m.met.classes.With(class.String()).Inc()
+	if conflict == nil {
+		m.mu.Unlock()
+		return
+	}
+	alarm := Alarm{Conflict: *conflict, Vantage: vantage, Class: class}
+	m.alarms = append(m.alarms, alarm)
+	m.met.alarms.Inc()
+	m.met.classes.With(class.String()).Inc()
+	m.mu.Unlock()
+	if m.onAlarm != nil {
+		m.onAlarm(alarm)
 	}
 }
 
@@ -249,20 +278,21 @@ func (m *Monitor) ObserveDump(vantage string, d *routegen.Dump) {
 	}
 }
 
-// ObserveUpdate ingests one BGP UPDATE captured from a live feed.
+// ObserveUpdate ingests one BGP UPDATE captured from a live feed. A
+// MOAS-list attribute (core.ListAttrCode) it carries takes precedence
+// over its communities.
 func (m *Monitor) ObserveUpdate(vantage string, u *wire.Update) {
-	for _, prefix := range u.NLRI {
-		m.ObserveEntry(vantage, prefix, u.Attrs.ASPath, u.Attrs.Communities)
-	}
-	m.forgetWithdrawn(u)
+	m.ObserveUpdateStamp(vantage, u, nil)
 }
 
 // ObserveUpdateStamp is ObserveUpdate with the caller's stage stamp,
 // shared by every NLRI prefix of the update: one replayed record, one
-// span (see ObserveEntryStamp).
+// span (see ObserveEntryStamp). A nil stamp gives each prefix its own
+// ordinal, as ObserveEntry does.
 func (m *Monitor) ObserveUpdateStamp(vantage string, u *wire.Update, st *obs.Stamp) {
+	listAttr := wire.FindUnknownAttr(u.Attrs.Unknown, core.ListAttrCode)
 	for _, prefix := range u.NLRI {
-		m.ObserveEntryStamp(vantage, prefix, u.Attrs.ASPath, u.Attrs.Communities, st)
+		m.observe(vantage, prefix, u.Attrs.ASPath, u.Attrs.Communities, listAttr, st)
 	}
 	m.forgetWithdrawn(u)
 }
@@ -291,6 +321,12 @@ func (m *Monitor) Alarms() []Alarm {
 	copy(out, m.alarms)
 	return out
 }
+
+// AlarmCount returns the number of alarms raised, read from the
+// monitor_alarms_total counter without copying the log. Like the
+// counter, it is cumulative across Reset, and it counts every monitor
+// instrumented on the same WithTelemetry registry.
+func (m *Monitor) AlarmCount() uint64 { return m.met.alarms.Value() }
 
 // MOASCase is one prefix with its currently visible origin set.
 type MOASCase struct {

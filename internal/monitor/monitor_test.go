@@ -122,6 +122,59 @@ func TestMonitorObserveUpdateAndWithdraw(t *testing.T) {
 	}
 }
 
+// TestMonitorHonorsListAttribute: an UPDATE's MOAS list may travel in
+// the dedicated attribute instead of communities. Both entitled
+// origins carrying {4, 5} there raise no alarm; an origin outside it
+// does.
+func TestMonitorHonorsListAttribute(t *testing.T) {
+	m := New()
+	attr := wire.NewOptionalTransitive(core.ListAttrCode, core.NewList(4, 5).AttrBytes())
+	announce := func(origin astypes.ASN) {
+		m.ObserveUpdate("feed", &wire.Update{
+			Attrs: wire.PathAttrs{
+				HasOrigin:  true,
+				HasNextHop: true,
+				ASPath:     astypes.NewSeqPath(701, origin),
+				Unknown:    []wire.UnknownAttr{attr},
+			},
+			NLRI: []astypes.Prefix{prefix},
+		})
+	}
+	announce(4)
+	announce(5)
+	if alarms := m.Alarms(); len(alarms) != 0 {
+		t.Fatalf("valid attribute-encoded MOAS raised %d alarms: %+v", len(alarms), alarms)
+	}
+	announce(52)
+	alarms := m.Alarms()
+	if len(alarms) != 1 || alarms[0].Conflict.Verdict != core.VerdictOriginNotListed {
+		t.Errorf("origin outside the attribute list: alarms = %+v", alarms)
+	}
+}
+
+// TestMonitorOnAlarmAndAlarmCount: the hook runs once per alarm, after
+// the lock is released (it may read the monitor), and AlarmCount
+// agrees with the log.
+func TestMonitorOnAlarmAndAlarmCount(t *testing.T) {
+	var m *Monitor
+	var hooked []Alarm
+	m = New(WithOnAlarm(func(a Alarm) {
+		hooked = append(hooked, a)
+		if got := m.AlarmCount(); got != uint64(len(hooked)) {
+			t.Errorf("AlarmCount in hook = %d, want %d", got, len(hooked))
+		}
+	}))
+	m.ObserveEntry("rv-a", prefix, astypes.NewSeqPath(701, 4), nil)
+	m.ObserveEntry("rv-b", prefix, astypes.NewSeqPath(1239, 52), nil)
+	alarms := m.Alarms()
+	if len(alarms) != 1 || !reflect.DeepEqual(hooked, alarms) {
+		t.Fatalf("hook saw %+v, log holds %+v", hooked, alarms)
+	}
+	if got := m.AlarmCount(); got != uint64(len(alarms)) {
+		t.Errorf("AlarmCount = %d, len(Alarms()) = %d", got, len(alarms))
+	}
+}
+
 func TestMonitorObserveDumpAndReset(t *testing.T) {
 	d := &routegen.Dump{
 		Day: 1,

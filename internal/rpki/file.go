@@ -17,9 +17,10 @@ import (
 //	# comments and blank lines are ignored
 //	131.179.0.0/16=65001@24,65002
 //
-// The shape mirrors the moas-monitor MOASRR file (prefix=asn,asn); the
-// optional @maxlen extends an authorization to more-specifics. A
-// missing maxlen authorizes exactly the stated prefix.
+// The shape mirrors the moas-monitor MOASRR file (prefix=asn,asn); an
+// origin is a 32-bit AS number, and the optional @maxlen extends an
+// authorization to more-specifics. A missing maxlen authorizes exactly
+// the stated prefix.
 func Parse(r io.Reader) ([]ROA, error) {
 	var out []ROA
 	sc := bufio.NewScanner(r)
@@ -54,11 +55,11 @@ func Parse(r io.Reader) ([]ROA, error) {
 				maxLen = uint8(ml)
 				spec = f[:at]
 			}
-			origin, err := strconv.ParseUint(strings.TrimSpace(spec), 10, 16)
+			origin, err := astypes.ParseASN(strings.TrimSpace(spec))
 			if err != nil {
-				return nil, fmt.Errorf("rpki: line %d: origin %q: %w", lineNo, spec, err)
+				return nil, fmt.Errorf("rpki: line %d: %w", lineNo, err)
 			}
-			out = append(out, ROA{Prefix: prefix, MaxLen: maxLen, Origin: astypes.ASN(origin)})
+			out = append(out, ROA{Prefix: prefix, MaxLen: maxLen, Origin: origin})
 		}
 	}
 	if err := sc.Err(); err != nil {

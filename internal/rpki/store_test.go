@@ -225,13 +225,13 @@ func TestParse(t *testing.T) {
 	}
 
 	bad := []string{
-		"131.179.0.0/16",         // no origins
-		"131.179.0.0/16=",        // empty origin list
-		"banana=65001",           // bad prefix
-		"10.0.0.0/8=notanumber",  // bad origin
-		"10.0.0.0/8=65001@4",     // maxlen below prefix length
-		"10.0.0.0/8=65001@40",    // maxlen beyond 32
-		"10.0.0.0/8=65001,70000", // origin outside uint16
+		"131.179.0.0/16",              // no origins
+		"131.179.0.0/16=",             // empty origin list
+		"banana=65001",                // bad prefix
+		"10.0.0.0/8=notanumber",       // bad origin
+		"10.0.0.0/8=65001@4",          // maxlen below prefix length
+		"10.0.0.0/8=65001@40",         // maxlen beyond 32
+		"10.0.0.0/8=65001,4294967296", // origin outside uint32
 	}
 	for _, line := range bad {
 		if _, err := Parse(strings.NewReader(line)); err == nil {

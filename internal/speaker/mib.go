@@ -5,6 +5,8 @@ import (
 	"net/http"
 
 	"repro/internal/astypes"
+	"repro/internal/core"
+	"repro/internal/wire"
 )
 
 // This file provides the management-plane view the paper sketches in
@@ -101,7 +103,7 @@ func (s *Speaker) MIB() MIB {
 			Path:     r.Path.String(),
 			OriginAS: r.OriginAS().String(),
 		}
-		if list, has := carriedList(r.Communities, r.Unknown); has {
+		if list, has := core.CarriedList(r.Communities, wire.FindUnknownAttr(r.Unknown, core.ListAttrCode)); has {
 			for _, o := range list.Origins() {
 				entry.MOASList = append(entry.MOASList, o.String())
 			}

@@ -95,7 +95,9 @@ type Config struct {
 	Resolver Resolver
 	// HoldTime for sessions (zero selects the session default).
 	HoldTime time.Duration
-	// OnAlarm, if set, is invoked for every MOAS conflict detected.
+	// OnAlarm, if set, is invoked for every MOAS conflict detected. It
+	// runs on the session goroutine with the speaker's lock held, so it
+	// must not call back into the speaker.
 	OnAlarm func(core.Conflict)
 	// NextHop is the next-hop address advertised in UPDATEs (an opaque
 	// 32-bit value at this abstraction level).
@@ -264,6 +266,11 @@ func (s *Speaker) Alarms() []core.Conflict {
 	defer s.mu.Unlock()
 	return append([]core.Conflict(nil), s.alarms...)
 }
+
+// AlarmCount returns the number of MOAS conflicts detected so far,
+// read from the speaker_moas_alarms_total counter without copying the
+// alarm log.
+func (s *Speaker) AlarmCount() uint64 { return s.met.alarms.Value() }
 
 // handler adapts one connection's session callbacks to the speaker.
 // Each connection gets its own, so a session that goes down can tell
@@ -604,19 +611,6 @@ func (s *Speaker) recordValidate(prefix astypes.Prefix, peerAS, origin astypes.A
 	})
 }
 
-// carriedList returns the MOAS list a route carries, with the checker's
-// precedence: the dedicated attribute (core.ListAttrCode), then the
-// communities. ok is false when it carries neither (or only an
-// undecodable attribute), i.e. the implicit single-origin list applies.
-func carriedList(comms []astypes.Community, unknown []wire.UnknownAttr) (core.List, bool) {
-	if raw := wire.FindUnknownAttr(unknown, core.ListAttrCode); raw != nil {
-		if l, err := core.ListFromAttrBytes(raw); err == nil {
-			return l, true
-		}
-	}
-	return core.FromCommunities(comms)
-}
-
 // admitLocked applies the MOAS check to one NLRI of an UPDATE and raises
 // the alarm on a conflict: classify, count, record the ingest → alarm
 // latency against the message's stamp, capture the forensic bundle, log
@@ -627,16 +621,13 @@ func (s *Speaker) admitLocked(prefix astypes.Prefix, attrs wire.PathAttrs, peerA
 	if truth, ok := s.resolved[prefix]; ok && s.cfg.Validation == ValidationDrop {
 		return truth.Contains(origin)
 	}
-	var explicit *core.List
-	if l, ok := carriedList(attrs.Communities, attrs.Unknown); ok {
-		explicit = &l
-	}
 	verdict, conflict := s.checker.Check(core.Announcement{
-		Prefix:   prefix,
-		Path:     attrs.ASPath,
-		AttrList: explicit,
-		FromPeer: peerAS,
-		Span:     span,
+		Prefix:      prefix,
+		Path:        attrs.ASPath,
+		Communities: attrs.Communities,
+		ListAttr:    wire.FindUnknownAttr(attrs.Unknown, core.ListAttrCode),
+		FromPeer:    peerAS,
+		Span:        span,
 	})
 	if conflict != nil {
 		class := rpki.Classify(s.cfg.RPKI.Validate(prefix, conflict.Origin), verdict)

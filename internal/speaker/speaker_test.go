@@ -98,6 +98,9 @@ func TestLiveMeshPropagationAndHijackDetection(t *testing.T) {
 			t.Errorf("AS%s best route = %+v, want origin AS1", s.AS(), r)
 		}
 	}
+	if got, want := s3.AlarmCount(), len(s3.Alarms()); got != uint64(want) {
+		t.Errorf("AS3 AlarmCount = %d, len(Alarms()) = %d", got, want)
+	}
 }
 
 // ResolverFunc adapts a function to Resolver.
