@@ -41,12 +41,13 @@ e2e:
 	$(GO) test -race ./internal/telemetry/... ./internal/obs/... ./internal/e2etest/... ./cmd/moas-top/
 
 ## bench-smoke: one-iteration run of every hot-path and evaluation
-## benchmark so they can't silently rot; part of check (and so CI).
+## benchmark so they can't silently rot, including each Figure 9-11
+## entry of the experiment.Figures table; part of check (and so CI).
 bench-smoke:
 	$(GO) test -run='^$$' -bench='^(BenchmarkWire|BenchmarkRIB|BenchmarkTelemetry|BenchmarkEngineEvents|BenchmarkTrace|BenchmarkMRT|BenchmarkROV|BenchmarkObs|BenchmarkRISLive)' \
 		-benchtime=1x -benchmem ./internal/wire/ ./internal/rib/ ./internal/telemetry/ ./internal/sim/ ./internal/trace/ ./internal/mrt/ ./internal/mrt/rislive/ ./internal/rpki/ ./internal/obs/
 	$(GO) test -run='^$$' -benchtime=1x -benchmem \
-		-bench='^(BenchmarkFigure9Effectiveness|BenchmarkMeasureStudy)(Baseline)?$$' .
+		-bench='^(BenchmarkFigure(9|10|11)[A-Za-z]*|BenchmarkMeasureStudy(Baseline)?)$$' .
 	$(GO) test -run='^$$' -benchtime=1x -benchmem \
 		-bench='^BenchmarkSimScaleConverge1k(Baseline)?$$' ./internal/simbgp/
 

@@ -9,29 +9,20 @@ import (
 	"fmt"
 	"os"
 
+	"repro/internal/experiment"
 	"repro/internal/report"
 )
 
 func main() {
 	var (
-		seed        = flag.Int64("seed", 42, "simulation seed")
+		seed        = flag.Int64("seed", experiment.PublishedSeed, "simulation seed")
 		measureSeed = flag.Int64("measure-seed", 1997, "measurement seed")
-		maxPct      = flag.Float64("max-attacker-pct", 35, "largest attacker percentage")
+		maxPct      = flag.Float64("max-attacker-pct", experiment.PublishedMaxAttackerPct, "largest attacker percentage")
 		skipMeasure = flag.Bool("skip-measurement", false, "skip the §3 measurement study")
 		skipSim     = flag.Bool("skip-simulation", false, "skip the §5 simulation study")
 		out         = flag.String("o", "", "write the report to a file instead of stdout")
-		alarms      = flag.Bool("alarms", false, "render the forensic MOAS alarm bundles of one traced hijack as a table instead of the full report")
-		forge       = flag.Bool("forge-list", false, "with -alarms: the attacker forges a superset MOAS list (§4.1)")
-		roas        = flag.Bool("roas", false, "with -alarms: cover the victim prefix with ROAs so ROV classifies the bundles likely-hijack")
 	)
 	flag.Parse()
-	if *alarms {
-		if err := runAlarms(*seed, *forge, *roas, *out); err != nil {
-			fmt.Fprintln(os.Stderr, "moas-report:", err)
-			os.Exit(1)
-		}
-		return
-	}
 	if err := run(*seed, *measureSeed, *maxPct, *skipMeasure, *skipSim, *out); err != nil {
 		fmt.Fprintln(os.Stderr, "moas-report:", err)
 		os.Exit(1)
@@ -45,7 +36,6 @@ func run(seed, measureSeed int64, maxPct float64, skipMeasure, skipSim bool, out
 		MaxAttackerPct:  maxPct,
 		SkipMeasurement: skipMeasure,
 		SkipSimulation:  skipSim,
-		ColdStart:       true,
 	})
 	if err != nil {
 		return err
@@ -60,21 +50,4 @@ func run(seed, measureSeed int64, maxPct float64, skipMeasure, skipSim bool, out
 		w = f
 	}
 	return rep.WriteMarkdown(w)
-}
-
-func runAlarms(seed int64, forge, withROAs bool, out string) error {
-	bundles, err := report.AlarmStudy(seed, forge, withROAs)
-	if err != nil {
-		return err
-	}
-	w := os.Stdout
-	if out != "" {
-		f, err := os.Create(out)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w = f
-	}
-	return report.WriteAlarmTable(w, bundles)
 }

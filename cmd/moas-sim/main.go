@@ -13,14 +13,17 @@
 //	               -scale ASes (default 10000,30000,70000), the regime
 //	               the compact simulation engine exists for.
 //
-// Each printed row is one X position of the figure: the attacker
-// percentage and the mean percentage of non-attacker ASes adopting a
-// false route over the paper's 15-run scheme.
+// Experiments 1-3 run the panels of experiment.Figures; -origins N
+// keeps the panels with N origin ASes. Each printed row is one X
+// position of the figure: the attacker percentage and the mean
+// percentage of non-attacker ASes adopting a false route over the
+// paper's 15-run scheme.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -31,71 +34,84 @@ import (
 
 func main() {
 	var (
-		exp     = flag.Int("experiment", 1, "experiment number (1, 2 or 3)")
-		seed    = flag.Int64("seed", 42, "master seed (topologies and selections)")
-		origins = flag.Int("origins", 0, "origin AS count (0 = both 1 and 2, as in the paper)")
-		maxPct  = flag.Float64("max-attacker-pct", 35, "largest attacker percentage to sweep")
+		exp     = flag.Int("experiment", 1, "experiment number (1, 2, 3 or 4)")
+		seed    = flag.Int64("seed", experiment.PublishedSeed, "master seed (topologies and selections)")
+		origins = flag.Int("origins", 0, "origin AS count: keep the figure's panels with that many origins (0 = every panel, as in the paper)")
+		maxPct  = flag.Float64("max-attacker-pct", experiment.PublishedMaxAttackerPct, "largest attacker percentage to sweep")
 		cold    = flag.Bool("cold-start", true, "announce valid routes and attack simultaneously")
 		forge   = flag.Bool("forge-list", false, "attackers forge a superset MOAS list (§4.1)")
 		csvOut  = flag.Bool("csv", false, "emit CSV instead of aligned tables")
 		par     = flag.Int("parallelism", 0, "concurrent simulation runs (0 = GOMAXPROCS)")
 		roaCov  = flag.Float64("roa-coverage", 0, "fraction of runs whose victim prefix is covered by ROAs; nonzero adds per-mode false-alarm-rate tables from RPKI/ROV alarm classification")
-		traced  = flag.Bool("trace", false, "replay one hijack on the 25-AS topology with the flight recorder attached and print the propagation timeline, per-AS adoption, and forensic alarm bundles")
+		traced  = flag.Bool("trace", false, "replay one hijack on the 25-AS topology with the flight recorder attached and print the propagation timeline, per-AS adoption, and the forensic alarm table")
 		scale   = flag.String("scale", "", "comma-separated power-law topology sizes for -experiment 4 (default 10000,30000,70000)")
 	)
 	flag.Parse()
-	outputCSV = *csvOut
-	roaCoverage = *roaCov
+	s := study{
+		experiment: *exp,
+		origins:    *origins,
+		maxPct:     *maxPct,
+		csv:        *csvOut,
+		sweep: experiment.SweepConfig{
+			Seed:              *seed,
+			ColdStart:         *cold,
+			ForgeSupersetList: *forge,
+			ROACoverage:       *roaCov,
+			Parallelism:       *par,
+		},
+	}
 	if *scale != "" {
 		sizes, err := parseScales(*scale)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "moas-sim:", err)
 			os.Exit(2)
 		}
-		internetScales = sizes
+		s.scales = sizes
 	}
-	if roaCoverage < 0 || roaCoverage > 1 {
+	if *roaCov < 0 || *roaCov > 1 {
 		fmt.Fprintln(os.Stderr, "moas-sim: -roa-coverage out of [0,1]")
 		os.Exit(2)
 	}
+	var err error
 	if *traced {
-		if err := runTrace(os.Stdout, *seed, *forge); err != nil {
-			fmt.Fprintln(os.Stderr, "moas-sim:", err)
-			os.Exit(1)
-		}
-		return
+		err = runTrace(os.Stdout, *seed, *forge, *roaCov)
+	} else {
+		err = run(os.Stdout, s)
 	}
-	if err := run(*exp, *seed, *origins, *maxPct, *cold, *forge, *par); err != nil {
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "moas-sim:", err)
 		os.Exit(1)
 	}
 }
 
-func run(exp int, seed int64, origins int, maxPct float64, cold, forge bool, parallelism int) error {
-	if parallelism < 0 {
-		return fmt.Errorf("parallelism %d must be >= 0 (0 = GOMAXPROCS)", parallelism)
+// study is one moas-sim invocation of experiments 1-4.
+type study struct {
+	experiment int
+	// origins keeps the panels with that many origin ASes; 0 keeps all.
+	origins int
+	maxPct  float64
+	// scales are experiment 4's power-law topology sizes.
+	scales []int
+	csv    bool
+	// sweep carries the knobs every sweep shares: seed, cold start,
+	// forging, ROA coverage and parallelism.
+	sweep experiment.SweepConfig
+}
+
+func run(w io.Writer, s study) error {
+	if s.sweep.Parallelism < 0 {
+		return fmt.Errorf("parallelism %d must be >= 0 (0 = GOMAXPROCS)", s.sweep.Parallelism)
 	}
-	sweepParallelism = parallelism
-	originCounts := []int{1, 2}
-	if origins > 0 {
-		originCounts = []int{origins}
+	if s.origins < 0 {
+		return fmt.Errorf("-origins %d is negative (0 = every panel)", s.origins)
 	}
-	if exp == 4 {
-		return runInternet(originCounts, seed, cold, forge)
-	}
-	set, err := topology.BuildPaperTopologies(seed)
-	if err != nil {
-		return err
-	}
-	switch exp {
-	case 1:
-		return runFigure9(set, originCounts, seed, maxPct, cold, forge)
-	case 2:
-		return runFigure10(set, originCounts, seed, maxPct, cold, forge)
-	case 3:
-		return runFigure11(set, seed, maxPct, cold, forge)
+	switch {
+	case s.experiment == 4:
+		return runInternet(w, s)
+	case s.experiment >= 1 && s.experiment <= len(experiment.Figures):
+		return runFigure(w, &experiment.Figures[s.experiment-1], s)
 	default:
-		return fmt.Errorf("unknown experiment %d (want 1, 2, 3 or 4)", exp)
+		return fmt.Errorf("unknown experiment %d (want 1, 2, 3 or 4)", s.experiment)
 	}
 }
 
@@ -112,153 +128,113 @@ func parseScales(s string) ([]int, error) {
 	return sizes, nil
 }
 
-// runInternet sweeps forged-origin hijacks on power-law topologies of
-// internetScales ASes. Attacker counts are absolute (a handful of rogue
-// ASes, the realistic internet-scale threat) rather than percentages,
-// and each point averages 3 scenarios instead of the paper's 15 to keep
-// wall-clock sane at 70k nodes.
-func runInternet(originCounts []int, seed int64, cold, forge bool) error {
-	scales := internetScales
-	if len(scales) == 0 {
-		scales = []int{10_000, 30_000, 70_000}
-	}
-	fmt.Println("Experiment 4: internet-scale power-law topologies")
-	modes := []experiment.ModeSpec{
-		{Label: "Normal BGP", Detection: experiment.DetectionOff},
-		{Label: "Full MOAS Detection", Detection: experiment.DetectionFull},
-	}
-	for _, n := range scales {
-		topo, err := topology.GeneratePowerLaw(topology.DefaultPowerLawParams(n), seed)
-		if err != nil {
-			return err
-		}
-		name := fmt.Sprintf("powerlaw-%d", n)
-		for _, o := range originCounts {
-			fmt.Printf("\n%d-AS topology (%d origin AS%s):\n", n, o, plural(o))
-			counts := []int{1, 2, 4}
-			if err := sweepAndPrintCounts(topo, name, o, modes, seed, counts, cold, forge, 1, 3); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-func runFigure9(set *topology.PaperSet, originCounts []int, seed int64, maxPct float64, cold, forge bool) error {
-	fmt.Println("Experiment 1 (Figure 9): Spoof-resilience in the 46-AS topology")
-	modes := []experiment.ModeSpec{
-		{Label: "Normal BGP", Detection: experiment.DetectionOff},
-		{Label: "Full MOAS Detection", Detection: experiment.DetectionFull},
-	}
-	for _, n := range originCounts {
-		fmt.Printf("\n(%d origin AS%s)\n", n, plural(n))
-		if err := sweepAndPrint(set.T46, "46", n, modes, seed, maxPct, cold, forge); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func runFigure10(set *topology.PaperSet, originCounts []int, seed int64, maxPct float64, cold, forge bool) error {
-	fmt.Println("Experiment 2 (Figure 10): 25-AS vs 46-AS vs 63-AS topologies")
-	modes := []experiment.ModeSpec{
-		{Label: "Normal BGP", Detection: experiment.DetectionOff},
-		{Label: "Full MOAS Detection", Detection: experiment.DetectionFull},
-	}
-	for _, n := range originCounts {
-		fmt.Printf("\n(%d origin AS%s)\n", n, plural(n))
-		for _, topo := range []struct {
-			name string
-			s    *topology.SampleResult
-		}{{"25", set.T25}, {"46", set.T46}, {"63", set.T63}} {
-			fmt.Printf("\n%s-AS topology:\n", topo.name)
-			if err := sweepAndPrint(topo.s, topo.name, n, modes, seed, maxPct, cold, forge); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-func runFigure11(set *topology.PaperSet, seed int64, maxPct float64, cold, forge bool) error {
-	fmt.Println("Experiment 3 (Figure 11): partial vs complete deployment")
-	modes := []experiment.ModeSpec{
-		{Label: "Normal BGP", Detection: experiment.DetectionOff},
-		{Label: "Half MOAS Detection", Detection: experiment.DetectionPartial, DeployFraction: 0.5},
-		{Label: "Full MOAS Detection", Detection: experiment.DetectionFull},
-	}
-	for _, topo := range []struct {
-		name string
-		s    *topology.SampleResult
-	}{{"46", set.T46}, {"63", set.T63}} {
-		fmt.Printf("\n%s-AS topology:\n", topo.name)
-		if err := sweepAndPrint(topo.s, topo.name, 1, modes, seed, maxPct, cold, forge); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// outputCSV switches sweepAndPrint to CSV emission; sweepParallelism
-// bounds concurrent simulation runs (0 = GOMAXPROCS); roaCoverage is
-// the simulator-side RPKI deployment fraction (0 = no ROAs);
-// internetScales overrides experiment 4's topology sizes (-scale).
-var (
-	outputCSV        bool
-	sweepParallelism int
-	roaCoverage      float64
-	internetScales   []int
-)
-
-func sweepAndPrint(topo *topology.SampleResult, name string, numOrigins int,
-	modes []experiment.ModeSpec, seed int64, maxPct float64, cold, forge bool) error {
-	counts := experiment.AttackerCountsFor(topo, maxPct)
-	return sweepAndPrintCounts(topo, name, numOrigins, modes, seed, counts, cold, forge, 0, 0)
-}
-
-// sweepAndPrintCounts runs one sweep over explicit attacker counts and
-// prints it; originSets/attackerSets 0 means the paper's 3x5 scheme.
-func sweepAndPrintCounts(topo *topology.SampleResult, name string, numOrigins int,
-	modes []experiment.ModeSpec, seed int64, counts []int, cold, forge bool,
-	originSets, attackerSets int) error {
-	res, err := experiment.Sweep(experiment.SweepConfig{
-		Topology:          topo,
-		TopologyName:      name,
-		NumOrigins:        numOrigins,
-		AttackerCounts:    counts,
-		Modes:             modes,
-		Seed:              seed,
-		ColdStart:         cold,
-		ForgeSupersetList: forge,
-		ROACoverage:       roaCoverage,
-		Parallelism:       sweepParallelism,
-		OriginSets:        originSets,
-		AttackerSets:      attackerSets,
-	})
+// runFigure sweeps the selected panels of one figure and prints them,
+// grouped by origin count and named by topology along whichever of the
+// two axes the figure varies.
+func runFigure(w io.Writer, fig *experiment.Figure, s study) error {
+	set, err := topology.BuildPaperTopologies(s.sweep.Seed)
 	if err != nil {
 		return err
 	}
-	if outputCSV {
-		return experiment.WriteCSV(os.Stdout, res)
+	cfgs, err := fig.Sweeps(set, s.origins, s.sweep.Seed, s.maxPct)
+	if err != nil {
+		return err
+	}
+	for i := range cfgs {
+		cfgs[i].ColdStart = s.sweep.ColdStart
+		cfgs[i].ForgeSupersetList = s.sweep.ForgeSupersetList
+		cfgs[i].ROACoverage = s.sweep.ROACoverage
+		cfgs[i].Parallelism = s.sweep.Parallelism
+	}
+	results, err := experiment.SweepAll(cfgs)
+	if err != nil {
+		return err
+	}
+	var byOrigins, byTopology bool
+	for _, p := range fig.Panels {
+		byOrigins = byOrigins || p.Origins != fig.Panels[0].Origins
+		byTopology = byTopology || p.Topology != fig.Panels[0].Topology
+	}
+	fmt.Fprintf(w, "Experiment %d (Figure %d): %s\n", fig.Number-8, fig.Number, fig.Headline)
+	for i, res := range results {
+		if byOrigins && (i == 0 || res.NumOrigins != results[i-1].NumOrigins) {
+			fmt.Fprintf(w, "\n(%d origin AS%s)\n", res.NumOrigins, plural(res.NumOrigins))
+		}
+		if byTopology {
+			fmt.Fprintf(w, "\n%s-AS topology:\n", res.TopologyName)
+		}
+		if err := printSweep(w, res, s); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// runInternet sweeps forged-origin hijacks on power-law topologies of
+// s.scales ASes under Figure 9's modes. Attacker counts are absolute (a
+// handful of rogue ASes, the realistic internet-scale threat) rather
+// than percentages, and each point averages 3 scenarios instead of the
+// paper's 15 to keep wall-clock sane at 70k nodes.
+func runInternet(w io.Writer, s study) error {
+	scales := s.scales
+	if len(scales) == 0 {
+		scales = []int{10_000, 30_000, 70_000}
+	}
+	originCounts := []int{1, 2}
+	if s.origins > 0 {
+		originCounts = []int{s.origins}
+	}
+	fmt.Fprintln(w, "Experiment 4: internet-scale power-law topologies")
+	for _, n := range scales {
+		topo, err := topology.GeneratePowerLaw(topology.DefaultPowerLawParams(n), s.sweep.Seed)
+		if err != nil {
+			return err
+		}
+		for _, o := range originCounts {
+			fmt.Fprintf(w, "\n%d-AS topology (%d origin AS%s):\n", n, o, plural(o))
+			cfg := s.sweep
+			cfg.Topology = topo
+			cfg.TopologyName = fmt.Sprintf("powerlaw-%d", n)
+			cfg.NumOrigins = o
+			cfg.AttackerCounts = []int{1, 2, 4}
+			cfg.Modes = experiment.Figures[0].Modes
+			cfg.OriginSets, cfg.AttackerSets = 1, 3
+			res, err := experiment.Sweep(cfg)
+			if err != nil {
+				return err
+			}
+			if err := printSweep(w, res, s); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// printSweep writes one sweep as CSV or as an aligned table, followed
+// under ROA coverage by its false-alarm-rate table.
+func printSweep(w io.Writer, res *experiment.SweepResult, s study) error {
+	if s.csv {
+		return experiment.WriteCSV(w, res)
 	}
 	header := fmt.Sprintf("%-10s %-10s", "attackers", "pct")
 	for _, m := range res.Modes {
 		header += fmt.Sprintf(" %22s", m.Label)
 	}
-	fmt.Println(header)
-	fmt.Println(strings.Repeat("-", len(header)))
+	fmt.Fprintln(w, header)
+	fmt.Fprintln(w, strings.Repeat("-", len(header)))
 	for _, p := range res.Points {
 		row := fmt.Sprintf("%-10d %-10.1f", p.NumAttackers, p.AttackerPct)
 		for mi := range res.Modes {
 			row += fmt.Sprintf(" %21.2f%%", p.MeanFalsePct[mi])
 		}
-		fmt.Println(row)
+		fmt.Fprintln(w, row)
 	}
-	if roaCoverage > 0 {
-		fmt.Printf("\nfalse-alarm rate at %.0f%% ROA coverage (share of alarms not classed likely-hijack):\n",
-			100*roaCoverage)
-		fmt.Println(header)
-		fmt.Println(strings.Repeat("-", len(header)))
+	if s.sweep.ROACoverage > 0 {
+		fmt.Fprintf(w, "\nfalse-alarm rate at %.0f%% ROA coverage (share of alarms not classed likely-hijack):\n",
+			100*s.sweep.ROACoverage)
+		fmt.Fprintln(w, header)
+		fmt.Fprintln(w, strings.Repeat("-", len(header)))
 		for _, p := range res.Points {
 			row := fmt.Sprintf("%-10d %-10.1f", p.NumAttackers, p.AttackerPct)
 			for mi := range res.Modes {
@@ -272,7 +248,7 @@ func sweepAndPrintCounts(topo *topology.SampleResult, name string, numOrigins in
 				}
 				row += fmt.Sprintf(" %21.2f%%", p.FalseAlarmPct[mi])
 			}
-			fmt.Println(row)
+			fmt.Fprintln(w, row)
 		}
 	}
 	return nil

@@ -1,6 +1,13 @@
 package main
 
-import "testing"
+import (
+	"io"
+	"reflect"
+	"strings"
+	"testing"
+
+	"repro/internal/experiment"
+)
 
 func TestParseScales(t *testing.T) {
 	sizes, err := parseScales(" 10000, 30000 ,70000")
@@ -17,32 +24,80 @@ func TestParseScales(t *testing.T) {
 	}
 }
 
+// small is a quick study: a 6% attacker sweep of one experiment.
+func small(exp, origins int) study {
+	return study{
+		experiment: exp,
+		origins:    origins,
+		maxPct:     6,
+		sweep:      experiment.SweepConfig{Seed: 42, ColdStart: true},
+	}
+}
+
 func TestRunExperiments(t *testing.T) {
 	for exp := 1; exp <= 3; exp++ {
-		if err := run(exp, 42, 1, 6 /* small sweep */, true, false, 0); err != nil {
+		if err := run(io.Discard, small(exp, 1)); err != nil {
 			t.Fatalf("experiment %d: %v", exp, err)
 		}
 	}
-	if err := run(9, 42, 1, 6, true, false, 0); err == nil {
+	if err := run(io.Discard, small(9, 1)); err == nil {
 		t.Error("unknown experiment accepted")
 	}
-	internetScales = []int{150, 300}
-	defer func() { internetScales = nil }()
-	if err := run(4, 42, 2, 6, true, false, 0); err != nil {
+	internet := small(4, 2)
+	internet.scales = []int{150, 300}
+	if err := run(io.Discard, internet); err != nil {
 		t.Fatalf("experiment 4: %v", err)
 	}
-	outputCSV = true
-	defer func() { outputCSV = false }()
-	if err := run(1, 42, 1, 6, true, false, 0); err != nil {
+	csv := small(1, 1)
+	csv.csv = true
+	if err := run(io.Discard, csv); err != nil {
 		t.Fatalf("csv mode: %v", err)
 	}
 }
 
 func TestRunParallelismFlag(t *testing.T) {
-	if err := run(1, 42, 1, 6, true, false, -1); err == nil {
+	s := small(1, 1)
+	s.sweep.Parallelism = -1
+	if err := run(io.Discard, s); err == nil {
 		t.Error("negative parallelism accepted")
 	}
-	if err := run(1, 42, 1, 6, true, false, 2); err != nil {
+	s.sweep.Parallelism = 2
+	if err := run(io.Discard, s); err != nil {
 		t.Fatalf("parallelism 2: %v", err)
+	}
+}
+
+// TestRunOriginsSelectsPanels: -origins keeps the figure's panels with
+// that many origin ASes, and is an error when negative or when the
+// figure has no such panel (Figure 11 has only one-origin panels).
+func TestRunOriginsSelectsPanels(t *testing.T) {
+	for _, tc := range []struct {
+		exp, origins int
+		panels       []string // "(n origin AS...)" and "n-AS topology" headers
+	}{
+		{1, 0, []string{"(1 origin AS)", "(2 origin ASes)"}},
+		{1, 2, []string{"(2 origin ASes)"}},
+		{2, 1, []string{"(1 origin AS)", "25-AS topology:", "46-AS topology:", "63-AS topology:"}},
+		{3, 0, []string{"46-AS topology:", "63-AS topology:"}},
+		{3, 1, []string{"46-AS topology:", "63-AS topology:"}},
+	} {
+		var out strings.Builder
+		if err := run(&out, small(tc.exp, tc.origins)); err != nil {
+			t.Fatalf("-experiment %d -origins %d: %v", tc.exp, tc.origins, err)
+		}
+		var got []string
+		for _, line := range strings.Split(out.String(), "\n") {
+			if strings.HasPrefix(line, "(") || strings.HasSuffix(line, "-AS topology:") {
+				got = append(got, line)
+			}
+		}
+		if !reflect.DeepEqual(got, tc.panels) {
+			t.Errorf("-experiment %d -origins %d: panels %q, want %q", tc.exp, tc.origins, got, tc.panels)
+		}
+	}
+	for _, tc := range []struct{ exp, origins int }{{1, -1}, {4, -1}, {3, 2}, {1, 3}} {
+		if err := run(io.Discard, small(tc.exp, tc.origins)); err == nil {
+			t.Errorf("-experiment %d -origins %d accepted", tc.exp, tc.origins)
+		}
 	}
 }

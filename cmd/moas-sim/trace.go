@@ -11,54 +11,50 @@ import (
 	"repro/internal/trace"
 )
 
-// runTrace replays one hijack on the 25-AS topology twice — normal BGP
-// and full MOAS detection — with a flight recorder attached, and writes
-// the per-prefix propagation timeline, the per-AS adoption outcome, and
-// the forensic alarm bundles. All timestamps are virtual simulation
-// time, so the same seed produces byte-identical output.
-func runTrace(w io.Writer, seed int64, forge bool) error {
+// runTrace is the traced-hijack study: one hijack on the 25-AS
+// topology, replayed under normal BGP and full MOAS detection with a
+// flight recorder attached. For each it writes the per-prefix
+// propagation timeline, the per-AS adoption outcome and the forensic
+// alarm table. roaCoverage is the chance that ROAs cover the victim
+// prefix (1 classes every alarm likely-hijack). All timestamps are
+// virtual simulation time, so the same arguments produce byte-identical
+// output.
+func runTrace(w io.Writer, seed int64, forge bool, roaCoverage float64) error {
 	set, err := topology.BuildPaperTopologies(seed)
 	if err != nil {
 		return err
 	}
-	topo := set.T25
-	scens, err := experiment.Selections(topo, 1, 1, 1, 1, seed)
-	if err != nil {
-		return err
-	}
-	scen := scens[0]
-	legit, attacker := scen.Origins[0], scen.Attackers[0]
 	fmt.Fprintf(w, "Propagation trace: 25-AS topology, seed %d\n", seed)
-	fmt.Fprintf(w, "victim prefix %s, origin AS%d, attacker AS%d, forged superset list: %v\n",
-		experiment.VictimPrefix, legit, attacker, forge)
-
-	modes := []struct {
+	for i, m := range []struct {
 		label string
 		det   experiment.Detection
 	}{
 		{"normal BGP (detection off)", experiment.DetectionOff},
 		{"full MOAS detection", experiment.DetectionFull},
-	}
-	for _, m := range modes {
-		rec := trace.NewRecorder(8192, trace.WithoutWallClock())
-		res, err := experiment.Run(experiment.RunConfig{
-			Topology:          topo,
-			Scenario:          scen,
+	} {
+		cfg, res, err := experiment.TraceHijack(experiment.RunConfig{
+			Topology:          set.T25,
 			Detection:         m.det,
 			ForgeSupersetList: forge,
-			Recorder:          rec,
-		})
+			ROACoverage:       roaCoverage,
+		}, seed)
 		if err != nil {
 			return err
 		}
+		legit, attacker := cfg.Scenario.Origins[0], cfg.Scenario.Attackers[0]
+		if i == 0 {
+			fmt.Fprintf(w, "victim prefix %s, origin AS%d, attacker AS%d, forged superset list: %v\n",
+				experiment.VictimPrefix, legit, attacker, forge)
+		}
+		rec := cfg.Recorder
 		fmt.Fprintf(w, "\n== %s ==\n", m.label)
 		writeTimeline(w, rec)
-		writeAdoption(w, topo.Graph.Nodes(), rec, legit, attacker)
+		writeAdoption(w, set.T25.Graph.Nodes(), rec, legit, attacker)
 		fmt.Fprintf(w, "summary: %d/%d non-attacker ASes on the false route, %d alarms, %d messages, converged at %s\n",
 			res.Census.AdoptedFalse, res.Census.NonAttackers, res.Alarms,
 			res.Messages, time.Duration(res.ConvergeVirtual))
-		for _, b := range rec.Alarms() {
-			fmt.Fprint(w, string(trace.AppendBundleText(nil, &b)))
+		if err := trace.WriteAlarmTable(w, rec.Alarms()); err != nil {
+			return err
 		}
 	}
 	return nil

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/astypes"
 	"repro/internal/core"
-	"repro/internal/report"
 	"repro/internal/trace"
 )
 
@@ -15,8 +14,8 @@ import (
 // with the victim prefix covered by a ROA authorizing only the
 // legitimate origin. The daemon's ROV cross-validation must then
 // upgrade the alarm's class to likely-hijack — visible on the
-// per-class counter, in the /debug/alarms bundle, and in the
-// moas-report alarm table's class column.
+// per-class counter, in the /debug/alarms bundle, and in the operator
+// alarm table's class column.
 func TestForgedOriginWithROAClassification(t *testing.T) {
 	const (
 		prefixStr = "131.179.0.0/16"
@@ -73,10 +72,11 @@ func TestForgedOriginWithROAClassification(t *testing.T) {
 		t.Errorf("bundle: origin=%d verdict=%q", b.Origin, b.Verdict)
 	}
 
-	// The same bundles render through the moas-report alarm table with
-	// the class in its column and in the per-bundle forensics.
+	// The same bundles render through trace.WriteAlarmTable (the table
+	// moas-sim -trace prints) with the class in its column and in the
+	// per-bundle forensics.
 	var sb strings.Builder
-	if err := report.WriteAlarmTable(&sb, bundles); err != nil {
+	if err := trace.WriteAlarmTable(&sb, bundles); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()

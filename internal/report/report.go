@@ -27,20 +27,17 @@ type Options struct {
 	// SkipMeasurement / SkipSimulation trim the run.
 	SkipMeasurement bool
 	SkipSimulation  bool
-	// ColdStart selects the announcement model (default true, matching
-	// the headline figures).
-	ColdStart bool
 }
 
 func (o Options) withDefaults() Options {
 	if o.Seed == 0 {
-		o.Seed = 42
+		o.Seed = experiment.PublishedSeed
 	}
 	if o.MeasureSeed == 0 {
 		o.MeasureSeed = 1997
 	}
 	if o.MaxAttackerPct == 0 {
-		o.MaxAttackerPct = 35
+		o.MaxAttackerPct = experiment.PublishedMaxAttackerPct
 	}
 	return o
 }
@@ -50,12 +47,10 @@ type Report struct {
 	Options Options
 	// Measurement results (nil if skipped).
 	Summary *measure.Summary
-	// Figure9 holds the 46-AS sweeps for 1 and 2 origins; Figure10 the
-	// per-topology sweeps; Figure11 the deployment sweeps.
-	Figure9  []*experiment.SweepResult
-	Figure10 []*experiment.SweepResult
-	Figure11 []*experiment.SweepResult
-	Elapsed  time.Duration
+	// Figures holds the simulation study's sweeps (nil if skipped),
+	// indexed like experiment.Figures, each in panel order.
+	Figures [][]*experiment.SweepResult
+	Elapsed time.Duration
 }
 
 // Run executes the configured evaluation.
@@ -84,53 +79,17 @@ func Run(opts Options) (*Report, error) {
 		if err != nil {
 			return nil, fmt.Errorf("report: %w", err)
 		}
-		normalFull := []experiment.ModeSpec{
-			{Label: "Normal BGP", Detection: experiment.DetectionOff},
-			{Label: "Full MOAS Detection", Detection: experiment.DetectionFull},
-		}
-		deployment := []experiment.ModeSpec{
-			{Label: "Normal BGP", Detection: experiment.DetectionOff},
-			{Label: "Half MOAS Detection", Detection: experiment.DetectionPartial, DeployFraction: 0.5},
-			{Label: "Full MOAS Detection", Detection: experiment.DetectionFull},
-		}
-		sweep := func(topo *topology.SampleResult, name string, origins int,
-			modes []experiment.ModeSpec) (*experiment.SweepResult, error) {
-			return experiment.Sweep(experiment.SweepConfig{
-				Topology:       topo,
-				TopologyName:   name,
-				NumOrigins:     origins,
-				AttackerCounts: experiment.AttackerCountsFor(topo, opts.MaxAttackerPct),
-				Modes:          modes,
-				Seed:           opts.Seed,
-				ColdStart:      opts.ColdStart,
-			})
-		}
-		for _, origins := range []int{1, 2} {
-			res, err := sweep(set.T46, "46", origins, normalFull)
+		for i := range experiment.Figures {
+			fig := &experiment.Figures[i]
+			cfgs, err := fig.Sweeps(set, 0, opts.Seed, opts.MaxAttackerPct)
 			if err != nil {
-				return nil, fmt.Errorf("report: figure 9: %w", err)
+				return nil, fmt.Errorf("report: %w", err)
 			}
-			rep.Figure9 = append(rep.Figure9, res)
-		}
-		for _, topo := range []struct {
-			name string
-			s    *topology.SampleResult
-		}{{"25", set.T25}, {"46", set.T46}, {"63", set.T63}} {
-			res, err := sweep(topo.s, topo.name, 1, normalFull)
+			sweeps, err := experiment.SweepAll(cfgs)
 			if err != nil {
-				return nil, fmt.Errorf("report: figure 10: %w", err)
+				return nil, fmt.Errorf("report: figure %d: %w", fig.Number, err)
 			}
-			rep.Figure10 = append(rep.Figure10, res)
-		}
-		for _, topo := range []struct {
-			name string
-			s    *topology.SampleResult
-		}{{"46", set.T46}, {"63", set.T63}} {
-			res, err := sweep(topo.s, topo.name, 1, deployment)
-			if err != nil {
-				return nil, fmt.Errorf("report: figure 11: %w", err)
-			}
-			rep.Figure11 = append(rep.Figure11, res)
+			rep.Figures = append(rep.Figures, sweeps)
 		}
 	}
 	rep.Elapsed = time.Since(start)
@@ -183,14 +142,9 @@ func (r *Report) WriteMarkdown(w io.Writer) error {
 			p.printf("\n")
 		}
 	}
-	if len(r.Figure9) > 0 {
-		writeFigure("Figure 9 — effectiveness of the MOAS list", r.Figure9)
-	}
-	if len(r.Figure10) > 0 {
-		writeFigure("Figure 10 — topology-size comparison", r.Figure10)
-	}
-	if len(r.Figure11) > 0 {
-		writeFigure("Figure 11 — partial vs complete deployment", r.Figure11)
+	for i, sweeps := range r.Figures {
+		fig := &experiment.Figures[i]
+		writeFigure(fmt.Sprintf("Figure %d — %s", fig.Number, fig.Title), sweeps)
 	}
 	return p.err
 }

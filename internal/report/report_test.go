@@ -3,6 +3,8 @@ package report
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/experiment"
 )
 
 func TestRunSimulationOnly(t *testing.T) {
@@ -10,7 +12,6 @@ func TestRunSimulationOnly(t *testing.T) {
 		Seed:            42,
 		MaxAttackerPct:  10,
 		SkipMeasurement: true,
-		ColdStart:       true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -18,14 +19,24 @@ func TestRunSimulationOnly(t *testing.T) {
 	if rep.Summary != nil {
 		t.Error("measurement ran despite skip")
 	}
-	if len(rep.Figure9) != 2 || len(rep.Figure10) != 3 || len(rep.Figure11) != 2 {
-		t.Fatalf("sweep counts: %d/%d/%d", len(rep.Figure9), len(rep.Figure10), len(rep.Figure11))
+	// One sweep per panel of every figure in the table, in panel order.
+	if len(rep.Figures) != len(experiment.Figures) {
+		t.Fatalf("figures: %d, want %d", len(rep.Figures), len(experiment.Figures))
 	}
-	// Detection must beat normal BGP at every rendered point.
-	for _, res := range rep.Figure9 {
-		for _, pt := range res.Points {
-			if pt.MeanFalsePct[1] > pt.MeanFalsePct[0] {
-				t.Errorf("detection worse than normal at %d attackers", pt.NumAttackers)
+	for i, sweeps := range rep.Figures {
+		fig := &experiment.Figures[i]
+		if len(sweeps) != len(fig.Panels) {
+			t.Fatalf("Figure %d: %d sweeps, want %d", fig.Number, len(sweeps), len(fig.Panels))
+		}
+		for j, res := range sweeps {
+			if p := fig.Panels[j]; res.TopologyName != p.Topology || res.NumOrigins != p.Origins {
+				t.Errorf("Figure %d sweep %d is %s-AS/%d, want %+v", fig.Number, j, res.TopologyName, res.NumOrigins, p)
+			}
+			// Detection must beat normal BGP at every rendered point.
+			for _, pt := range res.Points {
+				if pt.MeanFalsePct[len(res.Modes)-1] > pt.MeanFalsePct[0] {
+					t.Errorf("Figure %d: detection worse than normal at %d attackers", fig.Number, pt.NumAttackers)
+				}
 			}
 		}
 	}
@@ -41,7 +52,7 @@ func TestRunSimulationOnly(t *testing.T) {
 		"Figure 10",
 		"Figure 11",
 		"46-AS topology",
-		"Full MOAS Detection",
+		"### 63-AS topology, 2 origin AS(es)",
 	} {
 		if !strings.Contains(md, want) {
 			t.Errorf("markdown missing %q", want)

@@ -53,7 +53,7 @@ const (
 	// never checked ("Normal BGP" curves).
 	ModeNormal Mode = iota + 1
 	// ModeDetect checks MOAS-list consistency and suppresses resolved
-	// false routes ("Full/Half MOAS Detection" curves).
+	// false routes (the full and half detection curves).
 	ModeDetect
 )
 

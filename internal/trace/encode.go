@@ -9,6 +9,7 @@ package trace
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"strconv"
 	"time"
 
@@ -192,6 +193,40 @@ func AppendBundleText(dst []byte, b *AlarmBundle) []byte {
 		dst = fmt.Appendf(dst, "  note:     %s\n", b.Note)
 	}
 	return dst
+}
+
+// WriteAlarmTable renders bundles as an aligned operator table: one
+// row per alarm with the detecting AS, the offending announcement's
+// provenance and the competing MOAS lists, followed by each bundle's
+// AppendBundleText forensics.
+func WriteAlarmTable(w io.Writer, bundles []AlarmBundle) error {
+	if len(bundles) == 0 {
+		_, err := fmt.Fprintln(w, "no MOAS alarms captured")
+		return err
+	}
+	fmt.Fprintf(w, "%-3s %-11s %-18s %-8s %-16s %-7s %-7s %-22s %s\n",
+		"id", "virtual", "prefix", "verdict", "class", "node", "origin", "lists (exist/recv)", "path")
+	for i := range bundles {
+		b := &bundles[i]
+		class := b.Class
+		if class == "" {
+			class = "-"
+		}
+		if _, err := fmt.Fprintf(w, "%-3d %-11s %-18s %-8s %-16s AS%-5d AS%-5d %-22s %v\n",
+			b.ID, fmt.Sprintf("%dms", b.VNanos/1e6), b.Prefix, b.Verdict, class, b.Node, b.Origin,
+			fmt.Sprintf("%v/%v", b.Existing, b.Received), b.Path); err != nil {
+			return err
+		}
+	}
+	fmt.Fprintln(w)
+	var buf []byte
+	for i := range bundles {
+		buf = AppendBundleText(buf[:0], &bundles[i])
+		if _, err := w.Write(buf); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // u16Set renders an AS set as {1, 2}; u16Seq renders a path as 1 2 3.

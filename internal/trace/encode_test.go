@@ -128,3 +128,44 @@ func TestAppendBundleText(t *testing.T) {
 		}
 	}
 }
+
+func TestWriteAlarmTable(t *testing.T) {
+	bundles := []AlarmBundle{
+		{
+			ID: 0, VNanos: 45_000_000, Node: 100, FromPeer: 7, Origin: 64999,
+			Prefix: "131.179.0.0/16", Verdict: "conflict", Class: "likely-hijack",
+			Existing: []uint32{65001}, Received: []uint32{64999}, Path: []uint32{7, 64999},
+		},
+		{ID: 1, Node: 101, Origin: 64999, Prefix: "131.179.0.0/16", Verdict: "conflict"},
+	}
+	var sb strings.Builder
+	if err := WriteAlarmTable(&sb, bundles); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(sb.String(), "\n")
+	for i, want := range [][]string{
+		{"id", "virtual", "verdict", "class", "lists (exist/recv)", "path"},
+		{"0", "45ms", "131.179.0.0/16", "conflict", "likely-hijack", "AS100", "AS64999", "[65001]/[64999]", "[7 64999]"},
+		{"1", "0ms", "conflict -", "AS101"},
+		{""},
+		{"alarm #0: MOAS conflict for 131.179.0.0/16 at AS100", "class:    likely-hijack"},
+	} {
+		line := lines[i]
+		if i == 4 {
+			line = strings.Join(lines[4:], "\n")
+		}
+		for _, w := range want {
+			if !strings.Contains(line, w) {
+				t.Errorf("line %d missing %q:\n%s", i, w, sb.String())
+			}
+		}
+	}
+
+	var empty strings.Builder
+	if err := WriteAlarmTable(&empty, nil); err != nil {
+		t.Fatal(err)
+	}
+	if empty.String() != "no MOAS alarms captured\n" {
+		t.Errorf("empty table: %q", empty.String())
+	}
+}
