@@ -13,7 +13,8 @@ FUZZ_TARGETS := \
 	./internal/routegen:FuzzReadBinaryDump \
 	./internal/mrt/rislive:FuzzRISLiveJSON \
 	./internal/mrt/rislive:FuzzDecodeMatchesJSON \
-	./internal/rpki:FuzzParseROAs
+	./internal/rpki:FuzzParseROAs \
+	./internal/dnsval:FuzzParseMOASRR
 FUZZTIME ?= 10s
 
 .PHONY: build test vet race e2e bench-smoke bench-test fuzz-smoke check

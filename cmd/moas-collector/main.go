@@ -1,31 +1,41 @@
-// Command moas-collector runs a Route-Views-style passive route
-// collector: it accepts BGP peerings on a listen address and archives
-// periodic table snapshots to a directory as MRT table dumps. With
-// -check, the off-line MOAS monitor checks every UPDATE from every
-// source once, as it arrives, and each alarm is logged — the §4.2
-// off-line deployment, live.
+// Command moas-collector is the off-line MOAS checking process of §4.2
+// and a Route-Views-style passive route collector.
 //
-// Two internet-scale ingest paths complement the TCP peerings, and
-// each implies -check: -mrt-replay feeds an archived MRT table dump /
-// update trace through the same session→RIB→alarm path (span IDs point
-// back at the archive records), and -ris-live consumes a
-// RIS-Live-style streaming JSON feed with a bounded channel and an
-// explicit backpressure policy.
+// It replays the MRT table dumps named as arguments (RouteViews/RIS
+// archives; plain, gzip or bzip2) in order through the off-line
+// monitor, one vantage "mrt:<path>" per file, and logs each alarm. A
+// run with no live source (-listen "" and no -ris-live) is replay-only:
+// it opens no listener, writes no snapshots, prints the MOAS cases
+// (valid or invalid against a -moasrr database of prefix=asn,asn
+// lines), the alarm count and classes and the alarms per prefix, then
+// exits, or with -metrics-addr serves its admin endpoint until
+// interrupted.
+//
+// A live run accepts BGP peerings on -listen, mirrors every source into
+// its RIB and archives periodic table snapshots to -dir. With -check
+// (implied by archives and by -ris-live, a RIS-Live-style streaming
+// JSON feed read through a bounded channel with a backpressure policy)
+// the monitor checks every UPDATE from every source once, as it
+// arrives — the §4.2 off-line deployment, live.
 package main
 
 import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"net"
 	"os"
 	"os/signal"
+	"strings"
 	"sync"
 	"syscall"
 	"time"
 
 	"repro/internal/collector"
+	"repro/internal/core"
+	"repro/internal/dnsval"
 	"repro/internal/monitor"
 	"repro/internal/mrt"
 	"repro/internal/mrt/rislive"
@@ -35,23 +45,36 @@ import (
 	"repro/internal/trace"
 )
 
+// rtrSyncTimeout bounds the wait for an RTR cache's first full sync:
+// archives are replayed only once the ROA store is complete.
+const rtrSyncTimeout = 30 * time.Second
+
 func main() {
 	var (
-		listen      = flag.String("listen", "127.0.0.1:1790", "address accepting BGP peerings")
+		listen      = flag.String("listen", "127.0.0.1:1790", `address accepting BGP peerings; "" opens none, and a run with neither a listener nor -ris-live is replay-only`)
 		dir         = flag.String("dir", "dumps", "snapshot output directory")
 		interval    = flag.Duration("interval", time.Minute, "snapshot interval")
 		check       = flag.Bool("check", false, "check every update from every source with the off-line MOAS monitor and log each alarm")
 		metricsAddr = flag.String("metrics-addr", "", "admin endpoint address serving /metrics, /healthz, /readyz, /debug/status and /debug/runtime")
 		traceEvents = flag.Int("trace-events", 0, "flight-recorder ring size; nonzero serves /debug/trace and /debug/alarms on the admin endpoint")
 		pprof       = flag.Bool("pprof", false, "mount net/http/pprof on the admin endpoint")
-		mrtReplay   = flag.String("mrt-replay", "", "MRT file (raw, .gz or .bz2) to replay through the RIB and monitor at startup (implies -check)")
 		risLive     = flag.String("ris-live", "", "RIS-Live streaming JSON endpoint to ingest (implies -check)")
 		risBuffer   = flag.Int("ris-buffer", rislive.DefaultBuffer, "bounded-channel capacity for -ris-live")
 		risPolicy   = flag.String("ris-policy", "block", "backpressure policy for -ris-live: block or drop")
 		roaFile     = flag.String("roa-file", "", "ROA file (prefix=origin[@maxlen],...) cross-validating monitor alarms against the RPKI")
-		rtrAddr     = flag.String("rtr-addr", "", "RTR-style cache server keeping the ROA store synchronized")
+		rtrAddr     = flag.String("rtr-addr", "", "RTR-style cache server keeping the ROA store synchronized; archives are replayed once it has synced")
+		moasrr      = flag.String("moasrr", "", "MOASRR database file (prefix=asn,asn lines) marking each MOAS case in a replay-only run's report valid or invalid")
 	)
 	flag.Parse()
+	live := *listen != "" || *risLive != ""
+	if !live && flag.NArg() == 0 {
+		fmt.Fprintln(os.Stderr, `usage: moas-collector [flags] [dump.mrt ...]; a run with -listen "" and no -ris-live needs a dump to replay`)
+		os.Exit(2)
+	}
+	if live && *moasrr != "" {
+		fmt.Fprintln(os.Stderr, `usage: moas-collector: -moasrr marks a replay-only run's report; it needs -listen "" and no -ris-live`)
+		os.Exit(2)
+	}
 	if *traceEvents < 0 {
 		fmt.Fprintln(os.Stderr, "moas-collector: negative -trace-events")
 		os.Exit(1)
@@ -69,12 +92,14 @@ func main() {
 		metricsAddr: *metricsAddr,
 		traceEvents: *traceEvents,
 		pprof:       *pprof,
-		mrtReplay:   *mrtReplay,
+		archives:    flag.Args(),
 		risLive:     *risLive,
 		risBuffer:   *risBuffer,
 		risPolicy:   policy,
 		roaFile:     *roaFile,
 		rtrAddr:     *rtrAddr,
+		moasrr:      *moasrr,
+		report:      os.Stdout,
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	err = run(ctx, cfg)
@@ -93,18 +118,27 @@ type runConfig struct {
 	metricsAddr string
 	traceEvents int
 	pprof       bool
-	mrtReplay   string
+	archives    []string
 	risLive     string
 	risBuffer   int
 	risPolicy   rislive.Policy
 	roaFile     string
 	rtrAddr     string
+	moasrr      string
+	// report receives a replay-only run's report.
+	report io.Writer
 }
 
-// run serves until ctx is canceled, then writes a final snapshot.
+// replayFunc is Monitor.ReplayMRTFunc or Collector.ReplayMRT.
+type replayFunc func(vantage string, r io.Reader, hook func(*mrt.Record)) (monitor.ReplayResult, error)
+
+// run replays the archives, then either reports and returns (a
+// replay-only run) or serves until ctx is canceled and writes a final
+// snapshot.
 func run(ctx context.Context, cfg runConfig) error {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
+	live := cfg.listen != "" || cfg.risLive != ""
 	reg := telemetry.NewRegistry("moas")
 	telemetry.RegisterBuildInfo(reg)
 	var rec *trace.Recorder
@@ -118,8 +152,8 @@ func run(ctx context.Context, cfg runConfig) error {
 	obsRec := obs.NewRecorder()
 	ready := &telemetry.Readiness{}
 	var replay *obs.Progress
-	if cfg.mrtReplay != "" {
-		// A collector still replaying its archive serves a partial
+	if len(cfg.archives) > 0 {
+		// A collector still replaying its archives serves a partial
 		// table; hold readiness until the replay lands.
 		replay = &obs.Progress{}
 		ready.Register("mrt-replay", replay.Done, "replay not finished")
@@ -153,18 +187,35 @@ func run(ctx context.Context, cfg runConfig) error {
 		ready.Register("rtr", rtr.Synced, "cache not synced")
 	}
 
-	// The collector owns the monitor, which checks every UPDATE from
-	// every source once, as it arrives.
-	ccfg := collector.Config{RouterID: 6447, Telemetry: reg, Trace: rec, Obs: obsRec}
-	if cfg.check || cfg.mrtReplay != "" || cfg.risLive != "" {
-		ccfg.Monitor = monitor.New(monitor.WithTelemetry(reg), monitor.WithObs(obsRec),
+	// The monitor checks every UPDATE from every source once, as it
+	// arrives. A live run's collector owns it and mirrors every source
+	// into its RIB; a replay-only run keeps no RIB.
+	var mon *monitor.Monitor
+	if !live || cfg.check || len(cfg.archives) > 0 || cfg.risLive != "" {
+		opts := []monitor.Option{monitor.WithTelemetry(reg), monitor.WithObs(obsRec),
 			monitor.WithTrace(rec), monitor.WithRPKI(roaStore),
 			monitor.WithOnAlarm(func(a monitor.Alarm) {
 				log.Printf("ALARM [%s] class=%s: %s", a.Vantage, a.Class, a.Conflict.Error())
-			}))
+			})}
+		if cfg.moasrr != "" {
+			f, err := os.Open(cfg.moasrr)
+			if err != nil {
+				return err
+			}
+			db, err := dnsval.Parse(f)
+			f.Close()
+			if err != nil {
+				return fmt.Errorf("%s: %w", cfg.moasrr, err)
+			}
+			opts = append(opts, monitor.WithResolver(db))
+		}
+		mon = monitor.New(opts...)
 	}
-	c := collector.New(ccfg)
-	defer c.Close()
+	var c *collector.Collector
+	if live {
+		c = collector.New(collector.Config{RouterID: 6447, Telemetry: reg, Trace: rec, Obs: obsRec, Monitor: mon})
+		defer c.Close()
+	}
 
 	if cfg.metricsAddr != "" {
 		admin, err := obs.Serve(cfg.metricsAddr, obs.SurfaceConfig{
@@ -181,31 +232,13 @@ func run(ctx context.Context, cfg runConfig) error {
 		defer admin.Close()
 		log.Printf("moas-collector: metrics at http://%s/metrics", admin.Addr())
 	}
-	ln, err := net.Listen("tcp", cfg.listen)
-	if err != nil {
-		return err
-	}
-	c.Listen(ln)
-	log.Printf("moas-collector: AS %d listening on %s", collector.CollectorASN, ln.Addr())
-
-	if cfg.mrtReplay != "" {
-		f, err := os.Open(cfg.mrtReplay)
+	if cfg.listen != "" {
+		ln, err := net.Listen("tcp", cfg.listen)
 		if err != nil {
 			return err
 		}
-		if fi, err := f.Stat(); err == nil {
-			replay.SetTotalBytes(uint64(fi.Size()))
-		}
-		start := time.Now()
-		res, err := c.ReplayMRT("mrt:"+cfg.mrtReplay, replay.CountReader(f), func(*mrt.Record) { replay.AddRecords(1) })
-		f.Close()
-		if err != nil {
-			return fmt.Errorf("replay %s: %w", cfg.mrtReplay, err)
-		}
-		replay.MarkDone()
-		log.Printf("moas-collector: replayed %s in %s: %d records (%d RIB prefixes, %d entries, %d updates), %d skipped, %d malformed, %d AS4-substituted",
-			cfg.mrtReplay, time.Since(start).Round(time.Millisecond), res.Stats.Records, res.Stats.RIBPrefixes,
-			res.Stats.RIBEntries, res.Stats.Updates, res.Stats.Skipped, res.Malformed, res.Stats.AS4Substituted)
+		c.Listen(ln)
+		log.Printf("moas-collector: AS %d listening on %s", collector.CollectorASN, ln.Addr())
 	}
 
 	// Every goroutine started below is joined before run returns, and
@@ -224,6 +257,36 @@ func run(ctx context.Context, cfg runConfig) error {
 		}()
 		log.Printf("moas-collector: syncing ROAs from RTR cache %s", cfg.rtrAddr)
 	}
+	if len(cfg.archives) > 0 {
+		if rtr != nil {
+			if err := waitSynced(ctx, rtr); err != nil {
+				if ctx.Err() != nil {
+					return nil // interrupted while waiting
+				}
+				return fmt.Errorf("rtr cache %s: %w", cfg.rtrAddr, err)
+			}
+		}
+		// A live run counts replayed records as they pass through the
+		// collector's RIB mirror; a monitor-only replay has no such seam
+		// and counts them per archive.
+		replayMRT := replayFunc(mon.ReplayMRTFunc)
+		var hook func(*mrt.Record)
+		if c != nil {
+			replayMRT, hook = c.ReplayMRT, func(*mrt.Record) { replay.AddRecords(1) }
+		}
+		if err := replayArchives(replayMRT, hook, cfg.archives, replay); err != nil {
+			return err
+		}
+	}
+	if !live {
+		writeReport(cfg.report, mon, roaStore != nil, len(cfg.archives))
+		if cfg.metricsAddr != "" {
+			log.Printf("moas-collector: replay done, serving the admin endpoint until interrupted")
+			<-ctx.Done()
+		}
+		return nil
+	}
+
 	if stage != nil {
 		wg.Add(2)
 		go func() {
@@ -261,4 +324,93 @@ func run(ctx context.Context, cfg runConfig) error {
 		log.Println("moas-collector: wrote", name)
 	}
 	return nil
+}
+
+// waitSynced polls the RTR client until its first full sync lands,
+// failing after rtrSyncTimeout, or returns ctx.Err() if ctx ends first.
+func waitSynced(ctx context.Context, rtr *rpki.Client) error {
+	deadline := time.NewTimer(rtrSyncTimeout)
+	defer deadline.Stop()
+	for !rtr.Synced() {
+		select {
+		case <-ctx.Done():
+			return ctx.Err()
+		case <-deadline.C:
+			return fmt.Errorf("no full sync within %s", rtrSyncTimeout)
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	return nil
+}
+
+// replayArchives replays each MRT archive in order under the vantage
+// "mrt:"+path, passing hook (which may be nil) to replayMRT and
+// counting bytes into progress (which may be nil). With a nil hook,
+// each archive's decoded records are added to progress once it is
+// done. Records whose bodies fail to decode are skipped and logged; a
+// broken record framing aborts.
+func replayArchives(replayMRT replayFunc, hook func(*mrt.Record), paths []string, progress *obs.Progress) error {
+	var total uint64
+	for _, path := range paths {
+		if fi, err := os.Stat(path); err == nil {
+			total += uint64(fi.Size())
+		}
+	}
+	progress.SetTotalBytes(total)
+	for _, path := range paths {
+		f, err := os.Open(path)
+		if err != nil {
+			return err
+		}
+		start := time.Now()
+		res, err := replayMRT("mrt:"+path, progress.CountReader(f), hook)
+		f.Close()
+		if err != nil {
+			return fmt.Errorf("replay %s: %w", path, err)
+		}
+		if hook == nil {
+			progress.AddRecords(res.Stats.Records - res.Stats.Skipped)
+		}
+		log.Printf("moas-collector: replayed %s in %s: %d records (%d RIB prefixes, %d entries, %d updates), %d skipped, %d malformed, %d AS4-substituted",
+			path, time.Since(start).Round(time.Millisecond), res.Stats.Records, res.Stats.RIBPrefixes,
+			res.Stats.RIBEntries, res.Stats.Updates, res.Stats.Skipped, res.Malformed, res.Stats.AS4Substituted)
+	}
+	progress.MarkDone()
+	return nil
+}
+
+// writeReport prints a replay-only run's findings: every multi-origin
+// case (marked valid or invalid when the MOASRR database has a record
+// for it), the alarm count with its ROV classes when a ROA source is
+// set, and the alarms grouped by prefix.
+func writeReport(w io.Writer, m *monitor.Monitor, classes bool, dumps int) {
+	cases := m.MOASCases()
+	fmt.Fprintf(w, "%d MOAS cases across %d dump(s)\n", len(cases), dumps)
+	for _, c := range cases {
+		status := ""
+		if c.Known {
+			status = " [valid]"
+			if c.Invalid {
+				status = " [INVALID]"
+			}
+		}
+		fmt.Fprintf(w, "  %s origins %s%s\n", c.Prefix, core.NewList(c.Origins...), status)
+	}
+
+	alarms := m.Alarms()
+	fmt.Fprintf(w, "%d MOAS-list alarm(s)\n", len(alarms))
+	if classes {
+		var byClass [rpki.NumClasses]int
+		for _, a := range alarms {
+			byClass[a.Class]++
+		}
+		fmt.Fprintf(w, "  classes: %d %s, %d %s, %d %s\n",
+			byClass[rpki.ClassBenignMOAS], rpki.ClassBenignMOAS,
+			byClass[rpki.ClassLikelyMisconfig], rpki.ClassLikelyMisconfig,
+			byClass[rpki.ClassLikelyHijack], rpki.ClassLikelyHijack)
+	}
+	for _, g := range m.AlarmSummary() {
+		fmt.Fprintf(w, "  %s: %d alarm(s), conflicting origins %s via %s\n",
+			g.Prefix, g.Count, core.NewList(g.Origins...), strings.Join(g.Vantages, ", "))
+	}
 }

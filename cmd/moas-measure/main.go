@@ -2,7 +2,7 @@
 // the synthetic RouteViews dump series: the daily MOAS case counts of
 // Figure 4, the case-duration histogram of Figure 5, and the §3 summary
 // statistics. With -emit-dumps it instead writes daily MRT table dumps
-// (dump-YYYY-MM-DD.mrt), which -mrt measures and cmd/moas-monitor
+// (dump-YYYY-MM-DD.mrt), which -mrt measures and cmd/moas-collector
 // checks like any RouteViews archive.
 package main
 

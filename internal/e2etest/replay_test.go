@@ -64,7 +64,7 @@ func TestMRTReplayForensics(t *testing.T) {
 	reg := telemetry.NewRegistry("moas")
 	rec := trace.NewRecorder(256)
 	mon := monitor.New(monitor.WithTelemetry(reg), monitor.WithTrace(rec))
-	res, err := mon.ReplayMRT("mrt:test-archive", bytes.NewReader(archive.Bytes()))
+	res, err := mon.ReplayMRTFunc("mrt:test-archive", bytes.NewReader(archive.Bytes()), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,20 +23,16 @@ type ReplayResult struct {
 	Malformed uint64
 }
 
-// ReplayMRT streams the MRT archive in r through the monitor: RIB
+// ReplayMRTFunc streams the MRT archive in r through the monitor: RIB
 // entries and announced NLRI become ObserveEntryStamp calls, update
 // withdrawals retract state, and every announcement carries the span
 // of the record it came from. Malformed records are skipped and
 // counted; a terminal framing error aborts with the partial result.
-func (m *Monitor) ReplayMRT(vantage string, r io.Reader) (ReplayResult, error) {
-	return m.ReplayMRTFunc(vantage, r, nil)
-}
-
-// ReplayMRTFunc is ReplayMRT with a hook that sees every successfully
-// decoded record before the monitor ingests it — the seam callers use
-// to mirror the replay into a second consumer (the collector RIB, a
-// progress meter). The record aliases reader scratch; the hook must not
-// retain it.
+//
+// The hook, when non-nil, sees every successfully decoded record
+// before the monitor ingests it — the seam callers use to mirror the
+// replay into a second consumer (the collector RIB, a progress meter).
+// The record aliases reader scratch; the hook must not retain it.
 func (m *Monitor) ReplayMRTFunc(vantage string, r io.Reader, hook func(*mrt.Record)) (ReplayResult, error) {
 	var res ReplayResult
 	rd, err := mrt.NewReader(r)

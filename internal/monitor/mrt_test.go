@@ -46,7 +46,7 @@ func TestReplayStagesEveryEntry(t *testing.T) {
 
 	rec := obs.NewRecorder()
 	m := New(WithObs(rec))
-	if _, err := m.ReplayMRT("mrt:stages", bytes.NewReader(archive.Bytes())); err != nil {
+	if _, err := m.ReplayMRTFunc("mrt:stages", bytes.NewReader(archive.Bytes()), nil); err != nil {
 		t.Fatal(err)
 	}
 	if got := len(m.Alarms()); got != 1 {

@@ -17,10 +17,10 @@ import (
 //	# comments and blank lines are ignored
 //	131.179.0.0/16=65001@24,65002
 //
-// The shape mirrors the moas-monitor MOASRR file (prefix=asn,asn); an
-// origin is a 32-bit AS number, and the optional @maxlen extends an
-// authorization to more-specifics. A missing maxlen authorizes exactly
-// the stated prefix.
+// The shape mirrors the MOASRR database that dnsval.Parse reads
+// (prefix=asn,asn); an origin is a 32-bit AS number, and the optional
+// @maxlen extends an authorization to more-specifics. A missing maxlen
+// authorizes exactly the stated prefix.
 func Parse(r io.Reader) ([]ROA, error) {
 	var out []ROA
 	sc := bufio.NewScanner(r)

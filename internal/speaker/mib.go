@@ -122,7 +122,7 @@ func (s *Speaker) MIB() MIB {
 }
 
 // ServeHTTP serves the MIB snapshot as JSON, so an external management
-// application (or cmd/moas-monitor in a future mode) can poll it.
+// application (cmd/moas-mib-check) can poll it.
 func (s *Speaker) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)
