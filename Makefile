@@ -48,7 +48,7 @@ bench-smoke:
 	$(GO) test -run='^$$' -bench='^(BenchmarkWire|BenchmarkRIB|BenchmarkTelemetry|BenchmarkEngineEvents|BenchmarkTrace|BenchmarkMRT|BenchmarkROV|BenchmarkObs|BenchmarkRISLive)' \
 		-benchtime=1x -benchmem ./internal/wire/ ./internal/rib/ ./internal/telemetry/ ./internal/sim/ ./internal/trace/ ./internal/mrt/ ./internal/mrt/rislive/ ./internal/rpki/ ./internal/obs/
 	$(GO) test -run='^$$' -benchtime=1x -benchmem \
-		-bench='^(BenchmarkFigure(9|10|11)[A-Za-z]*|BenchmarkMeasureStudy(Baseline)?)$$' .
+		-bench='^(BenchmarkFigure(9|10|11)[A-Za-z]*|BenchmarkMeasureStudy(Baseline)?)$$' . ./internal/measure/
 	$(GO) test -run='^$$' -benchtime=1x -benchmem \
 		-bench='^BenchmarkSimScaleConverge1k(Baseline)?$$' ./internal/simbgp/
 

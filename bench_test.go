@@ -15,7 +15,6 @@ package repro
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"testing"
 
@@ -141,52 +140,6 @@ func BenchmarkFigure11PartialDeployment(b *testing.B) { benchFigure(b, 11, false
 
 // BenchmarkFigure11PartialDeploymentBaseline disables network pooling.
 func BenchmarkFigure11PartialDeploymentBaseline(b *testing.B) { benchFigure(b, 11, true) }
-
-// BenchmarkMeasureStudy runs the full §3 measurement study — 1279
-// daily dumps generated by a bounded worker pool, observed in day
-// order by the flat accumulator — and reports the headline case count.
-func BenchmarkMeasureStudy(b *testing.B) {
-	g, err := routegen.New(routegen.DefaultConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	var summary measure.Summary
-	for i := 0; i < b.N; i++ {
-		a, err := measure.RunParallel(g, runtime.GOMAXPROCS(0))
-		if err != nil {
-			b.Fatal(err)
-		}
-		summary = a.Summarize()
-	}
-	b.ReportMetric(float64(summary.TotalCases), "total-cases")
-}
-
-// BenchmarkMeasureStudyBaseline is the pre-optimization pipeline: one
-// freshly allocated dump per day, observed serially through the
-// map-of-maps accumulator.
-func BenchmarkMeasureStudyBaseline(b *testing.B) {
-	g, err := routegen.New(routegen.DefaultConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	var summary measure.Summary
-	for i := 0; i < b.N; i++ {
-		a := measure.NewAnalysis()
-		for day := 0; day < g.Days(); day++ {
-			d, err := g.DumpForDay(day)
-			if err != nil {
-				b.Fatal(err)
-			}
-			a.ObserveBaseline(d)
-		}
-		summary = a.Summarize()
-	}
-	b.ReportMetric(float64(summary.TotalCases), "total-cases")
-}
 
 // Microbenchmarks of the hot paths.
 

@@ -2,6 +2,7 @@ package main
 
 import (
 	"io"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -64,6 +65,22 @@ func TestRunParallelismFlag(t *testing.T) {
 	s.sweep.Parallelism = 2
 	if err := run(io.Discard, s); err != nil {
 		t.Fatalf("parallelism 2: %v", err)
+	}
+}
+
+// TestRunRejectsNonPositiveMaxPct: a -max-attacker-pct that is not > 0
+// selects no attacker count, so the run is an error rather than a
+// one-attacker sweep.
+func TestRunRejectsNonPositiveMaxPct(t *testing.T) {
+	for _, pct := range []float64{-5, 0, math.NaN()} {
+		for exp := 1; exp <= 3; exp++ {
+			s := small(exp, 0)
+			s.maxPct = pct
+			var out strings.Builder
+			if err := run(&out, s); err == nil {
+				t.Errorf("-experiment %d -max-attacker-pct %v accepted; printed:\n%s", exp, pct, out.String())
+			}
+		}
 	}
 }
 

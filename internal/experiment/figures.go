@@ -87,10 +87,13 @@ var Figures = []Figure{
 // Sweeps returns the figure's sweeps for the panels with origins origin
 // ASes (0 selects every panel), in panel order: each panel's topology
 // from set, its attacker counts from one AS up to maxPct percent of it,
-// the figure's modes, seed and cold start. It is an error when origins
-// selects no panel. Callers may change the returned configs' remaining
-// knobs before running them.
+// the figure's modes, seed and cold start. It is an error when maxPct
+// is not positive or when origins selects no panel. Callers may change
+// the returned configs' remaining knobs before running them.
 func (f *Figure) Sweeps(set *topology.PaperSet, origins int, seed int64, maxPct float64) ([]SweepConfig, error) {
+	if !(maxPct > 0) {
+		return nil, fmt.Errorf("experiment: largest attacker percentage %v must be > 0", maxPct)
+	}
 	var cfgs []SweepConfig
 	for _, p := range f.Panels {
 		if origins != 0 && p.Origins != origins {

@@ -89,7 +89,7 @@ func NewAnalysis() *Analysis {
 // Observe ingests one day's dump. The per-day origin grouping uses a
 // flat accumulator (one index map plus a slot slice, both reused
 // across days) rather than a freshly built map of maps; results are
-// identical to ObserveBaseline.
+// identical to the map-of-maps baseline the package tests keep.
 func (a *Analysis) Observe(d *routegen.Dump) {
 	a.beginDay()
 	for _, e := range d.Entries {
@@ -142,37 +142,6 @@ func (a *Analysis) endDay(day int, date time.Time) {
 		}
 	}
 	a.daily = append(a.daily, DailyCount{Day: day, Date: date, Cases: cases})
-}
-
-// ObserveBaseline is the pre-optimization Observe, kept as the
-// benchmark baseline: it rebuilds a map-of-maps every day.
-func (a *Analysis) ObserveBaseline(d *routegen.Dump) {
-	origins := make(map[astypes.Prefix]map[astypes.ASN]struct{})
-	for _, e := range d.Entries {
-		origin, ok := e.Path.Origin()
-		if !ok {
-			continue
-		}
-		set, ok := origins[e.Prefix]
-		if !ok {
-			set = make(map[astypes.ASN]struct{}, 2)
-			origins[e.Prefix] = set
-		}
-		set[origin] = struct{}{}
-	}
-	cases := 0
-	for prefix, set := range origins {
-		if len(set) < 2 {
-			continue
-		}
-		cases++
-		a.durationDays[prefix]++
-		a.originSizes.Add(len(set))
-		if len(set) > a.maxOrigins[prefix] {
-			a.maxOrigins[prefix] = len(set)
-		}
-	}
-	a.daily = append(a.daily, DailyCount{Day: d.Day, Date: d.Date, Cases: cases})
 }
 
 // Daily returns the Figure 4 series in observation order.

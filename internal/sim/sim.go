@@ -12,9 +12,9 @@
 // flexible API used for setup and one-off actions; each costs one
 // closure allocation. Typed events (ScheduleTyped) are a compact
 // kind-plus-payload struct dispatched through the engine's Dispatcher —
-// the steady-state form used by simbgp for message delivery and timer
-// fires, which allocates nothing once the queue has grown to its
-// high-water capacity.
+// the steady-state form simbgp uses for message delivery, which
+// allocates nothing once the queue has grown to its high-water
+// capacity.
 package sim
 
 import (
@@ -88,27 +88,10 @@ type Engine struct {
 // converges in well under this.
 const DefaultEventLimit = 50_000_000
 
-// EngineOption configures an Engine.
-type EngineOption interface {
-	apply(*Engine)
-}
-
-type eventLimitOption uint64
-
-func (o eventLimitOption) apply(e *Engine) { e.eventLimit = uint64(o) }
-
-// WithEventLimit overrides the per-run event budget.
-func WithEventLimit(limit uint64) EngineOption {
-	return eventLimitOption(limit)
-}
-
-// NewEngine returns an engine at virtual time zero.
-func NewEngine(opts ...EngineOption) *Engine {
-	e := &Engine{eventLimit: DefaultEventLimit}
-	for _, o := range opts {
-		o.apply(e)
-	}
-	return e
+// NewEngine returns an engine at virtual time zero with the default
+// event budget; SetEventLimit changes it.
+func NewEngine() *Engine {
+	return &Engine{eventLimit: DefaultEventLimit}
 }
 
 // SetDispatcher attaches the executor for typed events.
@@ -239,24 +222,6 @@ func (e *Engine) Run() error {
 		e.now = ev.at
 		e.processed++
 		e.fire(&ev)
-	}
-	return nil
-}
-
-// RunUntil executes events with virtual timestamps <= deadline, leaving
-// later events queued. It returns ErrEventLimit if the budget runs out.
-func (e *Engine) RunUntil(deadline time.Duration) error {
-	for len(e.queue) > 0 && e.queue[0].at <= deadline {
-		if e.processed >= e.eventLimit {
-			return fmt.Errorf("%w: %d events, virtual time %s", ErrEventLimit, e.processed, e.now)
-		}
-		ev := e.pop()
-		e.now = ev.at
-		e.processed++
-		e.fire(&ev)
-	}
-	if e.now < deadline {
-		e.now = deadline
 	}
 	return nil
 }

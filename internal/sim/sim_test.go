@@ -80,7 +80,8 @@ func TestNegativeDelayClampsToNow(t *testing.T) {
 }
 
 func TestEventLimit(t *testing.T) {
-	e := NewEngine(WithEventLimit(100))
+	e := NewEngine()
+	e.SetEventLimit(100)
 	var bomb func()
 	bomb = func() { e.Schedule(time.Millisecond, bomb) }
 	e.Schedule(0, bomb)
@@ -90,40 +91,9 @@ func TestEventLimit(t *testing.T) {
 	}
 }
 
-func TestRunUntil(t *testing.T) {
-	e := NewEngine()
-	var got []int
-	e.Schedule(10*time.Millisecond, func() { got = append(got, 1) })
-	e.Schedule(30*time.Millisecond, func() { got = append(got, 2) })
-	if err := e.RunUntil(20 * time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 1 {
-		t.Fatalf("RunUntil executed %v", got)
-	}
-	if e.Now() != 20*time.Millisecond {
-		t.Errorf("Now = %v, want deadline", e.Now())
-	}
-	if e.Pending() != 1 {
-		t.Errorf("Pending = %d", e.Pending())
-	}
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 || e.Now() != 30*time.Millisecond {
-		t.Errorf("after Run: got=%v now=%v", got, e.Now())
-	}
-}
-
 func TestRunOnEmptyQueue(t *testing.T) {
 	e := NewEngine()
 	if err := e.Run(); err != nil {
 		t.Errorf("Run on empty queue: %v", err)
-	}
-	if err := e.RunUntil(time.Second); err != nil {
-		t.Errorf("RunUntil on empty queue: %v", err)
-	}
-	if e.Now() != time.Second {
-		t.Errorf("RunUntil should advance the clock to the deadline; now=%v", e.Now())
 	}
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 	"time"
@@ -108,7 +109,8 @@ func TestHeapOrderRandomized(t *testing.T) {
 }
 
 func TestReset(t *testing.T) {
-	e := NewEngine(WithEventLimit(123))
+	e := NewEngine()
+	e.SetEventLimit(123)
 	rec := &recorder{}
 	e.SetDispatcher(rec)
 	e.Schedule(time.Millisecond, func() {})
@@ -133,6 +135,13 @@ func TestReset(t *testing.T) {
 	}
 	if e.Now() != 2*time.Millisecond {
 		t.Errorf("post-Reset Now = %v", e.Now())
+	}
+	e.Reset()
+	for i := 0; i < 124; i++ {
+		e.Schedule(0, func() {})
+	}
+	if err := e.Run(); !errors.Is(err, ErrEventLimit) {
+		t.Errorf("event limit 123 not retained across Reset: err = %v", err)
 	}
 }
 

@@ -2,10 +2,10 @@ package simbgp
 
 import (
 	"testing"
-	"time"
 
 	"repro/internal/astypes"
 	"repro/internal/core"
+	"repro/internal/rib"
 	"repro/internal/topology"
 )
 
@@ -55,18 +55,7 @@ func TestResetMatchesFreshNetwork(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := reused.Originate(4, victim, core.NewList(4)); err != nil {
-		t.Fatal(err)
-	}
-	if err := reused.FailLink(2, 3); err != nil {
-		t.Fatal(err)
-	}
-	if err := reused.SetStripMOAS(3, true); err != nil {
-		t.Fatal(err)
-	}
-	if err := reused.Run(); err != nil {
-		t.Fatal(err)
-	}
+	dirtyNetwork(t, reused)
 	node3 := reused.Node(3)
 	if err := reused.Reset(cfg); err != nil {
 		t.Fatal(err)
@@ -77,13 +66,48 @@ func TestResetMatchesFreshNetwork(t *testing.T) {
 	if reused.MessageCount() != 0 || reused.Engine().Now() != 0 {
 		t.Fatalf("Reset left msgCount=%d now=%v", reused.MessageCount(), reused.Engine().Now())
 	}
-	if reused.LinkFailed(2, 3) {
-		t.Fatal("Reset left link failed")
+	if reused.Node(2).AlarmCount() != 0 || reused.Node(2).Mode() != ModeNormal {
+		t.Fatal("Reset left node state behind")
 	}
 	gotRIB, gotFwd, gotMsgs := runAttackScenario(t, reused)
 	if gotRIB != wantRIB || gotFwd != wantFwd || gotMsgs != wantMsgs {
 		t.Errorf("reset run diverged:\n rib  %+v vs %+v\n fwd  %+v vs %+v\n msgs %d vs %d",
 			gotRIB, wantRIB, gotFwd, wantFwd, gotMsgs, wantMsgs)
+	}
+}
+
+// dirtyNetwork runs a scenario unlike runAttackScenario on the line
+// 1-2-3-4-5 with the 2-5 chord, leaving behind every kind of per-run
+// state Reset must clear: a stripping node, node modes, alarms and a
+// resolved prefix from an attack, and the adjacency state of a
+// withdrawal.
+func dirtyNetwork(t *testing.T, n *Network) {
+	t.Helper()
+	for _, asn := range []astypes.ASN{2, 3} {
+		if err := n.SetMode(asn, ModeDetect); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := n.SetStripMOAS(3, true); err != nil {
+		t.Fatal(err)
+	}
+	if err := n.Originate(4, victim, core.NewList(4)); err != nil {
+		t.Fatal(err)
+	}
+	if err := n.OriginateInvalid(5, victim, core.NewList(5)); err != nil {
+		t.Fatal(err)
+	}
+	if err := n.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if err := n.Withdraw(4, victim); err != nil {
+		t.Fatal(err)
+	}
+	if err := n.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if n.Node(2).AlarmCount() == 0 {
+		t.Fatal("dirtying scenario raised no alarm at AS 2")
 	}
 }
 
@@ -103,36 +127,62 @@ func TestResetRejectsForeignTopology(t *testing.T) {
 }
 
 func TestResetSwapsRunConfig(t *testing.T) {
-	// MRAI, relations, and event limit are per-run settings: a Reset
-	// must apply the new values, not echo the old ones.
-	g := lineTopology(1, 2, 3, 4)
-	n, err := NewNetwork(Config{Topology: g, MRAI: 30 * time.Second})
+	// Relations and the resolver are per-run settings: a Reset must
+	// apply the new values, not echo the old ones. On the line 1-2-3,
+	// AS 2 is a customer of both 1 and 3.
+	g := lineTopology(1, 2, 3)
+	rel := topology.NewRelations()
+	rel.Set(1, 2, topology.RelProvider)
+	rel.Set(3, 2, topology.RelProvider)
+	n, err := NewNetwork(Config{Topology: g, Relations: rel})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n.Node(1).mraiInterval != 30*time.Second {
-		t.Fatal("MRAI not enabled")
+	// scenario runs AS 2 in detection mode: 1 originates, then 3 attacks.
+	// It returns 3's best route before the attack and 2's after it.
+	scenario := func() (before3, after2 *rib.Route) {
+		t.Helper()
+		if err := n.SetMode(2, ModeDetect); err != nil {
+			t.Fatal(err)
+		}
+		if err := n.Originate(1, victim, core.List{}); err != nil {
+			t.Fatal(err)
+		}
+		if err := n.Run(); err != nil {
+			t.Fatal(err)
+		}
+		before3 = n.Node(3).Best(victim)
+		if err := n.OriginateInvalid(3, victim, core.List{}); err != nil {
+			t.Fatal(err)
+		}
+		if err := n.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return before3, n.Node(2).Best(victim)
 	}
-	if err := n.Reset(Config{Topology: g, EventLimit: 3}); err != nil {
+
+	// Valley-free and no resolver: 2 does not export its provider 1's
+	// route to its other provider 3, and with the conflict unresolvable
+	// it rejects 3's route as the newcomer.
+	before3, after2 := scenario()
+	if before3 != nil {
+		t.Errorf("AS 3 under valley-free: best %+v, want no route", before3)
+	}
+	if after2 == nil || after2.OriginAS() != 1 {
+		t.Errorf("AS 2 with no resolver: best %+v, want origin 1", after2)
+	}
+
+	// Flooding and a resolver naming 3: 2 passes 1's route on to 3, and
+	// resolves the conflict in 3's favour.
+	if err := n.Reset(Config{Topology: g, Resolver: resolverFor(core.NewList(3))}); err != nil {
 		t.Fatal(err)
 	}
-	if n.Node(1).mraiInterval != 0 || n.Node(1).mrai != nil {
-		t.Error("Reset kept stale MRAI state")
+	before3, after2 = scenario()
+	if before3 == nil || before3.OriginAS() != 1 {
+		t.Errorf("AS 3 after Reset without relations: best %+v, want 1's route", before3)
 	}
-	if err := n.Originate(1, victim, core.List{}); err != nil {
-		t.Fatal(err)
-	}
-	if err := n.Run(); err == nil {
-		t.Error("EventLimit=3 should trip on a 4-node line")
-	}
-	if err := n.Reset(Config{Topology: g}); err != nil {
-		t.Fatal(err)
-	}
-	if err := n.Originate(1, victim, core.List{}); err != nil {
-		t.Fatal(err)
-	}
-	if err := n.Run(); err != nil {
-		t.Errorf("default event limit should be restored: %v", err)
+	if after2 == nil || after2.OriginAS() != 3 {
+		t.Errorf("AS 2 after Reset with a resolver: best %+v, want origin 3", after2)
 	}
 }
 

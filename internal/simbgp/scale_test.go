@@ -118,7 +118,7 @@ func TestResetAllocsConstant10k(t *testing.T) {
 	}
 	valid := core.NewList(1)
 	net, res := powerLawNet(t, 10_000, 7, valid)
-	cfg := Config{Topology: res.Graph, Resolver: resolverFor(valid), MRAI: 30 * time.Second}
+	cfg := Config{Topology: res.Graph, Resolver: resolverFor(valid)}
 	origin, attacker := scaleScenario(res)
 	dirty := func() {
 		if err := net.Reset(cfg); err != nil {
@@ -204,16 +204,36 @@ func TestResetMatchesFreshAtScale10k(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Dirty the reused network with an unrelated scenario first.
-	other := res.StubASes()[2]
+	// Dirty the reused network with an unrelated scenario first: a
+	// stripping neighbor of the origin, an attack that raises alarms,
+	// and a withdrawal.
+	stubs := res.StubASes()
+	other, forger := stubs[2], stubs[3]
+	for _, asn := range reused.Nodes() {
+		if err := reused.SetMode(asn, ModeDetect); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := reused.SetStripMOAS(res.Graph.Neighbors(origin)[0], true); err != nil {
+		t.Fatal(err)
+	}
 	if err := reused.Originate(other, victim, core.List{}); err != nil {
 		t.Fatal(err)
 	}
-	if err := reused.FailLink(origin, res.Graph.Neighbors(origin)[0]); err != nil {
+	if err := reused.OriginateInvalid(forger, victim, core.List{}); err != nil {
 		t.Fatal(err)
 	}
 	if err := reused.Run(); err != nil {
 		t.Fatal(err)
+	}
+	if err := reused.Withdraw(other, victim); err != nil {
+		t.Fatal(err)
+	}
+	if err := reused.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if c := reused.TakeCensus(victim, valid); c.AlarmedNodes == 0 {
+		t.Fatal("dirtying scenario raised no alarm")
 	}
 	if err := reused.Reset(cfg); err != nil {
 		t.Fatal(err)

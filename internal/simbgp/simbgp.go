@@ -22,12 +22,11 @@
 // boundary); AS paths, MOAS lists, and community attributes are
 // interned network-wide (intern.go) so per-adjacency routing state is a
 // pair of uint32 ids in flat per-prefix arrays (compact.go) rather than
-// a rib.Table per node; message delivery and MRAI fires are typed
-// engine events carrying indices and pooled message slots (no closure
-// per message); one propagated advertisement is interned once and
-// shared by id across all receiving peers; and Reset rewinds a network
-// for reuse clearing every structure in place, without per-node
-// allocation.
+// a rib.Table per node; message delivery is a typed engine event
+// carrying indices and a pooled message slot (no closure per message);
+// one propagated advertisement is interned once and shared by id across
+// all receiving peers; and Reset rewinds a network for reuse clearing
+// every structure in place, without per-node allocation.
 package simbgp
 
 import (
@@ -89,14 +88,6 @@ type Config struct {
 	// Resolver resolves detected conflicts (required if any node runs
 	// ModeDetect).
 	Resolver Resolver
-	// LinkDelay returns the propagation delay of the (a, b) link. Nil
-	// selects a deterministic per-link default.
-	LinkDelay func(a, b astypes.ASN) time.Duration
-	// EventLimit optionally overrides the engine's event budget.
-	EventLimit uint64
-	// MRAI enables the MinRouteAdvertisementInterval timer per peer
-	// (zero disables it, the default and the paper's model).
-	MRAI time.Duration
 	// Relations, when set, enables Gao-Rexford valley-free export
 	// policy: routes learned from a peer or provider are exported only
 	// to customers. Nil floods every best route to every neighbor (the
@@ -109,14 +100,10 @@ type Config struct {
 	RPKI *rpki.Store
 }
 
-// Typed event kinds dispatched by Network.Dispatch.
-const (
-	// evDeliver delivers in-flight message B (a slot in Network.inflight)
-	// to node index A.
-	evDeliver uint32 = iota + 1
-	// evMRAIFlush fires node A's MRAI timer for peer ASN B.
-	evMRAIFlush
-)
+// evDeliver is the one typed event kind Network.Dispatch handles: it
+// delivers in-flight message B (a slot in Network.inflight) to node
+// index A.
+const evDeliver uint32 = 1
 
 // Network is a simulated AS-level BGP internetwork.
 type Network struct {
@@ -125,17 +112,15 @@ type Network struct {
 	// nodes is the dense node array; byASN maps an ASN to its index and
 	// asns caches the sorted ASN list. nodes is allocated once and never
 	// regrown, so *Node pointers stay valid across Reset.
-	nodes     []Node
-	byASN     map[astypes.ASN]int32
-	asns      []astypes.ASN
-	resolver  Resolver
-	linkDelay func(a, b astypes.ASN) time.Duration
-	rpki      *rpki.Store
+	nodes    []Node
+	byASN    map[astypes.ASN]int32
+	asns     []astypes.ASN
+	resolver Resolver
+	rpki     *rpki.Store
 	// alarmClasses tallies raised alarms by ROV-crossed class across
 	// the whole network, indexed by rpki.Class.
 	alarmClasses [rpki.NumClasses]uint64
 	msgCount     uint64
-	failedLinks  map[[2]astypes.ASN]bool
 	relations    *topology.Relations
 	recorder     *trace.Recorder
 
@@ -175,10 +160,10 @@ type Network struct {
 	visitEpoch uint32
 }
 
-// DefaultLinkDelay derives a deterministic delay in [10ms, 35ms) from
-// the link endpoints, so that message interleavings differ across links
-// but never across runs.
-func DefaultLinkDelay(a, b astypes.ASN) time.Duration {
+// linkDelay derives the (a, b) link's fixed delay in [10ms, 35ms) from
+// its endpoints, so that message interleavings differ across links but
+// never across runs.
+func linkDelay(a, b astypes.ASN) time.Duration {
 	h := uint32(a)*2654435761 ^ uint32(b)*40503
 	return 10*time.Millisecond + time.Duration(h%25)*time.Millisecond
 }
@@ -189,13 +174,12 @@ func NewNetwork(cfg Config) (*Network, error) {
 		return nil, fmt.Errorf("simbgp: empty topology")
 	}
 	n := &Network{
-		engine:      sim.NewEngine(),
-		topo:        cfg.Topology,
-		failedLinks: make(map[[2]astypes.ASN]bool),
-		paths:       newPathTab(),
-		lists:       newListTab(),
-		comms:       newCommTab(),
-		pfxID:       make(map[astypes.Prefix]int32),
+		engine: sim.NewEngine(),
+		topo:   cfg.Topology,
+		paths:  newPathTab(),
+		lists:  newListTab(),
+		comms:  newCommTab(),
+		pfxID:  make(map[astypes.Prefix]int32),
 	}
 	n.engine.SetDispatcher(n)
 	asns := cfg.Topology.Nodes()
@@ -218,7 +202,6 @@ func NewNetwork(cfg Config) (*Network, error) {
 		for s, p := range nd.neighbors {
 			nd.neighborIdx[s] = n.byASN[p]
 		}
-		nd.neighborDown = make([]bool, len(nd.neighbors))
 		n.slotBase[i] = total
 		total += int32(len(nd.neighbors)) + 1
 	}
@@ -238,19 +221,12 @@ func NewNetwork(cfg Config) (*Network, error) {
 }
 
 // applyConfig installs the per-run configuration shared by NewNetwork
-// and Reset. It allocates nothing per node: MRAI state is created
-// lazily on first deferral and relation slots are refilled only when
-// the Relations table actually changed.
+// and Reset. It allocates nothing per node: relation slots are refilled
+// only when the Relations table actually changed.
 func (n *Network) applyConfig(cfg Config) {
-	delay := cfg.LinkDelay
-	if delay == nil {
-		delay = DefaultLinkDelay
-	}
-	n.linkDelay = delay
 	n.resolver = cfg.Resolver
 	n.relations = cfg.Relations
 	n.rpki = cfg.RPKI
-	n.engine.SetEventLimit(cfg.EventLimit)
 	if cfg.Relations != nil && n.relFilled != cfg.Relations {
 		n.relFilled = cfg.Relations
 		for i := range n.nodes {
@@ -262,24 +238,17 @@ func (n *Network) applyConfig(cfg Config) {
 		}
 	}
 	for i := range n.nodes {
-		nd := &n.nodes[i]
-		nd.mode = ModeNormal
-		nd.mraiInterval = cfg.MRAI
-		if cfg.MRAI <= 0 {
-			nd.mrai = nil
-		} else if nd.mrai != nil {
-			nd.mrai.clearAll()
-		}
+		n.nodes[i].mode = ModeNormal
 	}
 }
 
 // Reset rewinds the network for a fresh run under cfg, reusing every
 // node, intern table, and per-prefix array in place. cfg.Topology must
 // be the exact *topology.Graph the network was built with (the dense
-// index layout is derived from it); any resolver, delay function,
-// relations, MRAI, or event limit may change between runs. Existing
-// *Node pointers remain valid. Reset performs no per-node allocation,
-// so pooled sweep reuse costs O(state) writes and O(1) allocs.
+// index layout is derived from it); the resolver, relations and RPKI
+// store may change between runs. Existing *Node pointers remain valid.
+// Reset performs no per-node allocation, so pooled sweep reuse costs
+// O(state) writes and O(1) allocs.
 func (n *Network) Reset(cfg Config) error {
 	if cfg.Topology != n.topo {
 		return fmt.Errorf("simbgp: Reset requires the network's own topology")
@@ -290,7 +259,6 @@ func (n *Network) Reset(cfg Config) error {
 	clear(n.alarmClasses[:])
 	n.visitEpoch = 0
 	clear(n.visited)
-	clear(n.failedLinks)
 	n.inflight = n.inflight[:0]
 	n.freeMsgs = n.freeMsgs[:0]
 	for i := range n.pfx {
@@ -307,7 +275,6 @@ func (n *Network) Reset(cfg Config) error {
 		nd.attacker = false
 		nd.stripMOAS = false
 		nd.alarms = 0
-		clear(nd.neighborDown)
 	}
 	n.applyConfig(cfg)
 	return nil
@@ -383,25 +350,18 @@ type message struct {
 
 // Dispatch executes typed engine events (sim.Dispatcher).
 func (n *Network) Dispatch(ev sim.Typed) {
-	switch ev.Kind {
-	case evDeliver:
+	if ev.Kind == evDeliver {
 		n.deliver(ev.A, ev.B)
-	case evMRAIFlush:
-		n.nodes[ev.A].flushMRAI(astypes.ASN(ev.B))
 	}
 }
 
-// deliver hands inflight slot `slot` to node index toIdx, releasing the
-// slot. Link failure is re-checked at delivery time, so messages in
-// flight when the link fails are lost with it.
+// deliver hands inflight slot `slot` to node index toIdx, releasing
+// the slot.
 func (n *Network) deliver(toIdx, slot uint32) {
 	msg := n.inflight[slot]
 	n.inflight[slot] = message{}
 	n.freeMsgs = append(n.freeMsgs, slot)
 	dst := &n.nodes[toIdx]
-	if len(n.failedLinks) != 0 && n.failedLinks[linkKey(msg.from, dst.asn)] {
-		return
-	}
 	n.msgCount++
 	// The delivery ordinal doubles as the trace span: alarm forensics
 	// can point at "the Nth message delivered in this run", which is
@@ -423,16 +383,9 @@ func (n *Network) allocSlot(msg message) uint32 {
 
 // sendSlot schedules msg from nd to its neighbor in adjacency slot s.
 func (n *Network) sendSlot(nd *Node, s int, msg message) {
-	if nd.neighborDown[s] {
-		return
-	}
-	to := nd.neighbors[s]
-	if len(n.failedLinks) != 0 && n.failedLinks[linkKey(nd.asn, to)] {
-		return
-	}
 	msg.toSlot = n.recip[n.slotBase[nd.idx]+int32(s)]
 	slot := n.allocSlot(msg)
-	n.engine.ScheduleTyped(n.linkDelay(nd.asn, to),
+	n.engine.ScheduleTyped(linkDelay(nd.asn, nd.neighbors[s]),
 		sim.Typed{Kind: evDeliver, A: uint32(nd.neighborIdx[s]), B: slot})
 }
 
@@ -505,19 +458,12 @@ type Node struct {
 	net       *Network
 	// neighbors is the node's adjacency in ascending ASN order,
 	// immutable after construction. neighborIdx holds the dense node
-	// index per slot; neighborDown marks slots whose link is currently
-	// failed. All per-slot routing state lives in the network's flat
-	// per-prefix arrays (compact.go).
-	neighbors    []astypes.ASN
-	neighborIdx  []int32
-	neighborDown []bool
+	// index per slot. All per-slot routing state lives in the network's
+	// flat per-prefix arrays (compact.go).
+	neighbors   []astypes.ASN
+	neighborIdx []int32
 	// alarms counts the MOAS conflicts this node has raised.
 	alarms int
-	// mraiInterval is the configured MinRouteAdvertisementInterval
-	// (zero = disabled); mrai is its timer state, created lazily on the
-	// first deferred advertisement.
-	mraiInterval time.Duration
-	mrai         *mraiState
 }
 
 // ASN returns the node's AS number.
@@ -687,14 +633,9 @@ func (nd *Node) admit(msg message, st *pfxState, effID uint32, span uint64) bool
 	// Compare against the effective lists of every route currently held
 	// for the prefix (Adj-RIB-Ins and local). Interned list ids are
 	// content-addressed, so id inequality is exactly the paper's
-	// set-inequality predicate. A down peer's routes were flushed when
-	// its link failed, so skipping down slots is only an optimization.
+	// set-inequality predicate.
 	base := n.slotBase[nd.idx]
-	deg := len(nd.neighbors)
-	for s := 0; s <= deg; s++ {
-		if s < deg && nd.neighborDown[s] {
-			continue
-		}
+	for s := 0; s <= len(nd.neighbors); s++ {
 		held := n.heldEff(st, base+int32(s))
 		if held == 0 || held == effID {
 			continue
@@ -759,9 +700,6 @@ func (nd *Node) purgeInvalid(st *pfxState, truthID uint32) {
 	n := nd.net
 	base := n.slotBase[nd.idx]
 	for s := range nd.neighbors {
-		if nd.neighborDown[s] {
-			continue
-		}
 		g := base + int32(s)
 		p := st.adjPath[g]
 		if p != 0 && !n.lists.contains(truthID, n.paths.origin[p]) {
@@ -799,9 +737,8 @@ func (o *outMsg) build(nd *Node, st *pfxState, bestG int32) {
 }
 
 // propagate reacts to a best-route change by advertising the new best
-// (or a withdrawal) to every neighbor. Advertisements may be deferred
-// by the MRAI timer; withdrawals are always immediate (RFC 4271
-// §9.2.1.1 rate limits advertisements only).
+// (or a withdrawal) to every neighbor at once; the model has no MRAI
+// timer (DESIGN.md §2).
 func (nd *Node) propagate(st *pfxState) {
 	n := nd.net
 	bestG := st.bestPlus[nd.idx] - 1
@@ -814,29 +751,8 @@ func (nd *Node) propagate(st *pfxState) {
 	}
 	var adv outMsg
 	for s := range nd.neighbors {
-		if nd.neighborDown[s] {
-			continue
-		}
-		if bestG >= 0 && nd.mayExportSlot(bestG, s) && nd.shouldDefer(nd.neighbors[s], st.prefix) {
-			continue
-		}
 		nd.emitToSlot(s, st, bestG, &adv)
 	}
-}
-
-// emitTo sends the current best route (or a withdrawal) for prefix to
-// one peer by ASN — the slow-path entry used by MRAI flushes.
-func (nd *Node) emitTo(peer astypes.ASN, prefix astypes.Prefix) {
-	s := nd.slotOf(peer)
-	if s < 0 {
-		return
-	}
-	st, ok := nd.net.stateOf(prefix)
-	if !ok {
-		return
-	}
-	var adv outMsg
-	nd.emitToSlot(s, st, st.bestPlus[nd.idx]-1, &adv)
 }
 
 // emitToSlot sends the best route in slot bestG (or a withdrawal when
