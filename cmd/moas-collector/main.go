@@ -55,7 +55,7 @@ func main() {
 		dir         = flag.String("dir", "dumps", "snapshot output directory")
 		interval    = flag.Duration("interval", time.Minute, "snapshot interval")
 		check       = flag.Bool("check", false, "check every update from every source with the off-line MOAS monitor and log each alarm")
-		metricsAddr = flag.String("metrics-addr", "", "admin endpoint address serving /metrics, /healthz, /readyz, /debug/status and /debug/runtime")
+		metricsAddr = flag.String("metrics-addr", "", "admin endpoint address serving /metrics, /healthz, /readyz and /debug/status")
 		traceEvents = flag.Int("trace-events", 0, "flight-recorder ring size; nonzero serves /debug/trace and /debug/alarms on the admin endpoint")
 		pprof       = flag.Bool("pprof", false, "mount net/http/pprof on the admin endpoint")
 		risLive     = flag.String("ris-live", "", "RIS-Live streaming JSON endpoint to ingest (implies -check)")

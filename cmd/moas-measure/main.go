@@ -28,7 +28,6 @@ func main() {
 		emitCount = flag.Int("emit-count", 5, "number of days to emit with -emit-dumps")
 		emitFrom  = flag.Int("emit-from", 0, "first day to emit with -emit-dumps")
 		csvDir    = flag.String("csv", "", "directory to write fig4.csv and fig5.csv into")
-		par       = flag.Int("parallelism", 0, "dump-generation workers (0 = GOMAXPROCS)")
 		mrtDir    = flag.String("mrt", "", "directory of MRT archives to measure instead of the synthetic series (one file per study day)")
 	)
 	flag.Parse()
@@ -36,7 +35,7 @@ func main() {
 	if *mrtDir != "" {
 		err = runMRT(*mrtDir, *fig4, *fig5, *csvDir)
 	} else {
-		err = run(*seed, *days, *fig4, *fig5, *emitDumps, *emitFrom, *emitCount, *csvDir, *par)
+		err = run(*seed, *days, *fig4, *fig5, *emitDumps, *emitFrom, *emitCount, *csvDir)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "moas-measure:", err)
@@ -70,13 +69,7 @@ func runMRT(dir string, fig4, fig5 bool, csvDir string) error {
 	return nil
 }
 
-func run(seed int64, days int, fig4, fig5 bool, emitDir string, emitFrom, emitCount int, csvDir string, parallelism int) error {
-	if parallelism < 0 {
-		return fmt.Errorf("parallelism %d must be >= 0 (0 = GOMAXPROCS)", parallelism)
-	}
-	if parallelism == 0 {
-		parallelism = runtime.GOMAXPROCS(0)
-	}
+func run(seed int64, days int, fig4, fig5 bool, emitDir string, emitFrom, emitCount int, csvDir string) error {
 	cfg := routegen.DefaultConfig()
 	cfg.Seed = seed
 	cfg.Days = days
@@ -89,7 +82,9 @@ func run(seed int64, days int, fig4, fig5 bool, emitDir string, emitFrom, emitCo
 		return emitDumps(gen, emitDir, emitFrom, emitCount)
 	}
 
-	analysis, err := measure.RunParallel(gen, parallelism)
+	// Dump generation runs on GOMAXPROCS workers; the summary does not
+	// depend on their number.
+	analysis, err := measure.RunParallel(gen, runtime.GOMAXPROCS(0))
 	if err != nil {
 		return err
 	}

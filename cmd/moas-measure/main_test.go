@@ -11,23 +11,14 @@ import (
 )
 
 func TestRunShortWindow(t *testing.T) {
-	if err := run(7, 30 /* days */, true, true, "", 0, 0, "", 0); err != nil {
+	if err := run(7, 30 /* days */, true, true, "", 0, 0, ""); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestRunParallelismFlag(t *testing.T) {
-	if err := run(7, 30, false, false, "", 0, 0, "", -1); err == nil {
-		t.Error("negative parallelism accepted")
-	}
-	if err := run(7, 30, false, false, "", 0, 0, "", 3); err != nil {
-		t.Fatalf("parallelism 3: %v", err)
 	}
 }
 
 func TestRunEmitDumpsAndCSV(t *testing.T) {
 	dir := t.TempDir()
-	if err := run(7, 30, false, false, dir, 2, 3, "", 0); err != nil {
+	if err := run(7, 30, false, false, dir, 2, 3, ""); err != nil {
 		t.Fatal(err)
 	}
 	entries, err := os.ReadDir(dir)
@@ -39,7 +30,7 @@ func TestRunEmitDumpsAndCSV(t *testing.T) {
 	}
 
 	csvDir := t.TempDir()
-	if err := run(7, 30, false, false, "", 0, 0, csvDir, 0); err != nil {
+	if err := run(7, 30, false, false, "", 0, 0, csvDir); err != nil {
 		t.Fatal(err)
 	}
 	for _, name := range []string{"fig4.csv", "fig5.csv"} {
@@ -55,7 +46,7 @@ func TestRunEmitDumpsAndCSV(t *testing.T) {
 func TestEmittedDumpsMeasureLikeTheSeries(t *testing.T) {
 	const seed, days = 7, 30
 	dir := t.TempDir()
-	if err := run(seed, days, false, false, dir, 0, days, "", 0); err != nil {
+	if err := run(seed, days, false, false, dir, 0, days, ""); err != nil {
 		t.Fatal(err)
 	}
 	if err := runMRT(dir, false, false, ""); err != nil {

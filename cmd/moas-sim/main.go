@@ -37,16 +37,21 @@ func main() {
 		exp     = flag.Int("experiment", 1, "experiment number (1, 2, 3 or 4)")
 		seed    = flag.Int64("seed", experiment.PublishedSeed, "master seed (topologies and selections)")
 		origins = flag.Int("origins", 0, "origin AS count: keep the figure's panels with that many origins (0 = every panel, as in the paper)")
-		maxPct  = flag.Float64("max-attacker-pct", experiment.PublishedMaxAttackerPct, "largest attacker percentage to sweep")
+		maxPct  = flag.Float64("max-attacker-pct", experiment.PublishedMaxAttackerPct, "largest attacker percentage to sweep (experiments 1-3)")
 		cold    = flag.Bool("cold-start", true, "announce valid routes and attack simultaneously")
 		forge   = flag.Bool("forge-list", false, "attackers forge a superset MOAS list (§4.1)")
 		csvOut  = flag.Bool("csv", false, "emit CSV instead of aligned tables")
-		par     = flag.Int("parallelism", 0, "concurrent simulation runs (0 = GOMAXPROCS)")
 		roaCov  = flag.Float64("roa-coverage", 0, "fraction of runs whose victim prefix is covered by ROAs; nonzero adds per-mode false-alarm-rate tables from RPKI/ROV alarm classification")
 		traced  = flag.Bool("trace", false, "replay one hijack on the 25-AS topology with the flight recorder attached and print the propagation timeline, per-AS adoption, and the forensic alarm table")
 		scale   = flag.String("scale", "", "comma-separated power-law topology sizes for -experiment 4 (default 10000,30000,70000)")
 	)
 	flag.Parse()
+	maxPctSet := false
+	flag.Visit(func(f *flag.Flag) { maxPctSet = maxPctSet || f.Name == "max-attacker-pct" })
+	if *exp == 4 && maxPctSet {
+		fmt.Fprintln(os.Stderr, "moas-sim: -max-attacker-pct does not apply to -experiment 4, whose attacker counts are fixed at 1, 2 and 4")
+		os.Exit(2)
+	}
 	s := study{
 		experiment: *exp,
 		origins:    *origins,
@@ -57,7 +62,6 @@ func main() {
 			ColdStart:         *cold,
 			ForgeSupersetList: *forge,
 			ROACoverage:       *roaCov,
-			Parallelism:       *par,
 		},
 	}
 	if *scale != "" {
@@ -94,14 +98,11 @@ type study struct {
 	scales []int
 	csv    bool
 	// sweep carries the knobs every sweep shares: seed, cold start,
-	// forging, ROA coverage and parallelism.
+	// forging and ROA coverage.
 	sweep experiment.SweepConfig
 }
 
 func run(w io.Writer, s study) error {
-	if s.sweep.Parallelism < 0 {
-		return fmt.Errorf("parallelism %d must be >= 0 (0 = GOMAXPROCS)", s.sweep.Parallelism)
-	}
 	if s.origins < 0 {
 		return fmt.Errorf("-origins %d is negative (0 = every panel)", s.origins)
 	}
@@ -144,7 +145,6 @@ func runFigure(w io.Writer, fig *experiment.Figure, s study) error {
 		cfgs[i].ColdStart = s.sweep.ColdStart
 		cfgs[i].ForgeSupersetList = s.sweep.ForgeSupersetList
 		cfgs[i].ROACoverage = s.sweep.ROACoverage
-		cfgs[i].Parallelism = s.sweep.Parallelism
 	}
 	results, err := experiment.SweepAll(cfgs)
 	if err != nil {

@@ -1,8 +1,11 @@
 package main
 
 import (
+	"errors"
 	"io"
 	"math"
+	"os"
+	"os/exec"
 	"reflect"
 	"strings"
 	"testing"
@@ -56,15 +59,29 @@ func TestRunExperiments(t *testing.T) {
 	}
 }
 
-func TestRunParallelismFlag(t *testing.T) {
-	s := small(1, 1)
-	s.sweep.Parallelism = -1
-	if err := run(io.Discard, s); err == nil {
-		t.Error("negative parallelism accepted")
+// TestMain runs the command itself when the test binary is re-executed
+// with MOAS_SIM_MAIN set, so a test can check main's exit status.
+func TestMain(m *testing.M) {
+	if os.Getenv("MOAS_SIM_MAIN") != "" {
+		os.Args = append([]string{"moas-sim"}, strings.Fields(os.Getenv("MOAS_SIM_MAIN"))...)
+		main()
+		os.Exit(0)
 	}
-	s.sweep.Parallelism = 2
-	if err := run(io.Discard, s); err != nil {
-		t.Fatalf("parallelism 2: %v", err)
+	os.Exit(m.Run())
+}
+
+// TestExperiment4RejectsMaxAttackerPct: experiment 4 sweeps fixed
+// attacker counts, so any -max-attacker-pct with it is a usage error
+// (exit 2) naming the flag, not a value silently ignored.
+func TestExperiment4RejectsMaxAttackerPct(t *testing.T) {
+	for _, pct := range []string{"-5", "0", "35"} {
+		cmd := exec.Command(os.Args[0], "-test.run=^$")
+		cmd.Env = append(os.Environ(), "MOAS_SIM_MAIN=-experiment 4 -scale 150 -max-attacker-pct "+pct)
+		out, err := cmd.CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(string(out), "-max-attacker-pct") {
+			t.Errorf("-experiment 4 -max-attacker-pct %s: err %v, output:\n%s\nwant exit 2 naming the flag", pct, err, out)
+		}
 	}
 }
 

@@ -32,27 +32,23 @@ import (
 
 func main() {
 	var (
-		configPath  = flag.String("config", "", "path to the JSON configuration (required)")
-		metricsAddr = flag.String("metrics-addr", "", "admin endpoint address serving /metrics, /healthz, /readyz, /debug/status, /debug/runtime and /debug/mib (overrides metricsAddr in the config)")
-		verbose     = flag.Bool("v", false, "log every MOAS alarm")
+		configPath = flag.String("config", "", "path to the JSON configuration (required; its metricsAddr sets the admin endpoint)")
+		verbose    = flag.Bool("v", false, "log every MOAS alarm")
 	)
 	flag.Parse()
 	if *configPath == "" {
 		fmt.Fprintln(os.Stderr, "usage: moas-speaker -config speaker.json")
 		os.Exit(2)
 	}
-	if err := run(*configPath, *metricsAddr, *verbose); err != nil {
+	if err := run(*configPath, *verbose); err != nil {
 		log.Fatal("moas-speaker: ", err)
 	}
 }
 
-func run(configPath, metricsAddr string, verbose bool) error {
+func run(configPath string, verbose bool) error {
 	cfg, err := daemon.LoadFile(configPath)
 	if err != nil {
 		return err
-	}
-	if metricsAddr != "" {
-		cfg.MetricsAddr = metricsAddr
 	}
 	var onAlarm func(core.Conflict)
 	if verbose {

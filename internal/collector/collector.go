@@ -29,18 +29,15 @@ import (
 	"repro/internal/wire"
 )
 
-// CollectorASN is the conventional AS number of the collector's peer
-// point (Route Views uses AS 6447).
+// CollectorASN is the collector's own AS, the conventional one of a
+// route collector's peer point (Route Views uses AS 6447). Its
+// peerings run the session's default hold time.
 const CollectorASN astypes.ASN = 6447
 
 // Config parameterizes a Collector.
 type Config struct {
-	// AS defaults to CollectorASN.
-	AS astypes.ASN
 	// RouterID identifies the collector in OPENs.
 	RouterID uint32
-	// HoldTime for peering sessions (zero selects the session default).
-	HoldTime time.Duration
 	// Telemetry, if set, is the registry the collector (and its
 	// sessions and archiver) instruments itself on; nil creates a
 	// private "moas" registry. Registry() exposes whichever is in use.
@@ -111,9 +108,6 @@ type Collector struct {
 
 // New builds a collector.
 func New(cfg Config) *Collector {
-	if cfg.AS == astypes.ASNNone {
-		cfg.AS = CollectorASN
-	}
 	reg := cfg.Telemetry
 	if reg == nil {
 		reg = telemetry.NewRegistry("moas")
@@ -216,13 +210,12 @@ func (p *peering) HandleDown(asn astypes.ASN, err error) {
 func (c *Collector) AddPeerConn(conn net.Conn) (astypes.ASN, error) {
 	p := &peering{c: c}
 	sess, err := session.Establish(conn, session.Config{
-		LocalAS:  c.cfg.AS,
-		LocalID:  c.cfg.RouterID,
-		HoldTime: c.cfg.HoldTime,
-		Handler:  p,
-		Metrics:  c.met.session,
-		Trace:    c.cfg.Trace,
-		Obs:      c.cfg.Obs,
+		LocalAS: CollectorASN,
+		LocalID: c.cfg.RouterID,
+		Handler: p,
+		Metrics: c.met.session,
+		Trace:   c.cfg.Trace,
+		Obs:     c.cfg.Obs,
 	})
 	if err != nil {
 		return astypes.ASNNone, fmt.Errorf("collector: establish: %w", err)

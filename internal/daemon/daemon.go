@@ -39,8 +39,8 @@ type Config struct {
 	// Listen addresses accept inbound peerings ("host:port").
 	Listen []string `json:"listen"`
 	// MetricsAddr, if set, serves the operator surface (obs.Serve):
-	// /metrics, /healthz, /readyz, /debug/status, /debug/runtime, and
-	// the MIB JSON at /debug/mib.
+	// /metrics, /healthz, /readyz, /debug/status, and the MIB JSON at
+	// /debug/mib.
 	MetricsAddr string `json:"metricsAddr"`
 	// TraceEvents, when nonzero, enables the flight recorder with a ring
 	// of (about) that many events; /debug/trace and /debug/alarms appear
@@ -65,10 +65,9 @@ type Config struct {
 	ListEncoding string `json:"listEncoding"`
 	// ReconnectSeconds, when nonzero, re-dials configured peers whose
 	// sessions drop. It is the base of a capped exponential backoff
-	// with jitter: attempt n waits between 2ⁿ·base/2 and 2ⁿ·base.
+	// with jitter: attempt n waits between 2ⁿ·base/2 and 2ⁿ·base, and
+	// the wait stops growing at 16× the base.
 	ReconnectSeconds int `json:"reconnectSeconds"`
-	// ReconnectMaxSeconds caps the backoff; zero selects 16× the base.
-	ReconnectMaxSeconds int `json:"reconnectMaxSeconds"`
 	// ROAFile seeds the RPKI validated-ROA store from a text file
 	// (prefix=origin[@maxlen],... — see internal/rpki.Parse). Any ROA
 	// source turns on ROV cross-validation of MOAS alarms.
@@ -178,12 +177,8 @@ func (c Config) validate() error {
 	if c.TraceEvents < 0 {
 		return fmt.Errorf("daemon: negative traceEvents")
 	}
-	if c.ReconnectSeconds < 0 || c.ReconnectMaxSeconds < 0 {
+	if c.ReconnectSeconds < 0 {
 		return fmt.Errorf("daemon: negative reconnect interval")
-	}
-	if c.ReconnectMaxSeconds > 0 && c.ReconnectMaxSeconds < c.ReconnectSeconds {
-		return fmt.Errorf("daemon: reconnectMaxSeconds %d below reconnectSeconds %d",
-			c.ReconnectMaxSeconds, c.ReconnectSeconds)
 	}
 	for _, r := range c.ROAs {
 		prefix, err := astypes.ParsePrefix(r.Prefix)
@@ -233,7 +228,7 @@ type Daemon struct {
 
 	peerAddrs    map[astypes.ASN]string
 	reconnect    time.Duration   // backoff base; zero disables re-dialing
-	reconnectMax time.Duration   // backoff cap
+	reconnectMax time.Duration   // backoff cap: 16× the base
 	jitter       *backoff.Jitter // shared by every re-dial goroutine
 	stop         chan struct{}
 	stopOnce     sync.Once
@@ -276,7 +271,7 @@ func Build(cfg Config, onAlarm func(core.Conflict)) (*Daemon, error) {
 		trace:        rec,
 		peerAddrs:    make(map[astypes.ASN]string, len(cfg.Peers)),
 		reconnect:    time.Duration(cfg.ReconnectSeconds) * time.Second,
-		reconnectMax: time.Duration(cfg.ReconnectMaxSeconds) * time.Second,
+		reconnectMax: 16 * time.Duration(cfg.ReconnectSeconds) * time.Second,
 		jitter:       backoff.NewJitter(0),
 		stop:         make(chan struct{}),
 		peerUp: reg.Counter("daemon_peer_up_total",
@@ -287,9 +282,6 @@ func Build(cfg Config, onAlarm func(core.Conflict)) (*Daemon, error) {
 			"Re-dial attempts made for dropped configured peers."),
 		obsRec: obs.NewRecorder(),
 		ready:  &telemetry.Readiness{},
-	}
-	if d.reconnectMax == 0 {
-		d.reconnectMax = 16 * d.reconnect
 	}
 	var deny []astypes.Prefix
 	for _, ds := range cfg.ImportDeny {

@@ -30,17 +30,10 @@ func TestConfigValidatesNewFields(t *testing.T) {
 }
 
 func TestConfigValidatesReconnectBounds(t *testing.T) {
-	bad := []Config{
-		{AS: 1, ReconnectSeconds: -1},
-		{AS: 1, ReconnectMaxSeconds: -1},
-		{AS: 1, ReconnectSeconds: 10, ReconnectMaxSeconds: 3},
+	if cfg := (Config{AS: 1, ReconnectSeconds: -1}); cfg.validate() == nil {
+		t.Errorf("config %+v accepted", cfg)
 	}
-	for _, cfg := range bad {
-		if err := cfg.validate(); err == nil {
-			t.Errorf("config %+v accepted", cfg)
-		}
-	}
-	good := Config{AS: 1, ReconnectSeconds: 2, ReconnectMaxSeconds: 30}
+	good := Config{AS: 1, ReconnectSeconds: 2}
 	if err := good.validate(); err != nil {
 		t.Errorf("valid config rejected: %v", err)
 	}

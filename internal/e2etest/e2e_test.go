@@ -170,11 +170,20 @@ func TestForgedOriginObservability(t *testing.T) {
 	if byID.ID != 0 || byID.Origin != forgedAS {
 		t.Errorf("/debug/alarms/0: %+v", byID)
 	}
-	timeline := h.get(t, "/debug/trace", "")
-	for _, want := range []string{prefixStr, "alarm", "validate", "conflict"} {
-		if !strings.Contains(timeline, want) {
-			t.Errorf("/debug/trace missing %q", want)
+	var timeline []trace.Event
+	if err := json.Unmarshal([]byte(h.get(t, "/debug/trace", "")), &timeline); err != nil {
+		t.Fatalf("decode /debug/trace: %v", err)
+	}
+	var sawConflict, sawAlarm bool
+	for _, e := range timeline {
+		if e.Prefix.String() != prefixStr {
+			continue
 		}
+		sawConflict = sawConflict || e.Kind == trace.KindValidate && e.Detail == trace.DetailConflict
+		sawAlarm = sawAlarm || e.Kind == trace.KindAlarm
+	}
+	if !sawConflict || !sawAlarm {
+		t.Errorf("/debug/trace for %s: conflicting validate %v, alarm %v; want both", prefixStr, sawConflict, sawAlarm)
 	}
 
 	// pprof serves on the same admin port, and build_info identifies
@@ -254,13 +263,9 @@ func TestForgedOriginObservability(t *testing.T) {
 		t.Errorf("/readyz body = %q", body)
 	}
 
-	// The runtime sampler serves its ring.
-	var samples []obs.RuntimeSample
-	if err := json.Unmarshal([]byte(h.get(t, "/debug/runtime", "")), &samples); err != nil {
-		t.Fatalf("decode /debug/runtime: %v", err)
-	}
-	if len(samples) == 0 || samples[len(samples)-1].Goroutines <= 0 {
-		t.Errorf("/debug/runtime samples = %+v, want at least one live sample", samples)
+	// Runtime vitals are read while /debug/status is served.
+	if status.Runtime == nil || status.Runtime.Goroutines <= 0 || status.Runtime.HeapAllocBytes == 0 {
+		t.Errorf("/debug/status runtime = %+v, want a live sample", status.Runtime)
 	}
 
 	// Every family in the text exposition carries # HELP and # TYPE

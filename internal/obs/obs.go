@@ -26,7 +26,6 @@ package obs
 
 import (
 	"math"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/telemetry"
@@ -64,34 +63,22 @@ func (s Stage) String() string {
 	}
 }
 
-// Recorder accumulates per-stage latency histograms. The zero value is
-// disabled; NewRecorder returns an enabled one. All methods are
+// Recorder accumulates per-stage latency histograms. Build one with
+// NewRecorder; a nil recorder is the off switch, and all methods are
 // nil-receiver safe.
 type Recorder struct {
-	on atomic.Bool
 	// epoch anchors relative time: deltas are computed against one
 	// process-local monotonic reference so a Stamp is two plain int64s.
 	epoch  time.Time
 	stages [NumStages]telemetry.Histogram
 }
 
-// NewRecorder returns an enabled recorder.
-func NewRecorder() *Recorder {
-	r := &Recorder{epoch: time.Now()}
-	r.on.Store(true)
-	return r
-}
+// NewRecorder returns a recording recorder.
+func NewRecorder() *Recorder { return &Recorder{epoch: time.Now()} }
 
-// SetEnabled toggles recording. Disabled recorders cost one atomic load
-// per call site.
-func (r *Recorder) SetEnabled(on bool) {
-	if r != nil {
-		r.on.Store(on)
-	}
-}
-
-// Enabled reports whether the recorder is active.
-func (r *Recorder) Enabled() bool { return r != nil && r.on.Load() }
+// Enabled reports whether the recorder is active: a nil recorder is
+// the only one that is not.
+func (r *Recorder) Enabled() bool { return r != nil }
 
 // now returns nanoseconds since the recorder's epoch, monotonic.
 func (r *Recorder) now() int64 { return int64(time.Since(r.epoch)) }
@@ -99,7 +86,7 @@ func (r *Recorder) now() int64 { return int64(time.Since(r.epoch)) }
 // Record adds one observation of d to stage, tagging the landing bucket
 // with span as its exemplar (span 0 leaves the exemplar untouched).
 func (r *Recorder) Record(stage Stage, span uint64, d time.Duration) {
-	if r == nil || !r.on.Load() || stage >= NumStages {
+	if r == nil || stage >= NumStages {
 		return
 	}
 	r.stages[stage].ObserveSpan(d, span)
@@ -114,7 +101,7 @@ type Stamp struct {
 	// record span, or a RIS-Live stream ordinal).
 	Span uint64
 	// t0 and last are nanoseconds since the recorder's epoch; 0 means
-	// the stamp was never started (disabled or nil recorder).
+	// the stamp was never started (nil recorder).
 	t0   int64
 	last int64
 }
@@ -125,7 +112,7 @@ func (st *Stamp) Started() bool { return st != nil && st.t0 != 0 }
 // Start mints a stamp at the ingest instant for the message identified
 // by span (0 when the span is not known yet; fill Span in later).
 func (r *Recorder) Start(span uint64) Stamp {
-	if r == nil || !r.on.Load() {
+	if r == nil {
 		return Stamp{Span: span}
 	}
 	n := r.now()
@@ -136,10 +123,10 @@ func (r *Recorder) Start(span uint64) Stamp {
 }
 
 // Cross records the delta since the previous crossing (or Start) into
-// stage and advances the stamp. No-op on a nil/zero stamp or disabled
+// stage and advances the stamp. No-op on a nil/zero stamp or nil
 // recorder.
 func (r *Recorder) Cross(st *Stamp, stage Stage) {
-	if r == nil || st == nil || st.t0 == 0 || !r.on.Load() {
+	if r == nil || st == nil || st.t0 == 0 {
 		return
 	}
 	n := r.now()
@@ -152,7 +139,7 @@ func (r *Recorder) Cross(st *Stamp, stage Stage) {
 // The stamp stays valid: End does not advance the crossing point, so a
 // pipeline can End into StageAlarm and still Cross into StageRIB after.
 func (r *Recorder) End(st *Stamp, stage Stage) {
-	if r == nil || st == nil || st.t0 == 0 || !r.on.Load() {
+	if r == nil || st == nil || st.t0 == 0 {
 		return
 	}
 	r.Record(stage, st.Span, time.Duration(r.now()-st.t0))

@@ -51,23 +51,25 @@ type StatusDoc struct {
 
 // statusHandler serves the consolidated status document as JSON. It
 // reads the registry, stage recorder, replay progress and readiness of
-// a SurfaceConfig; absent sources are simply omitted from the document.
+// a SurfaceConfig, and the runtime vitals at the moment it is asked;
+// absent sources are simply omitted from the document.
 type statusHandler struct {
-	cfg     SurfaceConfig
-	runtime *Sampler
-	start   time.Time
+	cfg   SurfaceConfig
+	start time.Time
 }
 
-func newStatusHandler(cfg SurfaceConfig, runtime *Sampler) *statusHandler {
-	return &statusHandler{cfg: cfg, runtime: runtime, start: time.Now()}
+func newStatusHandler(cfg SurfaceConfig) *statusHandler {
+	return &statusHandler{cfg: cfg, start: time.Now()}
 }
 
 // Doc builds the current status document.
 func (h *statusHandler) Doc() StatusDoc {
+	rt := readRuntime()
 	doc := StatusDoc{
 		SchemaVersion: StatusSchemaVersion,
 		UptimeSeconds: time.Since(h.start).Seconds(),
 		Stages:        h.cfg.Stages.Snapshot(),
+		Runtime:       &rt,
 	}
 	if h.cfg.Ready != nil {
 		ok := true
@@ -76,9 +78,6 @@ func (h *statusHandler) Doc() StatusDoc {
 			doc.ReadyError = err.Error()
 		}
 		doc.Ready = &ok
-	}
-	if sm, has := h.runtime.Last(); has {
-		doc.Runtime = &sm
 	}
 	if h.cfg.Replay != nil {
 		snap := h.cfg.Replay.Snapshot()

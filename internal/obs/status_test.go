@@ -36,15 +36,12 @@ func statusFixture() (*statusHandler, *Recorder) {
 	replay.AddRecords(9)
 	replay.MarkDone()
 
-	smp := NewSampler()
-	smp.record(takeSample())
-
 	h := newStatusHandler(SurfaceConfig{
 		Registry: reg,
 		Stages:   rec,
 		Replay:   &replay,
 		Ready:    &telemetry.Readiness{},
-	}, smp)
+	})
 	return h, rec
 }
 
@@ -92,7 +89,7 @@ func TestStatusDoc(t *testing.T) {
 func TestStatusReadyError(t *testing.T) {
 	ready := &telemetry.Readiness{}
 	ready.Register("rtr", func() bool { return false }, "cache not synced")
-	h := newStatusHandler(SurfaceConfig{Ready: ready}, NewSampler())
+	h := newStatusHandler(SurfaceConfig{Ready: ready})
 	doc := h.Doc()
 	if doc.Ready == nil || *doc.Ready || doc.ReadyError != "not ready: rtr: cache not synced" {
 		t.Fatalf("doc = %+v, want not-ready with error", doc)
@@ -169,7 +166,7 @@ func TestStatusGolden(t *testing.T) {
 }
 
 func TestStatusEmptyConfig(t *testing.T) {
-	h := newStatusHandler(SurfaceConfig{}, NewSampler())
+	h := newStatusHandler(SurfaceConfig{})
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest("GET", "/debug/status?format=json", nil))
 	if rec.Code != 200 {

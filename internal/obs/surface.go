@@ -38,12 +38,10 @@ type SurfaceConfig struct {
 }
 
 // Surface is a running operator surface: one HTTP endpoint with every
-// route its inputs call for, and the runtime sampler behind
-// /debug/status and /debug/runtime.
+// route its inputs call for.
 type Surface struct {
-	srv     *http.Server
-	addr    string
-	sampler *Sampler
+	srv  *http.Server
+	addr string
 	// forcedClose counts Close calls whose graceful drain timed out.
 	forcedClose *telemetry.Counter
 	// shutdownTimeout bounds the graceful drain in Close before open
@@ -55,12 +53,12 @@ type Surface struct {
 	served    chan struct{} // closed when the serve loop returns
 }
 
-// Serve binds addr (host:port; port 0 picks a free port), starts the
-// runtime sampler, and serves on a background goroutine until Close:
-// /metrics (Prometheus text), /healthz (liveness: ok while the
-// endpoint serves), /readyz (readiness: a 503 naming every failing
-// probe), /debug/status (the status document as JSON) and
-// /debug/runtime, plus the routes of each optional input that is set.
+// Serve binds addr (host:port; port 0 picks a free port) and serves on
+// one background goroutine until Close: /metrics (Prometheus text),
+// /healthz (liveness: ok while the endpoint serves), /readyz
+// (readiness: a 503 naming every failing probe) and /debug/status (the
+// status document as JSON, runtime vitals included), plus the routes
+// of each optional input that is set.
 func Serve(addr string, cfg SurfaceConfig) (*Surface, error) {
 	if cfg.Registry == nil {
 		return nil, errors.New("obs: operator surface requires a registry")
@@ -69,14 +67,11 @@ func Serve(addr string, cfg SurfaceConfig) (*Surface, error) {
 	if err != nil {
 		return nil, fmt.Errorf("obs: listen %s: %w", addr, err)
 	}
-	sampler := NewSampler()
-	sampler.Start()
 	mux := http.NewServeMux()
 	mux.Handle("/metrics", metricsHandler{cfg.Registry})
 	mux.Handle("/healthz", probeHandler{})
 	mux.Handle("/readyz", probeHandler{cfg.Ready})
-	mux.Handle("/debug/status", newStatusHandler(cfg, sampler))
-	mux.Handle("/debug/runtime", sampler)
+	mux.Handle("/debug/status", newStatusHandler(cfg))
 	if cfg.Trace != nil {
 		for pattern, h := range trace.Routes(cfg.Trace) {
 			mux.Handle(pattern, h)
@@ -101,7 +96,6 @@ func Serve(addr string, cfg SurfaceConfig) (*Surface, error) {
 	s := &Surface{
 		srv:             &http.Server{Handler: mux},
 		addr:            ln.Addr().String(),
-		sampler:         sampler,
 		forcedClose:     forcedClose,
 		shutdownTimeout: 2 * time.Second,
 		served:          make(chan struct{}),
@@ -126,11 +120,10 @@ func (s *Surface) Addr() string {
 }
 
 // Close drains the server gracefully (bounded by a 2s budget), then
-// cuts remaining connections, waits for the serve loop to exit, and
-// stops the sampler. A drain that times out is not an error: the cut
-// ends the endpoint all the same, and
-// telemetry_admin_forced_close_total counts it. Safe on a nil surface
-// and more than once.
+// cuts remaining connections and waits for the serve loop to exit. A
+// drain that times out is not an error: the cut ends the endpoint all
+// the same, and telemetry_admin_forced_close_total counts it. Safe on
+// a nil surface and more than once.
 func (s *Surface) Close() error {
 	if s == nil {
 		return nil
@@ -150,7 +143,6 @@ func (s *Surface) Close() error {
 			err = nil
 		}
 		<-s.served
-		s.sampler.Close()
 		s.closeErr = err
 	})
 	return s.closeErr

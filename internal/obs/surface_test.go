@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -14,8 +15,8 @@ import (
 // TestSurfaceRoutes pins which routes each combination of inputs
 // mounts: the base surface always answers, every optional input adds
 // its own routes and nothing else, and a failing readiness probe turns
-// /readyz (only) into a 503 naming the probe. The surface owns its
-// sampler, so Close must also leave no sampling goroutine behind.
+// /readyz (only) into a 503 naming the probe. /debug/runtime is not a
+// route: runtime vitals are part of /debug/status.
 func TestSurfaceRoutes(t *testing.T) {
 	notReady := &telemetry.Readiness{}
 	notReady.Register("rtr", func() bool { return false }, "cache not synced")
@@ -28,7 +29,7 @@ func TestSurfaceRoutes(t *testing.T) {
 	}
 	base := map[string]int{
 		"/metrics": 200, "/healthz": 200, "/readyz": 200,
-		"/debug/status": 200, "/debug/runtime": 200,
+		"/debug/status": 200,
 	}
 	with := func(extra map[string]int) map[string]int {
 		out := make(map[string]int, len(base)+len(extra))
@@ -90,25 +91,42 @@ func TestSurfaceRoutes(t *testing.T) {
 			if (doc.Replay != nil) != (tc.cfg.Replay != nil) {
 				t.Errorf("status replay = %v with Replay input %v", doc.Replay, tc.cfg.Replay)
 			}
-			if doc.Runtime == nil {
-				t.Error("status carries no runtime sample")
-			}
-
-			select {
-			case <-s.sampler.done:
-				t.Fatal("sampler loop exited before Close")
-			default:
-			}
-			if err := s.Close(); err != nil {
-				t.Fatalf("Close: %v", err)
-			}
-			select {
-			case <-s.sampler.done:
-			default:
-				t.Fatal("Close returned with the sampler loop still running")
+			if doc.Runtime == nil || doc.Runtime.Goroutines <= 0 {
+				t.Errorf("status runtime = %+v, want a live sample", doc.Runtime)
 			}
 		})
 	}
+}
+
+// TestServeStartsOnlyItsServeLoop: a surface runs one goroutine of its
+// own, the HTTP serve loop, and Close ends it. Runtime vitals are read
+// per /debug/status request, so nothing samples in the background.
+func TestServeStartsOnlyItsServeLoop(t *testing.T) {
+	s, err := Serve("127.0.0.1:0", SurfaceConfig{Registry: telemetry.NewRegistry("t"),
+		Stages: NewRecorder(), Trace: trace.NewRecorder(16), Replay: &Progress{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := goroutinesStartedByObs(); n != 1 {
+		t.Errorf("Serve left %d goroutines of its own running, want 1 (the serve loop)", n)
+	}
+	if code, _ := fetch(t, "http://"+s.Addr()+"/debug/status"); code != http.StatusOK {
+		t.Fatalf("/debug/status = %d", code)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	if n := goroutinesStartedByObs(); n != 0 {
+		t.Errorf("Close left %d goroutines of the surface running, want 0", n)
+	}
+}
+
+// goroutinesStartedByObs counts the live goroutines this package's
+// code started (their stacks end "created by repro/internal/obs.…").
+func goroutinesStartedByObs() int {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	return strings.Count(string(buf), "\ncreated by repro/internal/obs.")
 }
 
 func fetch(t *testing.T, url string) (int, string) {

@@ -16,30 +16,21 @@ import (
 	"repro/internal/topology"
 )
 
-// Options configures a full evaluation run.
+// Options configures a full evaluation run. Every value is used as
+// given: moas-report's flag defaults carry the published ones
+// (experiment.PublishedSeed, measure seed 1997,
+// experiment.PublishedMaxAttackerPct).
 type Options struct {
-	// Seed drives topologies and selections (default 42).
+	// Seed drives topologies and selections.
 	Seed int64
-	// MeasureSeed drives the synthetic RouteViews series (default 1997).
+	// MeasureSeed drives the synthetic RouteViews series.
 	MeasureSeed int64
-	// MaxAttackerPct bounds the simulation sweeps (default 35).
+	// MaxAttackerPct bounds the simulation sweeps; it must be > 0 unless
+	// SkipSimulation is set.
 	MaxAttackerPct float64
 	// SkipMeasurement / SkipSimulation trim the run.
 	SkipMeasurement bool
 	SkipSimulation  bool
-}
-
-func (o Options) withDefaults() Options {
-	if o.Seed == 0 {
-		o.Seed = experiment.PublishedSeed
-	}
-	if o.MeasureSeed == 0 {
-		o.MeasureSeed = 1997
-	}
-	if o.MaxAttackerPct == 0 {
-		o.MaxAttackerPct = experiment.PublishedMaxAttackerPct
-	}
-	return o
 }
 
 // Report holds the full evaluation's results.
@@ -55,7 +46,6 @@ type Report struct {
 
 // Run executes the configured evaluation.
 func Run(opts Options) (*Report, error) {
-	opts = opts.withDefaults()
 	start := time.Now()
 	rep := &Report{Options: opts}
 

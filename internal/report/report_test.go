@@ -67,7 +67,7 @@ func TestRunMeasurementOnly(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full 1279-day series; skipped with -short")
 	}
-	rep, err := Run(Options{SkipSimulation: true})
+	rep, err := Run(Options{MeasureSeed: 1997, SkipSimulation: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,5 +83,21 @@ func TestRunMeasurementOnly(t *testing.T) {
 	}
 	if strings.Contains(sb.String(), "Figure 9") {
 		t.Error("markdown contains skipped simulation sections")
+	}
+}
+
+// TestRunTakesZeroAsGiven: a zero option is a value, not a request for
+// the published one. A 0% sweep selects no attacker count and fails,
+// as it does in moas-sim, and seed 0 runs seed 0.
+func TestRunTakesZeroAsGiven(t *testing.T) {
+	if _, err := Run(Options{Seed: 42, SkipMeasurement: true}); err == nil || !strings.Contains(err.Error(), "must be > 0") {
+		t.Errorf("MaxAttackerPct 0: err %v, want the sweep's > 0 error", err)
+	}
+	rep, err := Run(Options{Seed: 0, MaxAttackerPct: 5, SkipMeasurement: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Options.Seed != 0 {
+		t.Errorf("Seed 0 ran seed %d", rep.Options.Seed)
 	}
 }

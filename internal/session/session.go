@@ -65,14 +65,6 @@ type Handler interface {
 	HandleDown(peer astypes.ASN, err error)
 }
 
-// RefreshHandler is optionally implemented by Handlers that honor
-// ROUTE-REFRESH (RFC 2918) requests from the peer.
-type RefreshHandler interface {
-	// HandleRouteRefresh is invoked when the peer requests
-	// re-advertisement of our Adj-RIB-Out.
-	HandleRouteRefresh(peer astypes.ASN, r *wire.RouteRefresh)
-}
-
 // StampHandler is optionally implemented by Handlers that carry the
 // message's stage-timing stamp through the pipeline. When implemented,
 // it is invoked for every UPDATE instead of HandleUpdate. The stamp
@@ -348,9 +340,9 @@ func (s *Session) SendUpdate(u *wire.Update) error {
 
 // SendUpdates transmits a batch of UPDATE messages under one writeMu
 // acquisition, letting the buffered writer coalesce them into as few
-// connection writes as possible (a route burst after session-up, or a
-// ROUTE-REFRESH replay). Returns on the first encode/write error with
-// the number of messages already accepted.
+// connection writes as possible (a route burst after session-up).
+// Returns on the first encode/write error with the number of messages
+// already accepted.
 func (s *Session) SendUpdates(us []*wire.Update) (int, error) {
 	if s.State() != StateEstablished {
 		return 0, ErrClosed
@@ -367,21 +359,6 @@ func (s *Session) SendUpdates(us []*wire.Update) (int, error) {
 		return 0, fmt.Errorf("session: flush UPDATE batch to AS %s: %w", s.peerAS, err)
 	}
 	return len(us), nil
-}
-
-// SendRouteRefresh asks the peer to re-advertise its routes (RFC 2918).
-func (s *Session) SendRouteRefresh() error {
-	if s.State() != StateEstablished {
-		return ErrClosed
-	}
-	s.writeMu.Lock()
-	defer s.writeMu.Unlock()
-	rr := &wire.RouteRefresh{AFI: wire.AFIIPv4, SAFI: wire.SAFIUnicast}
-	if err := s.writeLocked(rr); err != nil {
-		return fmt.Errorf("session: send ROUTE-REFRESH to AS %s: %w", s.peerAS, err)
-	}
-	s.met.sentMsg(wire.MsgRouteRefresh)
-	return nil
 }
 
 func (s *Session) sendKeepalive() error {
@@ -456,9 +433,9 @@ func (s *Session) readLoop() {
 				s.cfg.Handler.HandleUpdate(s.peerAS, m)
 			}
 		case *wire.RouteRefresh:
-			if rh, ok := s.cfg.Handler.(RefreshHandler); ok {
-				rh.HandleRouteRefresh(s.peerAS, m)
-			}
+			// Our OPEN advertises no Route Refresh capability, so RFC
+			// 2918 §5 has the request ignored: counted above, and
+			// nothing is re-advertised.
 		case *wire.Keepalive:
 			// Receipt already refreshed the hold timer. Close out an
 			// outstanding RTT measurement: the peer's keepalive timer

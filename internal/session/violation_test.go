@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/astypes"
+	"repro/internal/telemetry"
 	"repro/internal/wire"
 )
 
@@ -167,16 +168,20 @@ func TestMalformedUpdateIsFatalWithNotification(t *testing.T) {
 	}
 }
 
-func TestRouteRefreshDeliveredToRefreshHandler(t *testing.T) {
-	// A handler implementing RefreshHandler sees the request.
+// TestRouteRefreshIgnored: our OPEN advertises no capabilities, so a
+// received ROUTE-REFRESH (RFC 2918 §5) is decoded, counted and ignored.
+// The session stays up, the handler sees nothing, and nothing is sent
+// back: no re-advertisement.
+func TestRouteRefreshIgnored(t *testing.T) {
 	ca, cb := net.Pipe()
-	h := &refreshCollector{collector: newCollector(), got: make(chan struct{}, 1)}
+	h := newCollector()
+	met := NewMetrics(telemetry.NewRegistry("t"))
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
 		scriptedHandshake(t, cb, 2)
 	}()
-	s, err := Establish(ca, Config{LocalAS: 1, Handler: h})
+	s, err := Establish(ca, Config{LocalAS: 1, Handler: h, Metrics: met})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,21 +192,19 @@ func TestRouteRefreshDeliveredToRefreshHandler(t *testing.T) {
 	if err := wire.WriteMessage(cb, &wire.RouteRefresh{AFI: wire.AFIIPv4, SAFI: wire.SAFIUnicast}); err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case <-h.got:
-	case <-time.After(5 * time.Second):
-		t.Fatal("refresh not delivered")
+	// An UPDATE behind the request shows the read loop has passed it.
+	if err := wire.WriteMessage(cb, routeUpdate(1)); err != nil {
+		t.Fatal(err)
 	}
-}
-
-type refreshCollector struct {
-	*collector
-	got chan struct{}
-}
-
-func (r *refreshCollector) HandleRouteRefresh(peer astypes.ASN, _ *wire.RouteRefresh) {
-	select {
-	case r.got <- struct{}{}:
-	default:
+	waitCond(t, func() bool { return h.updateCount() == 1 }, "the UPDATE behind the ROUTE-REFRESH")
+	if got := met.msgsIn[wire.MsgRouteRefresh].Value(); got != 1 {
+		t.Errorf("ROUTE-REFRESH counted %v times, want 1", got)
+	}
+	if s.State() != StateEstablished {
+		t.Fatalf("state after ROUTE-REFRESH = %v (err %v), want Established", s.State(), s.Err())
+	}
+	cb.SetReadDeadline(time.Now().Add(100 * time.Millisecond))
+	if msg, err := wire.ReadMessage(cb); err == nil {
+		t.Errorf("session answered the ROUTE-REFRESH with %v", msg)
 	}
 }

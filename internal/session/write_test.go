@@ -76,22 +76,20 @@ func TestSendUpdatesErrorNamesPeer(t *testing.T) {
 	}
 }
 
-// TestConcurrentWritersKeepFramesIntact: single UPDATEs, batches,
-// keepalives and ROUTE-REFRESH requests sent from concurrent goroutines
-// share one connection and one buffered writer. writeMu keeps every
-// frame whole, so the peer decodes each UPDATE and both ends stay up.
-// Run under -race.
+// TestConcurrentWritersKeepFramesIntact: single UPDATEs, batches and
+// keepalives sent from concurrent goroutines share one connection and
+// one buffered writer. writeMu keeps every frame whole, so the peer
+// decodes each UPDATE and both ends stay up. Run under -race.
 func TestConcurrentWritersKeepFramesIntact(t *testing.T) {
 	sa, sb, _, hb := establishPair(t, Config{LocalAS: 1}, Config{LocalAS: 2})
 	u := routeUpdate(20)
 	const rounds = 50
-	errs := make(chan error, 4*rounds)
+	errs := make(chan error, 3*rounds)
 	var wg sync.WaitGroup
 	for _, send := range []func() error{
 		func() error { return sa.SendUpdate(u) },
 		func() error { _, err := sa.SendUpdates([]*wire.Update{u, u}); return err },
 		sa.sendKeepalive,
-		sa.SendRouteRefresh,
 	} {
 		wg.Add(1)
 		go func() {

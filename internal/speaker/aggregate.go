@@ -121,7 +121,6 @@ func (s *Speaker) refreshAggregateLocked(agg *aggregateState) {
 		Prefix:          agg.prefix,
 		Path:            path,
 		Origin:          wire.OriginIncomplete,
-		NextHop:         s.cfg.NextHop,
 		LocalPref:       rib.DefaultLocalPref,
 		FromPeer:        astypes.ASNNone,
 		AtomicAggregate: lostDetail,

@@ -99,9 +99,6 @@ type Config struct {
 	// runs on the session goroutine with the speaker's lock held, so it
 	// must not call back into the speaker.
 	OnAlarm func(core.Conflict)
-	// NextHop is the next-hop address advertised in UPDATEs (an opaque
-	// 32-bit value at this abstraction level).
-	NextHop uint32
 	// ListEncoding selects the MOAS-list encoding on originated routes
 	// (default EncodeCommunities).
 	ListEncoding ListEncoding
@@ -297,34 +294,6 @@ func (h *handler) HandleDown(peerAS astypes.ASN, err error) {
 	h.s.handlePeerDown(h, peerAS)
 }
 
-// HandleRouteRefresh re-advertises the full Loc-RIB to the requesting
-// peer (RFC 2918).
-func (h *handler) HandleRouteRefresh(peerAS astypes.ASN, _ *wire.RouteRefresh) {
-	h.s.mu.Lock()
-	defer h.s.mu.Unlock()
-	p := h.s.peerLocked(peerAS)
-	if p == nil || p != h.p {
-		return
-	}
-	for _, r := range h.s.table.BestRoutes() {
-		if h.s.suppressedLocked(r.Prefix) {
-			continue
-		}
-		h.s.advertiseLocked(p, r)
-	}
-}
-
-// RequestRefresh asks one peer to resend its routes.
-func (s *Speaker) RequestRefresh(peerAS astypes.ASN) error {
-	s.mu.Lock()
-	p := s.peerLocked(peerAS)
-	s.mu.Unlock()
-	if p == nil {
-		return fmt.Errorf("speaker AS %s: no peer AS %s", s.cfg.AS, peerAS)
-	}
-	return p.sess.SendRouteRefresh()
-}
-
 // deniedPrefix reports whether the import filter rejects prefix.
 func (s *Speaker) deniedPrefix(prefix astypes.Prefix) bool {
 	if s.denied == nil {
@@ -495,7 +464,6 @@ func (s *Speaker) Originate(prefix astypes.Prefix, list core.List) {
 		Prefix:    prefix,
 		Path:      astypes.NewSeqPath(s.cfg.AS),
 		Origin:    wire.OriginIGP,
-		NextHop:   s.cfg.NextHop,
 		LocalPref: rib.DefaultLocalPref,
 		FromPeer:  astypes.ASNNone,
 	}
@@ -789,13 +757,14 @@ func (s *Speaker) exportUpdate(r *rib.Route) *wire.Update {
 	if r.FromPeer != astypes.ASNNone {
 		path = path.Prepend(s.cfg.AS)
 	}
+	// NEXT_HOP is mandatory; at this abstraction level it is an opaque
+	// value, and the speaker advertises 0.
 	return &wire.Update{
 		Attrs: wire.PathAttrs{
 			HasOrigin:       true,
 			Origin:          r.Origin,
 			ASPath:          path,
 			HasNextHop:      true,
-			NextHop:         s.cfg.NextHop,
 			Communities:     r.Communities,
 			AtomicAggregate: r.AtomicAggregate,
 			HasAggregator:   r.AggregatorAS != astypes.ASNNone,

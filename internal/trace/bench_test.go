@@ -21,21 +21,9 @@ func BenchmarkTraceRecord(b *testing.B) {
 }
 
 // BenchmarkTraceRecordDisabled is the baseline an untraced run pays on
-// the session receive path: one atomic load, 0 allocs, a few ns.
+// the session receive path: a nil recorder, the default for binaries
+// built without -trace-events, costs one comparison and 0 allocs.
 func BenchmarkTraceRecordDisabled(b *testing.B) {
-	r := NewRecorder(4096)
-	r.SetEnabled(false)
-	e := testEvent(1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r.Record(e)
-	}
-}
-
-// BenchmarkTraceRecordNil is the cost with tracing absent entirely (nil
-// recorder), the default for binaries built without -trace-events.
-func BenchmarkTraceRecordNil(b *testing.B) {
 	var r *Recorder
 	e := testEvent(1)
 	b.ReportAllocs()

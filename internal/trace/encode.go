@@ -1,7 +1,7 @@
-// Event wire formats: a hand-rolled append-style JSON encoder (so
-// streaming a trace out of the admin endpoint never allocates per
-// event), a stdlib-based decoder for tools that read traces back, and
-// the fixed-layout text rendering shared by /debug/trace and the
+// Event wire formats: a hand-rolled append-style JSON encoder (the one
+// format /debug/trace serves, so streaming a trace out of the admin
+// endpoint never allocates per event), a stdlib-based decoder for tools
+// that read traces back, and the fixed-layout text rendering of the
 // simulator's -trace timelines (deterministic byte-for-byte, which the
 // moas-sim reproducibility test relies on).
 package trace

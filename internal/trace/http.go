@@ -14,8 +14,8 @@ import (
 // Routes returns the debug handlers for a recorder, keyed by URL
 // pattern in the form http.ServeMux expects:
 //
-//	/debug/trace      recent ring events; text by default, ?format=json
-//	                  for one JSON object per line, ?n= to limit count
+//	/debug/trace      recent ring events as a JSON array, one event per
+//	                  line, oldest first; ?n= keeps only the newest n
 //	/debug/alarms     all retained forensic bundles as a JSON array;
 //	                  ?span= keeps only bundles for that message span
 //	                  (how /debug/status exemplars resolve to bundles)
@@ -56,24 +56,15 @@ func (h traceHandler) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 			events = events[len(events)-n:]
 		}
 	}
-	var buf []byte
-	if req.URL.Query().Get("format") == "json" {
-		w.Header().Set("Content-Type", "application/json")
-		buf = append(buf, '[')
-		for i := range events {
-			if i > 0 {
-				buf = append(buf, ',', '\n')
-			}
-			buf = AppendEventJSON(buf, &events[i])
+	w.Header().Set("Content-Type", "application/json")
+	buf := []byte{'['}
+	for i := range events {
+		if i > 0 {
+			buf = append(buf, ',', '\n')
 		}
-		buf = append(buf, ']', '\n')
-	} else {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		for i := range events {
-			buf = AppendEventText(buf, &events[i])
-		}
+		buf = AppendEventJSON(buf, &events[i])
 	}
-	w.Write(buf)
+	w.Write(append(buf, ']', '\n'))
 }
 
 type alarmListHandler struct{ rec *Recorder }

@@ -27,25 +27,31 @@ func TestTraceEndpoint(t *testing.T) {
 	}
 	routes := Routes(r)
 
-	w := serveRoute(t, routes, "/debug/trace")
-	if w.Code != http.StatusOK {
-		t.Fatalf("/debug/trace: status %d", w.Code)
-	}
-	if body := w.Body.String(); strings.Count(body, "\n") != 4 || !strings.Contains(body, "131.179.0.0/16") {
-		t.Errorf("text body: %q", body)
+	// Every query gets the same JSON array, one event per line: a
+	// format parameter selects nothing, and n above the ring's length
+	// keeps every event.
+	for _, url := range []string{"/debug/trace", "/debug/trace?n=9&format=text"} {
+		w := serveRoute(t, routes, url)
+		if w.Code != http.StatusOK {
+			t.Fatalf("%s: status %d", url, w.Code)
+		}
+		if ct := w.Header().Get("Content-Type"); ct != "application/json" {
+			t.Errorf("%s: Content-Type %q", url, ct)
+		}
+		if body := w.Body.String(); strings.Count(body, "\n") != 4 || !strings.Contains(body, "131.179.0.0/16") {
+			t.Errorf("%s: body %q", url, body)
+		}
+		var events []Event
+		if err := json.Unmarshal(w.Body.Bytes(), &events); err != nil {
+			t.Fatalf("%s: json body: %v\n%s", url, err, w.Body.String())
+		}
+		if len(events) != 4 || events[3].Span != 3 {
+			t.Errorf("%s: json events: %+v", url, events)
+		}
 	}
 
-	w = serveRoute(t, routes, "/debug/trace?format=json")
+	w := serveRoute(t, routes, "/debug/trace?n=2")
 	var events []Event
-	if err := json.Unmarshal(w.Body.Bytes(), &events); err != nil {
-		t.Fatalf("json body: %v\n%s", err, w.Body.String())
-	}
-	if len(events) != 4 || events[3].Span != 3 {
-		t.Errorf("json events: %+v", events)
-	}
-
-	w = serveRoute(t, routes, "/debug/trace?n=2&format=json")
-	events = nil
 	if err := json.Unmarshal(w.Body.Bytes(), &events); err != nil {
 		t.Fatal(err)
 	}

@@ -2,9 +2,9 @@
 // typed routing-plane events (message received, validated, RIB
 // decision, export, alarm) shared by the live path (wire → session →
 // speaker/daemon → rib → core.Checker) and the simulator. Recording is
-// allocation-free and cheap enough for per-message call sites; a
-// disabled or absent recorder costs one atomic load (or nothing at all
-// for a nil *Recorder), so untraced runs pay essentially zero.
+// allocation-free and cheap enough for per-message call sites; a nil
+// *Recorder is the off switch and costs one comparison, so untraced
+// runs pay essentially zero.
 //
 // Every MOAS alarm additionally snapshots a forensic AlarmBundle — the
 // competing MOAS lists, the offending AS path, and the decision
@@ -199,9 +199,6 @@ type Recorder struct {
 	// seq is the next event sequence number; seq-1 addressed the most
 	// recently claimed slot.
 	seq atomic.Uint64
-	// on gates recording: the single atomic load a disabled-but-present
-	// recorder costs on the hot path.
-	on atomic.Bool
 	// wall, set at construction, stamps events with time.Now;
 	// WithoutWallClock disables it for deterministic traces.
 	wall bool
@@ -257,23 +254,20 @@ func NewRecorder(size int, opts ...Option) *Recorder {
 	for _, o := range opts {
 		o.apply(r)
 	}
-	r.on.Store(true)
 	return r
 }
 
-// Enabled reports whether the recorder is recording. Nil-safe.
-func (r *Recorder) Enabled() bool { return r != nil && r.on.Load() }
-
-// SetEnabled toggles recording without discarding captured events.
-func (r *Recorder) SetEnabled(on bool) { r.on.Store(on) }
+// Enabled reports whether the recorder is recording: a nil recorder is
+// the only one that is not.
+func (r *Recorder) Enabled() bool { return r != nil }
 
 // Cap returns the ring capacity in events.
 func (r *Recorder) Cap() int { return len(r.slots) }
 
-// Record captures one event. Nil-safe and allocation-free; a disabled
-// recorder pays one atomic load.
+// Record captures one event. Nil-safe and allocation-free; a nil
+// recorder pays one comparison.
 func (r *Recorder) Record(e Event) {
-	if r == nil || !r.on.Load() {
+	if r == nil {
 		return
 	}
 	if r.wall {
@@ -453,9 +447,9 @@ func unionOrigins(existing, received []uint32, origin uint32) []uint32 {
 // prefix string, origin union, wall time (unless WithoutWallClock) and
 // prefix-filtered event timeline, records the matching KindAlarm ring
 // event, and retains the bundle for Alarms/Alarm. Returns the assigned
-// ID, or -1 when the recorder is nil or disabled.
+// ID, or -1 when the recorder is nil.
 func (r *Recorder) RecordAlarm(prefix astypes.Prefix, b AlarmBundle) int {
-	if r == nil || !r.on.Load() {
+	if r == nil {
 		return -1
 	}
 	if r.wall {
