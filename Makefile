@@ -13,6 +13,7 @@ FUZZ_TARGETS := \
 	./internal/routegen:FuzzReadBinaryDump \
 	./internal/mrt/rislive:FuzzRISLiveJSON \
 	./internal/mrt/rislive:FuzzDecodeMatchesJSON \
+	./internal/collector:FuzzMirrorRoundTrip \
 	./internal/rpki:FuzzParseROAs \
 	./internal/dnsval:FuzzParseMOASRR
 FUZZTIME ?= 10s

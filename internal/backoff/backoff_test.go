@@ -7,40 +7,52 @@ import (
 	"time"
 )
 
+// TestDelaySchedule holds the package-level Delay and a Jitter's
+// Delay, the form the daemon's re-dial loop and the RIS-Live stage
+// call, to the same schedule.
 func TestDelaySchedule(t *testing.T) {
 	const (
 		base = time.Second
 		max  = 8 * time.Second
 	)
 	rng := rand.New(rand.NewSource(1))
-	// Every attempt's delay must land in [d/2, d] where d doubles from
-	// base until the cap; sample repeatedly to exercise the jitter.
-	for attempt := 0; attempt < 10; attempt++ {
-		want := base << attempt
-		if want > max || want <= 0 {
-			want = max
-		}
-		for i := 0; i < 50; i++ {
-			got := Delay(base, max, attempt, rng)
-			if got < want/2 || got > want {
-				t.Fatalf("attempt %d: delay %v outside [%v, %v]", attempt, got, want/2, want)
+	for _, s := range []struct {
+		name  string
+		delay func(base, max time.Duration, attempt int) time.Duration
+	}{
+		{"Delay", func(base, max time.Duration, attempt int) time.Duration { return Delay(base, max, attempt, rng) }},
+		{"Jitter.Delay", NewJitter(1).Delay},
+	} {
+		// Every attempt's delay must land in [d/2, d] where d doubles
+		// from base until the cap; sample repeatedly to exercise the
+		// jitter.
+		for attempt := 0; attempt < 10; attempt++ {
+			want := base << attempt
+			if want > max || want <= 0 {
+				want = max
+			}
+			for i := 0; i < 50; i++ {
+				got := s.delay(base, max, attempt)
+				if got < want/2 || got > want {
+					t.Fatalf("%s: attempt %d: delay %v outside [%v, %v]", s.name, attempt, got, want/2, want)
+				}
 			}
 		}
-	}
-	// The jitter must actually vary (not return a constant).
-	seen := map[time.Duration]bool{}
-	for i := 0; i < 50; i++ {
-		seen[Delay(base, max, 0, rng)] = true
-	}
-	if len(seen) < 2 {
-		t.Error("Delay produced no jitter")
-	}
-	// Degenerate inputs.
-	if Delay(0, max, 3, rng) != 0 {
-		t.Error("zero base should disable the delay")
-	}
-	if got := Delay(base, 0, 4, rng); got < base/2 || got > base {
-		t.Errorf("cap below base should clamp to base, got %v", got)
+		// The jitter must actually vary (not return a constant).
+		seen := map[time.Duration]bool{}
+		for i := 0; i < 50; i++ {
+			seen[s.delay(base, max, 0)] = true
+		}
+		if len(seen) < 2 {
+			t.Errorf("%s produced no jitter", s.name)
+		}
+		// Degenerate inputs.
+		if s.delay(0, max, 3) != 0 {
+			t.Errorf("%s: zero base should disable the delay", s.name)
+		}
+		if got := s.delay(base, 0, 4); got < base/2 || got > base {
+			t.Errorf("%s: cap below base should clamp to base, got %v", s.name, got)
+		}
 	}
 }
 

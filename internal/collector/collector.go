@@ -12,6 +12,7 @@
 package collector
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -83,11 +84,10 @@ func newMetrics(r *telemetry.Registry) *metrics {
 	}
 }
 
-// route is the collector's view of one announcement from one peer.
-type route struct {
-	path        astypes.ASPath
-	communities []astypes.Community
-}
+// route is the collector's view of one announcement from one peer: its
+// AS path and communities packed into one immutable string (packRoute),
+// which every NLRI of the UPDATE that carried it shares.
+type route string
 
 // Collector is a passive multi-peer route archive.
 type Collector struct {
@@ -98,7 +98,9 @@ type Collector struct {
 	mu    sync.Mutex
 	peers map[astypes.ASN]*peering // guarded by mu
 	// rib[peer][prefix] mirrors each peer's announcements. Guarded by mu.
-	rib       map[astypes.ASN]map[astypes.Prefix]route
+	rib map[astypes.ASN]map[astypes.Prefix]route
+	// pack is mirror's scratch for packing a route. Guarded by mu.
+	pack      []byte
 	snapshots int  // guarded by mu
 	closed    bool // guarded by mu
 
@@ -173,17 +175,69 @@ func (c *Collector) mirror(asn astypes.ASN, u *wire.Update) {
 	if len(u.NLRI) == 0 {
 		return
 	}
+	c.pack = packRoute(c.pack[:0], u.Attrs.ASPath, u.Attrs.Communities)
+	r := route(c.pack)
 	for _, prefix := range u.NLRI {
-		table[prefix] = route{
-			path:        u.Attrs.ASPath.Clone(),
-			communities: append([]astypes.Community(nil), u.Attrs.Communities...),
+		table[prefix] = r
+	}
+}
+
+// packRoute appends the packed form of a route to dst: a uvarint
+// segment count; per segment its type octet, a uvarint ASN count and
+// the ASNs as 4 big-endian octets each; then each community as 4
+// big-endian octets. Unlike the wire AS_PATH codec it caps neither a
+// segment's length nor an ASN's width.
+func packRoute(dst []byte, path astypes.ASPath, comms []astypes.Community) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(path.Segments)))
+	for _, seg := range path.Segments {
+		dst = append(dst, byte(seg.Type))
+		dst = binary.AppendUvarint(dst, uint64(len(seg.ASNs)))
+		for _, a := range seg.ASNs {
+			dst = binary.BigEndian.AppendUint32(dst, uint32(a))
 		}
 	}
+	for _, cm := range comms {
+		dst = binary.BigEndian.AppendUint32(dst, uint32(cm))
+	}
+	return dst
+}
+
+// unpack returns the route's path and communities in fresh slices, as
+// ASPath.Clone and a copy of the communities would: no segments is the
+// zero ASPath, an empty segment has a non-nil empty ASN slice, and no
+// communities is nil.
+func (r route) unpack() (astypes.ASPath, []astypes.Community) {
+	b := []byte(r)
+	nsegs, n := binary.Uvarint(b)
+	b = b[n:]
+	var path astypes.ASPath
+	if nsegs > 0 {
+		path.Segments = make([]astypes.Segment, nsegs)
+	}
+	for k := range path.Segments {
+		seg := &path.Segments[k]
+		seg.Type = astypes.SegmentType(b[0])
+		nasns, n := binary.Uvarint(b[1:])
+		b = b[1+n:]
+		seg.ASNs = make([]astypes.ASN, nasns)
+		for j := range seg.ASNs {
+			seg.ASNs[j] = astypes.ASN(binary.BigEndian.Uint32(b[4*j:]))
+		}
+		b = b[4*nasns:]
+	}
+	var comms []astypes.Community
+	if len(b) > 0 {
+		comms = make([]astypes.Community, len(b)/4)
+		for j := range comms {
+			comms[j] = astypes.Community(binary.BigEndian.Uint32(b[4*j:]))
+		}
+	}
+	return path, comms
 }
 
 // Inject feeds one UPDATE into the collector's RIB as if peer had sent
 // it over a session, without the monitor: the entry point for a caller
-// that checks the update with its own monitor. The update is cloned on
+// that checks the update with its own monitor. The update is packed on
 // ingest, so u may alias decoder scratch.
 func (c *Collector) Inject(peer astypes.ASN, u *wire.Update) {
 	c.mirror(peer, u)
@@ -321,25 +375,22 @@ func (c *Collector) Snapshot(at time.Time) *routegen.Dump {
 		}
 		sortPrefixes(prefixes)
 		for _, prefix := range prefixes {
-			d.Entries = append(d.Entries, routegen.Entry{
-				Prefix:      prefix,
-				Path:        table[prefix].path.Clone(),
-				Communities: append([]astypes.Community(nil), table[prefix].communities...),
-			})
+			path, comms := table[prefix].unpack()
+			d.Entries = append(d.Entries, routegen.Entry{Prefix: prefix, Path: path, Communities: comms})
 		}
 	}
 	return d
 }
 
 // RoutesFrom returns the collector's view of one peer's table: prefix
-// to (path, communities), copied.
+// to AS path, copied.
 func (c *Collector) RoutesFrom(peer astypes.ASN) map[astypes.Prefix]astypes.ASPath {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	table := c.rib[peer]
 	out := make(map[astypes.Prefix]astypes.ASPath, len(table))
 	for p, r := range table {
-		out[p] = r.path.Clone()
+		out[p], _ = r.unpack()
 	}
 	return out
 }

@@ -21,9 +21,15 @@ import (
 // monitor has observed it. ConsumeRISLive returns when events is
 // closed.
 func (c *Collector) ConsumeRISLive(events <-chan *rislive.Event, after func(*rislive.Event)) {
+	vantages := make(map[string]string) // host -> "ris:<host>"
 	for ev := range events {
 		c.cfg.Obs.Cross(&ev.Stamp, obs.StageSession)
-		c.ingest("ris:"+ev.Host, ev.PeerASN, &ev.Update, &ev.Stamp)
+		vantage, ok := vantages[ev.Host]
+		if !ok {
+			vantage = "ris:" + ev.Host
+			vantages[ev.Host] = vantage
+		}
+		c.ingest(vantage, ev.PeerASN, &ev.Update, &ev.Stamp)
 		if after != nil {
 			after(ev)
 		}
@@ -41,8 +47,8 @@ func (c *Collector) ReplayMRT(vantage string, r io.Reader, hook func(*mrt.Record
 	if c.cfg.Monitor == nil {
 		return monitor.ReplayResult{}, errors.New("collector: ReplayMRT needs Config.Monitor")
 	}
-	// mirror keeps only a route's path and communities, and clones
-	// them, so one scratch update serves every RIB entry.
+	// mirror keeps only a route's path and communities, packed into a
+	// string of its own, so one scratch update serves every RIB entry.
 	entry := wire.Update{NLRI: make([]astypes.Prefix, 1)}
 	return c.cfg.Monitor.ReplayMRTFunc(vantage, r, func(rec *mrt.Record) {
 		switch rec.Kind {

@@ -201,3 +201,29 @@ func TestCollectorObservesEachSourceOnce(t *testing.T) {
 		return true
 	}, "the peering's withdrawal observed")
 }
+
+// TestConsumeRISLiveVantageOncePerHost: naming an event's vantage
+// costs ConsumeRISLive no allocation beyond the first event of a host,
+// so the loop allocates no more per event than ingest itself.
+func TestConsumeRISLiveVantageOncePerHost(t *testing.T) {
+	const n = 64
+	c := New(Config{})
+	ev := risEvent(nil, 0, 701, 4, prefix)
+	direct := testing.AllocsPerRun(10, func() {
+		for i := 0; i < n; i++ {
+			c.ingest("ris:rrc00", ev.PeerASN, &ev.Update, nil)
+		}
+	})
+	consumed := testing.AllocsPerRun(10, func() {
+		ch := make(chan *rislive.Event, n)
+		for i := 0; i < n; i++ {
+			ch <- ev
+		}
+		close(ch)
+		c.ConsumeRISLive(ch, nil)
+	})
+	// The channel, the vantage map and its one entry are per call.
+	if extra := consumed - direct; extra > 4 {
+		t.Errorf("ConsumeRISLive allocates %v more than ingest over %d events from one host, want at most 4", extra, n)
+	}
+}

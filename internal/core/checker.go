@@ -63,16 +63,6 @@ type Announcement struct {
 	Span uint64
 }
 
-// effectiveList resolves the announcement's MOAS list with the full
-// precedence: dedicated attribute, then communities, then the implicit
-// single-origin rule.
-func (a Announcement) effectiveList() (List, error) {
-	if l, ok := CarriedList(a.Communities, a.ListAttr); ok {
-		return l, nil
-	}
-	return EffectiveList(nil, a.Path)
-}
-
 // Checker implements the per-router MOAS-list consistency check. It
 // remembers, per prefix, the first MOAS list accepted and compares every
 // subsequent announcement against it ("single set comparison", §4.2).
@@ -101,48 +91,47 @@ func NewChecker() *Checker {
 // the checker trusts first-seen state and flags divergence, exactly as
 // the simulation's MOAS-capable nodes do.
 func (c *Checker) Check(a Announcement) (Verdict, *Conflict) {
-	eff, err := a.effectiveList()
-	if err != nil {
-		// An announcement with no derivable origin cannot be validated;
-		// treat as conflicting with anything previously seen.
-		eff = List{}
+	origin, hasOrigin := a.Path.Origin()
+	carried, explicit := CarriedList(a.Communities, a.ListAttr)
+	// received is the announcement's effective list: the carried list,
+	// else the implicit single-origin list, else (no origin, so it
+	// cannot be validated) the empty list, which conflicts with
+	// anything seen before. It is built only to be stored or reported,
+	// so a repeated consistent implicit announcement allocates nothing.
+	received := func() List {
+		if explicit || !hasOrigin {
+			return carried
+		}
+		return ImplicitList(origin)
 	}
-	origin, _ := a.Path.Origin()
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if !eff.Empty() && !eff.Contains(origin) {
-		conflict := Conflict{
-			Prefix:   a.Prefix,
-			Existing: c.lists[a.Prefix],
-			Received: eff,
-			Origin:   origin,
-			FromPeer: a.FromPeer,
-			Span:     a.Span,
-			Path:     a.Path.Clone(),
-			Verdict:  VerdictOriginNotListed,
-		}
-		return VerdictOriginNotListed, &conflict
-	}
 	existing, seen := c.lists[a.Prefix]
-	if !seen {
-		c.lists[a.Prefix] = eff
+	verdict := VerdictConflict
+	switch {
+	case !carried.Empty() && !carried.Contains(origin):
+		verdict = VerdictOriginNotListed
+	case !seen:
+		c.lists[a.Prefix] = received()
+		return VerdictConsistent, nil
+	case explicit || !hasOrigin:
+		if existing.Equal(carried) {
+			return VerdictConsistent, nil
+		}
+	case existing.Len() == 1 && existing.asns[0] == origin:
 		return VerdictConsistent, nil
 	}
-	if existing.Equal(eff) {
-		return VerdictConsistent, nil
-	}
-	conflict := Conflict{
+	return verdict, &Conflict{
 		Prefix:   a.Prefix,
 		Existing: existing,
-		Received: eff,
+		Received: received(),
 		Origin:   origin,
 		FromPeer: a.FromPeer,
 		Span:     a.Span,
 		Path:     a.Path.Clone(),
-		Verdict:  VerdictConflict,
+		Verdict:  verdict,
 	}
-	return VerdictConflict, &conflict
 }
 
 // ListFor returns the MOAS list currently recorded for a prefix.

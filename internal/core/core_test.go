@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -319,6 +320,80 @@ func TestCheckerConcurrentUse(t *testing.T) {
 	// other 7 origins conflict on every check.
 	if got := conflicts.Load(); got != 7*200 {
 		t.Errorf("conflicts = %d, want %d", got, 7*200)
+	}
+}
+
+// TestCheckConsistentImplicitAllocFree: re-checking an implicit
+// announcement that agrees with the recorded list builds no list.
+func TestCheckConsistentImplicitAllocFree(t *testing.T) {
+	c := NewChecker()
+	a := Announcement{Prefix: testPrefix, Path: astypes.NewSeqPath(9, 4)}
+	c.Check(a)
+	if allocs := testing.AllocsPerRun(100, func() {
+		if v, conflict := c.Check(a); v != VerdictConsistent || conflict != nil {
+			t.Fatalf("Check = %v, %v", v, conflict)
+		}
+	}); allocs != 0 {
+		t.Errorf("consistent implicit Check: %v allocs, want 0", allocs)
+	}
+}
+
+// TestCheckMatchesEffectiveListRule replays random announcements —
+// implicit, community-carried and attribute-carried lists, AS_SET
+// origins and empty paths — and holds every verdict and conflict to
+// the rule as the paper states it: resolve the effective list
+// (EffectiveList, with the attribute first), reject an origin outside
+// it, store it on first sight, and compare every later list as a set.
+func TestCheckMatchesEffectiveListRule(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	c := NewChecker()
+	lists := map[astypes.Prefix]List{}
+	prefixes := []astypes.Prefix{testPrefix, astypes.MustPrefix(0x0a000000, 8)}
+	for i := 0; i < 5000; i++ {
+		a := Announcement{Prefix: prefixes[rng.Intn(len(prefixes))], FromPeer: 7, Span: uint64(i)}
+		switch rng.Intn(6) {
+		case 0: // no origin
+		case 1:
+			a.Path = astypes.ASPath{Segments: []astypes.Segment{{Type: astypes.SegSet, ASNs: []astypes.ASN{astypes.ASN(1 + rng.Intn(3)), 2}}}}
+		default:
+			a.Path = astypes.NewSeqPath(9, astypes.ASN(1+rng.Intn(3)))
+		}
+		carried := NewList(astypes.ASN(1+rng.Intn(3)), astypes.ASN(1+rng.Intn(3)))
+		switch rng.Intn(4) {
+		case 0:
+			a.Communities = carried.Communities()
+		case 1:
+			a.ListAttr = carried.AttrBytes()
+		}
+
+		origin, _ := a.Path.Origin()
+		eff, explicit := CarriedList(a.Communities, a.ListAttr)
+		if !explicit {
+			eff, _ = EffectiveList(nil, a.Path)
+		}
+		existing, seen := lists[a.Prefix]
+		want := VerdictConsistent
+		switch {
+		case !eff.Empty() && !eff.Contains(origin):
+			want = VerdictOriginNotListed
+		case !seen:
+			lists[a.Prefix] = eff
+		case !existing.Equal(eff):
+			want = VerdictConflict
+		}
+
+		v, conflict := c.Check(a)
+		if v != want || (conflict != nil) != (want != VerdictConsistent) {
+			t.Fatalf("check %d (%+v): got %v, %v; want %v", i, a, v, conflict, want)
+		}
+		if conflict == nil {
+			continue
+		}
+		if !conflict.Existing.Equal(existing) || !conflict.Received.Equal(eff) ||
+			conflict.Origin != origin || conflict.Verdict != want || conflict.Prefix != a.Prefix ||
+			conflict.FromPeer != 7 || conflict.Span != uint64(i) || conflict.Path.String() != a.Path.String() {
+			t.Fatalf("check %d (%+v): conflict %+v, want existing %v received %v", i, a, conflict, existing, eff)
+		}
 	}
 }
 

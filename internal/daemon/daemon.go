@@ -455,7 +455,7 @@ func (d *Daemon) peerDown(peer astypes.ASN) {
 	go func() {
 		defer d.wg.Done()
 		attempt := 0
-		timer := time.NewTimer(reconnectDelay(d.reconnect, d.reconnectMax, attempt, d.jitter))
+		timer := time.NewTimer(d.jitter.Delay(d.reconnect, d.reconnectMax, attempt))
 		defer timer.Stop()
 		for {
 			select {
@@ -469,19 +469,9 @@ func (d *Daemon) peerDown(peer astypes.ASN) {
 				return
 			}
 			attempt++
-			timer.Reset(reconnectDelay(d.reconnect, d.reconnectMax, attempt, d.jitter))
+			timer.Reset(d.jitter.Delay(d.reconnect, d.reconnectMax, attempt))
 		}
 	}()
-}
-
-// reconnectDelay computes the wait before re-dial attempt n (0-based);
-// the schedule itself (capped exponential backoff with jitter) lives in
-// internal/backoff so the RIS-Live ingest stage and the RTR client
-// reuse the exact same machinery. All of a daemon's re-dial goroutines
-// share one locked backoff.Jitter instead of each seeding a throwaway
-// rand.Rand from the wall clock.
-func reconnectDelay(base, max time.Duration, attempt int, jit *backoff.Jitter) time.Duration {
-	return jit.Delay(base, max, attempt)
 }
 
 // Close shuts the daemon down.

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/astypes"
-	"repro/internal/backoff"
 )
 
 func TestConfigValidatesNewFields(t *testing.T) {
@@ -39,21 +38,30 @@ func TestConfigValidatesReconnectBounds(t *testing.T) {
 	}
 }
 
+// TestReconnectDelaySchedule checks the re-dial schedule a daemon
+// derives from its Config: ReconnectSeconds is the backoff base, the
+// cap is 16× the base, and every wait drawn from the daemon's shared
+// jitter source lands in [d/2, d] for the doubled-and-capped d.
 func TestReconnectDelaySchedule(t *testing.T) {
+	d, err := Build(Config{AS: 1, ReconnectSeconds: 1}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
 	const (
 		base = time.Second
-		max  = 8 * time.Second
+		max  = 16 * time.Second
 	)
-	rng := backoff.NewJitter(1)
-	// Every attempt's delay must land in [d/2, d] where d doubles from
-	// base until the cap; sample repeatedly to exercise the jitter.
+	if d.reconnect != base || d.reconnectMax != max {
+		t.Fatalf("schedule base %v cap %v, want %v and %v", d.reconnect, d.reconnectMax, base, max)
+	}
 	for attempt := 0; attempt < 10; attempt++ {
 		want := base << attempt
 		if want > max || want <= 0 {
 			want = max
 		}
 		for i := 0; i < 50; i++ {
-			got := reconnectDelay(base, max, attempt, rng)
+			got := d.jitter.Delay(d.reconnect, d.reconnectMax, attempt)
 			if got < want/2 || got > want {
 				t.Fatalf("attempt %d: delay %v outside [%v, %v]", attempt, got, want/2, want)
 			}
@@ -62,17 +70,19 @@ func TestReconnectDelaySchedule(t *testing.T) {
 	// The jitter must actually vary (not return a constant).
 	seen := map[time.Duration]bool{}
 	for i := 0; i < 50; i++ {
-		seen[reconnectDelay(base, max, 0, rng)] = true
+		seen[d.jitter.Delay(d.reconnect, d.reconnectMax, 0)] = true
 	}
 	if len(seen) < 2 {
-		t.Error("reconnectDelay produced no jitter")
+		t.Error("re-dial schedule produced no jitter")
 	}
-	// Degenerate inputs.
-	if reconnectDelay(0, max, 3, rng) != 0 {
-		t.Error("zero base should disable the delay")
+	// Without ReconnectSeconds the daemon never waits to re-dial.
+	off, err := Build(Config{AS: 2}, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := reconnectDelay(base, 0, 4, rng); got < base/2 || got > base {
-		t.Errorf("cap below base should clamp to base, got %v", got)
+	defer off.Close()
+	if got := off.jitter.Delay(off.reconnect, off.reconnectMax, 3); got != 0 {
+		t.Errorf("reconnect disabled but delay is %v", got)
 	}
 }
 

@@ -1,0 +1,169 @@
+package e2etest
+
+import (
+	"bytes"
+	"flag"
+	"fmt"
+	"math"
+	"os"
+	"path/filepath"
+	"runtime"
+	"strings"
+	"testing"
+	"time"
+
+	"repro/internal/astypes"
+	"repro/internal/collector"
+	"repro/internal/monitor"
+	"repro/internal/mrt"
+	"repro/internal/wire"
+)
+
+var update = flag.Bool("update", false, "rewrite golden files")
+
+// costRecords is how many records one measured replay holds. Costs are
+// the difference between replays of 2·costRecords and costRecords
+// records, divided by costRecords, so what a replay pays once (the
+// reader, the scratch update) cancels out.
+const costRecords = 1024
+
+// costArchive is an MRT archive of n BGP4MP updates, each announcing
+// one prefix of 10.0.0.0/8 (the ith record the ith /24) over a 4-AS
+// path with one community.
+func costArchive(t *testing.T, n int) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	w := mrt.NewWriter(&buf)
+	u := &wire.Update{NLRI: make([]astypes.Prefix, 1)}
+	u.Attrs.HasOrigin = true
+	u.Attrs.HasNextHop = true
+	u.Attrs.NextHop = 0xC0000201
+	u.Attrs.ASPath = astypes.NewSeqPath(701, 1239, 3356, 4)
+	u.Attrs.Communities = []astypes.Community{astypes.NewCommunity(701, 666)}
+	at := time.Unix(1000000000, 0).UTC()
+	for i := 0; i < n; i++ {
+		u.NLRI[0] = astypes.MustPrefix(0x0a000000|uint32(i)<<8, 24)
+		if err := w.WriteUpdate(at, 701, collector.CollectorASN, 0xC0000201, 0xC0000202, u); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return buf.Bytes()
+}
+
+// replayCost replays archive through a collector's ReplayMRT into its
+// monitor and returns the heap allocations and bytes it took. warm,
+// when non-nil, is replayed first and not counted. The counters are
+// process-wide, so a goroutine the runtime or the test binary runs
+// meanwhile adds to them: the least of three replays, each into a
+// fresh collector, is the path's own cost.
+func replayCost(t *testing.T, warm, archive []byte) (allocs, size uint64) {
+	t.Helper()
+	allocs, size = math.MaxUint64, math.MaxUint64
+	for try := 0; try < 3; try++ {
+		c := collector.New(collector.Config{Monitor: monitor.New()})
+		replay := func(b []byte) {
+			if _, err := c.ReplayMRT("mrt:cost", bytes.NewReader(b), nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if warm != nil {
+			replay(warm)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		replay(archive)
+		runtime.ReadMemStats(&after)
+		c.Close()
+		allocs = min(allocs, after.Mallocs-before.Mallocs)
+		size = min(size, after.TotalAlloc-before.TotalAlloc)
+	}
+	return allocs, size
+}
+
+// costSlack is how far above the golden a per-record allocation count
+// may lie when the test runs on a Go release other than the one that
+// made the golden.
+const costSlack = 0.5
+
+// TestCostLedger pins what one one-NLRI UPDATE record costs on the MRT
+// path (Collector.ReplayMRT: MRT decode, the collector's mirror, the
+// monitor's check) in heap allocations and bytes allocated: at the
+// first sight of its prefix, and in steady state, when the prefix is
+// announced again over the same path. A change that moves one shows in
+// the diff of testdata/costs.golden; run with -update to regenerate it.
+//
+// The figures are exact for the code and the Go release, and the golden
+// names the release that made it. First-sight figures include the
+// amortized growth of the collector's, the monitor's and the checker's
+// maps, and map growth differs between releases; so on any other
+// release only the allocation counts are checked, each to at most
+// costSlack above the golden, which still fails a change that adds an
+// allocation per record.
+//
+// Taking the least of three replays removes most stray allocations by
+// other goroutines, but not all: when every replay of the smaller
+// archive catches more of them than some replay of the larger, the test
+// fails and says so.
+func TestCostLedger(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation accounting differs under the race detector")
+	}
+	one, two := costArchive(t, costRecords), costArchive(t, 2*costRecords)
+	perRecord := func(warmOne, warmTwo []byte) (float64, float64) {
+		a1, b1 := replayCost(t, warmOne, one)
+		a2, b2 := replayCost(t, warmTwo, two)
+		if a2 < a1 || b2 < b1 {
+			t.Fatalf("a replay of %d records cost less than one of %d (%d < %d allocs or %d < %d bytes): stray allocations by another goroutine; rerun",
+				2*costRecords, costRecords, a2, a1, b2, b1)
+		}
+		return float64(a2-a1) / costRecords, float64(b2-b1) / costRecords
+	}
+	firstAllocs, firstBytes := perRecord(nil, nil)
+	steadyAllocs, steadyBytes := perRecord(one, two)
+
+	var got bytes.Buffer
+	fmt.Fprintf(&got, "# Heap cost of one one-NLRI UPDATE record (4-AS path, one community)\n")
+	fmt.Fprintf(&got, "# per record, from replays of %d and %d records (TestCostLedger).\n", costRecords, 2*costRecords)
+	fmt.Fprintf(&got, "# %s\n", runtime.Version())
+	fmt.Fprintf(&got, "%-4s %-11s %7s %6s\n", "path", "phase", "allocs", "bytes")
+	fmt.Fprintf(&got, "%-4s %-11s %7.2f %6.0f\n", "mrt", "first-sight", firstAllocs, firstBytes)
+	fmt.Fprintf(&got, "%-4s %-11s %7.2f %6.0f\n", "mrt", "steady", steadyAllocs, steadyBytes)
+
+	path := filepath.Join("testdata", "costs.golden")
+	if *update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, got.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("read golden (run with -update to regenerate): %v", err)
+	}
+	lines := strings.Split(string(want), "\n")
+	if len(lines) < 3 || lines[2] != "# "+runtime.Version() {
+		t.Logf("golden made with another Go release; checking allocation counts only\n--- got ---\n%s--- want ---\n%s", got.Bytes(), want)
+		wantAllocs := map[string]float64{}
+		for _, line := range lines {
+			var path, phase string
+			var allocs, size float64
+			if n, _ := fmt.Sscanf(line, "%s %s %g %g", &path, &phase, &allocs, &size); n == 4 {
+				wantAllocs[path+" "+phase] = allocs
+			}
+		}
+		for row, allocs := range map[string]float64{"mrt first-sight": firstAllocs, "mrt steady": steadyAllocs} {
+			w, ok := wantAllocs[row]
+			if !ok {
+				t.Errorf("golden has no %q row (run with -update to regenerate)", row)
+			} else if allocs > w+costSlack {
+				t.Errorf("%s: %.2f allocs per record, golden %.2f (+%.1f allowed on this release)", row, allocs, w, costSlack)
+			}
+		}
+		return
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Errorf("cost ledger mismatch (run with -update to regenerate)\n--- got ---\n%s--- want ---\n%s", got.Bytes(), want)
+	}
+}

@@ -12,6 +12,7 @@
 package monitor
 
 import (
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -48,9 +49,10 @@ type Monitor struct {
 	// vantages; conflicts are diagnosed against it.
 	checker *core.Checker
 	alarms  []Alarm
-	// current tracks, per prefix, the set of origins currently visible
-	// (for MOAS-case reporting independent of list checking).
-	origins map[astypes.Prefix]map[astypes.ASN]struct{}
+	// origins tracks, per prefix, the set of origins currently visible
+	// (for MOAS-case reporting independent of list checking), unsorted
+	// and without duplicates.
+	origins map[astypes.Prefix][]astypes.ASN
 	// resolver, if set, classifies alarms into valid/invalid.
 	resolver Resolver
 	// rpki, if set, is the validated ROA store alarms are cross-checked
@@ -174,7 +176,7 @@ func WithOnAlarm(fn func(Alarm)) Option {
 func New(opts ...Option) *Monitor {
 	m := &Monitor{
 		checker: core.NewChecker(),
-		origins: make(map[astypes.Prefix]map[astypes.ASN]struct{}),
+		origins: make(map[astypes.Prefix][]astypes.ASN),
 	}
 	for _, o := range opts {
 		o.apply(m)
@@ -243,17 +245,14 @@ func (m *Monitor) observe(vantage string, prefix astypes.Prefix, path astypes.AS
 	m.mu.Lock()
 	m.met.entries.Inc()
 	if origin, ok := path.Origin(); ok {
-		set, ok := m.origins[prefix]
-		if !ok {
-			set = make(map[astypes.ASN]struct{}, 2)
-			m.origins[prefix] = set
-		}
-		before := len(set)
-		set[origin] = struct{}{}
-		// A prefix becomes a MOAS case when its visible origin set
-		// crosses from one to two.
-		if before == 1 && len(set) == 2 {
-			m.met.cases.Inc()
+		set := m.origins[prefix]
+		if !slices.Contains(set, origin) {
+			m.origins[prefix] = append(set, origin)
+			// A prefix becomes a MOAS case when its visible origin set
+			// crosses from one to two.
+			if len(set) == 1 {
+				m.met.cases.Inc()
+			}
 		}
 	}
 	if conflict == nil {
@@ -350,11 +349,7 @@ func (m *Monitor) MOASCases() []MOASCase {
 		if len(set) < 2 {
 			continue
 		}
-		c := MOASCase{Prefix: prefix}
-		for a := range set {
-			c.Origins = append(c.Origins, a)
-		}
-		astypes.SortASNs(c.Origins)
+		c := MOASCase{Prefix: prefix, Origins: astypes.SortASNs(slices.Clone(set))}
 		if m.resolver != nil {
 			if valid, ok := m.resolver.ValidOrigins(prefix); ok {
 				c.Known = true
@@ -378,7 +373,7 @@ func (m *Monitor) Reset() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.checker.Reset()
-	m.origins = make(map[astypes.Prefix]map[astypes.ASN]struct{})
+	m.origins = make(map[astypes.Prefix][]astypes.ASN)
 	m.alarms = nil
 	// Counters are cumulative across resets by design; only the
 	// live-case gauge goes back to zero.
