@@ -5,6 +5,7 @@ import (
 
 	"repro"
 	"repro/internal/routegen"
+	"repro/internal/wire"
 )
 
 // The complete detection loop on a five-AS internetwork: a hijack is
@@ -74,8 +75,11 @@ func ExampleMOASRRStore() {
 func ExampleMonitor() {
 	prefix := repro.MustPrefix(0x83b30000, 16)
 	mon := repro.NewMonitor()
-	mon.ObserveEntry("route-views", prefix, repro.NewSeqPath(701, 4), nil)
-	mon.ObserveEntry("ripe-ris", prefix, repro.NewSeqPath(1239, 52), nil)
+	announce := func(path ...repro.ASN) *wire.Update {
+		return &wire.Update{NLRI: []repro.Prefix{prefix}, Attrs: wire.PathAttrs{ASPath: repro.NewSeqPath(path...)}}
+	}
+	mon.ObserveUpdate("route-views", announce(701, 4))
+	mon.ObserveUpdate("ripe-ris", announce(1239, 52))
 
 	for _, c := range mon.MOASCases() {
 		fmt.Println(c.Prefix, c.Origins)

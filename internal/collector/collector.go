@@ -41,7 +41,7 @@ type Config struct {
 	RouterID uint32
 	// Telemetry, if set, is the registry the collector (and its
 	// sessions and archiver) instruments itself on; nil creates a
-	// private "moas" registry. Registry() exposes whichever is in use.
+	// private "moas" registry.
 	Telemetry *telemetry.Registry
 	// Trace, if set, is the flight recorder the collector's sessions
 	// record message-received events on.
@@ -122,10 +122,6 @@ func New(cfg Config) *Collector {
 		rib:   make(map[astypes.ASN]map[astypes.Prefix]route),
 	}
 }
-
-// Registry returns the telemetry registry the collector instruments
-// itself on (the configured one, or the private default).
-func (c *Collector) Registry() *telemetry.Registry { return c.reg }
 
 // peering is one peer session and the session.Handler it reports to.
 // Each connection gets its own, so a session that goes down can tell
@@ -296,19 +292,6 @@ func (c *Collector) AddPeerConn(conn net.Conn) (astypes.ASN, error) {
 		return astypes.ASNNone, err
 	}
 	return got, nil
-}
-
-// Connect dials a peer.
-func (c *Collector) Connect(addr string) error {
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		return fmt.Errorf("collector: dial %s: %w", addr, err)
-	}
-	if _, err := c.AddPeerConn(conn); err != nil {
-		conn.Close()
-		return err
-	}
-	return nil
 }
 
 // Listen accepts inbound peerings until the collector is closed.

@@ -4,12 +4,10 @@ import (
 	"errors"
 	"io"
 
-	"repro/internal/astypes"
 	"repro/internal/monitor"
 	"repro/internal/mrt"
 	"repro/internal/mrt/rislive"
 	"repro/internal/obs"
-	"repro/internal/wire"
 )
 
 // ConsumeRISLive is the RIS-Live consumer loop. For each event it
@@ -37,34 +35,17 @@ func (c *Collector) ConsumeRISLive(events <-chan *rislive.Event, after func(*ris
 }
 
 // ReplayMRT streams the MRT archive in r through Config.Monitor under
-// vantage (Monitor.ReplayMRTFunc), mirroring each record into the
-// collector's RIB before the monitor observes it: a RIB entry as a
-// one-prefix announcement from its peer, an UPDATE as its peer sent
-// it. hook, when non-nil, runs once per record after the mirror, and
-// must not retain the record (it aliases reader scratch). ReplayMRT
-// needs Config.Monitor.
+// vantage (Monitor.ReplayMRTFunc), mirroring each UPDATE a record
+// carries (mrt.Record.Updates) into the collector's RIB before the
+// monitor observes it. hook, when non-nil, runs once per record after
+// the mirror, and must not retain the record (it aliases reader
+// scratch). ReplayMRT needs Config.Monitor.
 func (c *Collector) ReplayMRT(vantage string, r io.Reader, hook func(*mrt.Record)) (monitor.ReplayResult, error) {
 	if c.cfg.Monitor == nil {
 		return monitor.ReplayResult{}, errors.New("collector: ReplayMRT needs Config.Monitor")
 	}
-	// mirror keeps only a route's path and communities, packed into a
-	// string of its own, so one scratch update serves every RIB entry.
-	entry := wire.Update{NLRI: make([]astypes.Prefix, 1)}
 	return c.cfg.Monitor.ReplayMRTFunc(vantage, r, func(rec *mrt.Record) {
-		switch rec.Kind {
-		case mrt.KindRIB:
-			entry.NLRI[0] = rec.Prefix
-			for i := range rec.Entries {
-				e := &rec.Entries[i]
-				entry.Attrs.ASPath = e.Path
-				entry.Attrs.Communities = e.Communities
-				c.mirror(e.PeerAS, &entry)
-			}
-		case mrt.KindMessage:
-			if rec.Update != nil {
-				c.mirror(rec.PeerAS, rec.Update)
-			}
-		}
+		rec.Updates(c.mirror)
 		if hook != nil {
 			hook(rec)
 		}

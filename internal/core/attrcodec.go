@@ -61,3 +61,57 @@ func CarriedList(comms []astypes.Community, listAttr []byte) (List, bool) {
 	}
 	return FromCommunities(comms)
 }
+
+// carried is the MOAS list a route carries, read in place from the
+// attribute value or the communities that hold it, so the check can
+// compare it with a recorded list without building one.
+type carried struct {
+	attr  []byte              // a decodable ListAttrCode value, or nil
+	comms []astypes.Community // the route's communities, when attr is nil
+}
+
+// carriedBy is CarriedList without building the list.
+func carriedBy(comms []astypes.Community, listAttr []byte) (c carried, ok bool) {
+	if len(listAttr) > 0 && len(listAttr)%2 == 0 {
+		return carried{attr: listAttr}, true
+	}
+	for _, cm := range comms {
+		if cm.Value() == MLVal {
+			return carried{comms: comms}, true
+		}
+	}
+	return carried{}, false
+}
+
+// all reports whether pred holds for every member as carried,
+// duplicates included.
+func (c carried) all(pred func(astypes.ASN) bool) bool {
+	if c.attr != nil {
+		for i := 0; i < len(c.attr); i += 2 {
+			if !pred(astypes.ASN(binary.BigEndian.Uint16(c.attr[i:]))) {
+				return false
+			}
+		}
+		return true
+	}
+	for _, cm := range c.comms {
+		if cm.Value() == MLVal && !pred(cm.ASN()) {
+			return false
+		}
+	}
+	return true
+}
+
+func (c carried) contains(asn astypes.ASN) bool {
+	return !c.all(func(a astypes.ASN) bool { return a != asn })
+}
+
+// equal is List.Equal between the carried list and l.
+func (c carried) equal(l List) bool {
+	for _, a := range l.asns {
+		if !c.contains(a) {
+			return false
+		}
+	}
+	return c.all(l.Contains)
+}

@@ -41,16 +41,17 @@ func TestCheckerHonorsAttrList(t *testing.T) {
 	c := NewChecker()
 	attr := NewList(1, 2)
 	// The attribute encoding takes precedence over communities.
-	v, _ := c.Check(Announcement{
+	first := Announcement{
 		Prefix:      testPrefix,
 		Path:        astypes.NewSeqPath(9, 1),
 		Communities: NewList(7).Communities(), // contradicting communities
 		ListAttr:    attr.AttrBytes(),
-	})
+	}
+	v, _ := c.Check(first)
 	if v != VerdictConsistent {
 		t.Fatalf("first attr-list announcement: %v", v)
 	}
-	if l, _ := c.ListFor(testPrefix); !l.Equal(attr) {
+	if _, _, l := Check(List{}, false, first); !l.Equal(attr) {
 		t.Errorf("recorded list = %v, want the attribute one", l)
 	}
 	// An attribute-encoded hijack conflicts.

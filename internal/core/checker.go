@@ -63,13 +63,64 @@ type Announcement struct {
 	Span uint64
 }
 
-// Checker implements the per-router MOAS-list consistency check. It
-// remembers, per prefix, the first MOAS list accepted and compares every
-// subsequent announcement against it ("single set comparison", §4.2).
-// It only judges: Check returns the conflict, and raising the alarm the
-// paper prescribes ("an alarm signal; further investigation should be
-// conducted", §4.2) — counting, classifying, forensics, resolution — is
-// the caller's job.
+// Check is the paper's consistency check (§4.2) for one announcement,
+// judged against recorded, the MOAS list recorded for its prefix (seen
+// reports whether one is). The first announcement for a prefix
+// establishes its list ("is simply accepted if this is the first and
+// only announcement"); later announcements must carry an equal set.
+// Check returns a non-nil Conflict exactly when the verdict is not
+// VerdictConsistent, and, on a consistent first sight, the list to
+// record. A recorded list is never replaced: the check trusts
+// first-seen state and flags divergence, exactly as the simulation's
+// MOAS-capable nodes do. Check keeps no state; the caller stores the
+// lists, beside whatever else it keeps per prefix.
+func Check(recorded List, seen bool, a Announcement) (Verdict, *Conflict, List) {
+	origin, hasOrigin := a.Path.Origin()
+	carried, explicit := carriedBy(a.Communities, a.ListAttr)
+	// received is the announcement's effective list: the carried list,
+	// else the implicit single-origin list, else (no origin, so it
+	// cannot be validated) the empty list, which conflicts with
+	// anything seen before. It is built only to be recorded or
+	// reported, so a repeated consistent announcement allocates nothing.
+	received := func() List {
+		if l, ok := CarriedList(a.Communities, a.ListAttr); ok || !hasOrigin {
+			return l
+		}
+		return ImplicitList(origin)
+	}
+
+	verdict := VerdictConflict
+	switch {
+	case explicit && !carried.contains(origin):
+		verdict = VerdictOriginNotListed
+	case !seen:
+		return VerdictConsistent, nil, received()
+	case explicit || !hasOrigin:
+		// Without either, carried is the empty list.
+		if carried.equal(recorded) {
+			return VerdictConsistent, nil, List{}
+		}
+	case recorded.Len() == 1 && recorded.asns[0] == origin:
+		return VerdictConsistent, nil, List{}
+	}
+	return verdict, &Conflict{
+		Prefix:   a.Prefix,
+		Existing: recorded,
+		Received: received(),
+		Origin:   origin,
+		FromPeer: a.FromPeer,
+		Span:     a.Span,
+		Path:     a.Path.Clone(),
+		Verdict:  verdict,
+	}, List{}
+}
+
+// Checker is Check over its own store of first-seen lists, one per
+// prefix: the per-router MOAS-list check of the live speaker ("single
+// set comparison", §4.2). It only judges: Check returns the conflict,
+// and raising the alarm the paper prescribes ("an alarm signal; further
+// investigation should be conducted", §4.2) — counting, classifying,
+// forensics, resolution — is the caller's job.
 //
 // Checker is safe for concurrent use; the live speaker consults it from
 // multiple session goroutines.
@@ -83,76 +134,16 @@ func NewChecker() *Checker {
 	return &Checker{lists: make(map[astypes.Prefix]List)}
 }
 
-// Check validates one announcement. The first announcement for a prefix
-// establishes its MOAS list ("is simply accepted if this is the first
-// and only announcement", §4.2); later announcements must carry an equal
-// set. It returns a non-nil Conflict exactly when the verdict is not
-// VerdictConsistent, and the previously established list is retained:
-// the checker trusts first-seen state and flags divergence, exactly as
-// the simulation's MOAS-capable nodes do.
+// Check validates one announcement against the list recorded for its
+// prefix, recording the announcement's list on first sight (see the
+// package-level Check).
 func (c *Checker) Check(a Announcement) (Verdict, *Conflict) {
-	origin, hasOrigin := a.Path.Origin()
-	carried, explicit := CarriedList(a.Communities, a.ListAttr)
-	// received is the announcement's effective list: the carried list,
-	// else the implicit single-origin list, else (no origin, so it
-	// cannot be validated) the empty list, which conflicts with
-	// anything seen before. It is built only to be stored or reported,
-	// so a repeated consistent implicit announcement allocates nothing.
-	received := func() List {
-		if explicit || !hasOrigin {
-			return carried
-		}
-		return ImplicitList(origin)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	recorded, seen := c.lists[a.Prefix]
+	verdict, conflict, first := Check(recorded, seen, a)
+	if !seen && conflict == nil {
+		c.lists[a.Prefix] = first
 	}
-
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	existing, seen := c.lists[a.Prefix]
-	verdict := VerdictConflict
-	switch {
-	case !carried.Empty() && !carried.Contains(origin):
-		verdict = VerdictOriginNotListed
-	case !seen:
-		c.lists[a.Prefix] = received()
-		return VerdictConsistent, nil
-	case explicit || !hasOrigin:
-		if existing.Equal(carried) {
-			return VerdictConsistent, nil
-		}
-	case existing.Len() == 1 && existing.asns[0] == origin:
-		return VerdictConsistent, nil
-	}
-	return verdict, &Conflict{
-		Prefix:   a.Prefix,
-		Existing: existing,
-		Received: received(),
-		Origin:   origin,
-		FromPeer: a.FromPeer,
-		Span:     a.Span,
-		Path:     a.Path.Clone(),
-		Verdict:  verdict,
-	}
-}
-
-// ListFor returns the MOAS list currently recorded for a prefix.
-func (c *Checker) ListFor(p astypes.Prefix) (List, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	l, ok := c.lists[p]
-	return l, ok
-}
-
-// Forget drops the recorded state for a prefix, e.g. after all routes to
-// it have been withdrawn.
-func (c *Checker) Forget(p astypes.Prefix) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	delete(c.lists, p)
-}
-
-// Reset clears all recorded lists.
-func (c *Checker) Reset() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.lists = make(map[astypes.Prefix]List)
+	return verdict, conflict
 }

@@ -177,8 +177,9 @@ func TestCheckerFirstAnnouncementAccepted(t *testing.T) {
 	if v != VerdictConsistent || conflict != nil {
 		t.Fatalf("first announcement: %v, %v", v, conflict)
 	}
-	if l, ok := c.ListFor(testPrefix); !ok || !l.Equal(ImplicitList(4)) {
-		t.Errorf("recorded list = %v, %v", l, ok)
+	_, conflict = c.Check(Announcement{Prefix: testPrefix, Path: astypes.NewSeqPath(52)})
+	if conflict == nil || !conflict.Existing.Equal(ImplicitList(4)) {
+		t.Errorf("recorded list = %v", conflict)
 	}
 }
 
@@ -227,8 +228,8 @@ func TestCheckerOriginNotListed(t *testing.T) {
 		t.Fatalf("verdict = %v", v)
 	}
 	// It must not have established list state for the prefix.
-	if _, ok := c.ListFor(testPrefix); ok {
-		t.Error("bogus route must not establish the prefix list")
+	if v, _ := c.Check(Announcement{Prefix: testPrefix, Path: astypes.NewSeqPath(7)}); v != VerdictConsistent {
+		t.Errorf("bogus route established the prefix list: next origin %v", v)
 	}
 }
 
@@ -253,32 +254,27 @@ func TestCheckerForgedSupersetDetected(t *testing.T) {
 	}
 }
 
-func TestCheckerForgetAndReset(t *testing.T) {
-	c := NewChecker()
-	conflicts := 0
-	check := func(origin astypes.ASN) {
-		if _, conflict := c.Check(Announcement{Prefix: testPrefix, Path: astypes.NewSeqPath(origin)}); conflict != nil {
-			conflicts++
-		}
+// TestCheckRecordsOnFirstSightOnly: the check hands back a list to
+// record only on a consistent first sight, and judges later
+// announcements against the recorded list it is given.
+func TestCheckRecordsOnFirstSightOnly(t *testing.T) {
+	implicit := func(origin astypes.ASN) Announcement {
+		return Announcement{Prefix: testPrefix, Path: astypes.NewSeqPath(9, origin)}
 	}
-	check(4)
-	c.Forget(testPrefix)
-	if _, ok := c.ListFor(testPrefix); ok {
-		t.Error("Forget did not clear state")
+	v, conflict, first := Check(List{}, false, implicit(4))
+	if v != VerdictConsistent || conflict != nil || !first.Equal(ImplicitList(4)) {
+		t.Fatalf("first sight: %v, %v, record %v", v, conflict, first)
 	}
-	check(4)
-	check(52)
-	if conflicts != 1 {
-		t.Fatalf("conflicts = %d", conflicts)
+	if v, conflict, rec := Check(first, true, implicit(4)); v != VerdictConsistent || conflict != nil || !rec.Empty() {
+		t.Errorf("repeat: %v, %v, record %v", v, conflict, rec)
 	}
-	c.Reset()
-	if _, ok := c.ListFor(testPrefix); ok {
-		t.Error("Reset did not clear lists")
+	v, conflict, rec := Check(first, true, implicit(52))
+	if v != VerdictConflict || conflict == nil || !conflict.Existing.Equal(first) || !rec.Empty() {
+		t.Errorf("second origin: %v, %v, record %v", v, conflict, rec)
 	}
-	// After Reset the former hijacker is a first announcement again.
-	check(52)
-	if conflicts != 1 {
-		t.Error("Reset did not clear state")
+	bogus := Announcement{Prefix: testPrefix, Path: astypes.NewSeqPath(52), Communities: NewList(4).Communities()}
+	if v, _, rec := Check(List{}, false, bogus); v != VerdictOriginNotListed || !rec.Empty() {
+		t.Errorf("origin outside its own list on first sight: %v, record %v", v, rec)
 	}
 }
 
@@ -335,6 +331,27 @@ func TestCheckConsistentImplicitAllocFree(t *testing.T) {
 		}
 	}); allocs != 0 {
 		t.Errorf("consistent implicit Check: %v allocs, want 0", allocs)
+	}
+}
+
+// TestCheckConsistentExplicitAllocFree: re-checking an announcement
+// whose carried list, in communities or in the dedicated attribute,
+// agrees with the recorded list builds no list either.
+func TestCheckConsistentExplicitAllocFree(t *testing.T) {
+	list := NewList(4, 5)
+	for name, a := range map[string]Announcement{
+		"communities": {Prefix: testPrefix, Path: astypes.NewSeqPath(9, 4), Communities: list.Communities()},
+		"attribute":   {Prefix: testPrefix, Path: astypes.NewSeqPath(9, 5), ListAttr: list.AttrBytes()},
+	} {
+		c := NewChecker()
+		c.Check(a)
+		if allocs := testing.AllocsPerRun(100, func() {
+			if v, conflict := c.Check(a); v != VerdictConsistent || conflict != nil {
+				t.Fatalf("%s: Check = %v, %v", name, v, conflict)
+			}
+		}); allocs != 0 {
+			t.Errorf("consistent %s-list Check: %v allocs, want 0", name, allocs)
+		}
 	}
 }
 

@@ -424,14 +424,6 @@ func (d *Daemon) ListenAddrs() []string {
 	return out
 }
 
-// Registry returns the daemon's telemetry registry (shared with its
-// speaker and sessions).
-func (d *Daemon) Registry() *telemetry.Registry { return d.reg }
-
-// Trace returns the daemon's flight recorder, or nil when traceEvents
-// is zero.
-func (d *Daemon) Trace() *trace.Recorder { return d.trace }
-
 // Obs returns the daemon's detection-latency recorder (always non-nil).
 func (d *Daemon) Obs() *obs.Recorder { return d.obsRec }
 

@@ -50,6 +50,31 @@ func costArchive(t *testing.T, n int) []byte {
 	return buf.Bytes()
 }
 
+// costRIBArchive is an MRT table dump of n TABLE_DUMP_V2 RIB records,
+// the ith for the ith /24 of 10.0.0.0/8, each with one entry from each
+// of two peers: 4-AS paths to the same origin, one community.
+func costRIBArchive(t *testing.T, n int) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	w := mrt.NewWriter(&buf)
+	at := time.Unix(1000000000, 0).UTC()
+	peers := []mrt.Peer{{BGPID: 1, IP: 0xC0000201, AS: 701}, {BGPID: 2, IP: 0xC0000203, AS: 1239}}
+	if err := w.WritePeerIndex(at, 0xC0000202, "cost", peers); err != nil {
+		t.Fatal(err)
+	}
+	comms := []astypes.Community{astypes.NewCommunity(701, 666)}
+	entries := []mrt.RIBEntry{
+		{PeerIndex: 0, Path: astypes.NewSeqPath(701, 1239, 3356, 4), NextHop: 0xC0000201, Communities: comms},
+		{PeerIndex: 1, Path: astypes.NewSeqPath(1239, 174, 3356, 4), NextHop: 0xC0000203, Communities: comms},
+	}
+	for i := 0; i < n; i++ {
+		if err := w.WriteRIB(at, uint32(i), astypes.MustPrefix(0x0a000000|uint32(i)<<8, 24), entries); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return buf.Bytes()
+}
+
 // replayCost replays archive through a collector's ReplayMRT into its
 // monitor and returns the heap allocations and bytes it took. warm,
 // when non-nil, is replayed first and not counted. The counters are
@@ -85,11 +110,13 @@ func replayCost(t *testing.T, warm, archive []byte) (allocs, size uint64) {
 // made the golden.
 const costSlack = 0.5
 
-// TestCostLedger pins what one one-NLRI UPDATE record costs on the MRT
-// path (Collector.ReplayMRT: MRT decode, the collector's mirror, the
-// monitor's check) in heap allocations and bytes allocated: at the
-// first sight of its prefix, and in steady state, when the prefix is
-// announced again over the same path. A change that moves one shows in
+// TestCostLedger pins what one MRT record costs on the replay path
+// (Collector.ReplayMRT: MRT decode, the collector's mirror, the
+// monitor's check) in heap allocations and bytes allocated, for a
+// one-NLRI BGP4MP UPDATE (row mrt) and for a TABLE_DUMP_V2 RIB record
+// of one prefix from two peers (row rib): at the first sight of its
+// prefix, and in steady state, when the prefix is announced again over
+// the same paths. A change that moves one shows in
 // the diff of testdata/costs.golden; run with -update to regenerate it.
 //
 // The figures are exact for the code and the Go release, and the golden
@@ -108,8 +135,7 @@ func TestCostLedger(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation accounting differs under the race detector")
 	}
-	one, two := costArchive(t, costRecords), costArchive(t, 2*costRecords)
-	perRecord := func(warmOne, warmTwo []byte) (float64, float64) {
+	perRecord := func(one, two, warmOne, warmTwo []byte) (float64, float64) {
 		a1, b1 := replayCost(t, warmOne, one)
 		a2, b2 := replayCost(t, warmTwo, two)
 		if a2 < a1 || b2 < b1 {
@@ -118,16 +144,24 @@ func TestCostLedger(t *testing.T) {
 		}
 		return float64(a2-a1) / costRecords, float64(b2-b1) / costRecords
 	}
-	firstAllocs, firstBytes := perRecord(nil, nil)
-	steadyAllocs, steadyBytes := perRecord(one, two)
-
 	var got bytes.Buffer
-	fmt.Fprintf(&got, "# Heap cost of one one-NLRI UPDATE record (4-AS path, one community)\n")
-	fmt.Fprintf(&got, "# per record, from replays of %d and %d records (TestCostLedger).\n", costRecords, 2*costRecords)
+	fmt.Fprintf(&got, "# Heap cost of one MRT record: mrt a one-NLRI UPDATE, rib one prefix from two peers\n")
+	fmt.Fprintf(&got, "# (4-AS paths, one community), from replays of %d and %d records (TestCostLedger).\n", costRecords, 2*costRecords)
 	fmt.Fprintf(&got, "# %s\n", runtime.Version())
 	fmt.Fprintf(&got, "%-4s %-11s %7s %6s\n", "path", "phase", "allocs", "bytes")
-	fmt.Fprintf(&got, "%-4s %-11s %7.2f %6.0f\n", "mrt", "first-sight", firstAllocs, firstBytes)
-	fmt.Fprintf(&got, "%-4s %-11s %7.2f %6.0f\n", "mrt", "steady", steadyAllocs, steadyBytes)
+	measured := map[string]float64{}
+	for _, row := range []struct {
+		path    string
+		archive func(*testing.T, int) []byte
+	}{{"mrt", costArchive}, {"rib", costRIBArchive}} {
+		one, two := row.archive(t, costRecords), row.archive(t, 2*costRecords)
+		firstAllocs, firstBytes := perRecord(one, two, nil, nil)
+		steadyAllocs, steadyBytes := perRecord(one, two, one, two)
+		fmt.Fprintf(&got, "%-4s %-11s %7.2f %6.0f\n", row.path, "first-sight", firstAllocs, firstBytes)
+		fmt.Fprintf(&got, "%-4s %-11s %7.2f %6.0f\n", row.path, "steady", steadyAllocs, steadyBytes)
+		measured[row.path+" first-sight"] = firstAllocs
+		measured[row.path+" steady"] = steadyAllocs
+	}
 
 	path := filepath.Join("testdata", "costs.golden")
 	if *update {
@@ -153,7 +187,7 @@ func TestCostLedger(t *testing.T) {
 				wantAllocs[path+" "+phase] = allocs
 			}
 		}
-		for row, allocs := range map[string]float64{"mrt first-sight": firstAllocs, "mrt steady": steadyAllocs} {
+		for row, allocs := range measured {
 			w, ok := wantAllocs[row]
 			if !ok {
 				t.Errorf("golden has no %q row (run with -update to regenerate)", row)

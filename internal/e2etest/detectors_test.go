@@ -13,6 +13,7 @@ import (
 	"repro/internal/speaker"
 	"repro/internal/topology"
 	"repro/internal/trace"
+	"repro/internal/wire"
 )
 
 // announcement is one origination in a detector-agreement scenario.
@@ -163,14 +164,17 @@ func speakerBundle(t *testing.T, detector astypes.ASN, prefix astypes.Prefix, or
 	return onlyBundle(t, "speaker", rec)
 }
 
-// monitorBundle feeds the originations to an off-line monitor as table
-// entries from one vantage.
+// monitorBundle feeds the originations to an off-line monitor as
+// one-prefix UPDATEs from one vantage.
 func monitorBundle(t *testing.T, prefix astypes.Prefix, order []announcement, roas *rpki.Store) trace.AlarmBundle {
 	t.Helper()
 	rec := trace.NewRecorder(256)
 	mon := monitor.New(monitor.WithTrace(rec), monitor.WithRPKI(roas))
 	for _, a := range order {
-		mon.ObserveEntry("vantage", prefix, astypes.NewSeqPath(a.origin), a.list.Communities())
+		mon.ObserveUpdate("vantage", &wire.Update{
+			NLRI:  []astypes.Prefix{prefix},
+			Attrs: wire.PathAttrs{ASPath: astypes.NewSeqPath(a.origin), Communities: a.list.Communities()},
+		})
 	}
 	return onlyBundle(t, "monitor", rec)
 }

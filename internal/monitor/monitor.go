@@ -7,15 +7,14 @@
 // The Monitor ingests routing-table snapshots (or live UPDATE feeds)
 // from any number of vantage points, maintains the per-prefix MOAS view
 // across all of them, and emits alarms on inconsistency — without
-// touching any router. It is the same core.Checker the in-band speaker
-// uses, fed from collected data instead of live sessions.
+// touching any router. It runs the same core.Check the in-band speaker
+// does, fed from collected data instead of live sessions.
 package monitor
 
 import (
 	"slices"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/astypes"
 	"repro/internal/core"
@@ -45,14 +44,13 @@ type Alarm struct {
 // is safe for concurrent use (feeds may be ingested in parallel).
 type Monitor struct {
 	mu sync.Mutex
-	// lists holds the first-established MOAS list per prefix across all
-	// vantages; conflicts are diagnosed against it.
-	checker *core.Checker
-	alarms  []Alarm
-	// origins tracks, per prefix, the set of origins currently visible
-	// (for MOAS-case reporting independent of list checking), unsorted
-	// and without duplicates.
-	origins map[astypes.Prefix][]astypes.ASN
+	// prefixes holds each prefix's record across all vantages.
+	prefixes map[astypes.Prefix]record
+	alarms   []Alarm
+	// seq mints one span per announced prefix observed without a
+	// stamp, so an alarm bundle points back at the exact entry that
+	// triggered it.
+	seq uint64
 	// resolver, if set, classifies alarms into valid/invalid.
 	resolver Resolver
 	// rpki, if set, is the validated ROA store alarms are cross-checked
@@ -70,10 +68,19 @@ type Monitor struct {
 	obs *obs.Recorder
 	// onAlarm, if set, is called once per alarm (WithOnAlarm).
 	onAlarm func(Alarm)
-	// seq mints one span per ingested entry, so an alarm bundle points
-	// back at the exact snapshot entry that triggered it even when
-	// feeds are ingested in parallel. Atomic: minted before mu is taken.
-	seq atomic.Uint64
+}
+
+// record is the monitor's state for one prefix. Records are stored by
+// value: a pointer per prefix would cost a heap object each.
+type record struct {
+	// list is the MOAS list first established for the prefix, which
+	// conflicts are judged against; listed reports whether one is.
+	list   core.List
+	listed bool
+	// origins is the set of origins currently visible for the prefix
+	// (a MOAS case when it holds two or more, independent of list
+	// checking), unsorted and without duplicates.
+	origins []astypes.ASN
 }
 
 // monitorMetrics is the monitor's instrumentation (WithTelemetry).
@@ -174,10 +181,7 @@ func WithOnAlarm(fn func(Alarm)) Option {
 
 // New returns an empty monitor.
 func New(opts ...Option) *Monitor {
-	m := &Monitor{
-		checker: core.NewChecker(),
-		origins: make(map[astypes.Prefix][]astypes.ASN),
-	}
+	m := &Monitor{prefixes: make(map[astypes.Prefix]record)}
 	for _, o := range opts {
 		o.apply(m)
 	}
@@ -187,41 +191,100 @@ func New(opts ...Option) *Monitor {
 	return m
 }
 
-// ObserveEntry ingests one routing-table entry from the named vantage.
-func (m *Monitor) ObserveEntry(vantage string, prefix astypes.Prefix, path astypes.ASPath, comms []astypes.Community) {
-	m.ObserveEntryStamp(vantage, prefix, path, comms, nil)
+// ObserveDump ingests one table snapshot (e.g. a parsed RouteViews
+// dump) from the named vantage, each entry as a one-prefix UPDATE.
+func (m *Monitor) ObserveDump(vantage string, d *routegen.Dump) {
+	u := wire.Update{NLRI: make([]astypes.Prefix, 1)}
+	for _, e := range d.Entries {
+		u.NLRI[0] = e.Prefix
+		u.Attrs.ASPath = e.Path
+		u.Attrs.Communities = e.Communities
+		m.ObserveUpdate(vantage, &u)
+	}
 }
 
-// ObserveEntryStamp is ObserveEntry with the caller's stage stamp:
-// replay paths pass the source record's span, so an alarm bundle points
-// back at the exact archived record that raised it; the MOAS check
-// lands a validate-stage crossing and a detected conflict records the
-// cumulative ingest → alarm latency.
-func (m *Monitor) ObserveEntryStamp(vantage string, prefix astypes.Prefix, path astypes.ASPath, comms []astypes.Community, st *obs.Stamp) {
-	m.observe(vantage, prefix, path, comms, nil, st)
+// ObserveUpdate ingests one BGP UPDATE from the named vantage: a live
+// feed's message, an archived one, or a table entry presented as a
+// one-prefix announcement. A MOAS-list attribute (core.ListAttrCode) it
+// carries takes precedence over its communities.
+func (m *Monitor) ObserveUpdate(vantage string, u *wire.Update) {
+	m.ObserveUpdateStamp(vantage, u, nil)
 }
 
-// observe checks one announcement from vantage under st's span and
-// raises its alarm, if any. listAttr is the raw MOAS-list attribute
-// (nil when absent). Without a stamp the announcement gets its own
-// ordinal: the monitor has no wire decoder to mint spans, and bundle
-// forensics can then say "the Nth entry of this run" rather than
-// nothing.
-func (m *Monitor) observe(vantage string, prefix astypes.Prefix, path astypes.ASPath, comms []astypes.Community, listAttr []byte, st *obs.Stamp) {
+// ObserveUpdateStamp is ObserveUpdate with the caller's stage stamp,
+// shared by every NLRI prefix of the update: replay paths pass the
+// source record's span, so an alarm bundle points back at the exact
+// archived record that raised it; each check lands a validate-stage
+// crossing and a detected conflict records the cumulative ingest →
+// alarm latency. A nil stamp gives each prefix its own ordinal: the
+// monitor has no wire decoder to mint spans, and bundle forensics can
+// then say "the Nth entry of this run" rather than nothing.
+//
+// The monitor's lock is taken once per update; the WithOnAlarm hook
+// runs for each alarm raised after it is released.
+func (m *Monitor) ObserveUpdateStamp(vantage string, u *wire.Update, st *obs.Stamp) {
+	listAttr := wire.FindUnknownAttr(u.Attrs.Unknown, core.ListAttrCode)
+	m.mu.Lock()
+	before := len(m.alarms)
+	for _, prefix := range u.NLRI {
+		m.check(vantage, prefix, u, listAttr, st)
+	}
+	for _, w := range u.Withdrawn {
+		if len(m.prefixes[w].origins) >= 2 {
+			m.met.cases.Dec()
+		}
+		delete(m.prefixes, w)
+	}
+	// Alarms are only ever appended, so the ones raised here stay
+	// readable after the lock is released.
+	raised := m.alarms[before:]
+	m.mu.Unlock()
+	if m.onAlarm != nil {
+		for _, a := range raised {
+			m.onAlarm(a)
+		}
+	}
+}
+
+// check judges one announced prefix of u under st's span, folds it into
+// the prefix's record and logs its alarm, if any. listAttr is u's raw
+// MOAS-list attribute (nil when absent). The caller holds m.mu.
+func (m *Monitor) check(vantage string, prefix astypes.Prefix, u *wire.Update, listAttr []byte, st *obs.Stamp) {
 	var span uint64
 	if st != nil {
 		span = st.Span
 	} else {
-		span = m.seq.Add(1)
+		m.seq++
+		span = m.seq
 	}
-	verdict, conflict := m.checker.Check(core.Announcement{
+	path := u.Attrs.ASPath
+	rec := m.prefixes[prefix]
+	verdict, conflict, first := core.Check(rec.list, rec.listed, core.Announcement{
 		Prefix:      prefix,
 		Path:        path,
-		Communities: comms,
+		Communities: u.Attrs.Communities,
 		ListAttr:    listAttr,
 		Span:        span,
 	})
 	m.obs.Cross(st, obs.StageValidate)
+	changed := !rec.listed && conflict == nil
+	if changed {
+		rec.list, rec.listed = first, true
+	}
+	origin, hasOrigin := path.Origin()
+	if hasOrigin && !slices.Contains(rec.origins, origin) {
+		rec.origins = append(rec.origins, origin)
+		changed = true
+		// A prefix becomes a MOAS case when its visible origin set
+		// crosses from one to two.
+		if len(rec.origins) == 2 {
+			m.met.cases.Inc()
+		}
+	}
+	if changed {
+		m.prefixes[prefix] = rec
+	}
+	m.met.entries.Inc()
 	var class rpki.Class
 	if conflict != nil {
 		class = rpki.Classify(m.rpki.Validate(prefix, conflict.Origin), verdict)
@@ -229,10 +292,10 @@ func (m *Monitor) observe(vantage string, prefix astypes.Prefix, path astypes.AS
 		m.obs.End(st, obs.StageAlarm)
 	}
 	if m.rec.Enabled() {
-		origin, _ := path.Origin()
 		m.rec.Record(trace.Event{
 			Kind:   trace.KindValidate,
 			Detail: trace.VerdictDetail(verdict),
+			Span:   span,
 			Origin: origin,
 			Prefix: prefix,
 		})
@@ -242,74 +305,12 @@ func (m *Monitor) observe(vantage string, prefix astypes.Prefix, path astypes.AS
 			m.rec.RecordAlarm(prefix, b)
 		}
 	}
-	m.mu.Lock()
-	m.met.entries.Inc()
-	if origin, ok := path.Origin(); ok {
-		set := m.origins[prefix]
-		if !slices.Contains(set, origin) {
-			m.origins[prefix] = append(set, origin)
-			// A prefix becomes a MOAS case when its visible origin set
-			// crosses from one to two.
-			if len(set) == 1 {
-				m.met.cases.Inc()
-			}
-		}
-	}
 	if conflict == nil {
-		m.mu.Unlock()
 		return
 	}
-	alarm := Alarm{Conflict: *conflict, Vantage: vantage, Class: class}
-	m.alarms = append(m.alarms, alarm)
+	m.alarms = append(m.alarms, Alarm{Conflict: *conflict, Vantage: vantage, Class: class})
 	m.met.alarms.Inc()
 	m.met.classes.With(class.String()).Inc()
-	m.mu.Unlock()
-	if m.onAlarm != nil {
-		m.onAlarm(alarm)
-	}
-}
-
-// ObserveDump ingests one table snapshot (e.g. a parsed RouteViews
-// dump) from the named vantage.
-func (m *Monitor) ObserveDump(vantage string, d *routegen.Dump) {
-	for _, e := range d.Entries {
-		m.ObserveEntry(vantage, e.Prefix, e.Path, e.Communities)
-	}
-}
-
-// ObserveUpdate ingests one BGP UPDATE captured from a live feed. A
-// MOAS-list attribute (core.ListAttrCode) it carries takes precedence
-// over its communities.
-func (m *Monitor) ObserveUpdate(vantage string, u *wire.Update) {
-	m.ObserveUpdateStamp(vantage, u, nil)
-}
-
-// ObserveUpdateStamp is ObserveUpdate with the caller's stage stamp,
-// shared by every NLRI prefix of the update: one replayed record, one
-// span (see ObserveEntryStamp). A nil stamp gives each prefix its own
-// ordinal, as ObserveEntry does.
-func (m *Monitor) ObserveUpdateStamp(vantage string, u *wire.Update, st *obs.Stamp) {
-	listAttr := wire.FindUnknownAttr(u.Attrs.Unknown, core.ListAttrCode)
-	for _, prefix := range u.NLRI {
-		m.observe(vantage, prefix, u.Attrs.ASPath, u.Attrs.Communities, listAttr, st)
-	}
-	m.forgetWithdrawn(u)
-}
-
-// forgetWithdrawn drops the withdrawn prefixes of u from the MOAS view.
-func (m *Monitor) forgetWithdrawn(u *wire.Update) {
-	if len(u.Withdrawn) == 0 {
-		return
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for _, w := range u.Withdrawn {
-		if len(m.origins[w]) >= 2 {
-			m.met.cases.Dec()
-		}
-		delete(m.origins, w)
-		m.checker.Forget(w)
-	}
 }
 
 // Alarms returns all alarms in detection order.
@@ -323,8 +324,8 @@ func (m *Monitor) Alarms() []Alarm {
 
 // AlarmCount returns the number of alarms raised, read from the
 // monitor_alarms_total counter without copying the log. Like the
-// counter, it is cumulative across Reset, and it counts every monitor
-// instrumented on the same WithTelemetry registry.
+// counter, it counts every monitor instrumented on the same
+// WithTelemetry registry.
 func (m *Monitor) AlarmCount() uint64 { return m.met.alarms.Value() }
 
 // MOASCase is one prefix with its currently visible origin set.
@@ -345,11 +346,11 @@ func (m *Monitor) MOASCases() []MOASCase {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	var out []MOASCase
-	for prefix, set := range m.origins {
-		if len(set) < 2 {
+	for prefix, rec := range m.prefixes {
+		if len(rec.origins) < 2 {
 			continue
 		}
-		c := MOASCase{Prefix: prefix, Origins: astypes.SortASNs(slices.Clone(set))}
+		c := MOASCase{Prefix: prefix, Origins: astypes.SortASNs(slices.Clone(rec.origins))}
 		if m.resolver != nil {
 			if valid, ok := m.resolver.ValidOrigins(prefix); ok {
 				c.Known = true
@@ -365,19 +366,6 @@ func (m *Monitor) MOASCases() []MOASCase {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Prefix.Compare(out[j].Prefix) < 0 })
 	return out
-}
-
-// Reset clears all monitor state (e.g. between daily snapshots, so each
-// day is judged independently).
-func (m *Monitor) Reset() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.checker.Reset()
-	m.origins = make(map[astypes.Prefix][]astypes.ASN)
-	m.alarms = nil
-	// Counters are cumulative across resets by design; only the
-	// live-case gauge goes back to zero.
-	m.met.cases.Set(0)
 }
 
 // AlarmGroup aggregates the alarms of one prefix: operators care about

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"reflect"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/astypes"
@@ -18,11 +20,17 @@ import (
 
 var prefix = astypes.MustPrefix(0x83b30000, 16)
 
+// entry is a table entry as the monitor observes it: a one-prefix
+// announcement.
+func entry(p astypes.Prefix, path astypes.ASPath, comms []astypes.Community) *wire.Update {
+	return &wire.Update{NLRI: []astypes.Prefix{p}, Attrs: wire.PathAttrs{ASPath: path, Communities: comms}}
+}
+
 func TestMonitorDetectsCrossVantageConflict(t *testing.T) {
 	m := New()
 	// Vantage A sees the valid route; vantage B sees the hijack.
-	m.ObserveEntry("rv-a", prefix, astypes.NewSeqPath(701, 4), nil)
-	m.ObserveEntry("rv-b", prefix, astypes.NewSeqPath(1239, 52), nil)
+	m.ObserveUpdate("rv-a", entry(prefix, astypes.NewSeqPath(701, 4), nil))
+	m.ObserveUpdate("rv-b", entry(prefix, astypes.NewSeqPath(1239, 52), nil))
 	alarms := m.Alarms()
 	if len(alarms) != 1 {
 		t.Fatalf("alarms = %d", len(alarms))
@@ -42,8 +50,8 @@ func TestMonitorDetectsCrossVantageConflict(t *testing.T) {
 func TestMonitorValidMOASNoAlarm(t *testing.T) {
 	m := New()
 	list := core.NewList(4, 226)
-	m.ObserveEntry("rv-a", prefix, astypes.NewSeqPath(701, 4), list.Communities())
-	m.ObserveEntry("rv-b", prefix, astypes.NewSeqPath(1239, 226), list.Communities())
+	m.ObserveUpdate("rv-a", entry(prefix, astypes.NewSeqPath(701, 4), list.Communities()))
+	m.ObserveUpdate("rv-b", entry(prefix, astypes.NewSeqPath(1239, 226), list.Communities()))
 	if got := len(m.Alarms()); got != 0 {
 		t.Errorf("valid MOAS raised %d alarms", got)
 	}
@@ -61,11 +69,11 @@ func TestMonitorResolverClassification(t *testing.T) {
 	store.Register(prefix, core.NewList(4, 226))
 	m := New(WithResolver(store))
 	list := core.NewList(4, 226)
-	m.ObserveEntry("a", prefix, astypes.NewSeqPath(701, 4), list.Communities())
-	m.ObserveEntry("a", prefix, astypes.NewSeqPath(701, 226), list.Communities())
+	m.ObserveUpdate("a", entry(prefix, astypes.NewSeqPath(701, 4), list.Communities()))
+	m.ObserveUpdate("a", entry(prefix, astypes.NewSeqPath(701, 226), list.Communities()))
 	other := astypes.MustPrefix(0x0a000000, 8)
-	m.ObserveEntry("a", other, astypes.NewSeqPath(701, 7), nil)
-	m.ObserveEntry("a", other, astypes.NewSeqPath(702, 8), nil)
+	m.ObserveUpdate("a", entry(other, astypes.NewSeqPath(701, 7), nil))
+	m.ObserveUpdate("a", entry(other, astypes.NewSeqPath(702, 8), nil))
 
 	cases := m.MOASCases()
 	if len(cases) != 2 {
@@ -84,8 +92,8 @@ func TestMonitorResolverFlagsInvalid(t *testing.T) {
 	store := dnsval.NewStore()
 	store.Register(prefix, core.NewList(4))
 	m := New(WithResolver(store))
-	m.ObserveEntry("a", prefix, astypes.NewSeqPath(701, 4), nil)
-	m.ObserveEntry("a", prefix, astypes.NewSeqPath(701, 52), nil)
+	m.ObserveUpdate("a", entry(prefix, astypes.NewSeqPath(701, 4), nil))
+	m.ObserveUpdate("a", entry(prefix, astypes.NewSeqPath(701, 52), nil))
 	cases := m.MOASCases()
 	if len(cases) != 1 || !cases[0].Invalid {
 		t.Errorf("invalid MOAS not flagged: %+v", cases)
@@ -164,8 +172,8 @@ func TestMonitorOnAlarmAndAlarmCount(t *testing.T) {
 			t.Errorf("AlarmCount in hook = %d, want %d", got, len(hooked))
 		}
 	}))
-	m.ObserveEntry("rv-a", prefix, astypes.NewSeqPath(701, 4), nil)
-	m.ObserveEntry("rv-b", prefix, astypes.NewSeqPath(1239, 52), nil)
+	m.ObserveUpdate("rv-a", entry(prefix, astypes.NewSeqPath(701, 4), nil))
+	m.ObserveUpdate("rv-b", entry(prefix, astypes.NewSeqPath(1239, 52), nil))
 	alarms := m.Alarms()
 	if len(alarms) != 1 || !reflect.DeepEqual(hooked, alarms) {
 		t.Fatalf("hook saw %+v, log holds %+v", hooked, alarms)
@@ -175,7 +183,7 @@ func TestMonitorOnAlarmAndAlarmCount(t *testing.T) {
 	}
 }
 
-func TestMonitorObserveDumpAndReset(t *testing.T) {
+func TestMonitorObserveDump(t *testing.T) {
 	d := &routegen.Dump{
 		Day: 1,
 		Entries: []routegen.Entry{
@@ -188,20 +196,16 @@ func TestMonitorObserveDumpAndReset(t *testing.T) {
 	if len(m.Alarms()) != 1 || len(m.MOASCases()) != 1 {
 		t.Fatalf("dump ingestion: alarms=%d cases=%d", len(m.Alarms()), len(m.MOASCases()))
 	}
-	m.Reset()
-	if len(m.Alarms()) != 0 || len(m.MOASCases()) != 0 {
-		t.Error("Reset left state behind")
-	}
 }
 
 func TestAlarmSummaryGroupsByPrefix(t *testing.T) {
 	other := astypes.MustPrefix(0x0a000000, 8)
 	m := New()
-	m.ObserveEntry("rv-a", prefix, astypes.NewSeqPath(701, 4), nil)
-	m.ObserveEntry("rv-b", prefix, astypes.NewSeqPath(1239, 52), nil)
-	m.ObserveEntry("rv-b", prefix, astypes.NewSeqPath(1239, 53), nil)
-	m.ObserveEntry("rv-a", other, astypes.NewSeqPath(701, 7), nil)
-	m.ObserveEntry("rv-c", other, astypes.NewSeqPath(701, 8), nil)
+	m.ObserveUpdate("rv-a", entry(prefix, astypes.NewSeqPath(701, 4), nil))
+	m.ObserveUpdate("rv-b", entry(prefix, astypes.NewSeqPath(1239, 52), nil))
+	m.ObserveUpdate("rv-b", entry(prefix, astypes.NewSeqPath(1239, 53), nil))
+	m.ObserveUpdate("rv-a", entry(other, astypes.NewSeqPath(701, 7), nil))
+	m.ObserveUpdate("rv-c", entry(other, astypes.NewSeqPath(701, 8), nil))
 
 	groups := m.AlarmSummary()
 	if len(groups) != 2 {
@@ -228,13 +232,15 @@ func TestAlarmSummaryGroupsByPrefix(t *testing.T) {
 func TestMonitorWithTrace(t *testing.T) {
 	rec := trace.NewRecorder(64)
 	m := New(WithTrace(rec))
-	m.ObserveEntry("rv-a", prefix, astypes.NewSeqPath(701, 4), nil)
-	m.ObserveEntry("rv-b", prefix, astypes.NewSeqPath(1239, 52), nil)
+	m.ObserveUpdate("rv-a", entry(prefix, astypes.NewSeqPath(701, 4), nil))
+	m.ObserveUpdate("rv-b", entry(prefix, astypes.NewSeqPath(1239, 52), nil))
 
 	var details []trace.Detail
+	var spans []uint64
 	for _, e := range rec.Events() {
 		if e.Kind == trace.KindValidate && e.Prefix == prefix {
 			details = append(details, e.Detail)
+			spans = append(spans, e.Span)
 		}
 	}
 	want := []trace.Detail{trace.DetailConsistent, trace.DetailConflict}
@@ -248,6 +254,10 @@ func TestMonitorWithTrace(t *testing.T) {
 	b, _ := rec.Alarm(0)
 	if b.Note != "rv-b" {
 		t.Errorf("bundle note = %q, want the vantage name", b.Note)
+	}
+	// The bundle's span finds the check that raised it.
+	if b.Span == 0 || len(spans) != 2 || spans[1] != b.Span || spans[0] == b.Span {
+		t.Errorf("validate spans = %v, bundle span %d: want the alarming check's", spans, b.Span)
 	}
 	if b.Prefix != prefix.String() || b.Origin != 52 {
 		t.Errorf("bundle identity: %+v", b)
@@ -269,8 +279,8 @@ func TestAlarmsMetricIsOneSeries(t *testing.T) {
 	const prefixes = 1000
 	for i := range prefixes {
 		p := astypes.MustPrefix(0x0a000000|uint32(i)<<8, 24)
-		m.ObserveEntry("rv-a", p, astypes.NewSeqPath(701, 4), nil)
-		m.ObserveEntry("rv-b", p, astypes.NewSeqPath(1239, 52), nil)
+		m.ObserveUpdate("rv-a", entry(p, astypes.NewSeqPath(701, 4), nil))
+		m.ObserveUpdate("rv-b", entry(p, astypes.NewSeqPath(1239, 52), nil))
 	}
 	if got := len(m.Alarms()); got != prefixes {
 		t.Fatalf("alarms = %d, want %d", got, prefixes)
@@ -288,5 +298,33 @@ func TestAlarmsMetricIsOneSeries(t *testing.T) {
 	if want := fmt.Sprintf("moas_monitor_alarms_total %d", prefixes); len(series) != 1 || series[0] != want {
 		t.Errorf("exposition has %d monitor_alarms_total series, first %q; want only %q",
 			len(series), series[:min(len(series), 2)], want)
+	}
+}
+
+// TestMonitorConcurrentFeeds: feeds observed in parallel each see the
+// hook run once per alarm they raised, after the lock is released, and
+// the log, the hook and the counter agree.
+func TestMonitorConcurrentFeeds(t *testing.T) {
+	var hooked atomic.Int64
+	m := New(WithOnAlarm(func(Alarm) { hooked.Add(1) }))
+	const feeds, prefixes = 4, 200
+	var wg sync.WaitGroup
+	for f := range feeds {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			vantage := fmt.Sprintf("rv-%d", f)
+			for i := range prefixes {
+				p := astypes.MustPrefix(0x0a000000|uint32(i)<<8, 24)
+				// Every feed announces its own origin for each prefix:
+				// all but the first to arrive conflict.
+				m.ObserveUpdate(vantage, entry(p, astypes.NewSeqPath(701, astypes.ASN(10+f)), nil))
+			}
+		}()
+	}
+	wg.Wait()
+	want := (feeds - 1) * prefixes
+	if got := len(m.Alarms()); got != want || hooked.Load() != int64(want) || m.AlarmCount() != uint64(want) {
+		t.Errorf("alarms %d, hooked %d, AlarmCount %d; want %d", got, hooked.Load(), m.AlarmCount(), want)
 	}
 }

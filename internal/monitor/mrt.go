@@ -10,8 +10,10 @@ import (
 	"errors"
 	"io"
 
+	"repro/internal/astypes"
 	"repro/internal/mrt"
 	"repro/internal/obs"
+	"repro/internal/wire"
 )
 
 // ReplayResult reports what one MRT replay consumed.
@@ -23,10 +25,10 @@ type ReplayResult struct {
 	Malformed uint64
 }
 
-// ReplayMRTFunc streams the MRT archive in r through the monitor: RIB
-// entries and announced NLRI become ObserveEntryStamp calls, update
-// withdrawals retract state, and every announcement carries the span
-// of the record it came from. Malformed records are skipped and
+// ReplayMRTFunc streams the MRT archive in r through the monitor: every
+// UPDATE a record carries (mrt.Record.Updates: a RIB entry as a
+// one-prefix announcement) becomes an ObserveUpdateStamp call under
+// the span of the record it came from. Malformed records are skipped and
 // counted; a terminal framing error aborts with the partial result.
 //
 // The hook, when non-nil, sees every successfully decoded record
@@ -65,16 +67,8 @@ func (m *Monitor) ReplayMRTFunc(vantage string, r io.Reader, hook func(*mrt.Reco
 			// The hook is the RIB-mirror seam (collector Inject).
 			m.obs.Cross(&st, obs.StageRIB)
 		}
-		switch rec.Kind {
-		case mrt.KindRIB:
-			for i := range rec.Entries {
-				e := &rec.Entries[i]
-				m.ObserveEntryStamp(vantage, rec.Prefix, e.Path, e.Communities, &st)
-			}
-		case mrt.KindMessage:
-			if rec.Update != nil {
-				m.ObserveUpdateStamp(vantage, rec.Update, &st)
-			}
-		}
+		rec.Updates(func(_ astypes.ASN, u *wire.Update) {
+			m.ObserveUpdateStamp(vantage, u, &st)
+		})
 	}
 }

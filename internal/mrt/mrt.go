@@ -244,6 +244,32 @@ type Record struct {
 	Update *wire.Update
 	// OldState and NewState are BGP FSM codes (KindStateChange).
 	OldState, NewState uint16
+
+	// attrs[i] is the full attribute set of Entries[i], and entry the
+	// reader's scratch UPDATE that Updates presents a RIB entry in.
+	attrs []wire.PathAttrs
+	entry *wire.Update
+}
+
+// Updates calls fn with each UPDATE the record carries and the AS of
+// the peer it came from: a BGP4MP UPDATE as the peer sent it, and each
+// RIB entry as a one-prefix announcement from its peer, with the
+// entry's path attributes. Other records carry none. The update
+// aliases reader scratch: fn must not retain it.
+func (r *Record) Updates(fn func(peer astypes.ASN, u *wire.Update)) {
+	switch r.Kind {
+	case KindRIB:
+		u := r.entry
+		u.NLRI[0] = r.Prefix
+		for i := range r.Entries {
+			u.Attrs = r.attrs[i]
+			fn(r.Entries[i].PeerAS, u)
+		}
+	case KindMessage:
+		if r.Update != nil {
+			fn(r.PeerAS, r.Update)
+		}
+	}
 }
 
 // Stats counts what a Reader has ingested.

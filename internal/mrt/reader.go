@@ -44,6 +44,9 @@ type Reader struct {
 	// each keeps its slices' capacity from record to record.
 	attrs   []wire.PathAttrs
 	entries []RIBEntry
+	// entry is the one-prefix UPDATE Record.Updates presents each RIB
+	// entry in.
+	entry wire.Update
 
 	stats Stats
 }
@@ -75,15 +78,11 @@ func NewReader(r io.Reader) (*Reader, error) {
 	case len(magic) >= 3 && magic[0] == bzip2Magic[0] && magic[1] == bzip2Magic[1] && magic[2] == bzip2Magic[2]:
 		src = bzip2.NewReader(br)
 	}
-	return &Reader{r: src}, nil
+	return &Reader{r: src, entry: wire.Update{NLRI: make([]astypes.Prefix, 1)}}, nil
 }
 
 // Stats returns ingest counters up to the most recent Next.
 func (rd *Reader) Stats() Stats { return rd.stats }
-
-// Peers returns the current peer table (from the most recent
-// PEER_INDEX_TABLE); the slice is owned by the Reader.
-func (rd *Reader) Peers() []Peer { return rd.peers }
 
 // fail records a terminal stream error: the record framing is lost, so
 // every subsequent Next returns the same error instead of resyncing on
@@ -358,6 +357,8 @@ func (rd *Reader) decodeRIB(body []byte) error {
 	rd.rec.Seq = seq
 	rd.rec.Prefix = prefix
 	rd.rec.Entries = rd.entries
+	rd.rec.attrs = rd.attrs[:count]
+	rd.rec.entry = &rd.entry
 	rd.stats.RIBPrefixes++
 	rd.stats.RIBEntries += uint64(len(rd.entries))
 	return nil

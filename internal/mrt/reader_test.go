@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"compress/gzip"
 	"errors"
+	"fmt"
 	"io"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/iotest"
 	"time"
@@ -578,5 +580,54 @@ func TestSteadyStateAllocFree(t *testing.T) {
 	}
 	if avg != 0 {
 		t.Fatalf("steady-state Next allocates %.2f objects per %d-record cycle, want 0", avg, cycle)
+	}
+}
+
+// TestRecordUpdates: a RIB record yields one one-prefix UPDATE per
+// entry, from the entry's peer and with its attributes; a BGP4MP record
+// yields its UPDATE as the peer sent it; neither allocates.
+func TestRecordUpdates(t *testing.T) {
+	var buf bytes.Buffer
+	buf.Write(writeSyntheticTable(t, 2))
+	t0 := time.Unix(1000000000, 0).UTC()
+	sent := &wire.Update{
+		NLRI:      []astypes.Prefix{astypes.MustPrefix(0x0A010000, 24)},
+		Withdrawn: []astypes.Prefix{astypes.MustPrefix(0x0A000000, 24)},
+		Attrs:     wire.PathAttrs{HasOrigin: true, HasNextHop: true, NextHop: 0xC0000201, ASPath: astypes.NewSeqPath(65001, 64512)},
+	}
+	if err := NewWriter(&buf).WriteUpdate(t0, 65001, 6447, 0xC0000201, 0xC0000202, sent); err != nil {
+		t.Fatal(err)
+	}
+	rd, err := NewReader(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for {
+		rec, err := rd.Next()
+		if errors.Is(err, io.EOF) {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec.Updates(func(peer astypes.ASN, u *wire.Update) {
+			got = append(got, fmt.Sprintf("%v: %v -%v %v nh=%x", peer, u.NLRI, u.Withdrawn, u.Attrs.ASPath, u.Attrs.NextHop))
+		})
+		if rec.Kind != KindPeerIndex && !raceEnabled {
+			if allocs := testing.AllocsPerRun(10, func() { rec.Updates(func(astypes.ASN, *wire.Update) {}) }); allocs != 0 {
+				t.Errorf("%v record: Updates allocates %v objects", rec.Kind, allocs)
+			}
+		}
+	}
+	want := []string{
+		"65001: [10.0.0.0/24] -[] 65001 64000 nh=c0000201",
+		"65002: [10.0.0.0/24] -[] 65002 64000 nh=c0000202",
+		"65001: [10.0.1.0/24] -[] 65001 64001 nh=c0000201",
+		"65002: [10.0.1.0/24] -[] 65002 64001 nh=c0000202",
+		"65001: [10.1.0.0/24] -[10.0.0.0/24] 65001 64512 nh=c0000201",
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("updates:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
 }

@@ -47,14 +47,6 @@ func (wr *Writer) finish(rec []byte, t time.Time, typ, sub uint16) error {
 	return err
 }
 
-// WriteRaw emits one record with an arbitrary type, subtype and body —
-// the escape hatch for fixtures the typed writers cannot express
-// (records the reader skips, deliberately malformed bodies, AS_PATHs
-// with out-of-range AS numbers).
-func (wr *Writer) WriteRaw(t time.Time, typ, sub uint16, body []byte) error {
-	return wr.finish(append(wr.begin(), body...), t, typ, sub)
-}
-
 // WritePeerIndex emits a TABLE_DUMP_V2 PEER_INDEX_TABLE. Peers with
 // AS > 65535 are encoded with the 4-byte-AS peer type bit; IPv6 peers
 // get a zero address (the Peer type does not carry one).

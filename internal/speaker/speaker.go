@@ -111,7 +111,7 @@ type Config struct {
 	OnPeerDown func(peer astypes.ASN)
 	// Telemetry, if set, is the registry the speaker instruments itself
 	// (and its sessions) on; nil creates a private "moas" registry, so
-	// counting is always on. Registry() exposes whichever is in use.
+	// counting is always on.
 	Telemetry *telemetry.Registry
 	// Trace, if set, is the flight recorder the speaker (and its
 	// sessions) record pipeline events on: message receipt, validation
@@ -249,10 +249,6 @@ func New(cfg Config) (*Speaker, error) {
 
 // AS returns the speaker's AS number.
 func (s *Speaker) AS() astypes.ASN { return s.cfg.AS }
-
-// Registry returns the telemetry registry the speaker instruments
-// itself on (the configured one, or the private default).
-func (s *Speaker) Registry() *telemetry.Registry { return s.reg }
 
 // Table exposes the speaker's RIB.
 func (s *Speaker) Table() *rib.Table { return s.table }

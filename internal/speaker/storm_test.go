@@ -247,7 +247,7 @@ func TestSendQueueOverflowTearsPeerDownOnce(t *testing.T) {
 	t.Cleanup(func() { s.Close() })
 
 	var heard atomic.Int64
-	var stall atomic.Bool
+	var stall, stalled atomic.Bool
 	release := make(chan struct{})
 	// Only the teardown goroutine closes B's conn while B is stalled, so
 	// it is the caller heldCloseConn keeps until gate opens.
@@ -256,26 +256,34 @@ func TestSendQueueOverflowTearsPeerDownOnce(t *testing.T) {
 	openGate := sync.OnceFunc(func() { close(held.gate) })
 	peerRaw(t, s, held, far, 20, func(u *wire.Update) {
 		if stall.Load() {
+			stalled.Store(true)
 			<-release
 		}
 		heard.Add(int64(len(u.NLRI)))
 	})
 	t.Cleanup(func() { close(release) }) // before B's session Close waits for its reader
-	a := dialRaw(t, s, 10, nil)
+	// The speaker echoes A's routes back to A too.
+	var echoed atomic.Int64
+	a := dialRaw(t, s, 10, func(u *wire.Update) { echoed.Add(int64(len(u.NLRI))) })
 	t.Cleanup(openGate) // runs before the Close cleanups registered above
 
 	// A's table, one UPDATE at a time, so no queue holds more than one
-	// UPDATE's worth while B still reads.
-	prefixes := slash24s(10, 6000)
-	for i := 0; i < len(prefixes); i += 250 {
+	// UPDATE's worth while B still reads: a queue that fell behind by
+	// its length would tear A or B down before B stalls.
+	const table = 6000
+	prefixes := slash24s(10, table+1)
+	for i := 0; i < table; i += 250 {
 		announceAll(t, a, astypes.NewSeqPath(10), prefixes[i:i+250])
 		want := int64(i + 250)
-		waitFor(t, func() bool { return heard.Load() == want }, "%d routes at B", want)
+		waitFor(t, func() bool { return heard.Load() == want && echoed.Load() == want }, "%d routes at A and B", want)
 	}
 
-	// B stops reading; dropping A withdraws 6 000 routes toward it,
-	// more than its send queue holds.
+	// B stops reading: its handler blocks on one more route, so B's end
+	// stays open until the teardown closes it. Dropping A then
+	// withdraws 6 001 routes toward B, more than its send queue holds.
 	stall.Store(true)
+	announceAll(t, a, astypes.NewSeqPath(10), prefixes[table:])
+	waitFor(t, stalled.Load, "B's handler to block")
 	a.Close()
 	waitFor(t, func() bool {
 		downMu.Lock()

@@ -127,9 +127,6 @@ func NewRegistry(name string) *Registry {
 	}
 }
 
-// Name returns the registry's namespace prefix.
-func (r *Registry) Name() string { return r.name }
-
 // fullName joins the registry prefix onto a family name.
 func (r *Registry) fullName(name string) string {
 	if r.name == "" {

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro"
+	"repro/internal/wire"
 )
 
 // TestFacadeSimulationEndToEnd drives the simulation facade: build a
@@ -157,9 +158,15 @@ func TestFacadeLiveSpeakersWithMOASRR(t *testing.T) {
 	// The off-line monitor reaches the same verdict from the RIB.
 	mon := repro.NewMonitor(repro.WithMonitorResolver(store))
 	for _, r := range transit.Table().BestRoutes() {
-		mon.ObserveEntry("transit", r.Prefix, r.Path, r.Communities)
+		mon.ObserveUpdate("transit", &wire.Update{
+			NLRI:  []repro.Prefix{r.Prefix},
+			Attrs: wire.PathAttrs{ASPath: r.Path, Communities: r.Communities},
+		})
 	}
-	mon.ObserveEntry("transit", prefix, repro.NewSeqPath(30), nil)
+	mon.ObserveUpdate("transit", &wire.Update{
+		NLRI:  []repro.Prefix{prefix},
+		Attrs: wire.PathAttrs{ASPath: repro.NewSeqPath(30)},
+	})
 	cases := mon.MOASCases()
 	if len(cases) != 1 || !cases[0].Invalid {
 		t.Errorf("monitor cases = %+v", cases)
