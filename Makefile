@@ -2,6 +2,7 @@ GO ?= go
 
 # Fuzz targets exercised by fuzz-smoke, as package:target pairs.
 FUZZ_TARGETS := \
+	./internal/core:FuzzListMatchesReference \
 	./internal/wire:FuzzDecode \
 	./internal/wire:FuzzReaderMatchesReadMessage \
 	./internal/astypes:FuzzParsePrefix \

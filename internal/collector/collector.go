@@ -89,6 +89,14 @@ func newMetrics(r *telemetry.Registry) *metrics {
 // which every NLRI of the UPDATE that carried it shares.
 type route string
 
+// peerTable mirrors one peer's announcements.
+type peerTable struct {
+	routes map[astypes.Prefix]route
+	// last is the route the peer's latest announcing UPDATE stored, for
+	// the next one to share when it carries the same route.
+	last route
+}
+
 // Collector is a passive multi-peer route archive.
 type Collector struct {
 	cfg Config
@@ -97,8 +105,9 @@ type Collector struct {
 
 	mu    sync.Mutex
 	peers map[astypes.ASN]*peering // guarded by mu
-	// rib[peer][prefix] mirrors each peer's announcements. Guarded by mu.
-	rib map[astypes.ASN]map[astypes.Prefix]route
+	// rib[peer].routes[prefix] mirrors each peer's announcements.
+	// Guarded by mu.
+	rib map[astypes.ASN]*peerTable
 	// pack is mirror's scratch for packing a route. Guarded by mu.
 	pack      []byte
 	snapshots int  // guarded by mu
@@ -119,7 +128,7 @@ func New(cfg Config) *Collector {
 		reg:   reg,
 		met:   newMetrics(reg),
 		peers: make(map[astypes.ASN]*peering),
-		rib:   make(map[astypes.ASN]map[astypes.Prefix]route),
+		rib:   make(map[astypes.ASN]*peerTable),
 	}
 }
 
@@ -155,26 +164,36 @@ func (c *Collector) ingest(vantage string, peer astypes.ASN, u *wire.Update, st 
 }
 
 // mirror applies one UPDATE from peer AS asn to the collector's RIB.
+// A route is stored once for as long as it stays unchanged: an NLRI
+// keeps the string it holds when the UPDATE re-announces the same
+// route, and otherwise shares the peer's last stored route when that is
+// the same, so only a route the peer has not just sent allocates.
 func (c *Collector) mirror(asn astypes.ASN, u *wire.Update) {
 	c.met.updatesIn.Inc()
 	c.met.withdrawalsIn.Add(uint64(len(u.Withdrawn)))
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	table := c.rib[asn]
-	if table == nil {
-		table = make(map[astypes.Prefix]route)
-		c.rib[asn] = table
+	t := c.rib[asn]
+	if t == nil {
+		t = &peerTable{routes: make(map[astypes.Prefix]route)}
+		c.rib[asn] = t
 	}
 	for _, w := range u.Withdrawn {
-		delete(table, w)
+		delete(t.routes, w)
 	}
 	if len(u.NLRI) == 0 {
 		return
 	}
 	c.pack = packRoute(c.pack[:0], u.Attrs.ASPath, u.Attrs.Communities)
-	r := route(c.pack)
 	for _, prefix := range u.NLRI {
-		table[prefix] = r
+		if cur, ok := t.routes[prefix]; ok && string(cur) == string(c.pack) {
+			t.last = cur
+			continue
+		}
+		if string(t.last) != string(c.pack) {
+			t.last = route(c.pack)
+		}
+		t.routes[prefix] = t.last
 	}
 }
 
@@ -351,14 +370,14 @@ func (c *Collector) Snapshot(at time.Time) *routegen.Dump {
 	}
 	astypes.SortASNs(peerASNs)
 	for _, peer := range peerASNs {
-		table := c.rib[peer]
-		prefixes := make([]astypes.Prefix, 0, len(table))
-		for p := range table {
+		routes := c.rib[peer].routes
+		prefixes := make([]astypes.Prefix, 0, len(routes))
+		for p := range routes {
 			prefixes = append(prefixes, p)
 		}
 		sortPrefixes(prefixes)
 		for _, prefix := range prefixes {
-			path, comms := table[prefix].unpack()
+			path, comms := routes[prefix].unpack()
 			d.Entries = append(d.Entries, routegen.Entry{Prefix: prefix, Path: path, Communities: comms})
 		}
 	}
@@ -370,9 +389,12 @@ func (c *Collector) Snapshot(at time.Time) *routegen.Dump {
 func (c *Collector) RoutesFrom(peer astypes.ASN) map[astypes.Prefix]astypes.ASPath {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	table := c.rib[peer]
-	out := make(map[astypes.Prefix]astypes.ASPath, len(table))
-	for p, r := range table {
+	t := c.rib[peer]
+	if t == nil {
+		return map[astypes.Prefix]astypes.ASPath{}
+	}
+	out := make(map[astypes.Prefix]astypes.ASPath, len(t.routes))
+	for p, r := range t.routes {
 		out[p], _ = r.unpack()
 	}
 	return out

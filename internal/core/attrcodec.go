@@ -23,12 +23,12 @@ const ListAttrCode uint8 = 254
 // AttrBytes encodes the list as the attribute value: one big-endian
 // 2-octet AS number per entitled origin, ascending.
 func (l List) AttrBytes() []byte {
-	if len(l.asns) == 0 {
+	if l.Empty() {
 		return nil
 	}
-	out := make([]byte, 0, 2*len(l.asns))
-	for _, a := range l.asns {
-		out = binary.BigEndian.AppendUint16(out, uint16(a))
+	out := make([]byte, 0, 2*l.Len())
+	for i := 0; i < l.Len(); i++ {
+		out = binary.BigEndian.AppendUint16(out, uint16(l.at(i)))
 	}
 	return out
 }
@@ -41,7 +41,8 @@ func ListFromAttrBytes(b []byte) (List, error) {
 	if len(b)%2 != 0 {
 		return List{}, fmt.Errorf("MOAS-list attribute length %d not a multiple of 2", len(b))
 	}
-	asns := make([]astypes.ASN, 0, len(b)/2)
+	var buf [8]astypes.ASN // a short list is decoded on the stack
+	asns := buf[:0]
 	for i := 0; i < len(b); i += 2 {
 		asns = append(asns, astypes.ASN(binary.BigEndian.Uint16(b[i:i+2])))
 	}
@@ -106,10 +107,10 @@ func (c carried) contains(asn astypes.ASN) bool {
 	return !c.all(func(a astypes.ASN) bool { return a != asn })
 }
 
-// equal is List.Equal between the carried list and l.
+// equal reports whether the carried list, as a set, is l.
 func (c carried) equal(l List) bool {
-	for _, a := range l.asns {
-		if !c.contains(a) {
+	for i := 0; i < l.Len(); i++ {
+		if !c.contains(l.at(i)) {
 			return false
 		}
 	}

@@ -14,7 +14,7 @@ func TestAttrBytesRoundTrip(t *testing.T) {
 	}
 	for _, give := range tests {
 		got, err := ListFromAttrBytes(give.AttrBytes())
-		if err != nil || !got.Equal(give) {
+		if err != nil || got != give {
 			t.Errorf("roundtrip %v = %v (%v)", give, got, err)
 		}
 	}
@@ -32,7 +32,7 @@ func TestListFromAttrBytesErrors(t *testing.T) {
 	// Duplicates in the wire form canonicalize.
 	dup := append(NewList(4).AttrBytes(), NewList(4).AttrBytes()...)
 	got, err := ListFromAttrBytes(dup)
-	if err != nil || !got.Equal(NewList(4)) {
+	if err != nil || got != NewList(4) {
 		t.Errorf("duplicate members = %v (%v)", got, err)
 	}
 }
@@ -51,7 +51,7 @@ func TestCheckerHonorsAttrList(t *testing.T) {
 	if v != VerdictConsistent {
 		t.Fatalf("first attr-list announcement: %v", v)
 	}
-	if _, _, l := Check(List{}, false, first); !l.Equal(attr) {
+	if _, _, l := Check(List{}, false, first); l != attr {
 		t.Errorf("recorded list = %v, want the attribute one", l)
 	}
 	// An attribute-encoded hijack conflicts.

@@ -100,7 +100,7 @@ func Check(recorded List, seen bool, a Announcement) (Verdict, *Conflict, List) 
 		if carried.equal(recorded) {
 			return VerdictConsistent, nil, List{}
 		}
-	case recorded.Len() == 1 && recorded.asns[0] == origin:
+	case recorded == ImplicitList(origin):
 		return VerdictConsistent, nil, List{}
 	}
 	return verdict, &Conflict{

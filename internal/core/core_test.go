@@ -31,16 +31,16 @@ func TestListEqualIsSetEquality(t *testing.T) {
 	a := NewList(1, 2)
 	b := NewList(2, 1)
 	c := NewList(1, 2, 3)
-	if !a.Equal(b) {
+	if a != b {
 		t.Error("order must not matter")
 	}
-	if a.Equal(c) || c.Equal(a) {
+	if a == c || c == a {
 		t.Error("different sets must differ")
 	}
-	if !(List{}).Equal(List{}) {
+	if NewList() != (List{}) {
 		t.Error("empty lists are equal")
 	}
-	if a.Equal(List{}) {
+	if a == (List{}) {
 		t.Error("non-empty != empty")
 	}
 }
@@ -57,7 +57,7 @@ func TestListCommunitiesRoundTrip(t *testing.T) {
 		}
 	}
 	back, has := FromCommunities(comms)
-	if !has || !back.Equal(l) {
+	if !has || back != l {
 		t.Errorf("FromCommunities = %v, %v", back, has)
 	}
 }
@@ -68,7 +68,7 @@ func TestFromCommunitiesIgnoresOthers(t *testing.T) {
 		astypes.NewCommunity(4, MLVal),
 	}
 	l, has := FromCommunities(comms)
-	if !has || !l.Equal(NewList(4)) {
+	if !has || l != NewList(4) {
 		t.Errorf("FromCommunities = %v, %v", l, has)
 	}
 	l, has = FromCommunities([]astypes.Community{astypes.NewCommunity(701, 666)})
@@ -84,7 +84,7 @@ func TestImplicitListRule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !eff.Equal(ImplicitList(3)) {
+	if eff != ImplicitList(3) {
 		t.Errorf("EffectiveList = %v, want {3}", eff)
 	}
 	// Explicit list wins over implicit.
@@ -92,7 +92,7 @@ func TestImplicitListRule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !eff.Equal(NewList(7, 8)) {
+	if eff != NewList(7, 8) {
 		t.Errorf("EffectiveList = %v, want {7, 8}", eff)
 	}
 	// No list and no origin is an error.
@@ -104,10 +104,10 @@ func TestImplicitListRule(t *testing.T) {
 func TestWithOrigin(t *testing.T) {
 	base := NewList(1, 2)
 	forged := base.WithOrigin(9)
-	if !forged.Equal(NewList(1, 2, 9)) {
+	if forged != NewList(1, 2, 9) {
 		t.Errorf("WithOrigin = %v", forged)
 	}
-	if !base.Equal(NewList(1, 2)) {
+	if base != NewList(1, 2) {
 		t.Error("WithOrigin must not mutate the receiver")
 	}
 }
@@ -128,7 +128,7 @@ func TestOriginsCopyIsDefensive(t *testing.T) {
 	l := NewList(1, 2)
 	got := l.Origins()
 	got[0] = 99
-	if !l.Equal(NewList(1, 2)) {
+	if l != NewList(1, 2) {
 		t.Error("Origins() must return a copy")
 	}
 }
@@ -161,7 +161,7 @@ func TestListSetSemanticsQuick(t *testing.T) {
 				}
 			}
 		}
-		return la.Equal(lb) == same
+		return (la == lb) == same
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -178,7 +178,7 @@ func TestCheckerFirstAnnouncementAccepted(t *testing.T) {
 		t.Fatalf("first announcement: %v, %v", v, conflict)
 	}
 	_, conflict = c.Check(Announcement{Prefix: testPrefix, Path: astypes.NewSeqPath(52)})
-	if conflict == nil || !conflict.Existing.Equal(ImplicitList(4)) {
+	if conflict == nil || conflict.Existing != ImplicitList(4) {
 		t.Errorf("recorded list = %v", conflict)
 	}
 }
@@ -211,7 +211,7 @@ func TestCheckerDetectsConflict(t *testing.T) {
 	if conflict.Origin != 52 || conflict.FromPeer != 9 || conflict.Verdict != VerdictConflict {
 		t.Errorf("conflict details = %+v", conflict)
 	}
-	if !conflict.Existing.Equal(list) || !conflict.Received.Equal(ImplicitList(52)) {
+	if conflict.Existing != list || conflict.Received != ImplicitList(52) {
 		t.Errorf("conflict lists = %v vs %v", conflict.Existing, conflict.Received)
 	}
 }
@@ -262,14 +262,14 @@ func TestCheckRecordsOnFirstSightOnly(t *testing.T) {
 		return Announcement{Prefix: testPrefix, Path: astypes.NewSeqPath(9, origin)}
 	}
 	v, conflict, first := Check(List{}, false, implicit(4))
-	if v != VerdictConsistent || conflict != nil || !first.Equal(ImplicitList(4)) {
+	if v != VerdictConsistent || conflict != nil || first != ImplicitList(4) {
 		t.Fatalf("first sight: %v, %v, record %v", v, conflict, first)
 	}
 	if v, conflict, rec := Check(first, true, implicit(4)); v != VerdictConsistent || conflict != nil || !rec.Empty() {
 		t.Errorf("repeat: %v, %v, record %v", v, conflict, rec)
 	}
 	v, conflict, rec := Check(first, true, implicit(52))
-	if v != VerdictConflict || conflict == nil || !conflict.Existing.Equal(first) || !rec.Empty() {
+	if v != VerdictConflict || conflict == nil || conflict.Existing != first || !rec.Empty() {
 		t.Errorf("second origin: %v, %v, record %v", v, conflict, rec)
 	}
 	bogus := Announcement{Prefix: testPrefix, Path: astypes.NewSeqPath(52), Communities: NewList(4).Communities()}
@@ -395,7 +395,7 @@ func TestCheckMatchesEffectiveListRule(t *testing.T) {
 			want = VerdictOriginNotListed
 		case !seen:
 			lists[a.Prefix] = eff
-		case !existing.Equal(eff):
+		case existing != eff:
 			want = VerdictConflict
 		}
 
@@ -406,7 +406,7 @@ func TestCheckMatchesEffectiveListRule(t *testing.T) {
 		if conflict == nil {
 			continue
 		}
-		if !conflict.Existing.Equal(existing) || !conflict.Received.Equal(eff) ||
+		if conflict.Existing != existing || conflict.Received != eff ||
 			conflict.Origin != origin || conflict.Verdict != want || conflict.Prefix != a.Prefix ||
 			conflict.FromPeer != 7 || conflict.Span != uint64(i) || conflict.Path.String() != a.Path.String() {
 			t.Fatalf("check %d (%+v): conflict %+v, want existing %v received %v", i, a, conflict, existing, eff)

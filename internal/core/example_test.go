@@ -39,14 +39,15 @@ func ExampleChecker_Check() {
 	// MOAS conflict for 131.179.0.0/16: origin 52 announced list {52}, expected {4, 226} (learned from AS 0)
 }
 
-// MOAS lists are sets: order never matters, membership does.
-func ExampleList_Equal() {
+// MOAS lists are sets: order never matters, membership does, and ==
+// compares them as sets.
+func ExampleList() {
 	a := core.NewList(4, 226)
 	b := core.NewList(226, 4)
 	c := a.WithOrigin(52) // a forged superset
 
-	fmt.Println(a.Equal(b))
-	fmt.Println(a.Equal(c))
+	fmt.Println(a == b)
+	fmt.Println(a == c)
 	fmt.Println(c)
 	// Output:
 	// true

@@ -21,8 +21,10 @@
 package core
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/astypes"
@@ -38,77 +40,109 @@ const MLVal uint16 = 0xffde
 // prefix. The zero value is the empty list, which is distinct from an
 // absent list — use of the implicit-list rule is the caller's choice via
 // ImplicitList.
+//
+// A List is a small immutable value kept in one canonical form, so ==
+// is the paper's consistency predicate: "the same set of ASes listed in
+// all the MOAS Lists. The order in the list may differ, but the set of
+// ASes included in each route announcement must be identical" (§4.2).
+// Nearly every list has one or two members (§3: 96 % of MOAS cases have
+// two origins), so those are held inline and the list allocates
+// nothing; a longer one is packed into a string.
 type List struct {
-	asns []astypes.ASN // sorted, deduplicated
+	// inline holds the members of a list of at most two, ascending,
+	// and is zero beyond them and in a longer list.
+	inline [2]astypes.ASN
+	// rest is lenTag[:n] for a list of n <= 2 members, and otherwise
+	// every member as 4 big-endian octets, ascending: at least 12
+	// octets, so its length alone tells the two forms apart.
+	rest string
 }
+
+// lenTag supplies rest for the inline form; slicing a constant
+// allocates nothing.
+const lenTag = "\x00\x00"
 
 // NewList builds a canonical (sorted, deduplicated) list from the given
 // origins. The argument slice is not retained.
 func NewList(origins ...astypes.ASN) List {
-	if len(origins) == 0 {
+	switch len(origins) {
+	case 0:
 		return List{}
+	case 1:
+		return ImplicitList(origins[0])
+	case 2:
+		a, b := origins[0], origins[1]
+		if a == b {
+			return ImplicitList(a)
+		}
+		if a > b {
+			a, b = b, a
+		}
+		return List{inline: [2]astypes.ASN{a, b}, rest: lenTag}
 	}
-	cp := make([]astypes.ASN, len(origins))
-	copy(cp, origins)
-	return List{asns: astypes.DedupASNs(cp)}
+	asns := astypes.DedupASNs(slices.Clone(origins))
+	if len(asns) <= 2 {
+		return NewList(asns...)
+	}
+	var b strings.Builder
+	b.Grow(4 * len(asns))
+	var member [4]byte
+	for _, a := range asns {
+		binary.BigEndian.PutUint32(member[:], uint32(a))
+		b.Write(member[:])
+	}
+	return List{rest: b.String()}
 }
 
 // ImplicitList is the list a route without MOAS communities is treated
 // as carrying: just its own origin AS (§4.2, footnote 3).
 func ImplicitList(origin astypes.ASN) List {
-	return List{asns: []astypes.ASN{origin}}
+	return List{inline: [2]astypes.ASN{origin}, rest: lenTag[:1]}
 }
 
 // Empty reports whether the list has no members.
-func (l List) Empty() bool { return len(l.asns) == 0 }
+func (l List) Empty() bool { return l.rest == "" }
 
 // Len returns the number of entitled origins.
-func (l List) Len() int { return len(l.asns) }
+func (l List) Len() int {
+	if len(l.rest) <= len(lenTag) {
+		return len(l.rest)
+	}
+	return len(l.rest) / 4
+}
+
+// at returns the i-th member in ascending order.
+func (l List) at(i int) astypes.ASN {
+	if len(l.rest) <= len(lenTag) {
+		return l.inline[i]
+	}
+	m := l.rest[4*i:]
+	return astypes.ASN(uint32(m[0])<<24 | uint32(m[1])<<16 | uint32(m[2])<<8 | uint32(m[3]))
+}
 
 // Origins returns a copy of the member set in ascending order.
 func (l List) Origins() []astypes.ASN {
-	if len(l.asns) == 0 {
+	if l.Empty() {
 		return nil
 	}
-	cp := make([]astypes.ASN, len(l.asns))
-	copy(cp, l.asns)
-	return cp
-}
-
-// AppendOrigins appends the member set to dst in ascending order and
-// returns it — the allocation-free companion to Origins for callers
-// that bring their own scratch (the simulator's intern tables).
-func (l List) AppendOrigins(dst []astypes.ASN) []astypes.ASN {
-	return append(dst, l.asns...)
+	out := make([]astypes.ASN, l.Len())
+	for i := range out {
+		out[i] = l.at(i)
+	}
+	return out
 }
 
 // Contains reports whether asn is an entitled origin.
 func (l List) Contains(asn astypes.ASN) bool {
-	for _, a := range l.asns {
-		if a == asn {
+	for i := 0; i < l.Len(); i++ {
+		switch a := l.at(i); {
+		case a == asn:
 			return true
-		}
-		if a > asn {
+		case a > asn:
 			return false
 		}
 	}
 	return false
-}
-
-// Equal is the paper's consistency predicate: "the same set of ASes
-// listed in all the MOAS Lists. The order in the list may differ, but
-// the set of ASes included in each route announcement must be identical"
-// (§4.2). Lists are kept canonical, so set equality is element equality.
-func (l List) Equal(other List) bool {
-	if len(l.asns) != len(other.asns) {
-		return false
-	}
-	for i := range l.asns {
-		if l.asns[i] != other.asns[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // WithOrigin returns a new list additionally containing asn; used to
@@ -122,12 +156,12 @@ func (l List) WithOrigin(asn astypes.ASN) List {
 // (member : MLVal) community per entitled origin, in ascending member
 // order (Fig 7).
 func (l List) Communities() []astypes.Community {
-	if len(l.asns) == 0 {
+	if l.Empty() {
 		return nil
 	}
-	out := make([]astypes.Community, len(l.asns))
-	for i, a := range l.asns {
-		out[i] = astypes.NewCommunity(a, MLVal)
+	out := make([]astypes.Community, l.Len())
+	for i := range out {
+		out[i] = astypes.NewCommunity(l.at(i), MLVal)
 	}
 	return out
 }
@@ -136,11 +170,11 @@ func (l List) Communities() []astypes.Community {
 func (l List) String() string {
 	var b strings.Builder
 	b.WriteByte('{')
-	for i, a := range l.asns {
+	for i := 0; i < l.Len(); i++ {
 		if i > 0 {
 			b.WriteString(", ")
 		}
-		b.WriteString(a.String())
+		b.WriteString(l.at(i).String())
 	}
 	b.WriteByte('}')
 	return b.String()
@@ -151,13 +185,14 @@ func (l List) String() string {
 // MOAS-list community was present at all, so callers can distinguish an
 // absent list (apply the implicit rule) from an empty attribute.
 func FromCommunities(comms []astypes.Community) (l List, hasList bool) {
-	var members []astypes.ASN
+	var buf [8]astypes.ASN // a short list is gathered on the stack
+	members := buf[:0]
 	for _, c := range comms {
 		if c.Value() == MLVal {
 			members = append(members, c.ASN())
 		}
 	}
-	if members == nil {
+	if len(members) == 0 {
 		return List{}, false
 	}
 	return NewList(members...), true

@@ -21,7 +21,7 @@ func TestRegisterLookup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rec.Origins.Equal(core.NewList(4, 226)) {
+	if rec.Origins != core.NewList(4, 226) {
 		t.Errorf("origins = %v", rec.Origins)
 	}
 	if _, err := s.Lookup(p24); !errors.Is(err, ErrNotFound) {
@@ -74,7 +74,7 @@ func TestValidOriginsResolverInterface(t *testing.T) {
 	s := NewStore()
 	s.Register(p16, core.NewList(4))
 	list, ok := s.ValidOrigins(p24)
-	if !ok || !list.Equal(core.NewList(4)) {
+	if !ok || list != core.NewList(4) {
 		t.Errorf("ValidOrigins = %v, %v", list, ok)
 	}
 	if _, ok := s.ValidOrigins(astypes.MustPrefix(0x0a000000, 8)); ok {

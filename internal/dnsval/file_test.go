@@ -22,7 +22,7 @@ func TestParse(t *testing.T) {
 		t.Fatalf("Len = %d", store.Len())
 	}
 	list, ok := store.ValidOrigins(p16)
-	if !ok || !list.Equal(core.NewList(4, 226)) {
+	if !ok || list != core.NewList(4, 226) {
 		t.Errorf("record = %v, %v", list, ok)
 	}
 }
@@ -87,7 +87,7 @@ func FuzzParseMOASRR(f *testing.F) {
 		}
 		for prefix, list := range want {
 			rec, err := store.Lookup(prefix)
-			if err != nil || !rec.Origins.Equal(list) {
+			if err != nil || rec.Origins != list {
 				t.Fatalf("%s resolves to %v (%v), want %v", prefix, rec.Origins, err, list)
 			}
 		}

@@ -16,6 +16,7 @@ import (
 	"repro/internal/collector"
 	"repro/internal/monitor"
 	"repro/internal/mrt"
+	"repro/internal/mrt/rislive"
 	"repro/internal/wire"
 )
 
@@ -75,28 +76,64 @@ func costRIBArchive(t *testing.T, n int) []byte {
 	return buf.Bytes()
 }
 
-// replayCost replays archive through a collector's ReplayMRT into its
+// costRISFeed is a RIS-Live feed of n NDJSON lines, each one UPDATE
+// from peer AS 701 announcing one prefix of 10.0.0.0/8 (the ith line
+// the ith /24) over the path and community of costArchive.
+func costRISFeed(t *testing.T, n int) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&buf, `{"type":"ris_message","data":{"timestamp":1000000000,"peer":"192.0.2.1","peer_asn":"701","id":"x","host":"rrc00","type":"UPDATE","path":[701,1239,3356,4],"community":[[701,666]],"origin":"igp","announcements":[{"next_hop":"192.0.2.1","prefixes":["%s"]}]}}`+"\n",
+			astypes.MustPrefix(0x0a000000|uint32(i)<<8, 24))
+	}
+	return buf.Bytes()
+}
+
+// replayMRT feeds an MRT archive through c.ReplayMRT.
+func replayMRT(t *testing.T, c *collector.Collector, archive []byte) {
+	if _, err := c.ReplayMRT("mrt:cost", bytes.NewReader(archive), nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// replayRIS feeds a RIS-Live feed through rislive.Decode and
+// c.ConsumeRISLive, one event per line. The events are queued on a
+// channel with room for every line of the largest feed, and consumed on
+// the test's goroutine once all are decoded: waits on the channel by a
+// consumer goroutine would allocate now and then, and blur the ledger.
+func replayRIS(t *testing.T, c *collector.Collector, feed []byte) {
+	events := make(chan *rislive.Event, 2*costRecords)
+	for len(feed) > 0 {
+		n := bytes.IndexByte(feed, '\n') + 1
+		ev, err := rislive.Decode(feed[:n])
+		if err != nil || ev == nil {
+			t.Fatalf("decode %q: %v, %v", feed[:n], ev, err)
+		}
+		events <- ev
+		feed = feed[n:]
+	}
+	close(events)
+	c.ConsumeRISLive(events, nil)
+}
+
+// replayCost replays input through replay into a collector and its
 // monitor and returns the heap allocations and bytes it took. warm,
 // when non-nil, is replayed first and not counted. The counters are
 // process-wide, so a goroutine the runtime or the test binary runs
 // meanwhile adds to them: the least of three replays, each into a
 // fresh collector, is the path's own cost.
-func replayCost(t *testing.T, warm, archive []byte) (allocs, size uint64) {
+func replayCost(t *testing.T, replay func(*testing.T, *collector.Collector, []byte), warm, input []byte) (allocs, size uint64) {
 	t.Helper()
 	allocs, size = math.MaxUint64, math.MaxUint64
 	for try := 0; try < 3; try++ {
 		c := collector.New(collector.Config{Monitor: monitor.New()})
-		replay := func(b []byte) {
-			if _, err := c.ReplayMRT("mrt:cost", bytes.NewReader(b), nil); err != nil {
-				t.Fatal(err)
-			}
-		}
 		if warm != nil {
-			replay(warm)
+			replay(t, c, warm)
 		}
 		var before, after runtime.MemStats
+		runtime.GC()
 		runtime.ReadMemStats(&before)
-		replay(archive)
+		replay(t, c, input)
 		runtime.ReadMemStats(&after)
 		c.Close()
 		allocs = min(allocs, after.Mallocs-before.Mallocs)
@@ -110,14 +147,18 @@ func replayCost(t *testing.T, warm, archive []byte) (allocs, size uint64) {
 // made the golden.
 const costSlack = 0.5
 
-// TestCostLedger pins what one MRT record costs on the replay path
-// (Collector.ReplayMRT: MRT decode, the collector's mirror, the
-// monitor's check) in heap allocations and bytes allocated, for a
-// one-NLRI BGP4MP UPDATE (row mrt) and for a TABLE_DUMP_V2 RIB record
-// of one prefix from two peers (row rib): at the first sight of its
-// prefix, and in steady state, when the prefix is announced again over
-// the same paths. A change that moves one shows in
-// the diff of testdata/costs.golden; run with -update to regenerate it.
+// TestCostLedger pins what one record costs on the feed paths in heap
+// allocations and bytes allocated: through Collector.ReplayMRT (MRT
+// decode, the collector's mirror, the monitor's check) for a one-NLRI
+// BGP4MP UPDATE (row mrt) and for a TABLE_DUMP_V2 RIB record of one
+// prefix from two peers (row rib), and through rislive.Decode and
+// Collector.ConsumeRISLive for one NDJSON line announcing one prefix
+// (row ris): at the first sight of its prefix, and in steady state,
+// when the prefix is announced again over the same paths. Every record
+// of a row repeats one path per peer, so the first-sight figures show
+// the mirror sharing that path's string, its best case. A change that
+// moves one shows in the diff of testdata/costs.golden; run with
+// -update to regenerate it.
 //
 // The figures are exact for the code and the Go release, and the golden
 // names the release that made it. First-sight figures include the
@@ -135,9 +176,9 @@ func TestCostLedger(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation accounting differs under the race detector")
 	}
-	perRecord := func(one, two, warmOne, warmTwo []byte) (float64, float64) {
-		a1, b1 := replayCost(t, warmOne, one)
-		a2, b2 := replayCost(t, warmTwo, two)
+	perRecord := func(replay func(*testing.T, *collector.Collector, []byte), one, two, warmOne, warmTwo []byte) (float64, float64) {
+		a1, b1 := replayCost(t, replay, warmOne, one)
+		a2, b2 := replayCost(t, replay, warmTwo, two)
 		if a2 < a1 || b2 < b1 {
 			t.Fatalf("a replay of %d records cost less than one of %d (%d < %d allocs or %d < %d bytes): stray allocations by another goroutine; rerun",
 				2*costRecords, costRecords, a2, a1, b2, b1)
@@ -145,18 +186,19 @@ func TestCostLedger(t *testing.T) {
 		return float64(a2-a1) / costRecords, float64(b2-b1) / costRecords
 	}
 	var got bytes.Buffer
-	fmt.Fprintf(&got, "# Heap cost of one MRT record: mrt a one-NLRI UPDATE, rib one prefix from two peers\n")
-	fmt.Fprintf(&got, "# (4-AS paths, one community), from replays of %d and %d records (TestCostLedger).\n", costRecords, 2*costRecords)
+	fmt.Fprintf(&got, "# Heap cost of one record: mrt a one-NLRI UPDATE, rib one prefix from two peers, ris one NDJSON\n")
+	fmt.Fprintf(&got, "# line (4-AS paths, one community), from replays of %d and %d records (TestCostLedger).\n", costRecords, 2*costRecords)
 	fmt.Fprintf(&got, "# %s\n", runtime.Version())
 	fmt.Fprintf(&got, "%-4s %-11s %7s %6s\n", "path", "phase", "allocs", "bytes")
 	measured := map[string]float64{}
 	for _, row := range []struct {
-		path    string
-		archive func(*testing.T, int) []byte
-	}{{"mrt", costArchive}, {"rib", costRIBArchive}} {
-		one, two := row.archive(t, costRecords), row.archive(t, 2*costRecords)
-		firstAllocs, firstBytes := perRecord(one, two, nil, nil)
-		steadyAllocs, steadyBytes := perRecord(one, two, one, two)
+		path   string
+		input  func(*testing.T, int) []byte
+		replay func(*testing.T, *collector.Collector, []byte)
+	}{{"mrt", costArchive, replayMRT}, {"rib", costRIBArchive, replayMRT}, {"ris", costRISFeed, replayRIS}} {
+		one, two := row.input(t, costRecords), row.input(t, 2*costRecords)
+		firstAllocs, firstBytes := perRecord(row.replay, one, two, nil, nil)
+		steadyAllocs, steadyBytes := perRecord(row.replay, one, two, one, two)
 		fmt.Fprintf(&got, "%-4s %-11s %7.2f %6.0f\n", row.path, "first-sight", firstAllocs, firstBytes)
 		fmt.Fprintf(&got, "%-4s %-11s %7.2f %6.0f\n", row.path, "steady", steadyAllocs, steadyBytes)
 		measured[row.path+" first-sight"] = firstAllocs

@@ -139,7 +139,7 @@ func CrossCheck(views []*RouterView) []Finding {
 	for prefix, entries := range byPrefix {
 		inconsistent := false
 		for i := 1; i < len(entries); i++ {
-			if !entries[i].list.Equal(entries[0].list) {
+			if entries[i].list != entries[0].list {
 				inconsistent = true
 				break
 			}
@@ -149,19 +149,12 @@ func CrossCheck(views []*RouterView) []Finding {
 		}
 		f := Finding{Prefix: prefix}
 		// Report one representative per distinct list.
-		seen := make([]core.List, 0, 2)
+		seen := make(map[core.List]bool, 2)
 		for _, e := range entries {
-			dup := false
-			for _, l := range seen {
-				if l.Equal(e.list) {
-					dup = true
-					break
-				}
-			}
-			if dup {
+			if seen[e.list] {
 				continue
 			}
-			seen = append(seen, e.list)
+			seen[e.list] = true
 			f.Views = append(f.Views, SourceList{Source: e.source, List: e.list})
 		}
 		sort.Slice(f.Views, func(i, j int) bool { return f.Views[i].Source < f.Views[j].Source })

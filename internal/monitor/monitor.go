@@ -46,7 +46,10 @@ type Monitor struct {
 	mu sync.Mutex
 	// prefixes holds each prefix's record across all vantages.
 	prefixes map[astypes.Prefix]record
-	alarms   []Alarm
+	// moas holds the state of each prefix whose record is flagged
+	// spilled: the few that do not fit a record.
+	moas   map[astypes.Prefix]moasRecord
+	alarms []Alarm
 	// seq mints one span per announced prefix observed without a
 	// stamp, so an alarm bundle points back at the exact entry that
 	// triggered it.
@@ -70,9 +73,67 @@ type Monitor struct {
 	onAlarm func(Alarm)
 }
 
-// record is the monitor's state for one prefix. Records are stored by
-// value: a pointer per prefix would cost a heap object each.
+// record is the monitor's state for one prefix, across all vantages,
+// in the shape nearly every prefix has: at most one visible origin, and
+// at most the implicit list of that origin recorded. It holds no
+// pointer, so the map of records costs 16 bytes a prefix and the
+// collector never scans it. A prefix in any other shape — two or more
+// visible origins (a MOAS case), or a first-seen list other than
+// {origin} — is flagged spilled, and its state lives in Monitor.moas
+// until it is withdrawn.
 type record struct {
+	origin astypes.ASN // the visible origin, when flags&visible
+	flags  uint8
+}
+
+// record flags.
+const (
+	visible uint8 = 1 << iota // origin is visible
+	listed                    // the first-seen list {origin} is recorded
+	spilled                   // the state is in Monitor.moas
+)
+
+// recorded returns the first-seen list of a record that is not
+// spilled, and whether one is recorded.
+func (r record) recorded() (core.List, bool) {
+	if r.flags&listed == 0 {
+		return core.List{}, false
+	}
+	return core.ImplicitList(r.origin), true
+}
+
+// with returns r after recording first as the prefix's list (when keep)
+// and origin as visible (when hasOrigin); ok is false when the result
+// no longer fits a record.
+func (r record) with(keep bool, first core.List, origin astypes.ASN, hasOrigin bool) (next record, ok bool) {
+	if hasOrigin {
+		if r.flags&visible != 0 && r.origin != origin {
+			return r, false // a second visible origin
+		}
+		r.origin, r.flags = origin, r.flags|visible
+	}
+	if keep {
+		if !hasOrigin || first != core.ImplicitList(origin) {
+			return r, false // a list other than {origin}
+		}
+		r.flags |= listed
+	}
+	return r, true
+}
+
+// widen returns the state of a record that is not spilled in the
+// spilled form.
+func (r record) widen() moasRecord {
+	var w moasRecord
+	if r.flags&visible != 0 {
+		w.origins = []astypes.ASN{r.origin}
+	}
+	w.list, w.listed = r.recorded()
+	return w
+}
+
+// moasRecord is the state of a spilled prefix.
+type moasRecord struct {
 	// list is the MOAS list first established for the prefix, which
 	// conflicts are judged against; listed reports whether one is.
 	list   core.List
@@ -181,7 +242,7 @@ func WithOnAlarm(fn func(Alarm)) Option {
 
 // New returns an empty monitor.
 func New(opts ...Option) *Monitor {
-	m := &Monitor{prefixes: make(map[astypes.Prefix]record)}
+	m := &Monitor{prefixes: make(map[astypes.Prefix]record), moas: make(map[astypes.Prefix]moasRecord)}
 	for _, o := range opts {
 		o.apply(m)
 	}
@@ -230,8 +291,11 @@ func (m *Monitor) ObserveUpdateStamp(vantage string, u *wire.Update, st *obs.Sta
 		m.check(vantage, prefix, u, listAttr, st)
 	}
 	for _, w := range u.Withdrawn {
-		if len(m.prefixes[w].origins) >= 2 {
-			m.met.cases.Dec()
+		if m.prefixes[w].flags&spilled != 0 {
+			if len(m.moas[w].origins) >= 2 {
+				m.met.cases.Dec()
+			}
+			delete(m.moas, w)
 		}
 		delete(m.prefixes, w)
 	}
@@ -259,7 +323,13 @@ func (m *Monitor) check(vantage string, prefix astypes.Prefix, u *wire.Update, l
 	}
 	path := u.Attrs.ASPath
 	rec := m.prefixes[prefix]
-	verdict, conflict, first := core.Check(rec.list, rec.listed, core.Announcement{
+	var wide moasRecord
+	recorded, seen := rec.recorded()
+	if rec.flags&spilled != 0 {
+		wide = m.moas[prefix]
+		recorded, seen = wide.list, wide.listed
+	}
+	verdict, conflict, first := core.Check(recorded, seen, core.Announcement{
 		Prefix:      prefix,
 		Path:        path,
 		Communities: u.Attrs.Communities,
@@ -267,23 +337,8 @@ func (m *Monitor) check(vantage string, prefix astypes.Prefix, u *wire.Update, l
 		Span:        span,
 	})
 	m.obs.Cross(st, obs.StageValidate)
-	changed := !rec.listed && conflict == nil
-	if changed {
-		rec.list, rec.listed = first, true
-	}
 	origin, hasOrigin := path.Origin()
-	if hasOrigin && !slices.Contains(rec.origins, origin) {
-		rec.origins = append(rec.origins, origin)
-		changed = true
-		// A prefix becomes a MOAS case when its visible origin set
-		// crosses from one to two.
-		if len(rec.origins) == 2 {
-			m.met.cases.Inc()
-		}
-	}
-	if changed {
-		m.prefixes[prefix] = rec
-	}
+	m.fold(prefix, rec, wide, !seen && conflict == nil, first, origin, hasOrigin)
 	m.met.entries.Inc()
 	var class rpki.Class
 	if conflict != nil {
@@ -311,6 +366,34 @@ func (m *Monitor) check(vantage string, prefix astypes.Prefix, u *wire.Update, l
 	m.alarms = append(m.alarms, Alarm{Conflict: *conflict, Vantage: vantage, Class: class})
 	m.met.alarms.Inc()
 	m.met.classes.With(class.String()).Inc()
+}
+
+// fold records first as prefix's list when keep is set, and origin as
+// visible when hasOrigin, into the prefix's record rec (and, when it is
+// spilled, its state wide). The caller holds m.mu.
+func (m *Monitor) fold(prefix astypes.Prefix, rec record, wide moasRecord, keep bool, first core.List, origin astypes.ASN, hasOrigin bool) {
+	if rec.flags&spilled == 0 {
+		if next, ok := rec.with(keep, first, origin, hasOrigin); ok {
+			if next != rec {
+				m.prefixes[prefix] = next
+			}
+			return
+		}
+		wide = rec.widen()
+		m.prefixes[prefix] = record{flags: spilled}
+	}
+	if keep {
+		wide.list, wide.listed = first, true
+	}
+	if hasOrigin && !slices.Contains(wide.origins, origin) {
+		wide.origins = append(wide.origins, origin)
+		// A prefix becomes a MOAS case when its visible origin set
+		// crosses from one to two.
+		if len(wide.origins) == 2 {
+			m.met.cases.Inc()
+		}
+	}
+	m.moas[prefix] = wide
 }
 
 // Alarms returns all alarms in detection order.
@@ -346,11 +429,11 @@ func (m *Monitor) MOASCases() []MOASCase {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	var out []MOASCase
-	for prefix, rec := range m.prefixes {
-		if len(rec.origins) < 2 {
+	for prefix, w := range m.moas {
+		if len(w.origins) < 2 {
 			continue
 		}
-		c := MOASCase{Prefix: prefix, Origins: astypes.SortASNs(slices.Clone(rec.origins))}
+		c := MOASCase{Prefix: prefix, Origins: astypes.SortASNs(slices.Clone(w.origins))}
 		if m.resolver != nil {
 			if valid, ok := m.resolver.ValidOrigins(prefix); ok {
 				c.Known = true

@@ -3,7 +3,9 @@ package monitor
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -127,6 +129,152 @@ func TestMonitorObserveUpdateAndWithdraw(t *testing.T) {
 	m.ObserveUpdate("feed", u)
 	if len(m.Alarms()) != 1 {
 		t.Errorf("withdrawal did not reset checker state: %d alarms", len(m.Alarms()))
+	}
+}
+
+// TestMonitorMOASCaseLifecycle drives one prefix from one origin to
+// two, through a withdrawal, and back from the other origin: each step
+// raises the alarms, MOAS cases and monitor_moas_cases gauge it did
+// before records were split, and a withdrawal leaves no state behind,
+// in the records or beside them.
+func TestMonitorMOASCaseLifecycle(t *testing.T) {
+	m := New()
+	announce := func(origin astypes.ASN) *wire.Update {
+		return entry(prefix, astypes.NewSeqPath(9, origin), nil)
+	}
+	withdraw := &wire.Update{Withdrawn: []astypes.Prefix{prefix}}
+	steps := []struct {
+		name    string
+		vantage string
+		u       *wire.Update
+		// alarm is the conflict the step raises: the recorded list's
+		// origin and the announced one; zero for none.
+		existing, received astypes.ASN
+		cases              []astypes.ASN
+		side               int
+	}{
+		{name: "first origin", vantage: "rv-a", u: announce(4)},
+		{name: "second origin", vantage: "rv-b", u: announce(52), existing: 4, received: 52, cases: []astypes.ASN{4, 52}, side: 1},
+		{name: "first origin again", vantage: "rv-a", u: announce(4), cases: []astypes.ASN{4, 52}, side: 1},
+		{name: "withdrawal", vantage: "rv-a", u: withdraw},
+		{name: "second origin first", vantage: "rv-b", u: announce(52)},
+		{name: "first origin conflicts", vantage: "rv-a", u: announce(4), existing: 52, received: 4, cases: []astypes.ASN{4, 52}, side: 1},
+		{name: "withdrawal again", vantage: "rv-b", u: withdraw},
+	}
+	alarms := 0
+	for _, st := range steps {
+		m.ObserveUpdate(st.vantage, st.u)
+		if st.existing != 0 {
+			alarms++
+		}
+		got := m.Alarms()
+		if len(got) != alarms {
+			t.Fatalf("%s: %d alarms, want %d", st.name, len(got), alarms)
+		}
+		if st.existing != 0 {
+			c := got[alarms-1].Conflict
+			if c.Verdict != core.VerdictConflict || c.Existing != core.ImplicitList(st.existing) ||
+				c.Received != core.ImplicitList(st.received) || got[alarms-1].Vantage != st.vantage {
+				t.Errorf("%s: alarm %+v", st.name, got[alarms-1])
+			}
+		}
+		var want []MOASCase
+		if st.cases != nil {
+			want = []MOASCase{{Prefix: prefix, Origins: st.cases}}
+		}
+		if cases := m.MOASCases(); !reflect.DeepEqual(cases, want) {
+			t.Errorf("%s: MOASCases = %+v, want %+v", st.name, cases, want)
+		}
+		if gauge := m.met.cases.Value(); gauge != int64(len(want)) {
+			t.Errorf("%s: monitor_moas_cases = %d, want %d", st.name, gauge, len(want))
+		}
+		if len(m.moas) != st.side {
+			t.Errorf("%s: %d spilled records, want %d", st.name, len(m.moas), st.side)
+		}
+	}
+	if len(m.prefixes) != 0 {
+		t.Errorf("%d records after the last withdrawal, want 0", len(m.prefixes))
+	}
+}
+
+// TestMonitorMatchesWideRecords replays random announcements and
+// withdrawals — implicit, community-carried and attribute-carried
+// lists, AS_SET origins and empty paths — over two prefixes, and holds
+// the monitor's alarms, MOAS cases and gauge after every step to a
+// reference that keeps every prefix's full state (its first-seen list
+// and all visible origins) in one record.
+func TestMonitorMatchesWideRecords(t *testing.T) {
+	type wide struct {
+		list    core.List
+		listed  bool
+		origins []astypes.ASN
+	}
+	rng := rand.New(rand.NewSource(1))
+	m := New()
+	ref := map[astypes.Prefix]wide{}
+	prefixes := []astypes.Prefix{astypes.MustPrefix(0x0a000000, 8), prefix} // ascending
+	alarms := 0
+	for i := 0; i < 5000; i++ {
+		p := prefixes[rng.Intn(len(prefixes))]
+		if rng.Intn(8) == 0 {
+			m.ObserveUpdate("v", &wire.Update{Withdrawn: []astypes.Prefix{p}})
+			delete(ref, p)
+		} else {
+			u := entry(p, astypes.ASPath{}, nil)
+			switch rng.Intn(6) {
+			case 0: // no origin
+			case 1:
+				u.Attrs.ASPath = astypes.ASPath{Segments: []astypes.Segment{{Type: astypes.SegSet, ASNs: []astypes.ASN{astypes.ASN(1 + rng.Intn(3)), 2}}}}
+			default:
+				u.Attrs.ASPath = astypes.NewSeqPath(9, astypes.ASN(1+rng.Intn(3)))
+			}
+			carried := core.NewList(astypes.ASN(1+rng.Intn(3)), astypes.ASN(1+rng.Intn(3)))
+			var listAttr []byte
+			switch rng.Intn(4) {
+			case 0:
+				u.Attrs.Communities = carried.Communities()
+			case 1:
+				listAttr = carried.AttrBytes()
+				u.Attrs.Unknown = []wire.UnknownAttr{wire.NewOptionalTransitive(core.ListAttrCode, listAttr)}
+			}
+			m.ObserveUpdate("v", u)
+
+			r := ref[p]
+			_, conflict, first := core.Check(r.list, r.listed, core.Announcement{
+				Prefix: p, Path: u.Attrs.ASPath, Communities: u.Attrs.Communities, ListAttr: listAttr,
+			})
+			if !r.listed && conflict == nil {
+				r.list, r.listed = first, true
+			}
+			if origin, ok := u.Attrs.ASPath.Origin(); ok && !slices.Contains(r.origins, origin) {
+				r.origins = append(r.origins, origin)
+			}
+			ref[p] = r
+			if conflict != nil {
+				alarms++
+				if len(m.alarms) != alarms {
+					t.Fatalf("step %d: %d alarms, want %d", i, len(m.alarms), alarms)
+				}
+				if c := m.alarms[alarms-1].Conflict; c.Verdict != conflict.Verdict || c.Existing != conflict.Existing || c.Received != conflict.Received {
+					t.Fatalf("step %d: alarm %+v, want %+v", i, c, *conflict)
+				}
+			}
+		}
+		if len(m.alarms) != alarms {
+			t.Fatalf("step %d: %d alarms, want %d", i, len(m.alarms), alarms)
+		}
+		var want []MOASCase
+		for _, p := range prefixes {
+			if r := ref[p]; len(r.origins) >= 2 {
+				want = append(want, MOASCase{Prefix: p, Origins: astypes.SortASNs(slices.Clone(r.origins))})
+			}
+		}
+		if got := m.MOASCases(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("step %d: MOASCases = %+v, want %+v", i, got, want)
+		}
+		if gauge := m.met.cases.Value(); gauge != int64(len(want)) {
+			t.Fatalf("step %d: monitor_moas_cases = %d, want %d", i, gauge, len(want))
+		}
 	}
 }
 

@@ -147,31 +147,24 @@ func (t *pathTab) materialize(id uint32) astypes.ASPath {
 // listTab interns MOAS lists. Id 0 means "none"/"not cached"; every
 // interned list (including the empty list) gets an id >= 1.
 type listTab struct {
-	lists []core.List // index id-1
-	byKey map[string]uint32
+	lists  []core.List // index id-1
+	byList map[core.List]uint32
 	// implicit caches the id of the single-origin implicit list per
 	// origin AS, the common case of every unlisted announcement.
 	implicit map[astypes.ASN]uint32
-	scratch  []byte
-	asns     []astypes.ASN
 }
 
 func newListTab() *listTab {
-	return &listTab{byKey: make(map[string]uint32), implicit: make(map[astypes.ASN]uint32)}
+	return &listTab{byList: make(map[core.List]uint32), implicit: make(map[astypes.ASN]uint32)}
 }
 
 func (t *listTab) intern(l core.List) uint32 {
-	t.asns = l.AppendOrigins(t.asns[:0])
-	t.scratch = t.scratch[:0]
-	for _, a := range t.asns {
-		t.scratch = binary.LittleEndian.AppendUint32(t.scratch, uint32(a))
-	}
-	if got, ok := t.byKey[string(t.scratch)]; ok {
+	if got, ok := t.byList[l]; ok {
 		return got
 	}
 	id := uint32(len(t.lists) + 1)
 	t.lists = append(t.lists, l)
-	t.byKey[string(t.scratch)] = id
+	t.byList[l] = id
 	return id
 }
 

@@ -344,7 +344,7 @@ func TestSharedAdvertisementIsolation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !eff.Equal(list) {
+		if eff != list {
 			t.Errorf("AS %s effective list = %v, want %v", asn, eff, list)
 		}
 	}
@@ -352,7 +352,7 @@ func TestSharedAdvertisementIsolation(t *testing.T) {
 	// (each installed its own clone).
 	r3 := n.Node(3).Best(victim).Clone()
 	r3.Communities[0] = astypes.Community(0)
-	if eff, _ := core.EffectiveList(n.Node(4).Best(victim).Communities, n.Node(4).Best(victim).Path); !eff.Equal(list) {
+	if eff, _ := core.EffectiveList(n.Node(4).Best(victim).Communities, n.Node(4).Best(victim).Path); eff != list {
 		t.Error("clone isolation violated across receivers")
 	}
 }

@@ -41,22 +41,45 @@ func TestImportDenyFilter(t *testing.T) {
 	}
 }
 
+// TestAdvertisedTo: the Adj-RIB-Out view lists what is announced to a
+// peer, and a withdrawal removes its prefix from the set itself, so
+// after every announced prefix is withdrawn the MIB counts 0 and the
+// set holds nothing.
 func TestAdvertisedTo(t *testing.T) {
-	p1 := astypes.MustPrefix(0x0a000000, 8)
-	p2 := astypes.MustPrefix(0x14000000, 8)
+	const n = 16
 	s1 := newSpeaker(t, 1, ValidationOff, nil)
 	s2 := newSpeaker(t, 2, ValidationOff, nil)
 	connectPair(t, s1, s2)
 
-	s1.Originate(p1, core.List{})
-	s1.Originate(p2, core.List{})
-	waitFor(t, func() bool { return len(s1.AdvertisedTo(2)) == 2 }, "adj-rib-out populated")
-	got := s1.AdvertisedTo(2)
-	if got[0] != p1 || got[1] != p2 {
-		t.Errorf("AdvertisedTo = %v", got)
+	prefixes := make([]astypes.Prefix, n)
+	for i := range prefixes {
+		prefixes[i] = astypes.MustPrefix(uint32(10+i)<<24, 8)
+		s1.Originate(prefixes[i], core.List{})
 	}
-	s1.WithdrawLocal(p1)
-	waitFor(t, func() bool { return len(s1.AdvertisedTo(2)) == 1 }, "withdrawal reflected")
+	waitFor(t, func() bool { return len(s1.AdvertisedTo(2)) == n }, "adj-rib-out populated")
+	got := s1.AdvertisedTo(2)
+	for i, p := range prefixes {
+		if got[i] != p {
+			t.Fatalf("AdvertisedTo = %v", got)
+		}
+	}
+	s1.WithdrawLocal(prefixes[0])
+	waitFor(t, func() bool { return len(s1.AdvertisedTo(2)) == n-1 }, "withdrawal reflected")
+	for _, p := range prefixes[1:] {
+		s1.WithdrawLocal(p)
+	}
+	waitFor(t, func() bool { return len(s1.AdvertisedTo(2)) == 0 }, "every withdrawal reflected")
+	for _, e := range s1.MIB().Peers {
+		if e.AS == 2 && e.Advertised != 0 {
+			t.Errorf("MIB advertisedPrefixes = %d after withdrawing everything, want 0", e.Advertised)
+		}
+	}
+	s1.mu.Lock()
+	held := len(s1.peerLocked(2).advertised)
+	s1.mu.Unlock()
+	if held != 0 {
+		t.Errorf("advertised set holds %d entries after withdrawing everything, want 0", held)
+	}
 	if s1.AdvertisedTo(99) != nil {
 		t.Error("unknown peer should be nil")
 	}

@@ -35,7 +35,7 @@ func TestAttributeEncodedListTransitsUnmodifiedSpeakers(t *testing.T) {
 		t.Fatal("MOAS-list attribute lost in transit")
 	}
 	got, err := core.ListFromAttrBytes(raw)
-	if err != nil || !got.Equal(list) {
+	if err != nil || got != list {
 		t.Errorf("attribute list at AS3 = %v (%v)", got, err)
 	}
 	// No communities were used.
@@ -82,7 +82,7 @@ func TestListAttrBytesRoundTrip(t *testing.T) {
 	}
 	for _, give := range tests {
 		got, err := core.ListFromAttrBytes(give.AttrBytes())
-		if err != nil || !got.Equal(give) {
+		if err != nil || got != give {
 			t.Errorf("roundtrip %v = %v (%v)", give, got, err)
 		}
 	}

@@ -83,16 +83,10 @@ func (s *Speaker) MIB() MIB {
 	}
 	s.mu.Lock()
 	for _, p := range s.peers { // peers guarded by mu; sorted by AS
-		advertised := 0
-		for _, on := range p.advertised { // advertised guarded by mu
-			if on {
-				advertised++
-			}
-		}
 		m.Peers = append(m.Peers, PeerEntry{
 			AS:         p.asn,
 			State:      p.sess.State().String(),
-			Advertised: advertised,
+			Advertised: len(p.advertised), // advertised guarded by mu
 		})
 	}
 	s.mu.Unlock()

@@ -163,8 +163,9 @@ type Speaker struct {
 type peer struct {
 	asn  astypes.ASN
 	sess *session.Session
-	// advertised tracks prefixes announced to this peer, for withdrawals.
-	advertised map[astypes.Prefix]bool
+	// advertised is the set of prefixes currently announced to this
+	// peer, for withdrawals; a withdrawal removes its prefix.
+	advertised map[astypes.Prefix]struct{}
 	// sendQ decouples route propagation from transport writes: the RIB
 	// lock is never held across a blocking socket write, so meshes over
 	// synchronous transports (net.Pipe) cannot deadlock.
@@ -353,7 +354,7 @@ func (s *Speaker) AddPeerConn(conn net.Conn, peerAS astypes.ASN) (astypes.ASN, e
 	p := &peer{
 		asn:        got,
 		sess:       sess,
-		advertised: make(map[astypes.Prefix]bool),
+		advertised: make(map[astypes.Prefix]struct{}),
 		sendQ:      make(chan *wire.Update, sendQueueLen),
 		qdone:      make(chan struct{}),
 	}
@@ -432,10 +433,8 @@ func (s *Speaker) AdvertisedTo(peerAS astypes.ASN) []astypes.Prefix {
 		return nil
 	}
 	var out []astypes.Prefix
-	for prefix, on := range p.advertised {
-		if on {
-			out = append(out, prefix)
-		}
+	for prefix := range p.advertised {
+		out = append(out, prefix)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Compare(out[j]) < 0 })
 	return out
@@ -782,7 +781,7 @@ func (s *Speaker) enqueueUpdateLocked(p *peer, u *wire.Update, prefix astypes.Pr
 		return
 	}
 	s.met.updatesOut.Inc()
-	p.advertised[prefix] = true
+	p.advertised[prefix] = struct{}{}
 	if s.cfg.Trace.Enabled() {
 		origin, _ := u.Attrs.ASPath.Origin()
 		s.cfg.Trace.Record(trace.Event{
@@ -816,7 +815,7 @@ func (s *Speaker) teardownLocked(p *peer) {
 }
 
 func (s *Speaker) withdrawFromLocked(p *peer, prefix astypes.Prefix, span uint64) {
-	if !p.advertised[prefix] {
+	if _, ok := p.advertised[prefix]; !ok {
 		return
 	}
 	u := &wire.Update{Withdrawn: []astypes.Prefix{prefix}}
@@ -825,7 +824,7 @@ func (s *Speaker) withdrawFromLocked(p *peer, prefix astypes.Prefix, span uint64
 		return
 	}
 	s.met.updatesOut.Inc()
-	p.advertised[prefix] = false
+	delete(p.advertised, prefix)
 	if s.cfg.Trace.Enabled() {
 		s.cfg.Trace.Record(trace.Event{
 			Span:   span,

@@ -195,7 +195,7 @@ func TestMOASListTransitsVerbatim(t *testing.T) {
 	s1.Originate(prefix, list)
 	waitFor(t, func() bool { return s3.Table().Best(prefix) != nil }, "route at AS3")
 	got, has := core.FromCommunities(s3.Table().Best(prefix).Communities)
-	if !has || !got.Equal(list) {
+	if !has || got != list {
 		t.Errorf("MOAS list at AS3 = %v, %v", got, has)
 	}
 }
