@@ -15,6 +15,7 @@ FUZZ_TARGETS := \
 	./internal/mrt/rislive:FuzzRISLiveJSON \
 	./internal/mrt/rislive:FuzzDecodeMatchesJSON \
 	./internal/collector:FuzzMirrorRoundTrip \
+	./cmd/moas-collector:FuzzMIBSource \
 	./internal/rpki:FuzzParseROAs \
 	./internal/dnsval:FuzzParseMOASRR
 FUZZTIME ?= 10s

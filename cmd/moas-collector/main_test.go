@@ -4,10 +4,12 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"slices"
@@ -201,7 +203,8 @@ func TestReplayOnlyReport(t *testing.T) {
 }
 
 // TestRunEndToEnd: a replay-only run with and without a MOASRR database
-// and ROA file, and with each input missing or broken.
+// and ROA file, and with each input missing or broken. A broken input
+// fails the run with an error naming it.
 func TestRunEndToEnd(t *testing.T) {
 	tmp := t.TempDir()
 	dump := writeMRT(t, filepath.Join(tmp, "dump.mrt"), fixtureDump())
@@ -209,6 +212,20 @@ func TestRunEndToEnd(t *testing.T) {
 	roas := writeFile(t, filepath.Join(tmp, "roas.txt"), "131.179.0.0/16=4\n")
 	bad := writeFile(t, filepath.Join(tmp, "bad.txt"), "banana=4\n")
 	absent := filepath.Join(tmp, "absent")
+	routers := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch r.URL.Path {
+		case "/500":
+			http.Error(w, "broken", http.StatusInternalServerError)
+		case "/text":
+			io.WriteString(w, "not a MIB")
+		case "/bad-prefix":
+			io.WriteString(w, `{"routes":[{"prefix":"131.179.0.0","asPath":"701 4","implicitList":true}]}`)
+		case "/bad-path":
+			io.WriteString(w, `{"routes":[{"prefix":"131.179.0.0/16","asPath":"701 four","implicitList":true}]}`)
+		}
+	}))
+	defer routers.Close()
+	refused := "http://" + freeAddr(t) + "/debug/mib"
 
 	report, err := replayOnly(t, runConfig{archives: []string{dump}, moasrr: db})
 	if err != nil || !strings.Contains(report, "131.179.0.0/16 origins {4, 52, 226} [INVALID]") {
@@ -223,15 +240,27 @@ func TestRunEndToEnd(t *testing.T) {
 	if err != nil || !strings.Contains(report, "classes: 0 benign-moas, 0 likely-misconfig, 1 likely-hijack") {
 		t.Errorf("with ROAs: %v\n%s", err, report)
 	}
-	for name, cfg := range map[string]runConfig{
-		"missing ROA file":    {archives: []string{dump}, roaFile: absent},
-		"missing MOASRR file": {archives: []string{dump}, moasrr: absent},
-		"bad MOASRR file":     {archives: []string{dump}, moasrr: bad},
-		"missing dump":        {archives: []string{absent}},
+	for name, tc := range map[string]struct {
+		cfg    runConfig
+		broken string
+	}{
+		"missing ROA file":    {runConfig{archives: []string{dump}, roaFile: absent}, absent},
+		"missing MOASRR file": {runConfig{archives: []string{dump}, moasrr: absent}, absent},
+		"bad MOASRR file":     {runConfig{archives: []string{dump}, moasrr: bad}, bad},
+		"missing dump":        {runConfig{archives: []string{absent}}, absent},
+		"refused MIB URL":     {runConfig{archives: []string{dump, refused}}, refused},
+		"MIB answering 500":   {runConfig{archives: []string{routers.URL + "/500"}}, routers.URL + "/500"},
+		"MIB not JSON":        {runConfig{archives: []string{routers.URL + "/text"}}, routers.URL + "/text"},
+		"MIB bad prefix":      {runConfig{archives: []string{routers.URL + "/bad-prefix"}}, routers.URL + "/bad-prefix"},
+		"MIB bad path":        {runConfig{archives: []string{routers.URL + "/bad-path"}}, routers.URL + "/bad-path"},
+		"MIB URL on live run": {runConfig{listen: "127.0.0.1:0", archives: []string{routers.URL}}, routers.URL},
 	} {
-		if _, err := replayOnly(t, cfg); err == nil {
-			t.Errorf("%s accepted", name)
+		if _, err := replayOnly(t, tc.cfg); err == nil || !strings.Contains(err.Error(), tc.broken) {
+			t.Errorf("%s: err = %v, want one naming %s", name, err, tc.broken)
 		}
+	}
+	if _, err := replayOnly(t, runConfig{risLive: routers.URL, archives: []string{routers.URL}}); !errors.Is(err, errUsage) {
+		t.Errorf("MIB URL beside -ris-live: err = %v, want a usage error", err)
 	}
 }
 
@@ -245,7 +274,7 @@ func TestReplayMatchesInMemoryDump(t *testing.T) {
 	roas.Add(rpki.ROA{Prefix: victim, MaxLen: 16, Origin: 4})
 
 	replayed := monitor.New(monitor.WithRPKI(roas))
-	if err := replayArchives(replayed.ReplayMRTFunc, nil, []string{path}, nil); err != nil {
+	if _, err := replaySources(replayed, replayed.ReplayMRTFunc, nil, []string{path}, nil); err != nil {
 		t.Fatal(err)
 	}
 	direct := monitor.New(monitor.WithRPKI(roas))
@@ -274,7 +303,7 @@ func TestArchivesSharingABaseNameAreTwoVantages(t *testing.T) {
 	writeMRT(t, filepath.Join("b", "rib.mrt"), secondDump())
 	m := monitor.New()
 	archives := []string{filepath.Join("a", "rib.mrt"), filepath.Join("b", "rib.mrt")}
-	if err := replayArchives(m.ReplayMRTFunc, nil, archives, nil); err != nil {
+	if _, err := replaySources(m, m.ReplayMRTFunc, nil, archives, nil); err != nil {
 		t.Fatal(err)
 	}
 	for _, g := range m.AlarmSummary() {
@@ -396,11 +425,13 @@ func TestReplayProgressCountsDecodedRecords(t *testing.T) {
 		writeMRT(t, filepath.Join(tmp, "ris.mrt"), secondDump()),
 	}
 	perArchive, perRecord := &obs.Progress{}, &obs.Progress{}
-	if err := replayArchives(monitor.New().ReplayMRTFunc, nil, archives, perArchive); err != nil {
+	m := monitor.New()
+	if _, err := replaySources(m, m.ReplayMRTFunc, nil, archives, perArchive); err != nil {
 		t.Fatal(err)
 	}
 	hook := func(*mrt.Record) { perRecord.AddRecords(1) }
-	if err := replayArchives(monitor.New().ReplayMRTFunc, hook, archives, perRecord); err != nil {
+	m = monitor.New()
+	if _, err := replaySources(m, m.ReplayMRTFunc, hook, archives, perRecord); err != nil {
 		t.Fatal(err)
 	}
 	got, want := perArchive.Snapshot(), perRecord.Snapshot()

@@ -2,7 +2,8 @@
 // configuration file: peering sessions, originated prefixes with their
 // MOAS lists, route aggregates, a local MOASRR origin database for
 // alarm resolution, and an optional admin endpoint serving the §4.2 MIB
-// view at http://<metricsAddr>/debug/mib. It is the "router-side" deployment of the paper's mechanism.
+// view at http://<metricsAddr>/debug/mib, which moas-collector reads as a
+// source. It is the "router-side" deployment of the paper's mechanism.
 //
 // Example configuration:
 //

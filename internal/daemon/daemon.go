@@ -40,7 +40,7 @@ type Config struct {
 	Listen []string `json:"listen"`
 	// MetricsAddr, if set, serves the operator surface (obs.Serve):
 	// /metrics, /healthz, /readyz, /debug/status, and the MIB JSON at
-	// /debug/mib.
+	// /debug/mib, which moas-collector reads as a source.
 	MetricsAddr string `json:"metricsAddr"`
 	// TraceEvents, when nonzero, enables the flight recorder with a ring
 	// of (about) that many events; /debug/trace and /debug/alarms appear

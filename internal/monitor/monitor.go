@@ -252,8 +252,8 @@ func New(opts ...Option) *Monitor {
 	return m
 }
 
-// ObserveDump ingests one table snapshot (e.g. a parsed RouteViews
-// dump) from the named vantage, each entry as a one-prefix UPDATE.
+// ObserveDump ingests one table (a collector snapshot or a router's MIB
+// route table) from the named vantage, each entry as a one-prefix UPDATE.
 func (m *Monitor) ObserveDump(vantage string, d *routegen.Dump) {
 	u := wire.Update{NLRI: make([]astypes.Prefix, 1)}
 	for _, e := range d.Entries {

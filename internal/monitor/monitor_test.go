@@ -3,6 +3,7 @@ package monitor
 import (
 	"bytes"
 	"fmt"
+	"maps"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -343,6 +344,125 @@ func TestMonitorObserveDump(t *testing.T) {
 	m.ObserveDump("rv", d)
 	if len(m.Alarms()) != 1 || len(m.MOASCases()) != 1 {
 		t.Fatalf("dump ingestion: alarms=%d cases=%d", len(m.Alarms()), len(m.MOASCases()))
+	}
+}
+
+// TestFirstSeenFlagsEveryListDisagreement: over random router fleets,
+// each router's table observed as one dump, first-seen checking alarms
+// on exactly the prefixes that a fleet-wide all-pairs comparison of the
+// routers' lists flags, plus those with an origin-not-listed row, in
+// any router order. If any two routers' lists differ, at least one of
+// them differs from the first one recorded.
+func TestFirstSeenFlagsEveryListDisagreement(t *testing.T) {
+	// allPairs is the all-pairs predicate of a fleet-wide cross-check:
+	// a prefix is flagged when any two routers' effective lists differ.
+	allPairs := func(lists []core.List) bool {
+		for i := range lists {
+			for j := i + 1; j < len(lists); j++ {
+				if lists[i] != lists[j] {
+					return true
+				}
+			}
+		}
+		return false
+	}
+	rng := rand.New(rand.NewSource(1))
+	prefixes := []astypes.Prefix{prefix, astypes.MustPrefix(0x0a000000, 8), astypes.MustPrefix(0xc0000200, 24)}
+	asn := func() astypes.ASN { return astypes.ASN(1 + rng.Intn(3)) }
+	// row draws a router's origin for a prefix and its list: the
+	// implicit {origin}, or an explicit list that may not name it.
+	row := func() (astypes.ASN, core.List, bool) {
+		if rng.Intn(2) == 0 {
+			o := asn()
+			return o, core.ImplicitList(o), false
+		}
+		return asn(), core.NewList(asn(), asn()), true
+	}
+	var quiet, flagged int
+	for fleet := 0; fleet < 1000; fleet++ {
+		routers := make([]*routegen.Dump, 2+rng.Intn(5))
+		lists := map[astypes.Prefix][]core.List{}
+		want := map[astypes.Prefix]bool{}
+		for _, p := range prefixes {
+			// Most routers hold the prefix's usual row, so that some
+			// fleets agree.
+			usualOrigin, usualList, usualExplicit := row()
+			for i := range routers {
+				if routers[i] == nil {
+					routers[i] = &routegen.Dump{}
+				}
+				origin, list, explicit := usualOrigin, usualList, usualExplicit
+				if rng.Intn(4) == 0 {
+					origin, list, explicit = row()
+				}
+				e := routegen.Entry{Prefix: p, Path: astypes.NewSeqPath(astypes.ASN(100+i), origin)}
+				if explicit {
+					e.Communities = list.Communities()
+					want[p] = want[p] || !list.Contains(origin)
+				}
+				lists[p] = append(lists[p], list)
+				routers[i].Entries = append(routers[i].Entries, e)
+			}
+		}
+		for p, l := range lists {
+			want[p] = want[p] || allPairs(l)
+		}
+		for _, order := range [][]int{nil, rng.Perm(len(routers))} {
+			m := New()
+			for i := range routers {
+				if order != nil {
+					i = order[i]
+				}
+				m.ObserveDump(fmt.Sprint("r", i), routers[i])
+			}
+			got := map[astypes.Prefix]bool{}
+			for _, p := range prefixes {
+				got[p] = false
+			}
+			for _, a := range m.Alarms() {
+				got[a.Conflict.Prefix] = true
+			}
+			if !maps.Equal(got, want) {
+				t.Fatalf("fleet %d, order %v: alarmed %v, want %v", fleet, order, got, want)
+			}
+		}
+		for _, w := range want {
+			if w {
+				flagged++
+			} else {
+				quiet++
+			}
+		}
+	}
+	if quiet == 0 || flagged == 0 {
+		t.Fatalf("fleets gave %d quiet and %d flagged prefixes; want both", quiet, flagged)
+	}
+	t.Logf("%d quiet and %d flagged prefixes", quiet, flagged)
+}
+
+// TestFirstSeenConsistentFleetIsQuiet: routers whose tables carry the
+// same list for a prefix, in any order of its ASes and from either
+// listed origin, raise no alarm in either observation order; a monitor
+// that observed nothing holds no alarm.
+func TestFirstSeenConsistentFleetIsQuiet(t *testing.T) {
+	routers := []*routegen.Dump{
+		{Entries: []routegen.Entry{{Prefix: prefix, Path: astypes.NewSeqPath(701, 4), Communities: core.NewList(4, 226).Communities()}}},
+		{Entries: []routegen.Entry{{Prefix: prefix, Path: astypes.NewSeqPath(702, 226), Communities: core.NewList(226, 4).Communities()}}},
+	}
+	for _, order := range [][]int{{0, 1}, {1, 0}} {
+		m := New()
+		for _, i := range order {
+			m.ObserveDump(fmt.Sprint("r", i), routers[i])
+		}
+		if alarms := m.Alarms(); len(alarms) != 0 {
+			t.Errorf("order %v: consistent fleet raised %+v", order, alarms)
+		}
+		if cases := m.MOASCases(); len(cases) != 1 || !reflect.DeepEqual(cases[0].Origins, []astypes.ASN{4, 226}) {
+			t.Errorf("order %v: MOASCases = %+v", order, cases)
+		}
+	}
+	if alarms := New().Alarms(); len(alarms) != 0 {
+		t.Errorf("empty monitor holds %+v", alarms)
 	}
 }
 

@@ -15,9 +15,9 @@ import (
 // the MIB interface and check the MOAS List consistency." The MIB
 // snapshot exposes per-peer session entries, message counters (the
 // alarm count among them), and the Loc-RIB's per-prefix MOAS lists;
-// ServeHTTP makes
-// it consumable by an external checker over HTTP/JSON, and the daemon
-// serves the same handler at the admin endpoint's /debug/mib.
+// ServeHTTP serves it as JSON, the daemon mounts that handler at the
+// admin endpoint's /debug/mib, and cmd/moas-collector reads it as a
+// source, one vantage per router.
 //
 // The counters themselves live on the speaker's telemetry registry
 // (metrics.go), so the MIB view and the /metrics exposition read the
@@ -115,8 +115,8 @@ func (s *Speaker) MIB() MIB {
 	return m
 }
 
-// ServeHTTP serves the MIB snapshot as JSON, so an external management
-// application (cmd/moas-mib-check) can poll it.
+// ServeHTTP serves the MIB snapshot as JSON, so the management
+// application (cmd/moas-collector, given the MIB's URL) can read it.
 func (s *Speaker) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)
