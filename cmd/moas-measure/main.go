@@ -1,7 +1,8 @@
 // Command moas-measure runs the paper's §3 measurement pipeline over
-// the synthetic RouteViews dump series: the daily MOAS case counts of
-// Figure 4, the case-duration histogram of Figure 5, and the §3 summary
-// statistics. With -emit-dumps it instead writes daily MRT table dumps
+// the synthetic RouteViews dump series and prints the §3 summary
+// statistics; -csv <dir> writes the daily MOAS case counts of Figure 4
+// (fig4.csv) and the case-duration histogram of Figure 5 (fig5.csv).
+// With -emit-dumps it instead writes daily MRT table dumps
 // (dump-YYYY-MM-DD.mrt), which -mrt measures and cmd/moas-collector
 // checks like any RouteViews archive.
 package main
@@ -22,8 +23,6 @@ func main() {
 	var (
 		seed      = flag.Int64("seed", 1997, "generator seed")
 		days      = flag.Int("days", routegen.StudyDays, "study window length in days")
-		fig4      = flag.Bool("fig4", false, "print the full Figure 4 daily series")
-		fig5      = flag.Bool("fig5", false, "print the Figure 5 duration histogram")
 		emitDumps = flag.String("emit-dumps", "", "directory to write daily MRT dump files into")
 		emitCount = flag.Int("emit-count", 5, "number of days to emit with -emit-dumps")
 		emitFrom  = flag.Int("emit-from", 0, "first day to emit with -emit-dumps")
@@ -33,9 +32,9 @@ func main() {
 	flag.Parse()
 	var err error
 	if *mrtDir != "" {
-		err = runMRT(*mrtDir, *fig4, *fig5, *csvDir)
+		err = runMRT(*mrtDir, *csvDir)
 	} else {
-		err = run(*seed, *days, *fig4, *fig5, *emitDumps, *emitFrom, *emitCount, *csvDir)
+		err = run(*seed, *days, *emitDumps, *emitFrom, *emitCount, *csvDir)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "moas-measure:", err)
@@ -46,7 +45,7 @@ func main() {
 // runMRT runs the origin-set study over a directory of real MRT
 // archives (RouteViews/RIS table dumps or update traces), one file per
 // study day, via the measure.ObserveMRT adapter.
-func runMRT(dir string, fig4, fig5 bool, csvDir string) error {
+func runMRT(dir, csvDir string) error {
 	analysis := measure.NewAnalysis()
 	files, err := analysis.ObserveMRTDir(dir)
 	if err != nil {
@@ -61,15 +60,12 @@ func runMRT(dir string, fig4, fig5 bool, csvDir string) error {
 	fmt.Println("\n== Summary (paper §3) ==")
 	fmt.Print(analysis.Summarize())
 	if csvDir != "" {
-		if err := writeCSVs(analysis, csvDir); err != nil {
-			return err
-		}
+		return writeCSVs(analysis, csvDir)
 	}
-	printFigures(analysis, fig4, fig5)
 	return nil
 }
 
-func run(seed int64, days int, fig4, fig5 bool, emitDir string, emitFrom, emitCount int, csvDir string) error {
+func run(seed int64, days int, emitDir string, emitFrom, emitCount int, csvDir string) error {
 	cfg := routegen.DefaultConfig()
 	cfg.Seed = seed
 	cfg.Days = days
@@ -92,30 +88,9 @@ func run(seed int64, days int, fig4, fig5 bool, emitDir string, emitFrom, emitCo
 	fmt.Print(analysis.Summarize())
 
 	if csvDir != "" {
-		if err := writeCSVs(analysis, csvDir); err != nil {
-			return err
-		}
+		return writeCSVs(analysis, csvDir)
 	}
-
-	printFigures(analysis, fig4, fig5)
 	return nil
-}
-
-func printFigures(analysis *measure.Analysis, fig4, fig5 bool) {
-	if fig4 {
-		fmt.Println("\n== Figure 4: daily MOAS case counts ==")
-		fmt.Printf("%-8s %-12s %s\n", "day", "date", "cases")
-		for _, dc := range analysis.Daily() {
-			fmt.Printf("%-8d %-12s %d\n", dc.Day, dc.Date.Format("2006-01-02"), dc.Cases)
-		}
-	}
-	if fig5 {
-		fmt.Println("\n== Figure 5: MOAS case duration histogram ==")
-		fmt.Printf("%-16s %s\n", "duration(days)", "cases")
-		for _, bin := range analysis.DurationHistogram().Bins() {
-			fmt.Printf("%-16d %d\n", bin.Value, bin.Count)
-		}
-	}
 }
 
 func writeCSVs(analysis *measure.Analysis, dir string) error {

@@ -11,14 +11,14 @@ import (
 )
 
 func TestRunShortWindow(t *testing.T) {
-	if err := run(7, 30 /* days */, true, true, "", 0, 0, ""); err != nil {
+	if err := run(7, 30 /* days */, "", 0, 0, ""); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRunEmitDumpsAndCSV(t *testing.T) {
 	dir := t.TempDir()
-	if err := run(7, 30, false, false, dir, 2, 3, ""); err != nil {
+	if err := run(7, 30, dir, 2, 3, ""); err != nil {
 		t.Fatal(err)
 	}
 	entries, err := os.ReadDir(dir)
@@ -30,7 +30,7 @@ func TestRunEmitDumpsAndCSV(t *testing.T) {
 	}
 
 	csvDir := t.TempDir()
-	if err := run(7, 30, false, false, "", 0, 0, csvDir); err != nil {
+	if err := run(7, 30, "", 0, 0, csvDir); err != nil {
 		t.Fatal(err)
 	}
 	for _, name := range []string{"fig4.csv", "fig5.csv"} {
@@ -46,10 +46,10 @@ func TestRunEmitDumpsAndCSV(t *testing.T) {
 func TestEmittedDumpsMeasureLikeTheSeries(t *testing.T) {
 	const seed, days = 7, 30
 	dir := t.TempDir()
-	if err := run(seed, days, false, false, dir, 0, days, ""); err != nil {
+	if err := run(seed, days, dir, 0, days, ""); err != nil {
 		t.Fatal(err)
 	}
-	if err := runMRT(dir, false, false, ""); err != nil {
+	if err := runMRT(dir, ""); err != nil {
 		t.Fatal(err)
 	}
 	fromMRT := measure.NewAnalysis()

@@ -14,10 +14,12 @@
 //	               the compact simulation engine exists for.
 //
 // Experiments 1-3 run the panels of experiment.Figures; -origins N
-// keeps the panels with N origin ASes. Each printed row is one X
-// position of the figure: the attacker percentage and the mean
-// percentage of non-attacker ASes adopting a false route over the
-// paper's 15-run scheme.
+// keeps the panels with N origin ASes. Each panel prints as one
+// experiment.WriteCSV block, in table order, so experiments 1-3 at the
+// default flags print experiment's testdata/figures.csv.golden. Each
+// row is one X position of the figure: the attacker percentage and,
+// per mode, the mean percentage of non-attacker ASes adopting a false
+// route over the paper's 15-run scheme.
 package main
 
 import (
@@ -40,9 +42,8 @@ func main() {
 		maxPct  = flag.Float64("max-attacker-pct", experiment.PublishedMaxAttackerPct, "largest attacker percentage to sweep (experiments 1-3)")
 		cold    = flag.Bool("cold-start", true, "announce valid routes and attack simultaneously")
 		forge   = flag.Bool("forge-list", false, "attackers forge a superset MOAS list (§4.1)")
-		csvOut  = flag.Bool("csv", false, "emit CSV instead of aligned tables")
-		roaCov  = flag.Float64("roa-coverage", 0, "fraction of runs whose victim prefix is covered by ROAs; nonzero adds per-mode false-alarm-rate tables from RPKI/ROV alarm classification")
-		traced  = flag.Bool("trace", false, "replay one hijack on the 25-AS topology with the flight recorder attached and print the propagation timeline, per-AS adoption, and the forensic alarm table")
+		roaCov  = flag.Float64("roa-coverage", 0, "fraction of runs whose victim prefix is covered by ROAs; the false_alarm_pct and alarms_hijack columns count alarms by RPKI/ROV class")
+		traced  = flag.Bool("trace", false, "replay one hijack on the 25-AS topology with the flight recorder attached and print the propagation timeline, per-AS adoption, and the forensic alarm bundles")
 		scale   = flag.String("scale", "", "comma-separated power-law topology sizes for -experiment 4 (default 10000,30000,70000)")
 	)
 	flag.Parse()
@@ -56,7 +57,6 @@ func main() {
 		experiment: *exp,
 		origins:    *origins,
 		maxPct:     *maxPct,
-		csv:        *csvOut,
 		sweep: experiment.SweepConfig{
 			Seed:              *seed,
 			ColdStart:         *cold,
@@ -96,7 +96,6 @@ type study struct {
 	maxPct  float64
 	// scales are experiment 4's power-law topology sizes.
 	scales []int
-	csv    bool
 	// sweep carries the knobs every sweep shares: seed, cold start,
 	// forging and ROA coverage.
 	sweep experiment.SweepConfig
@@ -129,9 +128,8 @@ func parseScales(s string) ([]int, error) {
 	return sizes, nil
 }
 
-// runFigure sweeps the selected panels of one figure and prints them,
-// grouped by origin count and named by topology along whichever of the
-// two axes the figure varies.
+// runFigure sweeps the selected panels of one figure and prints each as
+// CSV.
 func runFigure(w io.Writer, fig *experiment.Figure, s study) error {
 	set, err := topology.BuildPaperTopologies(s.sweep.Seed)
 	if err != nil {
@@ -150,20 +148,8 @@ func runFigure(w io.Writer, fig *experiment.Figure, s study) error {
 	if err != nil {
 		return err
 	}
-	var byOrigins, byTopology bool
-	for _, p := range fig.Panels {
-		byOrigins = byOrigins || p.Origins != fig.Panels[0].Origins
-		byTopology = byTopology || p.Topology != fig.Panels[0].Topology
-	}
-	fmt.Fprintf(w, "Experiment %d (Figure %d): %s\n", fig.Number-8, fig.Number, fig.Headline)
-	for i, res := range results {
-		if byOrigins && (i == 0 || res.NumOrigins != results[i-1].NumOrigins) {
-			fmt.Fprintf(w, "\n(%d origin AS%s)\n", res.NumOrigins, plural(res.NumOrigins))
-		}
-		if byTopology {
-			fmt.Fprintf(w, "\n%s-AS topology:\n", res.TopologyName)
-		}
-		if err := printSweep(w, res, s); err != nil {
+	for _, res := range results {
+		if err := experiment.WriteCSV(w, res); err != nil {
 			return err
 		}
 	}
@@ -184,14 +170,12 @@ func runInternet(w io.Writer, s study) error {
 	if s.origins > 0 {
 		originCounts = []int{s.origins}
 	}
-	fmt.Fprintln(w, "Experiment 4: internet-scale power-law topologies")
 	for _, n := range scales {
 		topo, err := topology.GeneratePowerLaw(topology.DefaultPowerLawParams(n), s.sweep.Seed)
 		if err != nil {
 			return err
 		}
 		for _, o := range originCounts {
-			fmt.Fprintf(w, "\n%d-AS topology (%d origin AS%s):\n", n, o, plural(o))
 			cfg := s.sweep
 			cfg.Topology = topo
 			cfg.TopologyName = fmt.Sprintf("powerlaw-%d", n)
@@ -203,60 +187,10 @@ func runInternet(w io.Writer, s study) error {
 			if err != nil {
 				return err
 			}
-			if err := printSweep(w, res, s); err != nil {
+			if err := experiment.WriteCSV(w, res); err != nil {
 				return err
 			}
 		}
 	}
 	return nil
-}
-
-// printSweep writes one sweep as CSV or as an aligned table, followed
-// under ROA coverage by its false-alarm-rate table.
-func printSweep(w io.Writer, res *experiment.SweepResult, s study) error {
-	if s.csv {
-		return experiment.WriteCSV(w, res)
-	}
-	header := fmt.Sprintf("%-10s %-10s", "attackers", "pct")
-	for _, m := range res.Modes {
-		header += fmt.Sprintf(" %22s", m.Label)
-	}
-	fmt.Fprintln(w, header)
-	fmt.Fprintln(w, strings.Repeat("-", len(header)))
-	for _, p := range res.Points {
-		row := fmt.Sprintf("%-10d %-10.1f", p.NumAttackers, p.AttackerPct)
-		for mi := range res.Modes {
-			row += fmt.Sprintf(" %21.2f%%", p.MeanFalsePct[mi])
-		}
-		fmt.Fprintln(w, row)
-	}
-	if s.sweep.ROACoverage > 0 {
-		fmt.Fprintf(w, "\nfalse-alarm rate at %.0f%% ROA coverage (share of alarms not classed likely-hijack):\n",
-			100*s.sweep.ROACoverage)
-		fmt.Fprintln(w, header)
-		fmt.Fprintln(w, strings.Repeat("-", len(header)))
-		for _, p := range res.Points {
-			row := fmt.Sprintf("%-10d %-10.1f", p.NumAttackers, p.AttackerPct)
-			for mi := range res.Modes {
-				var total uint64
-				for _, v := range p.AlarmClassTotals[mi] {
-					total += v
-				}
-				if total == 0 {
-					row += fmt.Sprintf(" %22s", "-")
-					continue
-				}
-				row += fmt.Sprintf(" %21.2f%%", p.FalseAlarmPct[mi])
-			}
-			fmt.Fprintln(w, row)
-		}
-	}
-	return nil
-}
-
-func plural(n int) string {
-	if n == 1 {
-		return ""
-	}
-	return "es"
 }

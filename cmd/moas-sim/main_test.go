@@ -1,12 +1,16 @@
 package main
 
 import (
+	"bytes"
+	"encoding/csv"
 	"errors"
 	"io"
 	"math"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -52,11 +56,6 @@ func TestRunExperiments(t *testing.T) {
 	if err := run(io.Discard, internet); err != nil {
 		t.Fatalf("experiment 4: %v", err)
 	}
-	csv := small(1, 1)
-	csv.csv = true
-	if err := run(io.Discard, csv); err != nil {
-		t.Fatalf("csv mode: %v", err)
-	}
 }
 
 // TestMain runs the command itself when the test binary is re-executed
@@ -68,6 +67,29 @@ func TestMain(m *testing.M) {
 		os.Exit(0)
 	}
 	os.Exit(m.Run())
+}
+
+// TestExperimentsPrintFiguresGolden: experiments 1, 2 and 3 at the
+// default flags print, one after another, exactly the committed record
+// of Figures 9-11 that experiment's TestFiguresGolden pins.
+func TestExperimentsPrintFiguresGolden(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("..", "..", "internal", "experiment", "testdata", "figures.csv.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []byte
+	for exp := 1; exp <= 3; exp++ {
+		cmd := exec.Command(os.Args[0], "-test.run=^$")
+		cmd.Env = append(os.Environ(), "MOAS_SIM_MAIN=-experiment "+strconv.Itoa(exp))
+		out, err := cmd.Output()
+		if err != nil {
+			t.Fatalf("-experiment %d: %v", exp, err)
+		}
+		got = append(got, out...)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("-experiment 1, 2 and 3 printed:\n%s\nwant figures.csv.golden:\n%s", got, want)
+	}
 }
 
 // TestExperiment4RejectsMaxAttackerPct: experiment 4 sweeps fixed
@@ -107,22 +129,26 @@ func TestRunRejectsNonPositiveMaxPct(t *testing.T) {
 func TestRunOriginsSelectsPanels(t *testing.T) {
 	for _, tc := range []struct {
 		exp, origins int
-		panels       []string // "(n origin AS...)" and "n-AS topology" headers
+		panels       []string // topology/origins of each CSV block
 	}{
-		{1, 0, []string{"(1 origin AS)", "(2 origin ASes)"}},
-		{1, 2, []string{"(2 origin ASes)"}},
-		{2, 1, []string{"(1 origin AS)", "25-AS topology:", "46-AS topology:", "63-AS topology:"}},
-		{3, 0, []string{"46-AS topology:", "63-AS topology:"}},
-		{3, 1, []string{"46-AS topology:", "63-AS topology:"}},
+		{1, 0, []string{"46/1", "46/2"}},
+		{1, 2, []string{"46/2"}},
+		{2, 1, []string{"25/1", "46/1", "63/1"}},
+		{3, 0, []string{"46/1", "63/1"}},
+		{3, 1, []string{"46/1", "63/1"}},
 	} {
 		var out strings.Builder
 		if err := run(&out, small(tc.exp, tc.origins)); err != nil {
 			t.Fatalf("-experiment %d -origins %d: %v", tc.exp, tc.origins, err)
 		}
+		rows, err := csv.NewReader(strings.NewReader(out.String())).ReadAll()
+		if err != nil {
+			t.Fatal(err)
+		}
 		var got []string
-		for _, line := range strings.Split(out.String(), "\n") {
-			if strings.HasPrefix(line, "(") || strings.HasSuffix(line, "-AS topology:") {
-				got = append(got, line)
+		for i := 1; i < len(rows); i++ {
+			if rows[i-1][0] == "topology" {
+				got = append(got, rows[i][0]+"/"+rows[i][1])
 			}
 		}
 		if !reflect.DeepEqual(got, tc.panels) {

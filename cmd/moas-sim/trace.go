@@ -13,12 +13,12 @@ import (
 
 // runTrace is the traced-hijack study: one hijack on the 25-AS
 // topology, replayed under normal BGP and full MOAS detection with a
-// flight recorder attached. For each it writes the per-prefix
-// propagation timeline, the per-AS adoption outcome and the forensic
-// alarm table. roaCoverage is the chance that ROAs cover the victim
-// prefix (1 classes every alarm likely-hijack). All timestamps are
-// virtual simulation time, so the same arguments produce byte-identical
-// output.
+// flight recorder attached. For each it writes the propagation timeline
+// as /debug/trace serves it, the per-AS adoption outcome, and the
+// forensic alarm bundles as /debug/alarms serves them. roaCoverage is
+// the chance that ROAs cover the victim prefix (1 classes every alarm
+// likely-hijack). All timestamps are virtual simulation time, so the
+// same arguments produce byte-identical output.
 func runTrace(w io.Writer, seed int64, forge bool, roaCoverage float64) error {
 	set, err := topology.BuildPaperTopologies(seed)
 	if err != nil {
@@ -47,36 +47,32 @@ func runTrace(w io.Writer, seed int64, forge bool, roaCoverage float64) error {
 				experiment.VictimPrefix, legit, attacker, forge)
 		}
 		rec := cfg.Recorder
+		events := rec.Events()
 		fmt.Fprintf(w, "\n== %s ==\n", m.label)
-		writeTimeline(w, rec)
-		writeAdoption(w, set.T25.Graph.Nodes(), rec, legit, attacker)
+		fmt.Fprintf(w, "timeline (%d events, %d dropped):\n", len(events), rec.Dropped())
+		if err := trace.WriteEvents(w, events); err != nil {
+			return err
+		}
+		writeAdoption(w, set.T25.Graph.Nodes(), events, legit, attacker)
 		fmt.Fprintf(w, "summary: %d/%d non-attacker ASes on the false route, %d alarms, %d messages, converged at %s\n",
 			res.Census.AdoptedFalse, res.Census.NonAttackers, res.Alarms,
 			res.Messages, time.Duration(res.ConvergeVirtual))
-		if err := trace.WriteAlarmTable(w, rec.Alarms()); err != nil {
+		bundles := rec.Alarms()
+		fmt.Fprintf(w, "alarms (%d bundles):\n", len(bundles))
+		if err := trace.WriteAlarms(w, bundles); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func writeTimeline(w io.Writer, rec *trace.Recorder) {
-	events := rec.Events()
-	fmt.Fprintf(w, "timeline (%d events, %d dropped):\n", len(events), rec.Dropped())
-	var buf []byte
-	for i := range events {
-		buf = trace.AppendEventText(buf[:0], &events[i])
-		fmt.Fprint(w, string(buf))
-	}
-}
-
 // writeAdoption derives each AS's final route for the victim prefix
 // from its last rib event: the origin of the installed best route says
 // whether the node ended on the valid route or the forged one.
-func writeAdoption(w io.Writer, nodes []astypes.ASN, rec *trace.Recorder, legit, attacker astypes.ASN) {
+func writeAdoption(w io.Writer, nodes []astypes.ASN, events []trace.Event, legit, attacker astypes.ASN) {
 	last := make(map[astypes.ASN]trace.Event)
 	rejected := make(map[astypes.ASN]int)
-	for _, e := range rec.Events() {
+	for _, e := range events {
 		switch e.Kind {
 		case trace.KindRIB:
 			last[e.Node] = e

@@ -2,6 +2,7 @@ package collector
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 	"time"
 
@@ -137,6 +138,57 @@ func TestReplayMRT(t *testing.T) {
 
 	if _, err := newCollector(t).ReplayMRT("mrt:test", bytes.NewReader(testArchive(t)), nil); err == nil {
 		t.Error("ReplayMRT without a monitor succeeded")
+	}
+}
+
+// TestReplayAlarmNamesPeer: one TABLE_DUMP_V2 record holds prefix from
+// peer AS 701 with origin 4, then from peer AS 1239 with origin 9. The
+// second entry conflicts with the first, and its alarm names the peer it
+// came from, whether the archive is replayed by the monitor alone or
+// through a collector.
+func TestReplayAlarmNamesPeer(t *testing.T) {
+	t0 := time.Unix(1000000000, 0).UTC()
+	var archive bytes.Buffer
+	w := mrt.NewWriter(&archive)
+	peers := []mrt.Peer{
+		{BGPID: 1, IP: 0xC0000201, AS: 701},
+		{BGPID: 2, IP: 0xC0000202, AS: 1239},
+	}
+	if err := w.WritePeerIndex(t0, 1, "peers", peers); err != nil {
+		t.Fatal(err)
+	}
+	entries := []mrt.RIBEntry{
+		{PeerIndex: 0, Origin: wire.OriginIGP, Path: astypes.NewSeqPath(701, 4), NextHop: 0xC0000201},
+		{PeerIndex: 1, Origin: wire.OriginIGP, Path: astypes.NewSeqPath(1239, 9), NextHop: 0xC0000202},
+	}
+	if err := w.WriteRIB(t0, 0, prefix, entries); err != nil {
+		t.Fatal(err)
+	}
+
+	for name, replay := range map[string]func(*monitor.Monitor) error{
+		"Monitor.ReplayMRTFunc": func(m *monitor.Monitor) error {
+			_, err := m.ReplayMRTFunc("mrt:peers", bytes.NewReader(archive.Bytes()), nil)
+			return err
+		},
+		"Collector.ReplayMRT": func(m *monitor.Monitor) error {
+			c := New(Config{RouterID: 999, Monitor: m})
+			defer c.Close()
+			_, err := c.ReplayMRT("mrt:peers", bytes.NewReader(archive.Bytes()), nil)
+			return err
+		},
+	} {
+		m := monitor.New()
+		if err := replay(m); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		alarms := m.Alarms()
+		if len(alarms) != 1 {
+			t.Fatalf("%s: %d alarms, want 1", name, len(alarms))
+		}
+		c := alarms[0].Conflict
+		if c.FromPeer != 1239 || !strings.HasSuffix(c.Error(), "(learned from AS 1239)") {
+			t.Errorf("%s: alarm from peer %d: %s", name, c.FromPeer, c.Error())
+		}
 	}
 }
 

@@ -147,3 +147,11 @@ func (c *Checker) Check(a Announcement) (Verdict, *Conflict) {
 	}
 	return verdict, conflict
 }
+
+// Resolver answers which origins are entitled to announce a prefix:
+// the paper's DNS MOASRR lookup (§4.4), consulted once a conflict is
+// detected. internal/dnsval provides the MOASRR store; the experiment
+// harness injects ground truth directly.
+type Resolver interface {
+	ValidOrigins(prefix astypes.Prefix) (List, bool)
+}

@@ -6,9 +6,9 @@
 // and optional record signing so tests can exercise the paper's
 // "DNS security can be used to assure correctness" point.
 //
-// The store satisfies both simbgp.Resolver and speaker.Resolver, so a
-// simulated network or a live speaker can resolve MOAS alarms against
-// it exactly the way the paper prescribes: "whenever a MOAS conflict
+// The store satisfies core.Resolver, so a simulated network, a live
+// speaker or the off-line monitor can resolve MOAS alarms against it
+// exactly the way the paper prescribes: "whenever a MOAS conflict
 // for prefix p, the router performs a DNS lookup to verify the origin
 // AS of p ... If the origin AS in a route announcement does not match
 // any AS number in the AS list of DNS MOASRR record, the route
@@ -171,8 +171,7 @@ func (s *Store) Verify(prefix astypes.Prefix, origin astypes.ASN) (bool, error) 
 	return rec.Origins.Contains(origin), nil
 }
 
-// ValidOrigins implements the Resolver interface shared by
-// internal/simbgp and internal/speaker.
+// ValidOrigins implements core.Resolver.
 func (s *Store) ValidOrigins(prefix astypes.Prefix) (core.List, bool) {
 	rec, err := s.LookupCovering(prefix)
 	if err != nil {

@@ -28,9 +28,8 @@ type Figure struct {
 	// Number is the paper's figure number; moas-sim -experiment
 	// Number-8 regenerates it.
 	Number int
-	// Title heads the figure's moas-report section; Headline opens its
-	// moas-sim output.
-	Title, Headline string
+	// Title heads the figure's moas-report section.
+	Title string
 	// Panels in output order.
 	Panels []Panel
 	// Modes run from no detection (first) to full detection (last).
@@ -48,19 +47,17 @@ var normalVsFull = []ModeSpec{
 // Figures is the simulation study: Figures 9, 10 and 11 in order.
 var Figures = []Figure{
 	{
-		Number:   9,
-		Title:    "effectiveness of the MOAS list",
-		Headline: "Spoof-resilience in the 46-AS topology",
-		Panels:   []Panel{{"46", 1}, {"46", 2}},
-		Modes:    normalVsFull,
+		Number: 9,
+		Title:  "effectiveness of the MOAS list",
+		Panels: []Panel{{"46", 1}, {"46", 2}},
+		Modes:  normalVsFull,
 		// Paper: 0.15% at ~4% attackers, 9.8% at 30%, ~5x improvement;
 		// EXPERIMENTS.md gates at <=3%, <=12% and >=5x.
 		Anchors: figure9Anchors(3, 12, 5),
 	},
 	{
-		Number:   10,
-		Title:    "topology-size comparison",
-		Headline: "25-AS vs 46-AS vs 63-AS topologies",
+		Number: 10,
+		Title:  "topology-size comparison",
 		Panels: []Panel{
 			{"25", 1}, {"46", 1}, {"63", 1},
 			{"25", 2}, {"46", 2}, {"63", 2},
@@ -70,10 +67,9 @@ var Figures = []Figure{
 		Anchors: figure10Anchors(7.8),
 	},
 	{
-		Number:   11,
-		Title:    "partial vs complete deployment",
-		Headline: "partial vs complete deployment",
-		Panels:   []Panel{{"46", 1}, {"63", 1}},
+		Number: 11,
+		Title:  "partial vs complete deployment",
+		Panels: []Panel{{"46", 1}, {"63", 1}},
 		Modes: []ModeSpec{
 			{Label: "Normal BGP", Detection: DetectionOff},
 			{Label: "Half MOAS Detection", Detection: DetectionPartial, DeployFraction: 0.5},

@@ -55,7 +55,7 @@ type Monitor struct {
 	// triggered it.
 	seq uint64
 	// resolver, if set, classifies alarms into valid/invalid.
-	resolver Resolver
+	resolver core.Resolver
 	// rpki, if set, is the validated ROA store alarms are cross-checked
 	// against; nil validates to NotFound (no ROV signal).
 	rpki *rpki.Store
@@ -168,22 +168,17 @@ func newMonitorMetrics(r *telemetry.Registry) *monitorMetrics {
 	}
 }
 
-// Resolver mirrors speaker.Resolver for alarm classification.
-type Resolver interface {
-	ValidOrigins(prefix astypes.Prefix) (core.List, bool)
-}
-
 // Option configures a Monitor.
 type Option interface {
 	apply(*Monitor)
 }
 
-type resolverOption struct{ r Resolver }
+type resolverOption struct{ r core.Resolver }
 
 func (o resolverOption) apply(m *Monitor) { m.resolver = o.r }
 
 // WithResolver classifies alarms against a MOASRR database.
-func WithResolver(r Resolver) Option {
+func WithResolver(r core.Resolver) Option {
 	return resolverOption{r: r}
 }
 
@@ -282,13 +277,20 @@ func (m *Monitor) ObserveUpdate(vantage string, u *wire.Update) {
 // then say "the Nth entry of this run" rather than nothing.
 //
 // The monitor's lock is taken once per update; the WithOnAlarm hook
-// runs for each alarm raised after it is released.
+// runs for each alarm raised after it is released. The update's peer is
+// unknown here, so its alarms name AS 0 as the peer it was learned from.
 func (m *Monitor) ObserveUpdateStamp(vantage string, u *wire.Update, st *obs.Stamp) {
+	m.observe(vantage, astypes.ASNNone, u, st)
+}
+
+// observe is ObserveUpdateStamp for an update learned from peer, which
+// its alarms name.
+func (m *Monitor) observe(vantage string, peer astypes.ASN, u *wire.Update, st *obs.Stamp) {
 	listAttr := wire.FindUnknownAttr(u.Attrs.Unknown, core.ListAttrCode)
 	m.mu.Lock()
 	before := len(m.alarms)
 	for _, prefix := range u.NLRI {
-		m.check(vantage, prefix, u, listAttr, st)
+		m.check(vantage, peer, prefix, u, listAttr, st)
 	}
 	for _, w := range u.Withdrawn {
 		if m.prefixes[w].flags&spilled != 0 {
@@ -310,10 +312,11 @@ func (m *Monitor) ObserveUpdateStamp(vantage string, u *wire.Update, st *obs.Sta
 	}
 }
 
-// check judges one announced prefix of u under st's span, folds it into
-// the prefix's record and logs its alarm, if any. listAttr is u's raw
-// MOAS-list attribute (nil when absent). The caller holds m.mu.
-func (m *Monitor) check(vantage string, prefix astypes.Prefix, u *wire.Update, listAttr []byte, st *obs.Stamp) {
+// check judges one announced prefix of u, learned from peer, under st's
+// span, folds it into the prefix's record and logs its alarm, if any.
+// listAttr is u's raw MOAS-list attribute (nil when absent). The caller
+// holds m.mu.
+func (m *Monitor) check(vantage string, peer astypes.ASN, prefix astypes.Prefix, u *wire.Update, listAttr []byte, st *obs.Stamp) {
 	var span uint64
 	if st != nil {
 		span = st.Span
@@ -334,6 +337,7 @@ func (m *Monitor) check(vantage string, prefix astypes.Prefix, u *wire.Update, l
 		Path:        path,
 		Communities: u.Attrs.Communities,
 		ListAttr:    listAttr,
+		FromPeer:    peer,
 		Span:        span,
 	})
 	m.obs.Cross(st, obs.StageValidate)

@@ -27,8 +27,9 @@ type ReplayResult struct {
 
 // ReplayMRTFunc streams the MRT archive in r through the monitor: every
 // UPDATE a record carries (mrt.Record.Updates: a RIB entry as a
-// one-prefix announcement) becomes an ObserveUpdateStamp call under
-// the span of the record it came from. Malformed records are skipped and
+// one-prefix announcement) is observed as ObserveUpdateStamp would,
+// under the span of the record it came from, and its alarms name the
+// peer AS the record gives it. Malformed records are skipped and
 // counted; a terminal framing error aborts with the partial result.
 //
 // The hook, when non-nil, sees every successfully decoded record
@@ -67,8 +68,8 @@ func (m *Monitor) ReplayMRTFunc(vantage string, r io.Reader, hook func(*mrt.Reco
 			// The hook is the RIB-mirror seam (collector Inject).
 			m.obs.Cross(&st, obs.StageRIB)
 		}
-		rec.Updates(func(_ astypes.ASN, u *wire.Update) {
-			m.ObserveUpdateStamp(vantage, u, &st)
+		rec.Updates(func(peer astypes.ASN, u *wire.Update) {
+			m.observe(vantage, peer, u, &st)
 		})
 	}
 }

@@ -10,7 +10,7 @@
 // compact layout below. Nodes optionally run the paper's MOAS
 // detection: they extract the effective MOAS list of every announcement
 // (explicit communities or the implicit single-origin rule), raise an
-// alarm on any inconsistency, resolve the conflict through a Resolver
+// alarm on any inconsistency, resolve the conflict through a core.Resolver
 // (the stand-in for the DNS MOASRR lookup of §4.4), and then refuse to
 // install or propagate routes from origins outside the resolved valid
 // set — "they stop the further propagation of a false route" (§5.2).
@@ -67,18 +67,10 @@ func (m Mode) String() string {
 	}
 }
 
-// Resolver answers "which origins are entitled to announce this prefix"
-// once a node has detected a conflict — the paper's DNS MOASRR lookup.
-// internal/dnsval provides a production-shaped implementation; the
-// experiment harness injects ground truth directly.
-type Resolver interface {
-	ValidOrigins(prefix astypes.Prefix) (core.List, bool)
-}
-
-// ResolverFunc adapts a function to the Resolver interface.
+// ResolverFunc adapts a function to the core.Resolver interface.
 type ResolverFunc func(astypes.Prefix) (core.List, bool)
 
-// ValidOrigins implements Resolver.
+// ValidOrigins implements core.Resolver.
 func (f ResolverFunc) ValidOrigins(p astypes.Prefix) (core.List, bool) { return f(p) }
 
 // Config assembles a simulated network.
@@ -87,7 +79,7 @@ type Config struct {
 	Topology *topology.Graph
 	// Resolver resolves detected conflicts (required if any node runs
 	// ModeDetect).
-	Resolver Resolver
+	Resolver core.Resolver
 	// Relations, when set, enables Gao-Rexford valley-free export
 	// policy: routes learned from a peer or provider are exported only
 	// to customers. Nil floods every best route to every neighbor (the
@@ -115,7 +107,7 @@ type Network struct {
 	nodes    []Node
 	byASN    map[astypes.ASN]int32
 	asns     []astypes.ASN
-	resolver Resolver
+	resolver core.Resolver
 	rpki     *rpki.Store
 	// alarmClasses tallies raised alarms by ROV-crossed class across
 	// the whole network, indexed by rpki.Class.

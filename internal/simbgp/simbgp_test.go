@@ -18,7 +18,7 @@ func lineTopology(asns ...astypes.ASN) *topology.Graph {
 	return g
 }
 
-func resolverFor(valid core.List) Resolver {
+func resolverFor(valid core.List) core.Resolver {
 	return ResolverFunc(func(p astypes.Prefix) (core.List, bool) {
 		return valid, p == victim
 	})

@@ -4,7 +4,7 @@
 // wired into the import policy. A speaker originates prefixes with MOAS
 // lists attached via the community attribute, checks every received
 // announcement for MOAS-list consistency, raises alarms on conflicts,
-// optionally resolves them against a Resolver (DNS MOASRR stand-in),
+// optionally resolves them against a core.Resolver (DNS MOASRR stand-in),
 // and refuses to install or propagate resolved-invalid routes.
 //
 // Speakers run over real TCP (or any net.Conn, e.g. net.Pipe in tests);
@@ -32,12 +32,6 @@ import (
 	"repro/internal/trace"
 	"repro/internal/wire"
 )
-
-// Resolver answers which origins are entitled to a prefix, consulted
-// when a MOAS conflict is detected (§4.4's DNS MOASRR lookup).
-type Resolver interface {
-	ValidOrigins(prefix astypes.Prefix) (core.List, bool)
-}
 
 // ValidationMode selects what the speaker does with its MOAS checker.
 type ValidationMode int
@@ -92,7 +86,7 @@ type Config struct {
 	Validation ValidationMode
 	// Resolver resolves conflicts under ValidationDrop; without one,
 	// conflicting routes are rejected conservatively.
-	Resolver Resolver
+	Resolver core.Resolver
 	// HoldTime for sessions (zero selects the session default).
 	HoldTime time.Duration
 	// OnAlarm, if set, is invoked for every MOAS conflict detected. It

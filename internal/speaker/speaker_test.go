@@ -46,7 +46,7 @@ func waitFor(t *testing.T, cond func() bool, format string, args ...any) {
 	t.Fatalf("timeout waiting for: "+format, args...)
 }
 
-func newSpeaker(t *testing.T, asn astypes.ASN, mode ValidationMode, res Resolver) *Speaker {
+func newSpeaker(t *testing.T, asn astypes.ASN, mode ValidationMode, res core.Resolver) *Speaker {
 	t.Helper()
 	s, err := New(Config{
 		AS:         asn,
@@ -103,8 +103,8 @@ func TestLiveMeshPropagationAndHijackDetection(t *testing.T) {
 	}
 }
 
-// ResolverFunc adapts a function to Resolver.
+// ResolverFunc adapts a function to core.Resolver.
 type ResolverFunc func(astypes.Prefix) (core.List, bool)
 
-// ValidOrigins implements Resolver.
+// ValidOrigins implements core.Resolver.
 func (f ResolverFunc) ValidOrigins(p astypes.Prefix) (core.List, bool) { return f(p) }

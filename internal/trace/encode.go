@@ -1,17 +1,13 @@
-// Event wire formats: a hand-rolled append-style JSON encoder (the one
+// Event wire format: a hand-rolled append-style JSON encoder (the one
 // format /debug/trace serves, so streaming a trace out of the admin
-// endpoint never allocates per event), a stdlib-based decoder for tools
-// that read traces back, and the fixed-layout text rendering of the
-// simulator's -trace timelines (deterministic byte-for-byte, which the
-// moas-sim reproducibility test relies on).
+// endpoint never allocates per event) and a stdlib-based decoder for
+// tools that read traces back.
 package trace
 
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"strconv"
-	"time"
 
 	"repro/internal/astypes"
 )
@@ -145,109 +141,4 @@ func (e *Event) UnmarshalJSON(data []byte) error {
 	}
 	*e = ev
 	return nil
-}
-
-// AppendEventText appends the fixed one-line text rendering of e:
-//
-//	[     45ms] span=3    AS23    recv      131.179.0.0/16     peer=AS7     origin=AS23    aux=1 withdrawal
-//
-// The timestamp column is the virtual time when no wall time is set
-// (simulator traces), else the wall clock in RFC3339Nano. The layout is
-// deterministic: identical events render to identical bytes.
-func AppendEventText(dst []byte, e *Event) []byte {
-	if e.Nanos != 0 {
-		dst = append(dst, '[')
-		dst = time.Unix(0, e.Nanos).UTC().AppendFormat(dst, time.RFC3339Nano)
-		dst = append(dst, `] `...)
-	} else {
-		dst = fmt.Appendf(dst, "[%9s] ", time.Duration(e.VNanos))
-	}
-	dst = fmt.Appendf(dst, "span=%-4d AS%-5d %-9s %-18s peer=AS%-5d origin=AS%-5d aux=%d",
-		e.Span, uint32(e.Node), e.Kind, e.Prefix, uint32(e.Peer), uint32(e.Origin), e.Aux)
-	if e.Detail != DetailNone {
-		dst = append(dst, ' ')
-		dst = append(dst, e.Detail.String()...)
-	}
-	dst = append(dst, '\n')
-	return dst
-}
-
-// AppendBundleText appends a multi-line human-readable rendering of an
-// alarm bundle (without its timeline): the forensic summary an operator
-// reads first.
-func AppendBundleText(dst []byte, b *AlarmBundle) []byte {
-	dst = fmt.Appendf(dst, "alarm #%d: MOAS %s for %s at AS%d\n", b.ID, b.Verdict, b.Prefix, b.Node)
-	if b.Class != "" {
-		dst = fmt.Appendf(dst, "  class:    %s\n", b.Class)
-	}
-	if b.Nanos != 0 {
-		dst = fmt.Appendf(dst, "  at:       %s\n", time.Unix(0, b.Nanos).UTC().Format(time.RFC3339Nano))
-	} else if b.VNanos != 0 {
-		dst = fmt.Appendf(dst, "  at:       %s (virtual)\n", time.Duration(b.VNanos))
-	}
-	dst = fmt.Appendf(dst, "  received: origin AS%d from peer AS%d (span %d)\n", b.Origin, b.FromPeer, b.Span)
-	dst = fmt.Appendf(dst, "  lists:    existing %s vs received %s\n", u16Set(b.Existing), u16Set(b.Received))
-	dst = fmt.Appendf(dst, "  path:     %s\n", u16Seq(b.Path))
-	dst = fmt.Appendf(dst, "  origins:  %s\n", u16Set(b.Origins))
-	if b.Note != "" {
-		dst = fmt.Appendf(dst, "  note:     %s\n", b.Note)
-	}
-	return dst
-}
-
-// WriteAlarmTable renders bundles as an aligned operator table: one
-// row per alarm with the detecting AS, the offending announcement's
-// provenance and the competing MOAS lists, followed by each bundle's
-// AppendBundleText forensics.
-func WriteAlarmTable(w io.Writer, bundles []AlarmBundle) error {
-	if len(bundles) == 0 {
-		_, err := fmt.Fprintln(w, "no MOAS alarms captured")
-		return err
-	}
-	fmt.Fprintf(w, "%-3s %-11s %-18s %-8s %-16s %-7s %-7s %-22s %s\n",
-		"id", "virtual", "prefix", "verdict", "class", "node", "origin", "lists (exist/recv)", "path")
-	for i := range bundles {
-		b := &bundles[i]
-		class := b.Class
-		if class == "" {
-			class = "-"
-		}
-		if _, err := fmt.Fprintf(w, "%-3d %-11s %-18s %-8s %-16s AS%-5d AS%-5d %-22s %v\n",
-			b.ID, fmt.Sprintf("%dms", b.VNanos/1e6), b.Prefix, b.Verdict, class, b.Node, b.Origin,
-			fmt.Sprintf("%v/%v", b.Existing, b.Received), b.Path); err != nil {
-			return err
-		}
-	}
-	fmt.Fprintln(w)
-	var buf []byte
-	for i := range bundles {
-		buf = AppendBundleText(buf[:0], &bundles[i])
-		if _, err := w.Write(buf); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// u16Set renders an AS set as {1, 2}; u16Seq renders a path as 1 2 3.
-func u16Set(asns []uint32) string {
-	out := "{"
-	for i, a := range asns {
-		if i > 0 {
-			out += ", "
-		}
-		out += strconv.Itoa(int(a))
-	}
-	return out + "}"
-}
-
-func u16Seq(asns []uint32) string {
-	out := ""
-	for i, a := range asns {
-		if i > 0 {
-			out += " "
-		}
-		out += strconv.Itoa(int(a))
-	}
-	return out
 }

@@ -2,7 +2,6 @@ package trace
 
 import (
 	"encoding/json"
-	"strings"
 	"testing"
 
 	"repro/internal/astypes"
@@ -85,87 +84,5 @@ func TestBundleJSONRoundTrip(t *testing.T) {
 	}
 	if len(back.Timeline) != 2 || back.Timeline[0] != b.Timeline[0] || back.Timeline[1] != b.Timeline[1] {
 		t.Errorf("timeline lost: %+v", back.Timeline)
-	}
-}
-
-func TestAppendEventTextGolden(t *testing.T) {
-	// Virtual-time (simulator) rendering: fixed columns, no wall clock.
-	e := Event{VNanos: 45_000_000, Span: 3, Kind: KindRecv, Detail: DetailWithdrawal,
-		Node: 23, Peer: 7, Origin: 23, Prefix: testPrefix, Aux: 1}
-	got := string(AppendEventText(nil, &e))
-	want := "[     45ms] span=3    AS23    recv      131.179.0.0/16     peer=AS7     origin=AS23    aux=1 withdrawal\n"
-	if got != want {
-		t.Errorf("text render:\n got %q\nwant %q", got, want)
-	}
-
-	// Wall-clock rendering carries the RFC3339Nano stamp.
-	w := Event{Nanos: 1700000000000000000, Kind: KindAlarm, Detail: DetailConflict, Node: 100, Prefix: testPrefix}
-	if s := string(AppendEventText(nil, &w)); !strings.Contains(s, "2023-11-14T22:13:20Z") || !strings.Contains(s, "alarm") {
-		t.Errorf("wall text render: %q", s)
-	}
-}
-
-func TestAppendBundleText(t *testing.T) {
-	b := AlarmBundle{
-		ID: 1, VNanos: 45_000_000, Span: 7, Node: 100, FromPeer: 64999, Origin: 64999,
-		Prefix: "131.179.0.0/16", Verdict: "conflict", Note: "sim",
-		Existing: []uint32{65001}, Received: []uint32{64999},
-		Path:    []uint32{64999},
-		Origins: []uint32{64999, 65001},
-	}
-	got := string(AppendBundleText(nil, &b))
-	for _, want := range []string{
-		"alarm #1: MOAS conflict for 131.179.0.0/16 at AS100",
-		"45ms (virtual)",
-		"origin AS64999 from peer AS64999 (span 7)",
-		"existing {65001} vs received {64999}",
-		"path:     64999",
-		"origins:  {64999, 65001}",
-		"note:     sim",
-	} {
-		if !strings.Contains(got, want) {
-			t.Errorf("bundle text missing %q:\n%s", want, got)
-		}
-	}
-}
-
-func TestWriteAlarmTable(t *testing.T) {
-	bundles := []AlarmBundle{
-		{
-			ID: 0, VNanos: 45_000_000, Node: 100, FromPeer: 7, Origin: 64999,
-			Prefix: "131.179.0.0/16", Verdict: "conflict", Class: "likely-hijack",
-			Existing: []uint32{65001}, Received: []uint32{64999}, Path: []uint32{7, 64999},
-		},
-		{ID: 1, Node: 101, Origin: 64999, Prefix: "131.179.0.0/16", Verdict: "conflict"},
-	}
-	var sb strings.Builder
-	if err := WriteAlarmTable(&sb, bundles); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(sb.String(), "\n")
-	for i, want := range [][]string{
-		{"id", "virtual", "verdict", "class", "lists (exist/recv)", "path"},
-		{"0", "45ms", "131.179.0.0/16", "conflict", "likely-hijack", "AS100", "AS64999", "[65001]/[64999]", "[7 64999]"},
-		{"1", "0ms", "conflict -", "AS101"},
-		{""},
-		{"alarm #0: MOAS conflict for 131.179.0.0/16 at AS100", "class:    likely-hijack"},
-	} {
-		line := lines[i]
-		if i == 4 {
-			line = strings.Join(lines[4:], "\n")
-		}
-		for _, w := range want {
-			if !strings.Contains(line, w) {
-				t.Errorf("line %d missing %q:\n%s", i, w, sb.String())
-			}
-		}
-	}
-
-	var empty strings.Builder
-	if err := WriteAlarmTable(&empty, nil); err != nil {
-		t.Fatal(err)
-	}
-	if empty.String() != "no MOAS alarms captured\n" {
-		t.Errorf("empty table: %q", empty.String())
 	}
 }

@@ -6,6 +6,7 @@ package trace
 
 import (
 	"encoding/json"
+	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -57,6 +58,12 @@ func (h traceHandler) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 		}
 	}
 	w.Header().Set("Content-Type", "application/json")
+	WriteEvents(w, events)
+}
+
+// WriteEvents writes events as the JSON array /debug/trace serves: one
+// AppendEventJSON object per line, in the order given.
+func WriteEvents(w io.Writer, events []Event) error {
 	buf := []byte{'['}
 	for i := range events {
 		if i > 0 {
@@ -64,7 +71,23 @@ func (h traceHandler) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 		}
 		buf = AppendEventJSON(buf, &events[i])
 	}
-	w.Write(append(buf, ']', '\n'))
+	_, err := w.Write(append(buf, ']', '\n'))
+	return err
+}
+
+// WriteAlarms writes bundles as the indented JSON array /debug/alarms
+// serves; no bundles is the empty array.
+func WriteAlarms(w io.Writer, bundles []AlarmBundle) error {
+	if bundles == nil {
+		bundles = []AlarmBundle{}
+	}
+	return writeIndented(w, bundles)
+}
+
+func writeIndented(w io.Writer, v any) error {
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(v)
 }
 
 type alarmListHandler struct{ rec *Recorder }
@@ -89,12 +112,7 @@ func (h alarmListHandler) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 		}
 		bundles = kept
 	}
-	if bundles == nil {
-		bundles = []AlarmBundle{}
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(bundles)
+	WriteAlarms(w, bundles)
 }
 
 type alarmHandler struct{ rec *Recorder }
@@ -115,7 +133,5 @@ func (h alarmHandler) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(b)
+	writeIndented(w, b)
 }
