@@ -17,7 +17,8 @@ FUZZ_TARGETS := \
 	./internal/collector:FuzzMirrorRoundTrip \
 	./cmd/moas-collector:FuzzMIBSource \
 	./internal/rpki:FuzzParseROAs \
-	./internal/dnsval:FuzzParseMOASRR
+	./internal/dnsval:FuzzParseMOASRR \
+	./internal/sim:FuzzEngineOrder
 FUZZTIME ?= 10s
 
 .PHONY: build test vet race e2e bench-smoke bench-test fuzz-smoke check

@@ -159,7 +159,7 @@ func (c *Collector) ingest(vantage string, peer astypes.ASN, u *wire.Update, st 
 	c.mirror(peer, u)
 	c.cfg.Obs.Cross(st, obs.StageRIB)
 	if c.cfg.Monitor != nil {
-		c.cfg.Monitor.ObserveUpdateStamp(vantage, u, st)
+		c.cfg.Monitor.ObserveUpdateFrom(vantage, peer, u, st)
 	}
 }
 

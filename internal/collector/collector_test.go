@@ -2,6 +2,7 @@ package collector
 
 import (
 	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -198,6 +199,27 @@ func TestCollectorMonitorAlarmsOncePerConflict(t *testing.T) {
 	}
 	if got := len(mon.Alarms()); got != 1 {
 		t.Errorf("after 20 snapshots the monitor holds %d alarms, want 1", got)
+	}
+}
+
+// TestPeeringAlarmNamesPeer: an alarm raised by an UPDATE that arrives
+// over a BGP session names the session's peer AS.
+func TestPeeringAlarmNamesPeer(t *testing.T) {
+	c, mon := newMonitoredCollector(t)
+	origin := newPeerSpeaker(t, 4)
+	peerWithCollector(t, c, origin)
+	origin.Originate(prefix, core.List{})
+	waitFor(t, func() bool { return len(c.RoutesFrom(4)) == 1 }, "the origin's route")
+	attacker := newPeerSpeaker(t, 52)
+	peerWithCollector(t, c, attacker)
+	attacker.Originate(prefix, core.List{})
+	waitFor(t, func() bool { return mon.AlarmCount() > 0 }, "the conflict alarm")
+	alarms := mon.Alarms()
+	if len(alarms) != 1 {
+		t.Fatalf("alarms = %+v, want one", alarms)
+	}
+	if c := alarms[0].Conflict; c.FromPeer != 52 || !strings.HasSuffix(c.Error(), "(learned from AS 52)") {
+		t.Errorf("alarm from peer %d: %s", c.FromPeer, c.Error())
 	}
 }
 

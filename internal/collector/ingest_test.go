@@ -65,6 +65,8 @@ func TestConsumeRISLive(t *testing.T) {
 	}
 	if alarms := mon.Alarms(); len(alarms) != 1 || alarms[0].Vantage != "ris:rrc00" {
 		t.Errorf("monitor alarms = %+v, want one from vantage ris:rrc00", alarms)
+	} else if c := alarms[0].Conflict; c.FromPeer != 702 || !strings.HasSuffix(c.Error(), "(learned from AS 702)") {
+		t.Errorf("alarm from peer %d: %s", c.FromPeer, c.Error())
 	}
 	for _, peer := range []astypes.ASN{701, 702} {
 		if _, ok := c.RoutesFrom(peer)[prefix]; !ok {

@@ -276,16 +276,18 @@ func (m *Monitor) ObserveUpdate(vantage string, u *wire.Update) {
 // monitor has no wire decoder to mint spans, and bundle forensics can
 // then say "the Nth entry of this run" rather than nothing.
 //
-// The monitor's lock is taken once per update; the WithOnAlarm hook
-// runs for each alarm raised after it is released. The update's peer is
-// unknown here, so its alarms name AS 0 as the peer it was learned from.
+// The update's peer is unknown here, so its alarms name AS 0 as the
+// peer it was learned from; ObserveUpdateFrom takes the peer.
 func (m *Monitor) ObserveUpdateStamp(vantage string, u *wire.Update, st *obs.Stamp) {
-	m.observe(vantage, astypes.ASNNone, u, st)
+	m.ObserveUpdateFrom(vantage, astypes.ASNNone, u, st)
 }
 
-// observe is ObserveUpdateStamp for an update learned from peer, which
-// its alarms name.
-func (m *Monitor) observe(vantage string, peer astypes.ASN, u *wire.Update, st *obs.Stamp) {
+// ObserveUpdateFrom is ObserveUpdateStamp for an update learned from
+// peer AS peer, which its alarms name: the entry of every source that
+// knows the peer (an MRT archive, a RIS-Live feed, a collector's BGP
+// sessions). The monitor's lock is taken once per update; the
+// WithOnAlarm hook runs for each alarm raised after it is released.
+func (m *Monitor) ObserveUpdateFrom(vantage string, peer astypes.ASN, u *wire.Update, st *obs.Stamp) {
 	listAttr := wire.FindUnknownAttr(u.Attrs.Unknown, core.ListAttrCode)
 	m.mu.Lock()
 	before := len(m.alarms)

@@ -69,7 +69,7 @@ func (m *Monitor) ReplayMRTFunc(vantage string, r io.Reader, hook func(*mrt.Reco
 			m.obs.Cross(&st, obs.StageRIB)
 		}
 		rec.Updates(func(peer astypes.ASN, u *wire.Update) {
-			m.observe(vantage, peer, u, &st)
+			m.ObserveUpdateFrom(vantage, peer, u, &st)
 		})
 	}
 }

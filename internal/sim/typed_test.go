@@ -75,9 +75,10 @@ func TestTypedNegativeDelayClampsToNow(t *testing.T) {
 	}
 }
 
-// TestHeapOrderRandomized drives the 4-ary heap with a large random
-// schedule (including duplicate timestamps) and asserts events pop in
-// (time, seq) order — the determinism contract.
+// TestHeapOrderRandomized drives the queue with a large random schedule
+// (including duplicate timestamps) and asserts events fire in (time,
+// scheduling order) order — the determinism contract. FuzzEngineOrder
+// covers events scheduled while the queue drains.
 func TestHeapOrderRandomized(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	e := NewEngine()
@@ -213,6 +214,44 @@ func BenchmarkEngineEvents(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	e.ScheduleTyped(0, Typed{Kind: 1, A: 2, B: 3})
+	if err := e.Run(); err != nil {
+		b.Fatal(err)
+	}
+}
+
+// delayDispatch is benchDispatch with simbgp's delay shape: each event
+// schedules its successor on one of 25 whole-millisecond delays in
+// [10, 35) ms, picked from a counter so the run is deterministic.
+type delayDispatch struct {
+	e    *Engine
+	left int
+	n    uint32
+}
+
+func (d *delayDispatch) Dispatch(ev Typed) {
+	if d.left > 0 {
+		d.left--
+		d.n++
+		d.e.ScheduleTyped(10*time.Millisecond+time.Duration(d.n*2654435761%25)*time.Millisecond, ev)
+	}
+}
+
+// BenchmarkEngineEventsManyPending is the traffic the engine serves in
+// a BGP sweep: thousands of events pending over 25 delays, each fired
+// event scheduling a successor, so every instant holds many events.
+func BenchmarkEngineEventsManyPending(b *testing.B) {
+	const pending = 4096
+	e := NewEngine()
+	// The queue starts full, so b.N firings take b.N-pending successors.
+	d := &delayDispatch{e: e, left: pending}
+	e.SetDispatcher(d)
+	e.SetEventLimit(uint64(b.N) + pending)
+	for i := 0; i < pending; i++ {
+		d.Dispatch(Typed{Kind: 1, A: uint32(i)})
+	}
+	d.left = max(b.N-pending, 0)
+	b.ReportAllocs()
+	b.ResetTimer()
 	if err := e.Run(); err != nil {
 		b.Fatal(err)
 	}
