@@ -18,7 +18,8 @@ FUZZ_TARGETS := \
 	./cmd/moas-collector:FuzzMIBSource \
 	./internal/rpki:FuzzParseROAs \
 	./internal/dnsval:FuzzParseMOASRR \
-	./internal/sim:FuzzEngineOrder
+	./internal/sim:FuzzEngineOrder \
+	./internal/rib:FuzzSelection
 FUZZTIME ?= 10s
 
 .PHONY: build test vet race e2e bench-smoke bench-test fuzz-smoke check

@@ -136,7 +136,7 @@ var runJob = Run
 // netPools holds one sync.Pool of reusable *simbgp.Network per
 // *topology.Graph. A sweep of hundreds of runs on one topology draws
 // its networks from here and rewinds them with Reset instead of
-// rebuilding every node, RIB shard, and adjacency map per run.
+// rebuilding every node, slot array, and adjacency table per run.
 var netPools sync.Map // *topology.Graph -> *sync.Pool
 
 // relCache memoizes topology.InferRelations per graph: relationships

@@ -52,8 +52,10 @@ func BenchmarkRIBBest(b *testing.B) {
 	}
 }
 
-// BenchmarkRIBBestParallel exercises the sharded locks from concurrent
-// readers, the speaker's steady-state shape.
+// BenchmarkRIBBestParallel measures Best from concurrent readers, all
+// taking the table's read lock: the shape of MIB and test reads, which
+// do not hold the speaker's lock. The speaker's own reads run under its
+// lock, one at a time.
 func BenchmarkRIBBestParallel(b *testing.B) {
 	tbl, prefixes := benchTable(64)
 	b.ReportAllocs()

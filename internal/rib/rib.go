@@ -1,9 +1,10 @@
-// Package rib implements the BGP Routing Information Bases and the
-// route decision process shared by the live speaker (internal/speaker)
-// and the event-driven simulator (internal/simbgp): per-peer Adj-RIB-In
-// tables, the Loc-RIB of selected best routes, and the tie-breaking
-// rules of RFC 4271 §9.1 restricted to the attributes this system
-// models (LOCAL_PREF, AS-path length, ORIGIN code, neighbor AS).
+// Package rib implements the live speaker's (internal/speaker) Routing
+// Information Bases (per-peer Adj-RIB-In tables and the Loc-RIB of
+// selected best routes) and the route decision process it shares with
+// the event-driven simulator (internal/simbgp): the tie-breaking rules
+// of RFC 4271 §9.1 restricted to the attributes this system models
+// (LOCAL_PREF, AS-path length, ORIGIN code, neighbor AS), written once
+// as Rank and Selection.
 package rib
 
 import (
@@ -61,9 +62,36 @@ func (r *Route) Clone() *Route {
 	return &cp
 }
 
-// Better reports whether route a is preferred over b by the decision
-// process. Either argument may be nil (a nil route always loses). The
-// order of rules follows RFC 4271 §9.1.2.2 for the attributes modelled:
+// Rank is a route's place in the decision process: its LOCAL_PREF,
+// AS-path hop count, ORIGIN code and the neighbor AS it was learned
+// from. The live table ranks its *Route values with it, and the
+// simulator ranks its interned slots (with constant LOCAL_PREF and
+// ORIGIN), so both select routes by one rule. The first three
+// attributes pack into one integer, higher preferred, so Better is one
+// comparison unless they tie (the simulator ranks every route of every
+// delivery). The zero Rank is no route: every route ranks above it.
+type Rank struct {
+	// attrs holds, from the top: LOCAL_PREF (32 bits), maxRankHops less
+	// the hop count (23), the complemented ORIGIN code (8), and a set
+	// bit that keeps every route above the zero Rank.
+	attrs uint64
+	peer  astypes.ASN
+}
+
+// maxRankHops is the longest AS path a Rank orders: far more hops than
+// a 4096-octet UPDATE can carry or a simulated topology can span.
+const maxRankHops = 1<<23 - 1
+
+// NewRank ranks a route. hops must not exceed 2^23-1. peer is ASNNone
+// for a locally originated route, which so wins a full attribute tie.
+func NewRank(localPref, hops uint32, origin wire.OriginCode, peer astypes.ASN) Rank {
+	return Rank{
+		attrs: uint64(localPref)<<32 | uint64(maxRankHops-hops)<<9 | uint64(^origin)<<1 | 1,
+		peer:  peer,
+	}
+}
+
+// Better reports whether a is preferred over b:
 //
 //  1. higher LOCAL_PREF
 //  2. shorter AS path (AS_SET counts 1)
@@ -71,76 +99,60 @@ func (r *Route) Clone() *Route {
 //  4. lower neighbor AS number (deterministic tie-break standing in for
 //     the router-ID comparison, which an AS-level model lacks)
 //
-// Rule 4 is a last resort: reselection prefers the incumbent best route
-// on an attribute tie (prefer-oldest, RFC 4271 §9.1.2.2 step (e)
-// practice), which Compare exposes.
-func Better(a, b *Route) bool {
-	switch Compare(a, b) {
-	case 1:
-		return true
-	case -1:
+// Rule 4 is a last resort: Selection.Hold keeps the incumbent best
+// route on a tie of rules 1-3 (prefer-oldest).
+func (a Rank) Better(b Rank) bool {
+	return a.attrs > b.attrs || a.attrs == b.attrs && a.peer < b.peer
+}
+
+// ties reports whether a and b are equal on every rule but the
+// neighbor tie-break.
+func (a Rank) ties(b Rank) bool { return a.attrs == b.attrs }
+
+// rank returns the route's place in the decision process.
+func (r *Route) rank() Rank {
+	return NewRank(r.LocalPref, uint32(min(r.Path.Hops(), maxRankHops)), r.Origin, r.FromPeer)
+}
+
+// Selection is the decision process as a fold over one prefix's held
+// routes; the zero Selection has seen none. Offer each candidate, in
+// any order, then Hold the incumbent best route if its source still
+// holds one. The caller keeps its own handle on each route; Offer and
+// Hold report whether the route they were given is now the winner.
+type Selection struct {
+	best Rank
+}
+
+// Offer competes a candidate against the winner so far and reports
+// whether it wins. The first offer always wins.
+func (s *Selection) Offer(r Rank) bool {
+	if !r.Better(s.best) {
 		return false
-	default:
-		return a != nil && b != nil && a.FromPeer < b.FromPeer
 	}
+	s.best = r
+	return true
 }
 
-// Compare ranks two routes on attributes alone: 1 if a is strictly
-// preferred, -1 if b is, 0 on a full attribute tie. nil loses to
-// non-nil; two nils tie.
-func Compare(a, b *Route) int {
-	switch {
-	case a == nil && b == nil:
-		return 0
-	case a == nil:
-		return -1
-	case b == nil:
-		return 1
+// Hold applies prefer-oldest: the incumbent best route's current
+// version, once offered, is kept when it ties the winner on every rule
+// but the neighbor tie-break. This models the operational stability
+// rule that a router does not churn its best path (and so does not
+// move traffic to a hijacker) unless the new route is strictly
+// preferred (RFC 4271 §9.1.2.2 step (e) practice).
+func (s *Selection) Hold(incumbent Rank) bool {
+	if !incumbent.ties(s.best) {
+		return false
 	}
-	if a.LocalPref != b.LocalPref {
-		if a.LocalPref > b.LocalPref {
-			return 1
-		}
-		return -1
-	}
-	if ah, bh := a.Path.Hops(), b.Path.Hops(); ah != bh {
-		if ah < bh {
-			return 1
-		}
-		return -1
-	}
-	if a.Origin != b.Origin {
-		if a.Origin < b.Origin {
-			return 1
-		}
-		return -1
-	}
-	return 0
+	s.best = incumbent
+	return true
 }
 
-// numShards partitions the table by prefix hash so concurrent speakers
-// (one goroutine per peer) contend on independent locks. All state for
-// one prefix — every peer's Adj-RIB-In entry, the local route, and the
-// Loc-RIB selection — lives in a single shard, so the decision process
-// never crosses a shard boundary. Must be a power of two.
-const numShards = 16
-
-// tableShard holds the RIB state for the prefixes hashing to it.
-type tableShard struct {
-	mu sync.RWMutex
-	// adjIn[peer][prefix] is the route most recently advertised by peer.
-	// Guarded by mu.
-	adjIn map[astypes.ASN]map[astypes.Prefix]*Route
-	// local[prefix] holds locally originated routes; they compete in the
-	// decision process like any learned route. Guarded by mu.
-	local map[astypes.Prefix]*Route
-	// best[prefix] is the Loc-RIB: the selected route per prefix.
-	// Guarded by mu.
-	best map[astypes.Prefix]*Route
-}
-
-// Table is the full RIB state of one BGP speaker. It is safe for
-// concurrent use.
+// Table is the full RIB state of one BGP speaker: the per-peer
+// Adj-RIB-In, the locally originated routes, and the Loc-RIB of
+// selected best routes. It is safe for concurrent use. Every write
+// takes the one lock; the speaker serializes its writes under its own
+// lock anyway, so the table's lock only orders them against readers
+// (the MIB endpoint, tests) that do not hold the speaker's.
 //
 // Published routes are immutable: once a *Route enters the table it is
 // never modified, so the read accessors (Best, BestRoutes, RoutesFrom)
@@ -150,74 +162,33 @@ type tableShard struct {
 // argument to uphold that invariant; the ...Owned variants skip the
 // copy when the caller transfers ownership of a freshly built route.
 type Table struct {
-	shards [numShards]tableShard
+	mu sync.RWMutex
+	// adjIn[peer][prefix] is the route most recently advertised by peer.
+	adjIn map[astypes.ASN]map[astypes.Prefix]*Route
+	// local[prefix] holds locally originated routes; they compete in the
+	// decision process like any learned route.
+	local map[astypes.Prefix]*Route
+	// best[prefix] is the Loc-RIB: the selected route per prefix.
+	best map[astypes.Prefix]*Route
 }
 
 // NewTable returns an empty RIB.
 func NewTable() *Table {
-	t := &Table{}
-	for i := range t.shards {
-		s := &t.shards[i]
-		s.mu.Lock()
-		s.adjIn = make(map[astypes.ASN]map[astypes.Prefix]*Route)
-		s.local = make(map[astypes.Prefix]*Route)
-		s.best = make(map[astypes.Prefix]*Route)
-		s.mu.Unlock()
-	}
-	return t
-}
-
-// shard maps a prefix to its shard. Fibonacci-style multiplicative
-// hashing spreads the sequential prefix blocks that simulations and
-// test topologies favor.
-func (t *Table) shard(p astypes.Prefix) *tableShard {
-	h := p.Addr*2654435761 + uint32(p.Len)*2246822519
-	h ^= h >> 16
-	return &t.shards[h&(numShards-1)]
-}
-
-// Reason classifies why a Change changed, for trace events and debug
-// output; it adds nothing the Old/New pair doesn't imply, but saves
-// every consumer re-deriving it.
-type Reason uint8
-
-// Change reasons.
-const (
-	// ReasonNone: the decision process ran but the best route held.
-	ReasonNone Reason = iota
-	// ReasonInstalled: a prefix with no best route gained one.
-	ReasonInstalled
-	// ReasonReplaced: the best route switched to a different selection.
-	ReasonReplaced
-	// ReasonWithdrawn: the last route for the prefix went away.
-	ReasonWithdrawn
-)
-
-func (r Reason) String() string {
-	switch r {
-	case ReasonNone:
-		return "none"
-	case ReasonInstalled:
-		return "installed"
-	case ReasonReplaced:
-		return "replaced"
-	case ReasonWithdrawn:
-		return "withdrawn"
-	default:
-		return "unknown"
+	return &Table{
+		adjIn: make(map[astypes.ASN]map[astypes.Prefix]*Route),
+		local: make(map[astypes.Prefix]*Route),
+		best:  make(map[astypes.Prefix]*Route),
 	}
 }
 
 // Change describes the result of applying one route event: whether the
 // best route for the prefix changed, and the old and new selections (nil
-// means no route).
+// means no route). A change with a nil Old installed a route, one with
+// a nil New withdrew the last, and any other replaced the selection.
 type Change struct {
 	Prefix   astypes.Prefix
 	Old, New *Route
 	Changed  bool
-	// Reason is ReasonNone when Changed is false, else the flavour of
-	// the change.
-	Reason Reason
 }
 
 // Update installs (or replaces) the route from route.FromPeer for
@@ -232,31 +203,29 @@ func (t *Table) Update(route *Route) Change {
 // table, and the caller must not retain or mutate it afterwards. Use it
 // when the route was freshly built for this call.
 func (t *Table) UpdateOwned(route *Route) Change {
-	s := t.shard(route.Prefix)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	peerTable, ok := s.adjIn[route.FromPeer]
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	peerTable, ok := t.adjIn[route.FromPeer]
 	if !ok {
 		peerTable = make(map[astypes.Prefix]*Route)
-		s.adjIn[route.FromPeer] = peerTable
+		t.adjIn[route.FromPeer] = peerTable
 	}
 	peerTable[route.Prefix] = route
-	return s.reselectLocked(route.Prefix)
+	return t.reselectLocked(route.Prefix)
 }
 
 // Withdraw removes the route previously advertised by peer for prefix,
 // if any, and re-runs the decision process.
 func (t *Table) Withdraw(peer astypes.ASN, prefix astypes.Prefix) Change {
-	s := t.shard(prefix)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if peerTable, ok := s.adjIn[peer]; ok {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if peerTable, ok := t.adjIn[peer]; ok {
 		delete(peerTable, prefix)
 		if len(peerTable) == 0 {
-			delete(s.adjIn, peer)
+			delete(t.adjIn, peer)
 		}
 	}
-	return s.reselectLocked(prefix)
+	return t.reselectLocked(prefix)
 }
 
 // Originate installs a locally originated route (FromPeer forced to
@@ -270,47 +239,33 @@ func (t *Table) Originate(route *Route) Change {
 // ownership-transfer contract as UpdateOwned applies.
 func (t *Table) OriginateOwned(route *Route) Change {
 	route.FromPeer = astypes.ASNNone
-	s := t.shard(route.Prefix)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.local[route.Prefix] = route
-	return s.reselectLocked(route.Prefix)
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.local[route.Prefix] = route
+	return t.reselectLocked(route.Prefix)
 }
 
 // WithdrawLocal removes a locally originated route.
 func (t *Table) WithdrawLocal(prefix astypes.Prefix) Change {
-	s := t.shard(prefix)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	delete(s.local, prefix)
-	return s.reselectLocked(prefix)
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	delete(t.local, prefix)
+	return t.reselectLocked(prefix)
 }
 
 // DropPeer removes every route learned from peer (session teardown),
 // returning a change record per affected prefix in deterministic prefix
-// order. Shards are processed one at a time; concurrent writers to
-// other shards proceed in parallel.
+// order.
 func (t *Table) DropPeer(peer astypes.ASN) []Change {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	peerTable := t.adjIn[peer]
+	delete(t.adjIn, peer)
 	var changes []Change
-	for i := range t.shards {
-		s := &t.shards[i]
-		s.mu.Lock()
-		peerTable, ok := s.adjIn[peer]
-		if !ok {
-			s.mu.Unlock()
-			continue
+	for p := range peerTable {
+		if ch := t.reselectLocked(p); ch.Changed {
+			changes = append(changes, ch)
 		}
-		prefixes := make([]astypes.Prefix, 0, len(peerTable))
-		for p := range peerTable {
-			prefixes = append(prefixes, p)
-		}
-		delete(s.adjIn, peer)
-		for _, p := range prefixes {
-			if ch := s.reselectLocked(p); ch.Changed {
-				changes = append(changes, ch)
-			}
-		}
-		s.mu.Unlock()
 	}
 	sort.Slice(changes, func(i, j int) bool {
 		return changes[i].Prefix.Compare(changes[j].Prefix) < 0
@@ -318,24 +273,22 @@ func (t *Table) DropPeer(peer astypes.ASN) []Change {
 	return changes
 }
 
-func (s *tableShard) reselectLocked(prefix astypes.Prefix) Change {
-	old := s.best[prefix]
+// reselectLocked runs the decision process for prefix over every held
+// route, the local one included, and installs the winner.
+func (t *Table) reselectLocked(prefix astypes.Prefix) Change {
+	old := t.best[prefix]
+	var sel Selection
 	var newBest *Route
-	if lr, ok := s.local[prefix]; ok {
+	if lr, ok := t.local[prefix]; ok && sel.Offer(lr.rank()) {
 		newBest = lr
 	}
-	for _, peerTable := range s.adjIn {
-		if r, ok := peerTable[prefix]; ok && Better(r, newBest) {
+	for _, peerTable := range t.adjIn {
+		if r, ok := peerTable[prefix]; ok && sel.Offer(r.rank()) {
 			newBest = r
 		}
 	}
-	// Prefer-oldest: if the incumbent best still exists (same source)
-	// and ties the scan winner on attributes, keep it. This models the
-	// operational stability rule that a router does not churn its best
-	// path — and so does not move traffic to a hijacker — unless the new
-	// route is strictly preferred.
 	if old != nil && newBest != nil && old.FromPeer != newBest.FromPeer {
-		if cur := s.routeFromLocked(old.FromPeer, prefix); cur != nil && Compare(cur, newBest) == 0 {
+		if cur := t.routeFromLocked(old.FromPeer, prefix); cur != nil && sel.Hold(cur.rank()) {
 			newBest = cur
 		}
 	}
@@ -344,29 +297,21 @@ func (s *tableShard) reselectLocked(prefix astypes.Prefix) Change {
 		return ch
 	}
 	ch.Changed = true
-	switch {
-	case old == nil:
-		ch.Reason = ReasonInstalled
-	case newBest == nil:
-		ch.Reason = ReasonWithdrawn
-	default:
-		ch.Reason = ReasonReplaced
-	}
 	if newBest == nil {
-		delete(s.best, prefix)
+		delete(t.best, prefix)
 	} else {
-		s.best[prefix] = newBest
+		t.best[prefix] = newBest
 	}
 	return ch
 }
 
 // routeFromLocked returns the live route for prefix from the given
 // source (ASNNone selects the local table).
-func (s *tableShard) routeFromLocked(peer astypes.ASN, prefix astypes.Prefix) *Route {
+func (t *Table) routeFromLocked(peer astypes.ASN, prefix astypes.Prefix) *Route {
 	if peer == astypes.ASNNone {
-		return s.local[prefix]
+		return t.local[prefix]
 	}
-	return s.adjIn[peer][prefix]
+	return t.adjIn[peer][prefix]
 }
 
 func sameRoute(a, b *Route) bool {
@@ -380,6 +325,7 @@ func sameRoute(a, b *Route) bool {
 		a.NextHop == b.NextHop &&
 		a.AtomicAggregate == b.AtomicAggregate &&
 		a.AggregatorAS == b.AggregatorAS &&
+		a.AggregatorID == b.AggregatorID &&
 		a.Path.Equal(b.Path) &&
 		sameCommunities(a.Communities, b.Communities) &&
 		sameUnknown(a.Unknown, b.Unknown)
@@ -414,26 +360,20 @@ func sameCommunities(a, b []astypes.Community) bool {
 // shared, immutable table state: treat it as read-only and Clone before
 // mutating.
 func (t *Table) Best(prefix astypes.Prefix) *Route {
-	s := t.shard(prefix)
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.best[prefix]
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return t.best[prefix]
 }
 
 // BestRoutes returns the Loc-RIB in deterministic prefix order. The
-// routes are shared, immutable table state (see Best). Each shard is
-// snapshotted under its own lock; under concurrent writers the slice is
-// per-shard consistent, not a single atomic cut of the whole table.
+// routes are shared, immutable table state (see Best).
 func (t *Table) BestRoutes() []*Route {
-	out := make([]*Route, 0, t.Len())
-	for i := range t.shards {
-		s := &t.shards[i]
-		s.mu.RLock()
-		for _, r := range s.best {
-			out = append(out, r)
-		}
-		s.mu.RUnlock()
+	t.mu.RLock()
+	out := make([]*Route, 0, len(t.best))
+	for _, r := range t.best {
+		out = append(out, r)
 	}
+	t.mu.RUnlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].Prefix.Compare(out[j].Prefix) < 0 })
 	return out
 }
@@ -441,62 +381,37 @@ func (t *Table) BestRoutes() []*Route {
 // RoutesFrom returns all routes currently held in peer's Adj-RIB-In, in
 // deterministic prefix order. Passing ASNNone returns the locally
 // originated routes. The routes are shared, immutable table state (see
-// Best), with the same per-shard snapshot semantics as BestRoutes.
+// Best).
 func (t *Table) RoutesFrom(peer astypes.ASN) []*Route {
-	var out []*Route
-	for i := range t.shards {
-		s := &t.shards[i]
-		s.mu.RLock()
-		peerTable := s.adjIn[peer]
-		if peer == astypes.ASNNone {
-			peerTable = s.local
-		}
-		for _, r := range peerTable {
-			out = append(out, r)
-		}
-		s.mu.RUnlock()
+	t.mu.RLock()
+	peerTable := t.adjIn[peer]
+	if peer == astypes.ASNNone {
+		peerTable = t.local
 	}
+	out := make([]*Route, 0, len(peerTable))
+	for _, r := range peerTable {
+		out = append(out, r)
+	}
+	t.mu.RUnlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].Prefix.Compare(out[j].Prefix) < 0 })
 	return out
 }
 
 // RouteFrom returns the route currently held for prefix from the given
-// source (ASNNone selects the locally originated route), or nil. It
-// touches exactly one shard — callers that need one peer's route for
-// one prefix should prefer it over scanning RoutesFrom.
+// source (ASNNone selects the locally originated route), or nil: two
+// map lookups, where RoutesFrom copies and sorts the peer's whole
+// Adj-RIB-In.
 func (t *Table) RouteFrom(peer astypes.ASN, prefix astypes.Prefix) *Route {
-	s := t.shard(prefix)
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.routeFromLocked(peer, prefix)
-}
-
-// Clear empties the table in place, retaining the shard maps (and the
-// per-peer Adj-RIB-In buckets) so a pooled simulation node can rerun
-// without re-growing them.
-func (t *Table) Clear() {
-	for i := range t.shards {
-		s := &t.shards[i]
-		s.mu.Lock()
-		for _, peerTable := range s.adjIn {
-			clear(peerTable)
-		}
-		clear(s.local)
-		clear(s.best)
-		s.mu.Unlock()
-	}
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return t.routeFromLocked(peer, prefix)
 }
 
 // Len returns the number of prefixes with a selected best route.
 func (t *Table) Len() int {
-	n := 0
-	for i := range t.shards {
-		s := &t.shards[i]
-		s.mu.RLock()
-		n += len(s.best)
-		s.mu.RUnlock()
-	}
-	return n
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return len(t.best)
 }
 
 // String summarizes the Loc-RIB for debugging.

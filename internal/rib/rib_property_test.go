@@ -81,7 +81,7 @@ func TestRandomOpSequenceInvariants(t *testing.T) {
 				t.Fatalf("step %d: candidates exist but no best for %s", step, p)
 			}
 			for _, c := range candidates {
-				if Compare(c, best) > 0 {
+				if cr, br := c.rank(), best.rank(); cr.Better(br) && !cr.ties(br) {
 					t.Fatalf("step %d: candidate %+v strictly beats best %+v", step, c, best)
 				}
 			}

@@ -20,41 +20,52 @@ func route(peer astypes.ASN, hops ...astypes.ASN) *Route {
 }
 
 func TestCompareRules(t *testing.T) {
-	shorter := route(2, 2, 4)
-	longer := route(3, 3, 5, 4)
-	if Compare(shorter, longer) != 1 {
+	shorter := route(2, 2, 4).rank()
+	longer := route(3, 3, 5, 4).rank()
+	if !shorter.Better(longer) || longer.Better(shorter) {
 		t.Error("shorter path should win")
 	}
 	higherPref := route(3, 3, 5, 4)
 	higherPref.LocalPref = 200
-	if Compare(higherPref, shorter) != 1 {
+	if !higherPref.rank().Better(shorter) {
 		t.Error("LOCAL_PREF should dominate path length")
 	}
 	egp := route(2, 2, 4)
 	egp.Origin = wire.OriginEGP
-	if Compare(shorter, egp) != 1 {
+	if !shorter.Better(egp.rank()) || egp.rank().Better(shorter) {
 		t.Error("lower ORIGIN code should win")
 	}
-	tie := route(9, 9, 4)
-	if Compare(shorter, tie) != 0 {
-		t.Error("equal attributes should tie")
+	if tie := route(9, 9, 4).rank(); !shorter.ties(tie) || shorter.ties(longer) {
+		t.Error("equal attributes should tie, and only they")
 	}
-	if Compare(nil, nil) != 0 || Compare(shorter, nil) != 1 || Compare(nil, shorter) != -1 {
-		t.Error("nil handling wrong")
+	// The packing keeps the order at the extremes of every attribute.
+	low := NewRank(0, maxRankHops, 255, astypes.ASN(1<<32-1))
+	if !NewRank(0, maxRankHops-1, 255, 0).Better(low) || !NewRank(1, maxRankHops, 255, 0).Better(low) ||
+		!NewRank(0, maxRankHops, 254, 0).Better(low) || !low.Better(Rank{}) {
+		t.Error("hop count, LOCAL_PREF, ORIGIN or the zero Rank misordered at the extremes")
+	}
+	if !NewRank(1<<32-1, 0, 0, 0).Better(NewRank(1<<32-2, 0, 0, 0)) {
+		t.Error("LOCAL_PREF misordered at the top of its range")
 	}
 }
 
 func TestBetterBreaksTiesByPeer(t *testing.T) {
-	a := route(2, 2, 4)
-	b := route(9, 9, 4)
-	if !Better(a, b) || Better(b, a) {
+	a := route(2, 2, 4).rank()
+	b := route(9, 9, 4).rank()
+	if !a.Better(b) || b.Better(a) {
 		t.Error("lower peer ASN should break full ties")
 	}
-	if Better(nil, a) {
-		t.Error("nil never wins")
+	if a.Better(a) {
+		t.Error("a rank is not better than itself")
 	}
-	if !Better(a, nil) {
-		t.Error("non-nil beats nil")
+	local := route(astypes.ASNNone, 4, 4).rank()
+	if !local.Better(a) {
+		t.Error("a local route should win a full tie")
+	}
+	// The first offer wins whatever its rank; later ones must beat it.
+	var sel Selection
+	if !sel.Offer(b) || sel.Offer(b) || !sel.Offer(a) {
+		t.Error("Selection.Offer: first offer or strict improvement should win")
 	}
 }
 
@@ -256,74 +267,55 @@ func TestRouteFrom(t *testing.T) {
 	}
 }
 
-func TestClearEmptiesAndStaysUsable(t *testing.T) {
-	tbl := NewTable()
-	pA := astypes.MustPrefix(0x0a000000, 8)
-	rA := route(2, 2, 4)
-	rA.Prefix = pA
-	tbl.Update(rA)
-	tbl.Update(route(3, 3, 5, 4))
-	tbl.Originate(route(astypes.ASNNone, 7))
-	if tbl.Len() == 0 {
-		t.Fatal("setup: table empty")
-	}
-	tbl.Clear()
-	if tbl.Len() != 0 {
-		t.Errorf("Len after Clear = %d", tbl.Len())
-	}
-	if tbl.Best(prefix) != nil || tbl.Best(pA) != nil {
-		t.Error("Best should be nil after Clear")
-	}
-	if got := tbl.RouteFrom(2, pA); got != nil {
-		t.Errorf("RouteFrom after Clear = %+v", got)
-	}
-	if got := tbl.RoutesFrom(astypes.ASNNone); len(got) != 0 {
-		t.Errorf("local routes after Clear = %+v", got)
-	}
-	// The cleared table must behave exactly like a fresh one.
-	tbl.Update(route(2, 2, 4))
-	tbl.Update(route(3, 3, 5, 4))
-	if best := tbl.Best(prefix); best == nil || best.FromPeer != 2 {
-		t.Errorf("post-Clear decision process broken: %+v", tbl.Best(prefix))
-	}
-	if ch := tbl.Withdraw(2, prefix); !ch.Changed || ch.New.FromPeer != 3 {
-		t.Errorf("post-Clear withdraw: %+v", ch)
-	}
-}
-
-// TestChangeReason: every Changed=true result carries the matching
-// Reason, and a no-op reselect stays ReasonNone.
+// TestChangeReason: the Old/New pair of every change names its kind
+// (installed, replaced, withdrawn), and a no-op reselect changes
+// nothing.
 func TestChangeReason(t *testing.T) {
 	tbl := NewTable()
 
 	ch := tbl.Update(route(2, 2, 4))
-	if !ch.Changed || ch.Reason != ReasonInstalled {
-		t.Errorf("first install: changed=%v reason=%v", ch.Changed, ch.Reason)
+	if !ch.Changed || ch.Old != nil || ch.New == nil || ch.New.FromPeer != 2 {
+		t.Errorf("first install: %+v", ch)
 	}
 	// A strictly worse route from another peer changes nothing.
 	ch = tbl.Update(route(3, 3, 5, 4))
-	if ch.Changed || ch.Reason != ReasonNone {
-		t.Errorf("worse route: changed=%v reason=%v", ch.Changed, ch.Reason)
+	if ch.Changed || ch.Old != ch.New || ch.New.FromPeer != 2 {
+		t.Errorf("worse route: %+v", ch)
 	}
 	// A strictly better route replaces the best.
 	better := route(9, 9)
 	better.LocalPref = 200
 	ch = tbl.Update(better)
-	if !ch.Changed || ch.Reason != ReasonReplaced {
-		t.Errorf("better route: changed=%v reason=%v", ch.Changed, ch.Reason)
+	if !ch.Changed || ch.Old == nil || ch.Old.FromPeer != 2 || ch.New == nil || ch.New.FromPeer != 9 {
+		t.Errorf("better route: %+v", ch)
 	}
 	// Withdrawing the best falls back to a remaining route.
 	ch = tbl.Withdraw(9, prefix)
-	if !ch.Changed || ch.Reason != ReasonReplaced || ch.New == nil {
-		t.Errorf("fallback: changed=%v reason=%v new=%v", ch.Changed, ch.Reason, ch.New)
+	if !ch.Changed || ch.Old == nil || ch.Old.FromPeer != 9 || ch.New == nil || ch.New.FromPeer != 2 {
+		t.Errorf("fallback: %+v", ch)
 	}
 	// Withdrawing everything empties the prefix.
 	tbl.Withdraw(3, prefix)
 	ch = tbl.Withdraw(2, prefix)
-	if !ch.Changed || ch.Reason != ReasonWithdrawn || ch.New != nil {
-		t.Errorf("final withdraw: changed=%v reason=%v new=%v", ch.Changed, ch.Reason, ch.New)
+	if !ch.Changed || ch.Old == nil || ch.New != nil {
+		t.Errorf("final withdraw: %+v", ch)
 	}
-	if s := ReasonReplaced.String(); s != "replaced" {
-		t.Errorf("Reason string: %q", s)
+}
+
+// TestAggregatorIDChangeIsAChange: a re-announcement that differs only
+// in AGGREGATOR's router ID is a new route (the speaker exports the
+// field), so it replaces the best route and reports a change.
+func TestAggregatorIDChangeIsAChange(t *testing.T) {
+	tbl := NewTable()
+	r := route(2, 2, 4)
+	r.AtomicAggregate, r.AggregatorAS, r.AggregatorID = true, 4, 0x0a000001
+	tbl.Update(r)
+	r.AggregatorID = 0x0a000002
+	ch := tbl.Update(r)
+	if !ch.Changed {
+		t.Error("AGGREGATOR ID change reported no change")
+	}
+	if got := tbl.Best(prefix).AggregatorID; got != 0x0a000002 {
+		t.Errorf("best AggregatorID = %#x, want 0xa000002", got)
 	}
 }

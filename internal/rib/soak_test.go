@@ -7,11 +7,11 @@ import (
 	"repro/internal/astypes"
 )
 
-// TestTableConcurrentSoak hammers the sharded table from concurrent
-// announcers, withdrawers, and readers. It asserts nothing beyond
-// internal consistency of what readers observe — its job is to give the
-// race detector (make race) a dense interleaving over every shard and
-// every accessor, including the clone-free shared-route reads.
+// TestTableConcurrentSoak hammers the table from concurrent announcers,
+// withdrawers, and readers. It asserts nothing beyond internal
+// consistency of what readers observe — its job is to give the race
+// detector (make race) a dense interleaving over every accessor,
+// including the clone-free shared-route reads.
 func TestTableConcurrentSoak(t *testing.T) {
 	const (
 		writers    = 4

@@ -90,8 +90,8 @@ func BenchmarkSimScaleConverge1k(b *testing.B)  { benchConverge(b, 1_000) }
 func BenchmarkSimScaleConverge10k(b *testing.B) { benchConverge(b, 10_000) }
 func BenchmarkSimScaleConverge70k(b *testing.B) { benchConverge(b, 70_000) }
 
-// baseNode is the pre-refactor per-node state layout: a 16-shard
-// rib.Table of cloned *rib.Route values plus per-peer advertised maps.
+// baseNode is the pre-refactor per-node state layout: a rib.Table of
+// cloned *rib.Route values plus per-peer advertised maps.
 type baseNode struct {
 	asn        astypes.ASN
 	neighbors  []astypes.ASN

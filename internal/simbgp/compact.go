@@ -15,6 +15,9 @@ import (
 	"sort"
 
 	"repro/internal/astypes"
+	"repro/internal/rib"
+	"repro/internal/trace"
+	"repro/internal/wire"
 )
 
 // pfxState is the whole network's routing state for one prefix.
@@ -121,61 +124,81 @@ func (n *Network) clearSlot(nd *Node, st *pfxState, g int32) bool {
 }
 
 // reselect recomputes nd's best route for the prefix after slot g
-// changed from (prevPath, prevComm), replicating the rib.Table decision
-// process under the simulator's constant LOCAL_PREF and origin code:
-// fewest AS-path hops, then lowest FromPeer (the local route's
-// ASNNone sorting first), with rib's prefer-oldest stability rule — the
-// incumbent best is kept when its peer's current route ties the scan
-// winner on attributes.
+// changed from (prevPath, prevComm). A change of best route is traced
+// as the speaker traces it: installed, replaced or withdrawn, naming
+// the new best route's neighbor.
 func (n *Network) reselect(nd *Node, st *pfxState, g int32, prevPath, prevComm uint32) bool {
 	i := nd.idx
 	base := n.slotBase[i]
 	deg := int32(len(nd.neighbors))
-	local := base + deg
-
 	oldPlus := st.bestPlus[i]
-	var oldPath, oldComm uint32
-	if oldPlus != 0 {
-		if os := oldPlus - 1; os == g {
-			oldPath, oldComm = prevPath, prevComm
-		} else {
-			oldPath, oldComm = st.adjPath[os], st.adjComm[os]
-		}
-	}
-
-	// Scan the local slot first (lowest FromPeer), then neighbors in
-	// ascending peer order, keeping strict improvements only: the
-	// winner is the (hops, FromPeer) minimum.
 	cand := int32(-1)
-	var candHops uint32
-	if p := st.adjPath[local]; p != 0 {
-		cand, candHops = local, n.paths.hops[p]
+	if s := n.paths.bestSlot(nd.neighbors, st.adjPath[base:base+deg+1], oldPlus-1-base); s >= 0 {
+		cand = base + s
 	}
-	for s := int32(0); s < deg; s++ {
-		p := st.adjPath[base+s]
-		if p == 0 {
-			continue
-		}
-		if h := n.paths.hops[p]; cand < 0 || h < candHops {
-			cand, candHops = base+s, h
-		}
-	}
+	st.bestPlus[i] = cand + 1
 
-	// Prefer-oldest: hold on to the incumbent peer's current route when
-	// it ties the scan winner, so best paths — and traffic — do not
-	// churn to a new peer without strict improvement.
-	if oldPlus != 0 && cand >= 0 && oldPlus-1 != cand {
-		if op := st.adjPath[oldPlus-1]; op != 0 && n.paths.hops[op] == candHops {
-			cand = oldPlus - 1
-		}
+	var oldPath, oldComm, newPath, newComm uint32
+	if os := oldPlus - 1; os == g {
+		oldPath, oldComm = prevPath, prevComm
+	} else if os >= 0 {
+		oldPath, oldComm = st.adjPath[os], st.adjComm[os]
 	}
-
-	var newPath, newComm uint32
 	if cand >= 0 {
 		newPath, newComm = st.adjPath[cand], st.adjComm[cand]
 	}
-	st.bestPlus[i] = cand + 1
-	return oldPlus != cand+1 || oldPath != newPath || oldComm != newComm
+	if oldPlus == cand+1 && oldPath == newPath && oldComm == newComm {
+		return false
+	}
+	if n.tracing() {
+		detail, peer, origin := trace.DetailWithdrawn, astypes.ASNNone, astypes.ASNNone
+		if cand >= 0 {
+			detail, peer, origin = trace.DetailReplaced, n.slotPeer(nd, cand), n.paths.origin[newPath]
+			if oldPlus == 0 {
+				detail = trace.DetailInstalled
+			}
+		}
+		n.record(trace.KindRIB, detail, nd.asn, peer, st.prefix, origin)
+	}
+	return true
+}
+
+// bestSlot runs rib's decision process over one node's slots for a
+// prefix: adj holds the path id per slot, one per neighbor in
+// ascending peer order and the node's own route last (0: none), and
+// incumbent is the slot of the current best route (negative: none). It
+// returns the winning slot, or -1 when no slot holds a route. Under the
+// simulator's constant LOCAL_PREF and ORIGIN code that is the fewest
+// AS-path hops, then the lowest neighbor AS (the node's own route
+// first), holding the incumbent on a hop-count tie.
+func (t *pathTab) bestSlot(neighbors []astypes.ASN, adj []uint32, incumbent int32) int32 {
+	hops := t.hops
+	var sel rib.Selection
+	cand := int32(-1)
+	for s, peer := range neighbors {
+		if p := adj[s]; p != 0 && sel.Offer(rank(hops[p], peer)) {
+			cand = int32(s)
+		}
+	}
+	own := int32(len(neighbors))
+	if p := adj[own]; p != 0 && sel.Offer(rank(hops[p], astypes.ASNNone)) {
+		cand = own
+	}
+	if incumbent >= 0 && incumbent != cand {
+		peer := astypes.ASNNone
+		if incumbent < own {
+			peer = neighbors[incumbent]
+		}
+		if p := adj[incumbent]; p != 0 && sel.Hold(rank(hops[p], peer)) {
+			cand = incumbent
+		}
+	}
+	return cand
+}
+
+// rank ranks a simulated route: constant LOCAL_PREF and ORIGIN code.
+func rank(hops uint32, peer astypes.ASN) rib.Rank {
+	return rib.NewRank(rib.DefaultLocalPref, hops, wire.OriginIGP, peer)
 }
 
 // heldEff returns the (lazily cached) effective MOAS-list id of the

@@ -5,13 +5,14 @@
 //
 // Each node runs the standard path-vector machinery (loop detection,
 // shortest-AS-path decision, best-route propagation to all peers),
-// replicating the decision process of internal/rib exactly — the live
-// daemons keep their sharded rib.Table, the simulator trades it for the
-// compact layout below. Nodes optionally run the paper's MOAS
-// detection: they extract the effective MOAS list of every announcement
-// (explicit communities or the implicit single-origin rule), raise an
-// alarm on any inconsistency, resolve the conflict through a core.Resolver
-// (the stand-in for the DNS MOASRR lookup of §4.4), and then refuse to
+// selecting routes through internal/rib's decision process (rib.Rank
+// and rib.Selection) — the live daemons keep their rib.Table, the
+// simulator trades it for the compact layout below. Nodes optionally
+// run the paper's MOAS detection: they extract the effective MOAS list
+// of every announcement (explicit communities or the implicit
+// single-origin rule), raise an alarm on any inconsistency, resolve the
+// conflict through a core.Resolver (the stand-in for the DNS MOASRR
+// lookup of §4.4), and then refuse to
 // install or propagate routes from origins outside the resolved valid
 // set — "they stop the further propagation of a false route" (§5.2).
 //
@@ -732,15 +733,7 @@ func (o *outMsg) build(nd *Node, st *pfxState, bestG int32) {
 // (or a withdrawal) to every neighbor at once; the model has no MRAI
 // timer (DESIGN.md §2).
 func (nd *Node) propagate(st *pfxState) {
-	n := nd.net
 	bestG := st.bestPlus[nd.idx] - 1
-	if n.tracing() {
-		detail, origin := trace.DetailWithdrawn, astypes.ASNNone
-		if bestG >= 0 {
-			detail, origin = trace.DetailInstalled, n.paths.origin[st.adjPath[bestG]]
-		}
-		n.record(trace.KindRIB, detail, nd.asn, astypes.ASNNone, st.prefix, origin)
-	}
 	var adv outMsg
 	for s := range nd.neighbors {
 		nd.emitToSlot(s, st, bestG, &adv)

@@ -3,6 +3,7 @@ package simbgp
 import (
 	"testing"
 
+	"repro/internal/astypes"
 	"repro/internal/core"
 	"repro/internal/trace"
 )
@@ -127,5 +128,73 @@ func TestRecorderMirrorsSimulation(t *testing.T) {
 	}
 	if n.recorder != nil {
 		t.Error("Reset left the recorder attached")
+	}
+}
+
+// TestTracerRIBEventsFollowBestRoute: a node's rib events say what the
+// speaker's say. The first route a node selects is installed, a switch
+// to another route is replaced, losing the last route is withdrawn, and
+// each event names the new best route's neighbor (ASNNone when the node
+// originates it) and origin. The line 1-2-3-4 first learns AS 1's
+// route; AS 4 then originates the prefix too, so 4 switches to its own
+// route and 3 to 4's shorter one; both origins then withdraw.
+func TestTracerRIBEventsFollowBestRoute(t *testing.T) {
+	n := newNet(t, lineTopology(1, 2, 3, 4), core.NewList(1))
+	rec := trace.NewRecorder(1024, trace.WithoutWallClock())
+	n.AttachRecorder(rec)
+	phases := []func() error{
+		func() error { return n.Originate(1, victim, core.List{}) },
+		func() error { return n.OriginateInvalid(4, victim, core.List{}) },
+		func() error { return n.Withdraw(4, victim) },
+		func() error { return n.Withdraw(1, victim) },
+	}
+	has := map[astypes.ASN]bool{}
+	last := map[astypes.ASN]trace.Event{}
+	details := map[trace.Detail]int{}
+	seen := 0
+	for phase, start := range phases {
+		if err := start(); err != nil {
+			t.Fatal(err)
+		}
+		if err := n.Run(); err != nil {
+			t.Fatal(err)
+		}
+		events := rec.Events()
+		for _, e := range events[seen:] {
+			if e.Kind != trace.KindRIB {
+				continue
+			}
+			want := trace.DetailReplaced
+			switch {
+			case e.Origin == astypes.ASNNone:
+				want = trace.DetailWithdrawn
+			case !has[e.Node]:
+				want = trace.DetailInstalled
+			}
+			if e.Detail != want {
+				t.Errorf("phase %d: AS %v rib event %v, want %v", phase, e.Node, e.Detail, want)
+			}
+			has[e.Node] = e.Origin != astypes.ASNNone
+			last[e.Node] = e
+			details[e.Detail]++
+		}
+		seen = len(events)
+		for _, asn := range n.Nodes() {
+			best, e := n.Node(asn).Best(victim), last[asn]
+			if best == nil {
+				if has[asn] {
+					t.Errorf("phase %d: AS %v has no route, its last rib event is %+v", phase, asn, e)
+				}
+				continue
+			}
+			if !has[asn] || e.Peer != best.FromPeer || e.Origin != best.OriginAS() {
+				t.Errorf("phase %d: AS %v best from %v origin %v, its last rib event %+v", phase, asn, best.FromPeer, best.OriginAS(), e)
+			}
+		}
+	}
+	for _, d := range []trace.Detail{trace.DetailInstalled, trace.DetailReplaced, trace.DetailWithdrawn} {
+		if details[d] == 0 {
+			t.Errorf("no %v rib event: %v", d, details)
+		}
 	}
 }

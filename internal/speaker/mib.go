@@ -74,7 +74,8 @@ type MIB struct {
 //  3. the counter reads (telemetry atomics, each individually exact).
 //
 // s.mu is deliberately NOT held across steps 2–3: no lock needs it (the
-// RIB locks itself), and a full-table walk under s.mu would stall every
+// RIB locks itself, holding its read lock only while it copies the
+// Loc-RIB), and formatting every route under s.mu would stall every
 // session's update path for its duration.
 func (s *Speaker) MIB() MIB {
 	m := MIB{

@@ -620,7 +620,7 @@ func (s *Speaker) admitLocked(prefix astypes.Prefix, attrs wire.PathAttrs, peerA
 }
 
 // purgeInvalidLocked drops installed routes for prefix whose origin is
-// outside the resolved valid set: one shard lookup per peer, whatever
+// outside the resolved valid set: one table lookup per peer, whatever
 // the size of its Adj-RIB-In. Every invalid route leaves the table
 // before anything is exported, and peers hear one net change, from the
 // best route before the purge to the best after it: a forged route that
@@ -642,12 +642,6 @@ func (s *Speaker) purgeInvalidLocked(prefix astypes.Prefix, truth core.List) {
 	}
 	// Withdrawals never bring back the best route they replaced, so a
 	// change in any step is a net change.
-	if merged.Changed {
-		merged.Reason = rib.ReasonReplaced
-		if merged.New == nil {
-			merged.Reason = rib.ReasonWithdrawn
-		}
-	}
 	s.propagateLocked(merged, 0)
 }
 
@@ -721,13 +715,13 @@ func (s *Speaker) recordRIB(ch rib.Change, span uint64) {
 		Node:   s.cfg.AS,
 		Prefix: ch.Prefix,
 	}
-	switch ch.Reason {
-	case rib.ReasonInstalled:
-		e.Detail = trace.DetailInstalled
-	case rib.ReasonReplaced:
-		e.Detail = trace.DetailReplaced
-	case rib.ReasonWithdrawn:
+	switch {
+	case ch.New == nil:
 		e.Detail = trace.DetailWithdrawn
+	case ch.Old == nil:
+		e.Detail = trace.DetailInstalled
+	default:
+		e.Detail = trace.DetailReplaced
 	}
 	if ch.New != nil {
 		e.Peer = ch.New.FromPeer
